@@ -61,10 +61,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         scenario = _load(args.scenario)
         precision = None
-        if args.precision_exp or args.max_terms or args.degree_cap:
-            precision = apply_precision_overrides(
-                scenario, args.precision_exp, args.max_terms, args.degree_cap
-            )
+        overrides = (args.precision_exp, args.max_terms, args.degree_cap)
+        if any(o is not None for o in overrides):
+            precision = apply_precision_overrides(scenario, *overrides)
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

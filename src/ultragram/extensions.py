@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .groups import GroupElement, GroupKind, Subgroup, coset_equal, is_cofinal, subgroup_index
+from .groups import GroupElement, GroupKind, Subgroup, is_cofinal, subgroup_index
 from .presentations import SubfieldPresentation
 from .series import (
     Precision,
@@ -157,7 +157,7 @@ def ramification_and_residue(
 
     x_indices = []
     y_indices: list[int] = []
-    for cls in classes:
+    for cls in classes.values():
         ordered = prefer_unit(cls)
         x_indices.append(ordered[0])
         if values[cls[0]] == zero:
@@ -175,12 +175,8 @@ def ramification_and_residue(
         raise ArithmeticError(
             f"coset count {e} exceeds the exact subgroup index {index}"
         )
-    reps = [values[cls[0]] for cls in classes]
-    coset_closed = all(
-        any(coset_equal(a + b, r, K.value_subgroup) for r in reps)
-        for a in reps
-        for b in reps
-    )
+    reps = [values[cls[0]] for cls in classes.values()]
+    coset_closed = all(K.value_subgroup.coset_key(a + b) in classes for a in reps for b in reps)
     if coset_closed and index != e:
         raise ArithmeticError(
             f"coset count {e} disagrees with the exact subgroup index {index}"

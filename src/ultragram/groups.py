@@ -3,8 +3,20 @@
 Three kinds are supported: the integer line Z, the rational line Q, and
 lexicographic products Z^n (most significant coordinate first).  Elements
 carry exact rational coordinates; there is no floating point anywhere.
-Finitely generated subgroups support exact membership, coset, index and
-cofinality decisions via integer elimination after clearing denominators.
+
+A finitely generated subgroup H lies in (1/D)Z^n, where D clears the
+denominators of its generators.  Each ``Subgroup`` brings D*H to Hermite
+normal form once and caches it (H. Cohen, *A Course in Computational
+Algebraic Number Theory*, GTM 138, section 2.4): an echelon basis, pivot
+columns increasing from the most significant coordinate, positive pivots,
+entries above a pivot reduced modulo it, together with the unimodular
+transform that writes each basis row in the generators.  Reducing D*g
+top-down against the rows, leaving each pivot entry in [0, pivot), gives
+the coset key of g: two elements lie in the same coset of H exactly when
+their keys are equal, and g lies in H exactly when its key is zero.
+Membership, integer solving, coset tests, the basis, the index (a product
+of pivot ratios) and cofinality (the first pivot column) all read off that
+one basis.
 """
 
 from __future__ import annotations
@@ -12,7 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import lcm
+from functools import cached_property
+from math import lcm, prod
 from typing import Iterable, Optional, Sequence, Union
 
 
@@ -153,70 +166,40 @@ def negate(g: GroupElement) -> GroupElement:
     return -g
 
 
-def _clear_denominators(
-    vectors: Sequence[Sequence[Fraction]],
-) -> tuple[list[list[int]], int]:
-    denoms = [c.denominator for vec in vectors for c in vec]
-    scale = lcm(*denoms) if denoms else 1
-    return [[int(c * scale) for c in vec] for vec in vectors], scale
+def _hermite(vectors: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[list[int]]]:
+    """Row Hermite normal form of the integer matrix A whose rows are ``vectors``.
 
-
-def _solve_integer(columns: list[list[int]], target: list[int]) -> Optional[list[int]]:
-    """Solve ``sum_i k_i * columns[i] = target`` for integers k_i.
-
-    Column-style Hermite elimination: for each row pick a pivot column and
-    gcd-reduce the other columns against it, tracking the unimodular column
-    operations so a witness can be read back.
+    Returns the nonzero rows of H = U A, with pivot columns strictly
+    increasing, positive pivots and entries above each pivot in [0, pivot),
+    and the matching rows of the unimodular U: ``transform[i] . vectors``
+    equals ``rows[i]``.
     """
-    m = len(columns)
-    rows = len(target)
-    if m == 0:
-        return [] if all(t == 0 for t in target) else None
-    # work matrix: rows x m, transform: m x m identity
-    a = [[columns[j][i] for j in range(m)] for i in range(rows)]
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    pivots: list[tuple[int, int]] = []  # (row, col)
-    col = 0
-    for row in range(rows):
-        if col >= m:
-            break
-        # gcd-sweep: make at most one nonzero entry in this row among cols >= col
+    m = len(vectors)
+    width = len(vectors[0]) if m else 0
+    work = [list(v) + [int(i == j) for j in range(m)] for i, v in enumerate(vectors)]
+    top = 0
+    for col in range(width):
+        # Euclid down the column until at most one row from ``top`` on is nonzero in it
         while True:
-            nz = [j for j in range(col, m) if a[row][j] != 0]
-            if len(nz) <= 1:
+            live = [i for i in range(top, m) if work[i][col]]
+            if len(live) <= 1:
                 break
-            j0, j1 = nz[0], nz[1]
-            if abs(a[row][j0]) > abs(a[row][j1]):
-                j0, j1 = j1, j0
-            q = a[row][j1] // a[row][j0]
-            for i in range(rows):
-                a[i][j1] -= q * a[i][j0]
-            for i in range(m):
-                u[i][j1] -= q * u[i][j0]
-        nz = [j for j in range(col, m) if a[row][j] != 0]
-        if not nz:
+            p = min(live, key=lambda i: abs(work[i][col]))
+            for i in live:
+                if i != p:
+                    q = work[i][col] // work[p][col]
+                    work[i] = [a - q * b for a, b in zip(work[i], work[p])]
+        if not live:
             continue
-        j = nz[0]
-        if j != col:
-            for i in range(rows):
-                a[i][col], a[i][j] = a[i][j], a[i][col]
-            for i in range(m):
-                u[i][col], u[i][j] = u[i][j], u[i][col]
-        pivots.append((row, col))
-        col += 1
-    # forward solve: only pivot columns can carry nonzero solution entries
-    y = [0] * m
-    residual = list(target)
-    for row, c in pivots:
-        if residual[row] % a[row][c] != 0:
-            return None
-        q = residual[row] // a[row][c]
-        y[c] = q
-        for i in range(rows):
-            residual[i] -= q * a[i][c]
-    if any(r != 0 for r in residual):
-        return None
-    return [sum(u[i][j] * y[j] for j in range(m)) for i in range(m)]
+        work[top], work[live[0]] = work[live[0]], work[top]
+        if work[top][col] < 0:
+            work[top] = [-a for a in work[top]]
+        pivot = work[top]
+        for i in range(top):
+            q = work[i][col] // pivot[col]
+            work[i] = [a - q * b for a, b in zip(work[i], pivot)]
+        top += 1
+    return [r[:width] for r in work[:top]], [r[width:] for r in work[:top]]
 
 
 @dataclass(frozen=True)
@@ -252,142 +235,102 @@ class Subgroup:
     def is_trivial(self) -> bool:
         return all(g.is_zero() for g in self.generators)
 
-    def solve(self, g: GroupElement) -> Optional[list[int]]:
-        """Integer coefficients over the generators expressing ``g``, or None."""
+    @cached_property
+    def _basis(self) -> tuple[int, list[list[int]], list[int], list[list[int]]]:
+        """(D, Hermite rows of D*H, their pivot columns, their transform rows)."""
+        scale = lcm(*(c.denominator for g in self.generators for c in g.coords))
+        rows, transform = _hermite([[int(c * scale) for c in g.coords] for g in self.generators])
+        pivots = [next(j for j, c in enumerate(row) if c) for row in rows]
+        return scale, rows, pivots, transform
+
+    def _reduce(self, g: GroupElement) -> tuple[list, list[int]]:
+        """Reduce D*g top-down against the basis rows.
+
+        Returns the remainder, whose pivot entries lie in [0, pivot), and the
+        multiple of each row that was subtracted.
+        """
         if g.group != self.ambient:
             raise MismatchedGroups("element outside ambient group")
-        if g.is_zero():
-            return [0] * len(self.generators)
-        vectors = [list(gen.coords) for gen in self.generators] + [list(g.coords)]
-        ints, _ = _clear_denominators(vectors)
-        return _solve_integer(ints[:-1], ints[-1])
+        scale, rows, pivots, _ = self._basis
+        # D*c is an integer unless c's denominator does not divide D (then g is not in H)
+        rest = [
+            c.numerator * (scale // c.denominator) if scale % c.denominator == 0 else c * scale
+            for c in g.coords
+        ]
+        quotients = []
+        for row, p in zip(rows, pivots):
+            q = rest[p] // row[p]
+            if q:
+                rest = [a - q * b for a, b in zip(rest, row)]
+            quotients.append(q)
+        return rest, quotients
+
+    def coset_key(self, g: GroupElement) -> tuple:
+        """A hashable key of g + H: equal for two elements iff they are congruent."""
+        return tuple(self._reduce(g)[0])
+
+    def solve(self, g: GroupElement) -> Optional[list[int]]:
+        """Integer coefficients over the generators expressing ``g``, or None."""
+        rest, quotients = self._reduce(g)
+        if any(rest):
+            return None
+        transform = self._basis[3]
+        return [
+            sum(q * t[k] for q, t in zip(quotients, transform))
+            for k in range(len(self.generators))
+        ]
 
     def contains(self, g: GroupElement) -> bool:
-        return self.solve(g) is not None
+        return not any(self._reduce(g)[0])
 
     def lattice_basis(self) -> list[GroupElement]:
-        """A Z-basis of the subgroup (Hermite elimination over the generators)."""
-        gens = [g for g in self.generators if not g.is_zero()]
-        if not gens:
-            return []
-        vectors = [list(g.coords) for g in gens]
-        ints, scale = _clear_denominators(vectors)
-        # column-style HNF on the transpose: rows = generators
-        mat = [row[:] for row in ints]
-        rank = self.ambient.rank
-        basis_rows: list[list[int]] = []
-        col = 0
-        rows_left = mat
-        for col in range(rank):
-            rows_left = [r for r in rows_left if any(c != 0 for c in r)]
-            nz = [r for r in rows_left if r[col] != 0]
-            rest = [r for r in rows_left if r[col] == 0]
-            while len(nz) > 1:
-                nz.sort(key=lambda r: abs(r[col]))
-                r0 = nz[0]
-                out = [r0]
-                for r in nz[1:]:
-                    q = r[col] // r0[col]
-                    new = [a - q * b for a, b in zip(r, r0)]
-                    if new[col] != 0:
-                        out.append(new)
-                    elif any(c != 0 for c in new):
-                        rest.append(new)
-                nz = out
-            if nz:
-                basis_rows.append(nz[0])
-            rows_left = rest
+        """The Hermite basis of the subgroup, most significant pivot first."""
+        scale, rows, _, _ = self._basis
         return [
             GroupElement(self.ambient, tuple(Fraction(c, scale) for c in row))
-            for row in basis_rows
+            for row in rows
         ]
 
 
 def coset_equal(g: GroupElement, h: GroupElement, subgroup: Subgroup) -> bool:
-    """True iff g - h lies in the subgroup (exact integer solve)."""
-    return subgroup.contains(g - h)
+    """True iff g - h lies in the subgroup (equal coset keys)."""
+    return subgroup.coset_key(g) == subgroup.coset_key(h)
 
 
 INFINITE = None
 
 
-def subgroup_index(sub: Subgroup, group: Subgroup) -> Optional[int]:
-    """Exact index (group : sub); None encodes an infinite index.
-
-    Requires sub to be contained in group; the index is the lattice index of
-    the two Z-spans, computed as |det| of the change-of-basis matrix.
-    """
+def _require_inside(sub: Subgroup, group: Subgroup) -> None:
     for g in sub.generators:
         if not group.contains(g):
             raise NotASubgroup(f"generator {g} of the subgroup is not in the ambient span")
-    basis_sub = sub.lattice_basis()
-    basis_grp = group.lattice_basis()
-    if len(basis_sub) < len(basis_grp):
+
+
+def subgroup_index(sub: Subgroup, group: Subgroup) -> Optional[int]:
+    """Exact index (group : sub); None encodes an infinite index.
+
+    Requires sub to be contained in group.  Equal ranks give equal pivot
+    columns, and the index is the product of the pivot ratios; a smaller
+    rank gives an infinite index.
+    """
+    _require_inside(sub, group)
+    sub_scale, sub_rows, pivots, _ = sub._basis
+    group_scale, group_rows, _, _ = group._basis
+    if len(sub_rows) != len(group_rows):
         return INFINITE
-    # coordinates of sub's basis in terms of group's basis
-    grp_sub = Subgroup(group.ambient, tuple(basis_grp))
-    coords = []
-    for b in basis_sub:
-        sol = grp_sub.solve(b)
-        if sol is None:
-            raise NotASubgroup("inconsistent lattice bases")
-        coords.append(sol)
-    n = len(basis_grp)
-    if n == 0:
-        return 1
-    det = _integer_determinant([row[:n] for row in coords])
-    if det == 0:
-        return INFINITE
-    return abs(det)
-
-
-def _integer_determinant(mat: list[list[int]]) -> int:
-    """Bareiss fraction-free determinant."""
-    n = len(mat)
-    if n == 0:
-        return 1
-    a = [row[:] for row in mat]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
-def _most_significant_axis(sub: Subgroup) -> Optional[int]:
-    """Index of the most significant coordinate hit by any generator."""
-    best: Optional[int] = None
-    for g in sub.generators:
-        for i, c in enumerate(g.coords):
-            if c != 0:
-                if best is None or i < best:
-                    best = i
-                break
-    return best
+    index = prod(
+        Fraction(a[p] * group_scale, b[p] * sub_scale)
+        for a, b, p in zip(sub_rows, group_rows, pivots)
+    )
+    return int(index)
 
 
 def is_cofinal(sub: Subgroup, group: Subgroup) -> bool:
     """True iff the subgroup is cofinal in the group.
 
-    For the supported kinds this reduces to agreement of the most significant
-    support coordinate: some element of sub then exceeds any given element of
-    the group.
+    For the supported kinds this reduces to agreement of the first pivot
+    column, the most significant coordinate either subgroup reaches: some
+    element of sub then exceeds any given element of the group.
     """
-    for g in sub.generators:
-        if not group.contains(g):
-            raise NotASubgroup(f"generator {g} of the subgroup is not in the ambient span")
-    ms_group = _most_significant_axis(group)
-    if ms_group is None:
-        return True
-    ms_sub = _most_significant_axis(sub)
-    return ms_sub == ms_group
+    _require_inside(sub, group)
+    return sub._basis[2][:1] == group._basis[2][:1]

@@ -63,11 +63,15 @@ class SubfieldPresentation:
             raise ValueNotInSubgroup(f"{delta} is not in v{self.name}")
         coefficient = self.ambient.coeff.one()
         for k, base in zip(coeffs, self.base_monomials):
-            if k == 0:
-                continue
-            c = base.coefficient if k > 0 else base.coefficient.invert()
-            for _ in range(abs(k)):
-                coefficient = coefficient * c
+            c = base.coefficient if k >= 0 else base.coefficient.invert()
+            k = abs(k)
+            # square-and-multiply: k reaches 3^i along the Artin-Schreier chain
+            while k:
+                if k & 1:
+                    coefficient = coefficient * c
+                k >>= 1
+                if k:
+                    c = c * c
         return self.ambient.monomial(delta, coefficient)
 
     def monomial_term(self, delta: GroupElement) -> Term:

@@ -113,10 +113,6 @@ class Report:
             body["verification"] = self.verification
         return body
 
-    @property
-    def had_errors(self) -> bool:
-        return any(t.error is not None for t in self.tasks)
-
 
 def emit(report: Report, fmt: str) -> bytes:
     """Render the report: canonical machine JSON or stable readable text."""

@@ -517,14 +517,19 @@ def apply_precision_overrides(
     c = scenario.canonical
     group = _parse_group(c["ambient"]["group"])
     p = dict(c["precision"])
-    if ceiling is not None:
-        parsed = json.loads(ceiling) if ceiling.strip().startswith("[") else ceiling
-        p["ceiling"] = _canonical_exponent(_parse_exponent(parsed, group))
-    if max_terms is not None:
-        p["max_terms"] = max_terms
-    if degree_cap is not None:
-        p["degree_cap"] = degree_cap
-    return Precision(_parse_exponent(p["ceiling"], group), p["max_terms"], p["degree_cap"])
+    try:
+        if ceiling is not None:
+            parsed = json.loads(ceiling) if ceiling.strip().startswith("[") else ceiling
+            p["ceiling"] = _canonical_exponent(_parse_exponent(parsed, group))
+        if max_terms is not None:
+            p["max_terms"] = max_terms
+        if degree_cap is not None:
+            p["degree_cap"] = degree_cap
+        return Precision(_parse_exponent(p["ceiling"], group), p["max_terms"], p["degree_cap"])
+    except ScenarioError:
+        raise
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ScenarioError(f"invalid precision override: {exc}") from exc
 
 
 # task execution

@@ -166,6 +166,8 @@ class Precision:
     def __post_init__(self) -> None:
         if self.max_terms < 1:
             raise ValueError("max_terms must be at least 1")
+        if self.degree_cap < 1:
+            raise ValueError("degree_cap must be at least 1")
 
     def fuel(self) -> Fuel:
         return Fuel(256 + 64 * self.max_terms)
@@ -637,10 +639,6 @@ def equal_up_to(x: Series, y: Series, cut: GroupElement, prec: Precision) -> boo
             f"equality below {cut} undecided within the precision budget"
         )
     return True
-
-
-def is_zero_up_to(x: Series, prec: Precision) -> bool:
-    return not valuation(x, prec).is_value
 
 
 # named builders for infinite families

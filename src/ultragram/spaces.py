@@ -18,7 +18,7 @@ from dataclasses import dataclass, field as dataclass_field
 from enum import Enum
 from typing import Optional, Sequence
 
-from .groups import GroupElement, Subgroup, coset_equal
+from .groups import GroupElement, Subgroup
 from .presentations import SubfieldPresentation
 from .residues import ResidueProfile, rank_over_subfield, solve_over_subfield
 from .series import (
@@ -128,15 +128,11 @@ def _witnessed_leads(elements: Sequence[Series], prec: Precision) -> list[Term]:
     return leads
 
 
-def _partition_by_coset(values: Sequence[GroupElement], vk: Subgroup) -> list[list[int]]:
-    classes: list[list[int]] = []
+def _partition_by_coset(values: Sequence[GroupElement], vk: Subgroup) -> dict[tuple, list[int]]:
+    """Indices grouped by coset key modulo vK, classes in order of first index."""
+    classes: dict[tuple, list[int]] = {}
     for i, v in enumerate(values):
-        for cls in classes:
-            if coset_equal(v, values[cls[0]], vk):
-                cls.append(i)
-                break
-        else:
-            classes.append([i])
+        classes.setdefault(vk.coset_key(v), []).append(i)
     return classes
 
 
@@ -158,7 +154,7 @@ def is_valuation_independent(family: VectorFamily, prec: Precision) -> Independe
         return verdict
     leads = _witnessed_leads(family.elements, prec)
     values = [t.exponent for t in leads]
-    classes = _partition_by_coset(values, K.value_subgroup)
+    classes = _partition_by_coset(values, K.value_subgroup).values()
     scaled: list = [None] * n
     scalings: list = [None] * n
     for cls in classes:
@@ -286,12 +282,13 @@ def check_normalized(family: VectorFamily, prec: Precision) -> NormalizationChec
     K = family.over
     leads = _witnessed_leads(family.elements, prec)
     values = [t.exponent for t in leads]
-    n = len(values)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if coset_equal(values[i], values[j], K.value_subgroup) and values[i] != values[j]:
-                return NormalizationCheck(False, "N1", {"indices": [i, j]})
-    classes = _partition_by_coset(values, K.value_subgroup)
+    classes = _partition_by_coset(values, K.value_subgroup).values()
+    # the first class holding two values starts with the least index i of any
+    # N1 pair (i, j), so it names the pair the pairwise scan finds first
+    for cls in classes:
+        j = next((j for j in cls if values[j] != values[cls[0]]), None)
+        if j is not None:
+            return NormalizationCheck(False, "N1", {"indices": [cls[0], j]})
     for cls in classes:
         profile = [leads[i].coefficient / leads[cls[0]].coefficient for i in cls]
         rank, kernel = rank_over_subfield(profile, K.residue_field, K.ambient.coeff)
@@ -326,7 +323,7 @@ def normalize(family: VectorFamily, prec: Precision) -> VectorFamily:
     K = family.over
     leads = _witnessed_leads(family.elements, prec)
     values = [t.exponent for t in leads]
-    classes = _partition_by_coset(values, K.value_subgroup)
+    classes = _partition_by_coset(values, K.value_subgroup).values()
     zero = K.ambient.group.zero()
     scalings: list = [None] * len(values)
     out: list = [None] * len(values)
@@ -381,20 +378,6 @@ class NearestPointResult:
         return head + list(self.evidence)
 
 
-def _class_table(w_basis: VectorFamily, prec: Precision):
-    leads = _witnessed_leads(w_basis.elements, prec)
-    values = [t.exponent for t in leads]
-    classes = _partition_by_coset(values, w_basis.over.value_subgroup)
-    table = []
-    for cls in classes:
-        common = values[cls[0]]
-        for i in cls:
-            if values[i] != common:
-                raise NotNormalized("class members disagree on values (N1 fails)")
-        table.append((common, cls))
-    return leads, table
-
-
 def nearest_point(b: Series, w_basis: VectorFamily, prec: Precision) -> NearestPointResult:
     """Greedy ultrametric reduction of b against a normalized basis of W.
 
@@ -435,7 +418,10 @@ def nearest_point(b: Series, w_basis: VectorFamily, prec: Precision) -> NearestP
             NearestKind.EXACT_MEMBER, b, coefficients, initial_value=initial.value
         )
 
-    leads, table = _class_table(w_basis, prec)
+    # N1 holds, so every class shares one value
+    vk = K.value_subgroup
+    leads = _witnessed_leads(w_basis.elements, prec)
+    table = _partition_by_coset([t.exponent for t in leads], vk)
     r = b
     best = zero_series
     evidence: list = []
@@ -444,18 +430,14 @@ def nearest_point(b: Series, w_basis: VectorFamily, prec: Precision) -> NearestP
     current = initial
     while True:
         gamma = current.value
-        matched = None
-        for common, cls in table:
-            if coset_equal(gamma, common, K.value_subgroup):
-                matched = (common, cls)
-                break
-        if matched is None:
+        cls = table.get(vk.coset_key(gamma))
+        if cls is None:
             return NearestPointResult(
                 NearestKind.VALUE, best, materialize(), value=gamma,
                 evidence=evidence, initial_value=initial.value,
                 approximants=approximants, steps=steps,
             )
-        common, cls = matched
+        common = leads[cls[0]].exponent
         delta = gamma - common
         mono = K.monomial_term(delta)
         r_lead = leading_term(r, prec)

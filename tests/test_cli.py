@@ -126,6 +126,24 @@ def test_cli_precision_overrides(tmp_path: Path):
     assert len(streamed["evidence"]) == 4
 
 
+@pytest.mark.parametrize(
+    "override",
+    [
+        ["--max-terms", "0"],
+        ["--max-terms", "-1"],
+        ["--degree-cap", "0"],
+        ["--precision-exp", "abc"],
+        ["--precision-exp", "1/0"],
+    ],
+)
+def test_cli_rejects_bad_precision_override(override, capsys):
+    assert main(["run", "paper:sqrt-t", *override]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
 def test_cli_verify_flag(tmp_path: Path):
     out_path = tmp_path / "r.json"
     assert main([

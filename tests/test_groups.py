@@ -1,8 +1,9 @@
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ultragram.groups import (
     MismatchedGroups,
@@ -130,6 +131,7 @@ def test_is_cofinal_examples():
     small = Subgroup.spanned_by(L2, [L2.element(0, 1)])
     big = Subgroup.spanned_by(L2, [L2.element(1, 0), L2.element(0, 1)])
     assert not is_cofinal(small, big)
+    assert is_cofinal(Subgroup.spanned_by(L2, [L2.element(2, 5)]), big)
     assert is_cofinal(small, small)
     trivial = Subgroup.trivial(Q)
     assert is_cofinal(trivial, trivial)
@@ -182,3 +184,117 @@ def test_lattice_index_fuzz():
         shear = rng.randint(-5, 5)
         H = Subgroup.spanned_by(L2, [L2.element(a, shear), L2.element(0, b)])
         assert subgroup_index(H, G) == a * b
+
+
+# coset keys: the oracle above must find a witness whenever g - h lies in H,
+# so g is built as h + (a combination of the generators with coefficients in
+# [-2, 2]) + offset; over these pools every offset that lies in H has a
+# witness with coefficients in [-5, 5], so g - h stays within the span of 12
+Q_GENERATORS = [Fraction(1), Fraction(1, 2), Fraction(2, 3), Fraction(3, 2), Fraction(1, 3), Fraction(2)]
+Q_OFFSETS = sorted({Fraction(k, d) for d in (1, 2, 3, 4, 6) for k in range(-d, d + 1)})
+small_vectors = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+
+
+@st.composite
+def congruence_cases(draw, group):
+    if group is Q:
+        gens = draw(st.lists(st.sampled_from(Q_GENERATORS), min_size=1, max_size=2, unique=True))
+        h = draw(st.fractions(-4, 4, max_denominator=6))
+        offset = draw(st.sampled_from(Q_OFFSETS))
+        gens, h, offset = [Q.element(x) for x in gens], Q.element(h), Q.element(offset)
+    else:
+        gens = draw(st.lists(small_vectors, min_size=1, max_size=2, unique=True))
+        h = draw(small_vectors)
+        offset = draw(st.tuples(st.integers(-1, 1), st.integers(-1, 1)))
+        gens, h, offset = [L2.element(x) for x in gens], L2.element(h), L2.element(offset)
+    g = h + offset
+    for gen in gens:
+        g = g + gen.scale(draw(st.integers(-2, 2)))
+    return Subgroup.spanned_by(group, gens), g, h
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(congruence_cases(Q), congruence_cases(L2)))
+def test_coset_key_matches_oracle(case):
+    H, g, h = case
+    assert (H.coset_key(g) == H.coset_key(h)) == _coset_oracle(g, h, H.generators)
+
+
+@st.composite
+def translation_cases(draw):
+    group = draw(st.sampled_from([Q, L2]))
+    if group is Q:
+        gens = draw(st.lists(rationals.filter(bool), min_size=1, max_size=3, unique=True))
+        g = group.element(draw(rationals))
+    else:
+        gens = draw(st.lists(st.tuples(st.integers(-9, 9), st.integers(-9, 9)), min_size=1, max_size=3, unique=True))
+        g = group.element(draw(st.tuples(st.integers(-50, 50), st.integers(-50, 50))))
+    H = Subgroup.spanned_by(group, [group.element(x) for x in gens])
+    s = group.zero()
+    for gen in H.generators:
+        s = s + gen.scale(draw(st.integers(-40, 40)))
+    return H, g, s
+
+
+@given(translation_cases())
+def test_coset_key_translation_invariant(case):
+    H, g, s = case
+    assert H.coset_key(g + s) == H.coset_key(g)
+    assert H.contains(s)
+    coefficients = H.solve(s)
+    total = s.group.zero()
+    for k, gen in zip(coefficients, H.generators):
+        total = total + gen.scale(k)
+    assert total == s
+
+
+# differential checks against sympy's normal forms on integer lattices
+LEX3 = OrderedGroup.lex(3)
+
+
+def _lattice_matrix(vectors):
+    from sympy import Matrix
+
+    return Matrix([list(map(int, v)) for v in vectors]).T  # generators as columns
+
+
+def test_membership_against_sympy_hnf():
+    hermite_normal_form = pytest.importorskip("sympy.matrices.normalforms").hermite_normal_form
+    rng = random.Random(7)
+    for _ in range(150):
+        gens = {tuple(rng.randint(-6, 6) for _ in range(3)) for _ in range(rng.randint(1, 4))}
+        gens.discard((0, 0, 0))
+        if not gens:
+            continue
+        H = Subgroup.spanned_by(LEX3, [LEX3.element(v) for v in gens])
+        basis = _lattice_matrix(gens)
+        for _ in range(4):
+            v = tuple(rng.randint(-12, 12) for _ in range(3))
+            widened = basis.row_join(_lattice_matrix([v]))
+            expected = hermite_normal_form(widened) == hermite_normal_form(basis)
+            assert H.contains(LEX3.element(v)) == expected
+
+
+def test_index_against_sympy_snf():
+    smith_normal_form = pytest.importorskip("sympy.matrices.normalforms").smith_normal_form
+    def invariant_product(vectors):
+        snf = smith_normal_form(_lattice_matrix(vectors))
+        diagonal = [snf[i, i] for i in range(min(snf.shape)) if snf[i, i] != 0]
+        return len(diagonal), prod(abs(int(d)) for d in diagonal)
+
+    rng = random.Random(11)
+    for _ in range(120):
+        group_vectors = [tuple(rng.randint(-5, 5) for _ in range(3)) for _ in range(rng.randint(1, 3))]
+        if all(not any(v) for v in group_vectors):
+            continue
+        sub_vectors = []
+        for _ in range(rng.randint(1, 3)):
+            ks = [rng.randint(-3, 3) for _ in group_vectors]
+            sub_vectors.append(tuple(sum(k * v[i] for k, v in zip(ks, group_vectors)) for i in range(3)))
+        if all(not any(v) for v in sub_vectors):
+            continue
+        G = Subgroup.spanned_by(LEX3, [LEX3.element(v) for v in group_vectors])
+        H = Subgroup.spanned_by(LEX3, [LEX3.element(v) for v in sub_vectors])
+        (rank_h, det_h), (rank_g, det_g) = invariant_product(sub_vectors), invariant_product(group_vectors)
+        expected = det_h // det_g if rank_h == rank_g else None
+        assert subgroup_index(H, G) == expected

@@ -144,6 +144,24 @@ def test_check_normalized_examples(fq5):
     assert not res4.ok and res4.condition == "N4"
 
 
+def test_check_normalized_reports_first_n1_pair(fq5):
+    L, K, prec = fq5
+    # N1 pairs (0, 4), (1, 3) and (2, 4); the pairwise scan finds (0, 4) first
+    exponents = ["1/2", 0, "1/2", 1, "3/2"]
+    family = make_family(K, [L.monomial(e) for e in exponents])
+    values = [Q.element(e) for e in exponents]
+    vk = K.value_subgroup
+    first_pair = next(
+        [i, j]
+        for i in range(len(values))
+        for j in range(i + 1, len(values))
+        if values[i] != values[j] and vk.contains(values[i] - values[j])
+    )
+    res = check_normalized(family, prec)
+    assert res.condition == "N1"
+    assert res.witness == {"indices": first_pair} == {"indices": [0, 4]}
+
+
 def test_normalize_examples(fq5):
     L, K, prec = fq5
     fam = make_family(K, [L.monomial("1/2", 2), L.monomial(0, 3)])

@@ -41,12 +41,13 @@ def build_parser() -> argparse.ArgumentParser:
 def _load(source: str):
     if source in BUILTINS:
         return load_scenario(source)
-    path = Path(source)
-    if not path.exists():
+    try:
+        text = Path(source).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError(
-            f"{source!r} is neither a built-in scenario nor an existing file"
-        )
-    return load_scenario(path.read_text(encoding="utf-8"))
+            f"{source!r} is neither a built-in scenario nor a readable file: {exc}"
+        ) from None
+    return load_scenario(text)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

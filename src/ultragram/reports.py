@@ -1,9 +1,9 @@
-"""Report assembly, canonical serialization and witness re-checking.
+"""Report assembly, canonical serialization and text rendering.
 
 Structured reports are canonical JSON: sorted keys, exact rationals as
 strings, group elements as coordinate arrays.  They contain no wall-clock
-data, so two runs of the same scenario are byte-identical; timings appear
-only in the text format.  Every dependence, nearest-point and
+data, so two runs of the same scenario are byte-identical; timings and the
+one-line task summaries appear only in the text format.  Every dependence, nearest-point and
 approximation outcome embeds enough witness material to be re-evaluated
 from scratch by the verifier.
 """
@@ -16,8 +16,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .groups import GroupElement
-from .residues import FieldElement
-from .series import Precision, Series, Valuation
+from .series import Precision, Series
 from .spaces import NearestPointResult
 
 
@@ -32,20 +31,12 @@ def exponent_json(g: GroupElement) -> list:
     return [rational_str(c) for c in g.coords]
 
 
-def coefficient_json(c: FieldElement):
-    return c.describe()
-
-
-def valuation_json(v: Valuation) -> dict:
-    return v.describe()
-
-
 def series_json(x: Series, prec: Precision) -> dict:
     """Witnessed prefix below the ceiling, flagged when provably complete."""
     fuel = prec.fuel()
     complete = x.ensure_below(prec.ceiling, fuel)
     terms = [
-        [exponent_json(t.exponent), coefficient_json(t.coefficient)]
+        [exponent_json(t.exponent), t.coefficient.describe()]
         for t in x.terms_below(prec.ceiling)
     ]
     out = {"terms": terms}
@@ -73,7 +64,7 @@ def nearest_json(result: NearestPointResult, prec: Precision) -> dict:
         {
             "value_killed": exponent_json(s["value_killed"]),
             "class_value": exponent_json(s["class_value"]),
-            "kappa": [[i, coefficient_json(k)] for i, k in s["kappa"]],
+            "kappa": [[i, k.describe()] for i, k in s["kappa"]],
         }
         for s in result.steps
     ]
@@ -86,6 +77,7 @@ class TaskOutcome:
     task: str
     outcome: dict
     error: Optional[dict] = None
+    summary: str = ""  # one-line text rendering, like elapsed not part of the JSON
     elapsed: float = 0.0
 
     def to_json(self) -> dict:
@@ -124,21 +116,6 @@ def emit(report: Report, fmt: str) -> bytes:
     raise ValueError(f"unknown format {fmt!r}")
 
 
-def _fmt_exp(coords: list) -> str:
-    return coords[0] if len(coords) == 1 else "(" + ",".join(coords) + ")"
-
-
-def _fmt_series(doc: dict) -> str:
-    parts = []
-    for exp, coeff in doc["terms"][:12]:
-        c = coeff if not isinstance(coeff, dict) else f"{coeff['num']}/{coeff['den']}"
-        parts.append(f"{c}*t^{_fmt_exp(exp)}")
-    body = " + ".join(parts) if parts else "0"
-    if doc.get("truncated") or len(doc["terms"]) > 12:
-        body += " + ..."
-    return body
-
-
 def _emit_text(report: Report) -> str:
     lines = [f"scenario: {report.scenario.get('name', '<file>')}"]
     for t in report.tasks:
@@ -146,38 +123,7 @@ def _emit_text(report: Report) -> str:
         if t.error is not None:
             lines.append(f"{head}: ERROR {t.error['type']}: {t.error['message']}")
             continue
-        o = t.outcome
-        if t.task == "independence":
-            line = f"{head}: {o['verdict']}"
-            if o.get("witness"):
-                line += f" (min value {_fmt_exp(o['witness']['min_value'])})"
-            lines.append(line)
-        elif t.task == "normalize":
-            lines.append(f"{head}: ok, values {[ _fmt_exp(v) for v in o['values'] ]}")
-        elif t.task in ("nearest_point", "orthogonalize", "immediacy"):
-            kind = o.get("kind") or o.get("result", {}).get("kind")
-            line = f"{head}: {kind}"
-            detail = o.get("result", o)
-            if detail.get("value") is not None:
-                line += f" at {_fmt_exp(detail['value'])}"
-            ev = detail.get("full_evidence") or detail.get("evidence")
-            if ev:
-                line += " evidence [" + ", ".join(_fmt_exp(e) for e in ev) + "]"
-            lines.append(line)
-        elif t.task == "analyze_extension":
-            line = f"{head}: {o['verdict']}"
-            if o.get("n") is not None:
-                line += f" n={o['n']}"
-            if o.get("e") is not None:
-                line += f" e={o['e']} f={o['f']} defect={o['defect_index']}"
-            lines.append(line)
-        elif t.task == "approximate":
-            lines.append(
-                f"{head}: certified, values ["
-                + ", ".join(_fmt_exp(v) for v in o["output_values"]) + "]"
-            )
-        else:
-            lines.append(f"{head}: done")
+        lines.append(f"{head}: {t.summary}")
         if t.elapsed:
             lines.append(f"    ({t.elapsed:.3f}s)")
     if report.verification is not None:

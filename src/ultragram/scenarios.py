@@ -1,16 +1,18 @@
-"""Declarative scenario files: parsing, built-in registry, execution, verification.
+"""Declarative scenario files: parsing, the task table, built-ins and execution.
 
 Scenarios are a JSON-compatible subset of structured text: an ambient
 series field, a base subfield presentation, named series elements, a
 precision block and an ordered task list.  Exact rationals travel as
 strings, exponents of lexicographic groups as coordinate arrays.  Built-in
 scenarios cover the worked examples the library is built around and are
-keyed ``paper:<name>``.
+keyed ``paper:<name>``.  Malformed scenarios raise ``ScenarioError``.
+
+Each task kind is one ``TaskKind`` record in ``TASKS``: how a raw task is
+canonicalized, how it runs, its one-line text summary and the witnesses the
+verifier re-checks on its outcome.
 
 ``run`` resolves a fresh runtime environment per call, so repeated runs of
-the same scenario produce byte-identical structured reports.  ``verify``
-re-parses the witnesses embedded in a report and re-evaluates each one
-against freshly resolved elements.
+the same scenario produce byte-identical structured reports.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import ast
 import json
 import random
 import time
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
@@ -57,12 +60,10 @@ from .extensions import analyze_extension, complete_and_approximate
 from .reports import (
     Report,
     TaskOutcome,
-    coefficient_json,
     exponent_json,
     nearest_json,
     rational_str,
     series_json,
-    valuation_json,
 )
 
 
@@ -82,18 +83,52 @@ class UnsupportedCombination(ScenarioError):
     pass
 
 
-TASK_KINDS = (
-    "independence",
-    "normalize",
-    "nearest_point",
-    "orthogonalize",
-    "analyze_extension",
-    "immediacy",
-    "approximate",
-)
-
-
 # atom parsing and canonicalization
+
+
+def _atom(parse):
+    """An atom parser ``_parse_<what>`` whose malformed input raises ParseError."""
+    what = parse.__name__.removeprefix("_parse_")
+
+    def checked(spec, *context):
+        try:
+            return parse(spec, *context)
+        except ScenarioError:
+            raise
+        except (ValueError, TypeError, ZeroDivisionError) as exc:
+            raise ParseError(f"cannot parse {what} {spec!r}: {exc}") from None
+
+    return checked
+
+
+def _object(spec, what: str) -> dict:
+    if not isinstance(spec, dict):
+        raise ParseError(f"{what} must be an object, got {spec!r}")
+    return spec
+
+
+def _is_int(spec) -> bool:
+    return isinstance(spec, int) and not isinstance(spec, bool)
+
+
+def _integer(spec, what: str, low: Optional[int] = None) -> int:
+    """A JSON integer, at least ``low`` when given."""
+    if not _is_int(spec) or (low is not None and spec < low):
+        bound = "" if low is None else f" >= {low}"
+        raise ParseError(f"{what} must be an integer{bound}, got {spec!r}")
+    return spec
+
+
+def _refs(spec, known: dict, what: str, single: bool = False):
+    """References to declared elements: one name, or a list of names."""
+    names = [spec] if single else spec
+    if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+        expected = "an element name" if single else "a list of element names"
+        raise ParseError(f"{what} must be {expected}, got {spec!r}")
+    for name in names:
+        if name not in known:
+            raise UnknownName(f"{what} references undeclared element {name!r}")
+    return spec if single else list(spec)
 
 
 def _parse_group(spec) -> OrderedGroup:
@@ -105,48 +140,43 @@ def _parse_group(spec) -> OrderedGroup:
     if kind == "Q":
         return OrderedGroup.rationals()
     if kind == "Z^n_lex":
-        n = spec.get("n")
-        if not isinstance(n, int) or n < 1:
-            raise ParseError(f"lex product needs a positive 'n', got {n!r}")
-        return OrderedGroup.lex(n)
+        return OrderedGroup.lex(_integer(spec.get("n"), "lex product 'n'", 1))
     raise ParseError(f"unknown group kind {kind!r}")
 
 
+@_atom
 def _parse_field(spec) -> ResidueField:
     if not isinstance(spec, dict) or "field" not in spec:
         raise ParseError(f"field descriptor must be an object with 'field', got {spec!r}")
     kind = spec["field"]
     if kind == "Fp":
-        return ResidueField.prime(spec.get("p", 0))
+        return ResidueField.prime(_integer(spec.get("p"), "field 'p'", 2))
     if kind == "Q":
         return ResidueField.rationals()
     if kind == "Fp(s)":
-        return ResidueField.rational_functions(spec.get("p", 0))
+        return ResidueField.rational_functions(_integer(spec.get("p"), "field 'p'", 2))
     raise ParseError(f"unknown field kind {kind!r}")
 
 
+@_atom
 def _parse_exponent(spec, group: OrderedGroup) -> GroupElement:
-    if isinstance(spec, (int, str)):
-        if group.rank != 1:
-            raise ParseError(f"exponent {spec!r} needs {group.rank} coordinates")
-        return group.element(Fraction(spec))
-    if isinstance(spec, list):
-        if len(spec) != group.rank:
-            raise ParseError(f"exponent {spec!r} needs {group.rank} coordinates")
-        return group.element(*[Fraction(c) for c in spec])
-    raise ParseError(f"cannot parse exponent {spec!r}")
+    coords = spec if isinstance(spec, list) else [spec]
+    if len(coords) != group.rank or not all(_is_int(c) or isinstance(c, str) for c in coords):
+        raise ParseError(f"exponent {spec!r} needs {group.rank} integer or 'p/q' coordinates")
+    return group.element(*[Fraction(c) for c in coords])
 
 
+@_atom
 def _parse_coefficient(spec, field: ResidueField) -> FieldElement:
     if field.kind == "Fp":
-        if isinstance(spec, int):
+        if _is_int(spec):
             return field.element(spec)
         raise ParseError(f"coefficients over F_p are integers, got {spec!r}")
     if field.kind == "Q":
-        if isinstance(spec, (int, str)):
+        if _is_int(spec) or isinstance(spec, str):
             return field.element(Fraction(spec))
         raise ParseError(f"coefficients over Q are ints or 'p/q' strings, got {spec!r}")
-    if isinstance(spec, int):
+    if _is_int(spec):
         return field.element(spec)
     if spec == field.variable:
         return field.generator()
@@ -160,7 +190,7 @@ def _compile_formula(expr: str) -> Callable[[int], int]:
     source = expr.replace("^", "**")
     try:
         tree = ast.parse(source, mode="eval")
-    except SyntaxError as exc:
+    except (SyntaxError, ValueError) as exc:
         raise ParseError(f"bad exponent formula {expr!r}: {exc}") from None
     allowed = (
         ast.Expression, ast.BinOp, ast.UnaryOp, ast.Constant, ast.Name,
@@ -177,14 +207,6 @@ def _compile_formula(expr: str) -> Callable[[int], int]:
     return lambda i: int(eval(code, {"__builtins__": {}}, {"i": i}))
 
 
-def _canonical_exponent(g: GroupElement) -> list:
-    return exponent_json(g)
-
-
-def _canonical_coefficient(c: FieldElement):
-    return coefficient_json(c)
-
-
 # runtime environment resolved from a canonical scenario
 
 
@@ -195,6 +217,9 @@ class Runtime:
     presentations: dict
     elements: dict
     precision: Precision
+
+    def named(self, names: list) -> list:
+        return [self.elements[name] for name in names]
 
 
 @dataclass
@@ -234,7 +259,7 @@ def scenario_from_dict(raw: dict) -> Scenario:
     if "tasks" not in raw or not isinstance(raw["tasks"], list):
         raise ParseError("scenario needs a task list (possibly empty)")
 
-    ambient_spec = raw["ambient"]
+    ambient_spec = _object(raw["ambient"], "'ambient'")
     group = _parse_group(ambient_spec.get("group", {}))
     coeff = _parse_field(ambient_spec.get("coefficients", {}))
     ambient = SeriesField(group, coeff)
@@ -247,19 +272,18 @@ def scenario_from_dict(raw: dict) -> Scenario:
         "tasks": [],
         "precision": _canonical_precision(raw["precision"], group),
     }
-    if raw.get("presentations"):
+    presentations = _object(raw.get("presentations", {}), "'presentations'")
+    if presentations:
         canonical["presentations"] = {
             name: _canonical_presentation(spec, ambient)
-            for name, spec in raw["presentations"].items()
+            for name, spec in presentations.items()
         }
 
-    names: list[str] = []
-    for name, spec in (raw.get("elements") or {}).items():
-        canonical["elements"][name] = _canonical_element(spec, ambient, names)
-        names.append(name)
+    for name, spec in _object(raw.get("elements", {}), "'elements'").items():
+        canonical["elements"][name] = _canonical_element(spec, ambient, canonical["elements"])
 
     for pos, task in enumerate(raw["tasks"]):
-        canonical["tasks"].append(_canonical_task(task, pos, names, canonical))
+        canonical["tasks"].append(_canonical_task(task, pos, canonical))
     return Scenario(canonical)
 
 
@@ -277,7 +301,7 @@ def _canonical_presentation(spec, ambient: SeriesField) -> dict:
     t_value = _parse_exponent(spec["t_value"], ambient.group)
     if t_value.is_zero() or not ambient.group.zero() < t_value:
         raise UnsupportedCombination("uniformizer value must be positive")
-    out["t_value"] = _canonical_exponent(t_value)
+    out["t_value"] = exponent_json(t_value)
     if "residue" in spec:
         residue = _parse_field(spec["residue"])
         _check_residue_pair(residue, ambient.coeff)
@@ -311,20 +335,14 @@ def _canonical_precision(spec, group: OrderedGroup) -> dict:
     if not isinstance(spec, dict) or "ceiling" not in spec:
         raise ParseError("precision block needs a 'ceiling'")
     ceiling = _parse_exponent(spec["ceiling"], group)
-    max_terms = spec.get("max_terms", 8)
-    degree_cap = spec.get("degree_cap", 16)
-    if not isinstance(max_terms, int) or max_terms < 1:
-        raise ParseError(f"max_terms must be a positive integer, got {max_terms!r}")
-    if not isinstance(degree_cap, int) or degree_cap < 1:
-        raise ParseError(f"degree_cap must be a positive integer, got {degree_cap!r}")
     return {
-        "ceiling": _canonical_exponent(ceiling),
-        "max_terms": max_terms,
-        "degree_cap": degree_cap,
+        "ceiling": exponent_json(ceiling),
+        "max_terms": _integer(spec.get("max_terms", 8), "max_terms", 1),
+        "degree_cap": _integer(spec.get("degree_cap", 16), "degree_cap", 1),
     }
 
 
-def _canonical_element(spec, ambient: SeriesField, known: list) -> dict | list:
+def _canonical_element(spec, ambient: SeriesField, known: dict) -> dict | list:
     if isinstance(spec, list):
         out = []
         for pair in spec:
@@ -332,27 +350,21 @@ def _canonical_element(spec, ambient: SeriesField, known: list) -> dict | list:
                 raise ParseError(f"series term must be [exponent, coefficient], got {pair!r}")
             exp = _parse_exponent(pair[0], ambient.group)
             coeff = _parse_coefficient(pair[1], ambient.coeff)
-            out.append([_canonical_exponent(exp), _canonical_coefficient(coeff)])
+            out.append([exponent_json(exp), coeff.describe()])
         return out
     if isinstance(spec, dict) and "sum" in spec:
-        refs = spec["sum"]
-        if not isinstance(refs, list) or not refs:
+        if not spec["sum"]:
             raise ParseError("'sum' takes a nonempty list of element names")
-        for ref in refs:
-            if ref not in known:
-                raise UnknownName(f"sum references undeclared element {ref!r}")
-        return {"sum": list(refs)}
+        return {"sum": _refs(spec["sum"], known, "'sum'")}
     if isinstance(spec, dict) and "builder" in spec:
         builder = spec["builder"]
-        axis = spec.get("axis", ambient.group.rank - 1)
-        if not isinstance(axis, int) or not 0 <= axis < ambient.group.rank:
+        axis = _integer(spec.get("axis", ambient.group.rank - 1), "builder axis", 0)
+        if axis >= ambient.group.rank:
             raise ParseError(f"builder axis {axis!r} out of range")
         if builder == "geometric":
             return {"builder": "geometric", "axis": axis}
         if builder == "artin_schreier":
-            p = spec.get("p")
-            if not isinstance(p, int) or p < 2:
-                raise ParseError("artin_schreier builder needs a prime 'p'")
+            p = _integer(spec.get("p"), "artin_schreier 'p'", 2)
             return {"builder": "artin_schreier", "p": p, "axis": axis}
         if builder == "custom_powers":
             expr = spec.get("exponents")
@@ -382,109 +394,38 @@ def _resolve_element(spec, ambient: SeriesField, resolved: dict) -> Series:
     return custom_powers(ambient, _compile_formula(spec["exponents"]), axis)
 
 
-def _canonical_family(spec, names: list, canonical: dict):
-    if isinstance(spec, list):
-        for ref in spec:
-            if ref not in names:
-                raise UnknownName(f"family references undeclared element {ref!r}")
-        return list(spec)
-    if isinstance(spec, dict) and spec.get("family_builder") == "telescoping":
-        start = spec.get("start", 1)
-        count = spec.get("count", 4)
-        if not isinstance(start, int) or start < 0:
-            raise ParseError(f"telescoping start must be a nonnegative int, got {start!r}")
-        if count != "auto" and (not isinstance(count, int) or count < 1):
-            raise ParseError(f"telescoping count must be positive or 'auto', got {count!r}")
-        group = canonical["ambient"]["group"]
-        if group["group"] == "Z^n_lex":
-            raise UnsupportedCombination("telescoping families need a rank-1 exponent group")
-        return {"family_builder": "telescoping", "start": start, "count": count}
-    raise ParseError(f"cannot parse family spec {spec!r}")
+def _canonical_family(spec, what: str, canonical: dict):
+    if not (isinstance(spec, dict) and spec.get("family_builder") == "telescoping"):
+        return _refs(spec, canonical["elements"], what)
+    start = _integer(spec.get("start", 1), "telescoping start", 0)
+    count = spec.get("count", 4)
+    if count != "auto":
+        count = _integer(count, "telescoping count (or 'auto')", 1)
+    if canonical["ambient"]["group"]["group"] == "Z^n_lex":
+        raise UnsupportedCombination("telescoping families need a rank-1 exponent group")
+    return {"family_builder": "telescoping", "start": start, "count": count}
 
 
 def _resolve_family_elements(spec, runtime: Runtime) -> list:
     if isinstance(spec, list):
-        return [runtime.elements[name] for name in spec]
+        return runtime.named(spec)
     start = spec["start"]
-    count = spec["count"]
-    if count == "auto":
-        count = runtime.precision.max_terms + 2
-    ambient = runtime.ambient
-    out = []
-    for i in range(start, start + count):
-        out.append(ambient.from_terms([(i, 1), (i + 1, -1)]))
-    return out
+    count = runtime.precision.max_terms + 2 if spec["count"] == "auto" else spec["count"]
+    return [runtime.ambient.from_terms([(i, 1), (i + 1, -1)]) for i in range(start, start + count)]
 
 
-def _canonical_task(task, pos: int, names: list, canonical: dict) -> dict:
+def _canonical_task(task, pos: int, canonical: dict) -> dict:
     if not isinstance(task, dict) or "task" not in task:
         raise ParseError(f"task {pos} must be an object with a 'task' kind")
     kind = task["task"]
-    if kind not in TASK_KINDS:
+    if not isinstance(kind, str) or kind not in TASKS:
         raise ParseError(f"task {pos}: unknown kind {kind!r}")
-    out = {"task": kind}
+    where = f"task {pos} ({kind})"
 
-    def need_names(key, optional=False):
-        refs = task.get(key)
-        if refs is None:
-            if optional:
-                return None
-            raise ParseError(f"task {pos} ({kind}) needs {key!r}")
-        for ref in refs if isinstance(refs, list) else [refs]:
-            if ref not in names:
-                raise UnknownName(f"task {pos} references undeclared element {ref!r}")
-        return refs
+    def refs(key, single=False):
+        return _refs(task.get(key), canonical["elements"], f"{where} {key!r}", single)
 
-    if kind == "independence":
-        out["family"] = need_names("family")
-        over = task.get("over")
-        if over is not None:
-            out["over"] = need_names("over")
-    elif kind == "normalize":
-        out["family"] = need_names("family")
-    elif kind == "nearest_point":
-        if not isinstance(task.get("target"), str):
-            raise ParseError(f"task {pos}: nearest_point needs a 'target' element name")
-        out["target"] = need_names("target")
-        out["family"] = _canonical_family(task.get("family"), names, canonical)
-    elif kind == "orthogonalize":
-        if "sample" in task:
-            sample = task["sample"]
-            if not isinstance(sample, dict) or "count" not in sample:
-                raise ParseError(f"task {pos}: sample spec needs a 'count'")
-            out["sample"] = {
-                "count": int(sample["count"]),
-                "support": int(sample.get("support", 4)),
-                "max_size": int(sample.get("max_size", 3)),
-                "seed": int(sample.get("seed", 0)),
-            }
-        else:
-            out["generators"] = need_names("generators")
-    elif kind == "analyze_extension":
-        out["generators"] = need_names("generators")
-        mode = task.get("mode", "closure")
-        if mode not in ("closure", "direct"):
-            raise ParseError(f"task {pos}: unknown span mode {mode!r}")
-        out["mode"] = mode
-    elif kind == "immediacy":
-        out["probe"] = need_names("probe")
-    elif kind == "approximate":
-        out["family"] = need_names("family")
-        matrix = task.get("matrix")
-        if not isinstance(matrix, list) or not all(isinstance(r, list) for r in matrix):
-            raise ParseError(f"task {pos}: approximate needs a coefficient 'matrix'")
-        for row in matrix:
-            for ref in row:
-                if ref not in names:
-                    raise UnknownName(f"task {pos} references undeclared element {ref!r}")
-        out["matrix"] = [list(r) for r in matrix]
-        completion = task.get("completion")
-        if completion is None:
-            raise ParseError(f"task {pos}: approximate needs a 'completion' presentation name")
-        if completion not in (canonical.get("presentations") or {}):
-            raise UnknownName(f"task {pos}: undeclared presentation {completion!r}")
-        out["completion"] = completion
-    return out
+    return {"task": kind, **TASKS[kind].canonical(task, refs, where, canonical)}
 
 
 def resolve_runtime(scenario: Scenario, precision: Optional[Precision] = None) -> Runtime:
@@ -514,20 +455,16 @@ def apply_precision_overrides(
     max_terms: Optional[int] = None,
     degree_cap: Optional[int] = None,
 ) -> Precision:
-    c = scenario.canonical
-    group = _parse_group(c["ambient"]["group"])
-    p = dict(c["precision"])
+    group = _parse_group(scenario.canonical["ambient"]["group"])
+    p = scenario.canonical["precision"]
     try:
-        if ceiling is not None:
-            parsed = json.loads(ceiling) if ceiling.strip().startswith("[") else ceiling
-            p["ceiling"] = _canonical_exponent(_parse_exponent(parsed, group))
-        if max_terms is not None:
-            p["max_terms"] = max_terms
-        if degree_cap is not None:
-            p["degree_cap"] = degree_cap
-        return Precision(_parse_exponent(p["ceiling"], group), p["max_terms"], p["degree_cap"])
-    except ScenarioError:
-        raise
+        if ceiling is not None and ceiling.strip().startswith("["):
+            ceiling = json.loads(ceiling)
+        return Precision(
+            _parse_exponent(p["ceiling"] if ceiling is None else ceiling, group),
+            p["max_terms"] if max_terms is None else max_terms,
+            p["degree_cap"] if degree_cap is None else degree_cap,
+        )
     except (ValueError, ZeroDivisionError) as exc:
         raise ScenarioError(f"invalid precision override: {exc}") from exc
 
@@ -541,30 +478,21 @@ def run(scenario: Scenario, precision: Optional[Precision] = None, seed: Optiona
     report = Report(scenario=scenario.canonical)
     for index, task in enumerate(scenario.canonical["tasks"]):
         started = time.monotonic()
+        kind = TASKS[task["task"]]
         try:
-            outcome = _run_task(task, runtime, seed)
-            report.tasks.append(
-                TaskOutcome(index, task["task"], outcome, elapsed=time.monotonic() - started)
-            )
+            outcome = kind.run(task, runtime, seed)
+            done = TaskOutcome(index, kind.name, outcome, summary=kind.summary(outcome))
         except ScenarioError:
             raise
         except Exception as exc:  # captured per spec: task errors land in the report
-            report.tasks.append(
-                TaskOutcome(
-                    index, task["task"], {},
-                    error={"type": type(exc).__name__, "message": str(exc)},
-                    elapsed=time.monotonic() - started,
-                )
-            )
+            error = {"type": type(exc).__name__, "message": str(exc)}
+            done = TaskOutcome(index, kind.name, {}, error=error)
+        done.elapsed = time.monotonic() - started
+        report.tasks.append(done)
     return report
 
 
-def _certified_family(runtime: Runtime, names_or_elements, prec: Precision, over=None):
-    elements = (
-        [runtime.elements[n] for n in names_or_elements]
-        if names_or_elements and isinstance(names_or_elements[0], str)
-        else list(names_or_elements)
-    )
+def _certified_family(runtime: Runtime, elements: list, prec: Precision, over=None):
     fam = make_family(runtime.base, elements)
     if over is not None:
         verdict = is_valuation_independent_over(fam, over, prec)
@@ -573,7 +501,28 @@ def _certified_family(runtime: Runtime, names_or_elements, prec: Precision, over
     return fam, verdict
 
 
-def _independence_outcome(verdict, prec) -> dict:
+def _fmt_exp(coords: list) -> str:
+    return coords[0] if len(coords) == 1 else "(" + ",".join(coords) + ")"
+
+
+# task kinds
+
+
+def _independence_canonical(task, refs, where, canonical) -> dict:
+    out = {"family": refs("family")}
+    if task.get("over") is not None:
+        out["over"] = refs("over")
+    return out
+
+
+def _independence_run(task, runtime: Runtime, seed) -> dict:
+    prec = runtime.precision
+    over_fam = None
+    if task.get("over"):
+        over_fam, over_verdict = _certified_family(runtime, runtime.named(task["over"]), prec)
+        if over_verdict.kind is not VerdictKind.INDEPENDENT:
+            raise UnsupportedCombination("the 'over' family failed its certificate")
+    fam, verdict = _certified_family(runtime, runtime.named(task["family"]), prec, over=over_fam)
     out = {"verdict": verdict.kind.value}
     if verdict.kind is VerdictKind.INDEPENDENT:
         out["scalings"] = [series_json(s, prec) for s in verdict.scalings]
@@ -582,7 +531,7 @@ def _independence_outcome(verdict, prec) -> dict:
         witness = {
             "coefficients": [series_json(c, prec) for c in w.coefficients],
             "min_value": exponent_json(w.min_value),
-            "achieved": valuation_json(w.achieved),
+            "achieved": w.achieved.describe(),
         }
         if w.shift is not None:
             witness["shift"] = series_json(w.shift, prec)
@@ -592,48 +541,102 @@ def _independence_outcome(verdict, prec) -> dict:
     return out
 
 
-def _run_task(task: dict, runtime: Runtime, seed: Optional[int]) -> dict:
+def _independence_summary(o: dict) -> str:
+    line = o["verdict"]
+    if o.get("witness"):
+        line += f" (min value {_fmt_exp(o['witness']['min_value'])})"
+    return line
+
+
+def _independence_witnesses(task, outcome: dict, runtime: Runtime):
+    family = runtime.named(task["family"])
+    if outcome["verdict"] == "dependent":
+        yield "dependence", family, outcome["witness"]
+    elif outcome["verdict"] == "independent":
+        yield "scalings", family, outcome
+
+
+def _normalize_canonical(task, refs, where, canonical) -> dict:
+    return {"family": refs("family")}
+
+
+def _normalize_run(task, runtime: Runtime, seed) -> dict:
     prec = runtime.precision
-    kind = task["task"]
+    fam, verdict = _certified_family(runtime, runtime.named(task["family"]), prec)
+    normalized = normalize(fam, prec)
+    check = check_normalized(normalized, prec)
+    leads = [leading_term(e, prec) for e in normalized.elements]
+    return {
+        "elements": [series_json(e, prec) for e in normalized.elements],
+        "scalings": [series_json(s, prec) for s in normalized.scalings],
+        "values": [exponent_json(t.exponent) for t in leads],
+        "check": "pass" if check.ok else f"fail:{check.condition}",
+    }
 
-    if kind == "independence":
-        over_fam = None
-        if task.get("over"):
-            over_fam, over_verdict = _certified_family(runtime, task["over"], prec)
-            if over_verdict.kind is not VerdictKind.INDEPENDENT:
-                raise UnsupportedCombination("the 'over' family failed its certificate")
-        fam, verdict = _certified_family(runtime, task["family"], prec, over=over_fam)
-        return _independence_outcome(verdict, prec)
 
-    if kind == "normalize":
-        fam, verdict = _certified_family(runtime, task["family"], prec)
-        normalized = normalize(fam, prec)
-        check = check_normalized(normalized, prec)
-        leads = [leading_term(e, prec) for e in normalized.elements]
-        return {
-            "elements": [series_json(e, prec) for e in normalized.elements],
-            "scalings": [series_json(s, prec) for s in normalized.scalings],
-            "values": [exponent_json(t.exponent) for t in leads],
-            "check": "pass" if check.ok else f"fail:{check.condition}",
-        }
+def _normalize_summary(o: dict) -> str:
+    return f"ok, values {[ _fmt_exp(v) for v in o['values'] ]}"
 
-    if kind == "nearest_point":
-        target = runtime.elements[task["target"]]
-        elements = _resolve_family_elements(task["family"], runtime)
-        fam, verdict = _certified_family(runtime, elements, prec)
-        if verdict.kind is not VerdictKind.INDEPENDENT:
-            raise UnsupportedCombination("nearest_point family failed its certificate")
-        normalized = normalize(fam, prec)
-        result = nearest_point(target, normalized, prec)
-        out = nearest_json(result, prec)
-        out["family_size"] = len(normalized)
-        return out
 
-    if kind == "orthogonalize":
-        if "sample" in task:
-            return _run_sampled_orthogonalize(task["sample"], runtime, seed)
-        generators = [runtime.elements[n] for n in task["generators"]]
-        result = orthogonalize(generators, runtime.base, prec)
+def _nearest_canonical(task, refs, where, canonical) -> dict:
+    return {
+        "target": refs("target", single=True),
+        "family": _canonical_family(task.get("family"), f"{where} 'family'", canonical),
+    }
+
+
+def _nearest_run(task, runtime: Runtime, seed) -> dict:
+    prec = runtime.precision
+    target = runtime.elements[task["target"]]
+    elements = _resolve_family_elements(task["family"], runtime)
+    fam, verdict = _certified_family(runtime, elements, prec)
+    if verdict.kind is not VerdictKind.INDEPENDENT:
+        raise UnsupportedCombination("nearest_point family failed its certificate")
+    normalized = normalize(fam, prec)
+    result = nearest_point(target, normalized, prec)
+    out = nearest_json(result, prec)
+    out["family_size"] = len(normalized)
+    return out
+
+
+def _chase_summary(o: dict) -> str:
+    """A nearest-point chase: kind, reached value and evidence chain."""
+    line = o["kind"]
+    detail = o.get("result", o)
+    if detail.get("value") is not None:
+        line += f" at {_fmt_exp(detail['value'])}"
+    ev = detail.get("full_evidence") or detail.get("evidence")
+    if ev:
+        line += " evidence [" + ", ".join(_fmt_exp(e) for e in ev) + "]"
+    return line
+
+
+def _nearest_witnesses(task, outcome: dict, runtime: Runtime):
+    target = runtime.elements[task["target"]]
+    if outcome["kind"] == "value":
+        yield "max", target, outcome
+    if outcome.get("evidence"):
+        yield "chain", target, outcome
+
+
+def _orthogonalize_canonical(task, refs, where, canonical) -> dict:
+    if "sample" not in task:
+        return {"generators": refs("generators")}
+    sample = task["sample"]
+    if not isinstance(sample, dict) or "count" not in sample:
+        raise ParseError(f"{where}: sample spec needs a 'count'")
+    return {"sample": {
+        "count": _integer(sample["count"], f"{where} sample 'count'", 1),
+        "support": _integer(sample.get("support", 4), f"{where} sample 'support'", 1),
+        "max_size": _integer(sample.get("max_size", 3), f"{where} sample 'max_size'", 1),
+        "seed": _integer(sample.get("seed", 0), f"{where} sample 'seed'"),
+    }}
+
+
+def _orthogonalize_run(task, runtime: Runtime, seed) -> dict:
+    prec = runtime.precision
+    if "sample" not in task:
+        result = orthogonalize(runtime.named(task["generators"]), runtime.base, prec)
         if result.ok:
             return {
                 "kind": "basis",
@@ -645,79 +648,9 @@ def _run_task(task: dict, runtime: Runtime, seed: Optional[int]) -> dict:
             "index": result.obstruction_index,
             "result": nearest_json(result.obstruction, prec),
         }
-
-    if kind == "analyze_extension":
-        generators = [runtime.elements[n] for n in task["generators"]]
-        report = analyze_extension(
-            generators, runtime.base, prec, span_mode=task.get("mode", "closure")
-        )
-        out = {
-            "verdict": report.verdict,
-            "n": report.n,
-            "e": report.e,
-            "f": report.f,
-            "defect_index": None if report.defect_index is None else rational_str(report.defect_index),
-        }
-        if report.note:
-            out["note"] = report.note
-        if report.standard is not None:
-            out["standard_basis"] = {
-                "x": [series_json(x, prec) for x in report.standard.x_part],
-                "y": [series_json(y, prec) for y in report.standard.y_part],
-                "products": [series_json(p, prec) for p in report.standard.products],
-            }
-        if report.obstruction is not None:
-            out["obstruction"] = nearest_json(report.obstruction, prec)
-            out["obstruction_index"] = report.obstruction_index
-        return out
-
-    if kind == "immediacy":
-        probe = runtime.elements[task["probe"]]
-        result = immediacy_evidence(runtime.base, probe, prec)
-        out = {
-            "kind": result.kind.value,
-            "evidence": [exponent_json(e) for e in result.evidence],
-        }
-        if result.kind is ImmediacyKind.NOT_IMMEDIATE:
-            out["max_value"] = exponent_json(result.max_value)
-            out["witness"] = series_json(result.witness, prec)
-        else:
-            out["precision_limited"] = result.precision_limited
-        if result.reduction is not None:
-            out["reduction"] = nearest_json(result.reduction, prec)
-        return out
-
-    if kind == "approximate":
-        fam, verdict = _certified_family(runtime, task["family"], prec)
-        if verdict.kind is not VerdictKind.INDEPENDENT:
-            raise UnsupportedCombination("approximate needs an independent base family")
-        matrix = [[runtime.elements[n] for n in row] for row in task["matrix"]]
-        khat = runtime.presentations[task["completion"]]
-        result = complete_and_approximate(fam, matrix, khat, prec)
-        return {
-            "verdict": "independent",
-            "output": [series_json(e, prec) for e in result.family.elements],
-            "coefficients": [[series_json(c, prec) for c in row] for row in result.coefficients],
-            "pairs": [
-                {
-                    "row": p.row,
-                    "col": p.col,
-                    "cutoff": exponent_json(p.cutoff),
-                    "required_above": exponent_json(p.required_above),
-                    "difference_value": valuation_json(p.difference_value),
-                }
-                for p in result.pairs
-            ],
-            "completion_values": [exponent_json(v) for v in result.completion_values],
-            "output_values": [exponent_json(v) for v in result.output_values],
-        }
-
-    raise ParseError(f"unhandled task kind {kind!r}")
-
-
-def _run_sampled_orthogonalize(sample: dict, runtime: Runtime, seed: Optional[int]) -> dict:
+    sample = task["sample"]
     rng = random.Random(seed if seed is not None else sample["seed"])
-    prec = runtime.precision
+    out = {"kind": "sampled", "count": sample["count"]}
     sizes: dict[int, int] = {}
     for case in range(sample["count"]):
         count = rng.randint(1, sample["max_size"])
@@ -727,19 +660,179 @@ def _run_sampled_orthogonalize(sample: dict, runtime: Runtime, seed: Optional[in
         result = orthogonalize(generators, runtime.base, prec)
         if not result.ok:
             return {
-                "kind": "sampled",
-                "count": sample["count"],
+                **out,
                 "all_basis": False,
                 "failed_case": case,
                 "obstruction": nearest_json(result.obstruction, prec),
             }
         sizes[len(result.basis)] = sizes.get(len(result.basis), 0) + 1
     return {
-        "kind": "sampled",
-        "count": sample["count"],
+        **out,
         "all_basis": True,
         "basis_size_histogram": {str(k): v for k, v in sorted(sizes.items())},
     }
+
+
+def _orthogonalize_witnesses(task, outcome: dict, runtime: Runtime):
+    if outcome["kind"] == "obstruction":
+        probe = runtime.elements[task["generators"][outcome["index"] - 1]]
+        yield "chain", probe, outcome["result"]
+
+
+def _extension_canonical(task, refs, where, canonical) -> dict:
+    generators = refs("generators")
+    mode = task.get("mode", "closure")
+    if mode not in ("closure", "direct"):
+        raise ParseError(f"{where}: unknown span mode {mode!r}")
+    return {"generators": generators, "mode": mode}
+
+
+def _extension_run(task, runtime: Runtime, seed) -> dict:
+    prec = runtime.precision
+    report = analyze_extension(
+        runtime.named(task["generators"]), runtime.base, prec, span_mode=task["mode"]
+    )
+    out = {
+        "verdict": report.verdict,
+        "n": report.n,
+        "e": report.e,
+        "f": report.f,
+        "defect_index": None if report.defect_index is None else rational_str(report.defect_index),
+    }
+    if report.note:
+        out["note"] = report.note
+    if report.standard is not None:
+        out["standard_basis"] = {
+            "x": [series_json(x, prec) for x in report.standard.x_part],
+            "y": [series_json(y, prec) for y in report.standard.y_part],
+            "products": [series_json(p, prec) for p in report.standard.products],
+        }
+    if report.obstruction is not None:
+        out["obstruction"] = nearest_json(report.obstruction, prec)
+        out["obstruction_index"] = report.obstruction_index
+    return out
+
+
+def _extension_summary(o: dict) -> str:
+    line = o["verdict"]
+    if o.get("n") is not None:
+        line += f" n={o['n']}"
+    if o.get("e") is not None:
+        line += f" e={o['e']} f={o['f']} defect={o['defect_index']}"
+    return line
+
+
+def _extension_witnesses(task, outcome: dict, runtime: Runtime):
+    if "standard_basis" in outcome:
+        yield "standard", None, outcome["standard_basis"]
+
+
+def _immediacy_canonical(task, refs, where, canonical) -> dict:
+    return {"probe": refs("probe", single=True)}
+
+
+def _immediacy_run(task, runtime: Runtime, seed) -> dict:
+    prec = runtime.precision
+    probe = runtime.elements[task["probe"]]
+    result = immediacy_evidence(runtime.base, probe, prec)
+    out = {
+        "kind": result.kind.value,
+        "evidence": [exponent_json(e) for e in result.evidence],
+    }
+    if result.kind is ImmediacyKind.NOT_IMMEDIATE:
+        out["max_value"] = exponent_json(result.max_value)
+        out["witness"] = series_json(result.witness, prec)
+    else:
+        out["precision_limited"] = result.precision_limited
+    if result.reduction is not None:
+        out["reduction"] = nearest_json(result.reduction, prec)
+    return out
+
+
+def _immediacy_witnesses(task, outcome: dict, runtime: Runtime):
+    probe = runtime.elements[task["probe"]]
+    reduction = outcome.get("reduction")
+    if reduction is None:
+        return
+    if outcome["kind"] == "not_immediate":
+        yield "max", probe, reduction
+    yield "chain", probe, reduction
+
+
+def _approximate_canonical(task, refs, where, canonical) -> dict:
+    family = refs("family")
+    matrix = task.get("matrix")
+    if not isinstance(matrix, list):
+        raise ParseError(f"{where} needs a coefficient 'matrix'")
+    completion = task.get("completion")
+    if not isinstance(completion, str):
+        raise ParseError(f"{where} needs a 'completion' presentation name")
+    if completion not in canonical.get("presentations", {}):
+        raise UnknownName(f"{where}: undeclared presentation {completion!r}")
+    return {
+        "family": family,
+        "matrix": [_refs(row, canonical["elements"], f"{where} 'matrix'") for row in matrix],
+        "completion": completion,
+    }
+
+
+def _approximate_run(task, runtime: Runtime, seed) -> dict:
+    prec = runtime.precision
+    fam, verdict = _certified_family(runtime, runtime.named(task["family"]), prec)
+    if verdict.kind is not VerdictKind.INDEPENDENT:
+        raise UnsupportedCombination("approximate needs an independent base family")
+    matrix = [runtime.named(row) for row in task["matrix"]]
+    khat = runtime.presentations[task["completion"]]
+    result = complete_and_approximate(fam, matrix, khat, prec)
+    return {
+        "verdict": "independent",
+        "output": [series_json(e, prec) for e in result.family.elements],
+        "coefficients": [[series_json(c, prec) for c in row] for row in result.coefficients],
+        "pairs": [
+            {
+                "row": p.row,
+                "col": p.col,
+                "cutoff": exponent_json(p.cutoff),
+                "required_above": exponent_json(p.required_above),
+                "difference_value": p.difference_value.describe(),
+            }
+            for p in result.pairs
+        ],
+        "completion_values": [exponent_json(v) for v in result.completion_values],
+        "output_values": [exponent_json(v) for v in result.output_values],
+    }
+
+
+def _approximate_summary(o: dict) -> str:
+    return "certified, values [" + ", ".join(_fmt_exp(v) for v in o["output_values"]) + "]"
+
+
+def _approximate_witnesses(task, outcome: dict, runtime: Runtime):
+    matrix = [runtime.named(row) for row in task["matrix"]]
+    yield "approximation", (runtime.named(task["family"]), matrix), outcome
+
+
+# One record per task kind.  canonical(task, refs, where, scenario) checks a
+# raw task and returns its fields, refs(key, single=False) reading checked
+# element names; run(task, runtime, seed) returns the structured outcome;
+# summary(outcome) is its one-line text form; witnesses(task, outcome,
+# runtime) yields (witness type, subject, document) for the verifier.
+TaskKind = namedtuple(
+    "TaskKind", "name canonical run summary witnesses", defaults=(lambda task, outcome, runtime: (),)
+)
+TASKS: dict = {kind.name: kind for kind in (
+    TaskKind("independence", _independence_canonical, _independence_run,
+             _independence_summary, _independence_witnesses),
+    TaskKind("normalize", _normalize_canonical, _normalize_run, _normalize_summary),
+    TaskKind("nearest_point", _nearest_canonical, _nearest_run, _chase_summary, _nearest_witnesses),
+    TaskKind("orthogonalize", _orthogonalize_canonical, _orthogonalize_run,
+             _chase_summary, _orthogonalize_witnesses),
+    TaskKind("analyze_extension", _extension_canonical, _extension_run,
+             _extension_summary, _extension_witnesses),
+    TaskKind("immediacy", _immediacy_canonical, _immediacy_run, _chase_summary, _immediacy_witnesses),
+    TaskKind("approximate", _approximate_canonical, _approximate_run,
+             _approximate_summary, _approximate_witnesses),
+)}
 
 
 # built-in scenarios: the worked examples the library is organized around

@@ -9,38 +9,20 @@ recomputed against freshly resolved elements.
 
 from __future__ import annotations
 
-from fractions import Fraction
+import random
 from typing import Optional
 
-from .groups import GroupElement
 from .reports import Report, emit
 from .series import Precision, Series, leading_term, multiply, subtract, sum_series, valuation
-from .spaces import _strictly_above
-from .scenarios import Runtime, Scenario, resolve_runtime, run
-
-
-def _exp_from_json(doc: list, runtime: Runtime) -> GroupElement:
-    return runtime.ambient.group.element(*[Fraction(c) for c in doc])
-
-
-def _coeff_from_json(doc, runtime: Runtime):
-    field = runtime.ambient.coeff
-    if isinstance(doc, dict):
-        return field.fraction(doc["num"], doc["den"])
-    if field.kind == "Q":
-        return field.element(Fraction(doc))
-    return field.element(doc)
+from .spaces import VerdictKind, _strictly_above, is_valuation_independent, make_family
+from .scenarios import TASKS, Runtime, Scenario, _parse_exponent, _resolve_element, resolve_runtime, run
 
 
 def _series_from_json(doc: dict, runtime: Runtime) -> Optional[Series]:
     """Rebuild a serialized series; None when only a truncation was stored."""
     if not doc.get("exact") and not doc.get("complete_below"):
         return None
-    terms = [
-        (_exp_from_json(exp, runtime), _coeff_from_json(c, runtime))
-        for exp, c in doc["terms"]
-    ]
-    return runtime.ambient.from_terms(terms)
+    return _resolve_element(doc["terms"], runtime.ambient, {})
 
 
 def _check(checks: list, check_id: str, ok: bool, detail: str = "") -> None:
@@ -50,21 +32,13 @@ def _check(checks: list, check_id: str, ok: bool, detail: str = "") -> None:
     checks.append(entry)
 
 
-def _family_elements(task_spec: dict, runtime: Runtime):
-    from .scenarios import _resolve_family_elements
-
-    spec = task_spec.get("family")
-    if isinstance(spec, dict):
-        return _resolve_family_elements(spec, runtime)
-    return [runtime.elements[n] for n in spec]
-
-
-def _verify_dependence(checks, check_id, witness_doc, elements, runtime, prec):
+def _verify_dependence(checks, tid, elements, witness_doc, runtime, prec):
+    check_id = f"{tid}:dependence"
     coeffs = [_series_from_json(c, runtime) for c in witness_doc["coefficients"]]
     if any(c is None for c in coeffs):
         _check(checks, check_id, False, "witness coefficients were serialized truncated")
         return
-    min_value = _exp_from_json(witness_doc["min_value"], runtime)
+    min_value = _parse_exponent(witness_doc["min_value"], runtime.ambient.group)
     parts = [multiply(c, b) for c, b in zip(coeffs, elements) if c.witnessed_terms()]
     if "shift" in witness_doc:
         shift = _series_from_json(witness_doc["shift"], runtime)
@@ -89,10 +63,9 @@ def _verify_dependence(checks, check_id, witness_doc, elements, runtime, prec):
     _check(checks, check_id, ok, f"achieved {achieved.describe()} vs min {min_value}")
 
 
-def _verify_independence(checks, check_id, outcome, elements, runtime, prec):
+def _verify_independence(checks, tid, elements, outcome, runtime, prec):
     """Confirm the N1-scaling witnesses by sampled minimum equality."""
-    import random
-
+    check_id = f"{tid}:independence"
     scalings = [_series_from_json(s, runtime) for s in outcome.get("scalings", [])]
     if len(scalings) != len(elements) or any(s is None for s in scalings):
         _check(checks, check_id, False, "scaling witnesses were serialized truncated")
@@ -117,8 +90,9 @@ def _verify_independence(checks, check_id, outcome, elements, runtime, prec):
     _check(checks, check_id, True)
 
 
-def _verify_chain(checks, check_id, target, outcome_doc, runtime, prec):
+def _verify_chain(checks, tid, target, outcome_doc, runtime, prec):
     """Each serialized approximant must realize its evidence entry."""
+    check_id = f"{tid}:chain"
     evidence = outcome_doc.get("evidence", [])
     approximants = outcome_doc.get("approximants", [])
     if len(approximants) < len(evidence):
@@ -126,7 +100,7 @@ def _verify_chain(checks, check_id, target, outcome_doc, runtime, prec):
         return
     previous = None
     for k, ev in enumerate(evidence):
-        claimed = _exp_from_json(ev, runtime)
+        claimed = _parse_exponent(ev, runtime.ambient.group)
         if previous is not None and not previous < claimed:
             _check(checks, check_id, False, f"evidence not strictly increasing at {k}")
             return
@@ -141,15 +115,62 @@ def _verify_chain(checks, check_id, target, outcome_doc, runtime, prec):
     _check(checks, check_id, True)
 
 
-def _verify_value(checks, check_id, target, outcome_doc, runtime, prec):
+def _verify_value(checks, tid, target, outcome_doc, runtime, prec):
+    """The serialized best approximant must realize the claimed maximum."""
+    check_id = f"{tid}:max"
     best = _series_from_json(outcome_doc["best"], runtime)
-    claimed = _exp_from_json(outcome_doc["value"], runtime)
+    claimed = _parse_exponent(outcome_doc["value"], runtime.ambient.group)
     if best is None:
         _check(checks, check_id, False, "best approximant was serialized truncated")
         return
     val = valuation(subtract(target, best), prec)
     ok = val.is_value and val.value == claimed
     _check(checks, check_id, ok, f"v(b-best) is {val.describe()}, claimed {claimed}")
+
+
+def _verify_standard(checks, tid, _, standard_doc, runtime, prec):
+    """The serialized standard-basis products must re-check as independent."""
+    products = [_series_from_json(p, runtime) for p in standard_doc["products"]]
+    if any(p is None for p in products):
+        _check(checks, f"{tid}:standard", True)  # truncated: determinism covers it
+        return
+    verdict = is_valuation_independent(make_family(runtime.base, products), prec)
+    _check(
+        checks, f"{tid}:standard",
+        verdict.kind is VerdictKind.INDEPENDENT,
+        f"standard products re-check as {verdict.kind.value}",
+    )
+
+
+def _verify_approximation(checks, tid, family_and_matrix, outcome, runtime, prec):
+    """Each finite coefficient must sit strictly above its required value."""
+    check_id = f"{tid}:approximation"
+    base_elements, matrix = family_and_matrix
+    for pair in outcome["pairs"]:
+        i, j = pair["row"], pair["col"]
+        finite = _series_from_json(outcome["coefficients"][i][j], runtime)
+        if finite is None:
+            _check(checks, check_id, False, "truncated coefficient serialization")
+            return
+        required = _parse_exponent(pair["required_above"], runtime.ambient.group)
+        diff_val = valuation(
+            multiply(subtract(finite, matrix[i][j]), base_elements[j]), prec
+        )
+        if not _strictly_above(diff_val, required, prec):
+            _check(checks, check_id, False, f"pair ({i},{j}) fails the strict inequality")
+            return
+    _check(checks, check_id, True)
+
+
+# witness type (as yielded by a TaskKind's witnesses) -> checker
+_CHECKERS = {
+    "dependence": _verify_dependence,
+    "scalings": _verify_independence,
+    "max": _verify_value,
+    "chain": _verify_chain,
+    "standard": _verify_standard,
+    "approximation": _verify_approximation,
+}
 
 
 def verify_report(scenario: Scenario, report: Report, precision: Optional[Precision] = None,
@@ -167,73 +188,8 @@ def verify_report(scenario: Scenario, report: Report, precision: Optional[Precis
     for task_outcome in report.tasks:
         if task_outcome.error is not None:
             continue
-        spec = scenario.canonical["tasks"][task_outcome.index]
-        outcome = task_outcome.outcome
-        tid = f"task{task_outcome.index}"
-        kind = task_outcome.task
-
-        if kind == "independence" and outcome.get("verdict") == "dependent":
-            elements = [runtime.elements[n] for n in spec["family"]]
-            _verify_dependence(checks, f"{tid}:dependence", outcome["witness"], elements, runtime, prec)
-        elif kind == "independence" and outcome.get("verdict") == "independent":
-            elements = [runtime.elements[n] for n in spec["family"]]
-            _verify_independence(checks, f"{tid}:independence", outcome, elements, runtime, prec)
-        elif kind == "nearest_point":
-            target = runtime.elements[spec["target"]]
-            if outcome["kind"] == "value":
-                _verify_value(checks, f"{tid}:max", target, outcome, runtime, prec)
-            if outcome.get("evidence"):
-                _verify_chain(checks, f"{tid}:chain", target, outcome, runtime, prec)
-        elif kind == "orthogonalize" and outcome.get("kind") == "obstruction":
-            generators = [runtime.elements[n] for n in spec["generators"]]
-            probe = generators[outcome["index"] - 1]
-            _verify_chain(checks, f"{tid}:chain", probe, outcome["result"], runtime, prec)
-        elif kind == "immediacy":
-            probe = runtime.elements[spec["probe"]]
-            reduction = outcome.get("reduction")
-            if reduction is None:
-                pass
-            elif outcome["kind"] == "not_immediate":
-                _verify_value(checks, f"{tid}:max", probe, reduction, runtime, prec)
-                _verify_chain(checks, f"{tid}:chain", probe, reduction, runtime, prec)
-            else:
-                _verify_chain(checks, f"{tid}:chain", probe, reduction, runtime, prec)
-        elif kind == "analyze_extension" and "standard_basis" in outcome:
-            from .spaces import is_valuation_independent, make_family, VerdictKind
-
-            products = [
-                _series_from_json(p, runtime)
-                for p in outcome["standard_basis"]["products"]
-            ]
-            if any(p is None for p in products):
-                _check(checks, f"{tid}:standard", True)  # truncated: determinism covers it
-            else:
-                fam = make_family(runtime.base, products)
-                verdict = is_valuation_independent(fam, prec)
-                _check(
-                    checks, f"{tid}:standard",
-                    verdict.kind is VerdictKind.INDEPENDENT,
-                    f"standard products re-check as {verdict.kind.value}",
-                )
-        elif kind == "approximate":
-            base_elements = [runtime.elements[n] for n in spec["family"]]
-            matrix = [[runtime.elements[n] for n in row] for row in spec["matrix"]]
-            ok = True
-            detail = ""
-            for pair in outcome["pairs"]:
-                i, j = pair["row"], pair["col"]
-                finite = _series_from_json(outcome["coefficients"][i][j], runtime)
-                if finite is None:
-                    ok = False
-                    detail = "truncated coefficient serialization"
-                    break
-                required = _exp_from_json(pair["required_above"], runtime)
-                diff_val = valuation(
-                    multiply(subtract(finite, matrix[i][j]), base_elements[j]), prec
-                )
-                if not _strictly_above(diff_val, required, prec):
-                    ok = False
-                    detail = f"pair ({i},{j}) fails the strict inequality"
-                    break
-            _check(checks, f"{tid}:approximation", ok, detail)
+        task = scenario.canonical["tasks"][task_outcome.index]
+        witnesses = TASKS[task_outcome.task].witnesses(task, task_outcome.outcome, runtime)
+        for witness, subject, doc in witnesses:
+            _CHECKERS[witness](checks, f"task{task_outcome.index}", subject, doc, runtime, prec)
     return checks

@@ -71,15 +71,13 @@ def span_closure_basis(
     generators: Sequence[Series],
     K: SubfieldPresentation,
     prec: Precision,
-    degree_cap: Optional[int] = None,
 ) -> ClosureResult:
     """Orthogonalize power products of the generators until the span closes.
 
     Seeds with 1, then repeatedly reduces basis*generator products; the
-    span is closed when a full pass adjoins nothing.  Exceeding the degree
-    cap reports the partial dimension instead of a basis.
+    span is closed when a full pass adjoins nothing.  Exceeding
+    ``prec.degree_cap`` reports the partial dimension instead of a basis.
     """
-    cap = degree_cap if degree_cap is not None else prec.degree_cap
     seed = [K.ambient.one()] + list(generators)
     result = orthogonalize(seed, K, prec)
     if not result.ok:
@@ -88,7 +86,7 @@ def span_closure_basis(
         )
     basis = result.basis
     while True:
-        if len(basis) > cap:
+        if len(basis) > prec.degree_cap:
             return ClosureResult(cap_reached=True, partial_dimension=len(basis))
         grown = False
         for g in generators:
@@ -108,7 +106,7 @@ def span_closure_basis(
                     raise NotIndependent("closure residual failed independence")
                 basis = normalize(extended, prec)
                 grown = True
-                if len(basis) > cap:
+                if len(basis) > prec.degree_cap:
                     return ClosureResult(cap_reached=True, partial_dimension=len(basis))
         if not grown:
             return ClosureResult(basis=basis)
@@ -251,7 +249,6 @@ def analyze_extension(
     generators: Sequence[Series],
     K: SubfieldPresentation,
     prec: Precision,
-    degree_cap: Optional[int] = None,
     span_mode: str = "closure",
 ) -> ExtensionReport:
     """Dimension, ramification, residue degree and defect index of the span.
@@ -261,7 +258,7 @@ def analyze_extension(
     generators as spanning a fixed vector space.
     """
     if span_mode == "closure":
-        closure = span_closure_basis(generators, K, prec, degree_cap)
+        closure = span_closure_basis(generators, K, prec)
         if closure.cap_reached:
             return ExtensionReport(
                 closure.partial_dimension, None, None, None, "inconclusive",

@@ -17,7 +17,7 @@ division.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterator, Optional
 
@@ -41,38 +41,15 @@ class SubfieldPresentation:
     name: str
     value_subgroup: Subgroup
     residue_field: ResidueField
-    # one single-term K-element per value-subgroup generator
-    base_monomials: tuple = ()
     full_field: bool = False
-    closure_kind: str = "laurent"  # laurent | constants | truncated
-    closure_window: int = 3
-
-    def __post_init__(self) -> None:
-        if len(self.base_monomials) != len(self.value_subgroup.generators):
-            raise ValueError("one base monomial per value-subgroup generator")
-        for term, gen in zip(self.base_monomials, self.value_subgroup.generators):
-            if term.exponent != gen:
-                raise ValueError("base monomial exponent must match its generator")
 
     # sections
 
     def monomial_section(self, delta: GroupElement) -> Series:
-        """A single-term element of K with valuation exactly ``delta``."""
-        coeffs = self.value_subgroup.solve(delta)
-        if coeffs is None:
+        """The monomial t^delta of K: coefficient one, valuation exactly ``delta``."""
+        if not self.value_subgroup.contains(delta):
             raise ValueNotInSubgroup(f"{delta} is not in v{self.name}")
-        coefficient = self.ambient.coeff.one()
-        for k, base in zip(coeffs, self.base_monomials):
-            c = base.coefficient if k >= 0 else base.coefficient.invert()
-            k = abs(k)
-            # square-and-multiply: k reaches 3^i along the Artin-Schreier chain
-            while k:
-                if k & 1:
-                    coefficient = coefficient * c
-                k >>= 1
-                if k:
-                    c = c * c
-        return self.ambient.monomial(delta, coefficient)
+        return self.ambient.monomial(delta)
 
     def monomial_term(self, delta: GroupElement) -> Term:
         series = self.monomial_section(delta)
@@ -96,17 +73,16 @@ class SubfieldPresentation:
 
     # coefficient closure: finite K-elements for sampling and filtration
 
-    def _residue_pool(self) -> list[FieldElement]:
+    def _residue_pool(self) -> tuple[int, list[FieldElement]]:
+        """The residues sampled from: the constants 0, 1, ..., n - 1 of Kv, then
+        the nonzero ``extra``.  Sampling indexes the constants, so any p is cheap."""
         kv = self.residue_field
-        if kv.kind == "Fp":
-            return [kv.element(i) for i in range(kv.p)]
         if kv.kind == "Q":
-            values = [0, 1, -1, 2, Fraction(1, 2), -2, 3, Fraction(-1, 2), Fraction(2, 3)]
-            return [kv.element(v) for v in values]
-        pool = [kv.element(i) for i in range(kv.p)]
-        pool.append(kv.generator())
-        pool.append(kv.generator() + kv.one())
-        return pool
+            values = [1, -1, 2, Fraction(1, 2), -2, 3, Fraction(-1, 2), Fraction(2, 3)]
+            return 1, [kv.element(v) for v in values]
+        if kv.kind == "Fp":
+            return kv.p, []
+        return kv.p, [kv.generator(), kv.fraction([1, 1], [1])]
 
     def _exponent_window(self, support: int) -> list[GroupElement]:
         gens = [g for g in self.value_subgroup.generators if not g.is_zero()]
@@ -122,7 +98,8 @@ class SubfieldPresentation:
         the coefficient tuples.  Only usable when the residue pool is the
         whole of Kv (finite Kv); for infinite Kv it enumerates the pool span.
         """
-        pool = self._residue_pool()
+        n, extra = self._residue_pool()
+        pool = [self.residue_field.element(i) for i in range(n)] + extra
         for bound in range(support + 1):
             window = self._exponent_window(bound)
             seen_smaller = self._exponent_window(bound - 1) if bound else []
@@ -146,25 +123,21 @@ class SubfieldPresentation:
                     continue
                 yield self.ambient.from_terms(terms)
 
-    def sample_element(self, rng: random.Random, support: Optional[int] = None) -> Series:
+    def sample_element(self, rng: random.Random, support: int) -> Series:
         """A random nonzero closure element with bounded support."""
-        support = self.closure_window if support is None else support
-        pool = [c for c in self._residue_pool() if not c.is_zero()]
         window = self._exponent_window(support)
-        if self.closure_kind == "constants" or len(window) == 1:
-            return self.residue_section(rng.choice(pool))
+        if len(window) == 1:
+            return self.residue_section(self._nonzero_residue(rng))
         count = rng.randint(1, min(3, len(window)))
         exponents = rng.sample(range(len(window)), count)
-        terms = [(window[i], self.embed_residue(rng.choice(pool))) for i in sorted(exponents)]
+        terms = [(window[i], self.embed_residue(self._nonzero_residue(rng))) for i in sorted(exponents)]
         return self.ambient.from_terms(terms)
 
-    def describe(self) -> dict:
-        return {
-            "name": self.name,
-            "value_subgroup": [[str(c) for c in g.coords] for g in self.value_subgroup.generators],
-            "residue_field": self.residue_field.describe(),
-            "full_field": self.full_field,
-        }
+    def _nonzero_residue(self, rng: random.Random) -> FieldElement:
+        """A uniform draw from the nonzero pool residues, constants 1..n-1 then extra."""
+        n, extra = self._residue_pool()
+        k = rng.randrange(n - 1 + len(extra))
+        return self.residue_field.element(k + 1) if k < n - 1 else extra[k - n + 1]
 
 
 def laurent_presentation(
@@ -176,16 +149,13 @@ def laurent_presentation(
     """K = k(t) with one uniformizer t of the given value, k = residue field."""
     kv = residue_field if residue_field is not None else ambient.coeff
     vk = Subgroup.spanned_by(ambient.group, [t_value])
-    base = Term(t_value, ambient.coeff.one())
-    return SubfieldPresentation(ambient, name, vk, kv, (base,))
+    return SubfieldPresentation(ambient, name, vk, kv)
 
 
 def trivial_presentation(ambient: SeriesField, name: str = "K") -> SubfieldPresentation:
     """A trivially valued coefficient field: vK = {0}, residue section onto K."""
     vk = Subgroup.trivial(ambient.group)
-    return SubfieldPresentation(
-        ambient, name, vk, ambient.coeff, (), closure_kind="constants"
-    )
+    return SubfieldPresentation(ambient, name, vk, ambient.coeff)
 
 
 def completion_presentation(
@@ -193,23 +163,17 @@ def completion_presentation(
     t_value: GroupElement,
     residue_field: Optional[ResidueField] = None,
     name: str = "Khat",
-    closure_window: int = 6,
 ) -> SubfieldPresentation:
-    """The completion of k(t): closure elements are truncated series.
+    """The completion of k(t): the Laurent presentation, flagged when it is full.
 
     When the residue field is the whole coefficient field and the value
     subgroup spans the ambient exponent group, the presentation is the
     entire series field, which is maximal; membership then reduces to exact
     division.
     """
-    kv = residue_field if residue_field is not None else ambient.coeff
-    vk = Subgroup.spanned_by(ambient.group, [t_value])
-    base = Term(t_value, ambient.coeff.one())
-    full = kv == ambient.coeff and _spans_group(vk)
-    return SubfieldPresentation(
-        ambient, name, vk, kv, (base,),
-        full_field=full, closure_kind="truncated", closure_window=closure_window,
-    )
+    K = laurent_presentation(ambient, t_value, residue_field, name)
+    full = K.residue_field == ambient.coeff and _spans_group(K.value_subgroup)
+    return replace(K, full_field=full)
 
 
 def _spans_group(sub: Subgroup) -> bool:

@@ -83,19 +83,44 @@ def _poly_gcd(a, b, p):
     return a
 
 
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin: the prime bases up to 37 decide every n < 2**64."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2:
+        return False
+    for b in bases:
+        if n % b == 0:
+            return n == b
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for b in bases:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 @dataclass(frozen=True)
 class ResidueField:
     """Field descriptor: 'Fp', 'Q' or 'Fp(s)'."""
 
     kind: str
     p: Optional[int] = None
-    variable: str = "s"
 
     def __post_init__(self) -> None:
         if self.kind not in ("Fp", "Q", "Fp(s)"):
             raise ValueError(f"unsupported field kind {self.kind!r}")
         if self.kind in ("Fp", "Fp(s)"):
-            if self.p is None or self.p < 2 or any(self.p % d == 0 for d in range(2, int(self.p ** 0.5) + 1)):
+            if self.p is not None and self.p >= 1 << 64:
+                raise ValueError(f"p must be below 2**64, got {self.p}")
+            if self.p is None or not _is_prime(self.p):
                 raise ValueError(f"p must be prime, got {self.p}")
 
     @staticmethod
@@ -107,15 +132,11 @@ class ResidueField:
         return ResidueField("Q")
 
     @staticmethod
-    def rational_functions(p: int, variable: str = "s") -> "ResidueField":
-        return ResidueField("Fp(s)", p, variable)
+    def rational_functions(p: int) -> "ResidueField":
+        return ResidueField("Fp(s)", p)
 
     def describe(self) -> dict:
-        if self.kind == "Fp":
-            return {"field": "Fp", "p": self.p}
-        if self.kind == "Q":
-            return {"field": "Q"}
-        return {"field": "Fp(s)", "p": self.p}
+        return {"field": "Q"} if self.kind == "Q" else {"field": self.kind, "p": self.p}
 
     # element constructors
 
@@ -183,11 +204,9 @@ class FieldElement:
             raise MismatchedFields(f"{self.field.describe()} vs {other.field.describe()}")
 
     def is_zero(self) -> bool:
-        if self.field.kind == "Fp":
-            return self.rep == 0
-        if self.field.kind == "Q":
-            return self.rep == 0
-        return self.rep[0] == ()
+        if self.field.kind == "Fp(s)":
+            return self.rep[0] == ()
+        return self.rep == 0
 
     def __add__(self, other: "FieldElement") -> "FieldElement":
         self._check(other)
@@ -253,7 +272,6 @@ class FieldElement:
         if k in ("Fp", "Q"):
             return str(self.rep)
         n, d = self.rep
-        s = self.field.variable
 
         def side(coeffs):
             if not coeffs:
@@ -265,9 +283,9 @@ class FieldElement:
                 if i == 0:
                     parts.append(str(c))
                 elif i == 1:
-                    parts.append(f"{c}*{s}" if c != 1 else s)
+                    parts.append(f"{c}*s" if c != 1 else "s")
                 else:
-                    parts.append(f"{c}*{s}^{i}" if c != 1 else f"{s}^{i}")
+                    parts.append(f"{c}*s^{i}" if c != 1 else f"s^{i}")
             return "+".join(parts)
 
         return side(n) if d == (1,) else f"({side(n)})/({side(d)})"
@@ -283,6 +301,32 @@ class ResidueProfile:
         return len(self.entries)
 
 
+def _gauss_jordan(rows: list, ncols: int) -> list[int]:
+    """Reduce ``rows`` in place to reduced row echelon form on the first ``ncols`` columns.
+
+    Each pivot is the first nonzero entry at or below the current rank, and
+    later columns only carry along.  Returns the pivot columns; the i-th
+    heads row i.
+    """
+    pivots: list[int] = []
+    for col in range(ncols):
+        rank = len(pivots)
+        if rank == len(rows):
+            break
+        pivot = next((i for i in range(rank, len(rows)) if not rows[i][col].is_zero()), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = rows[rank][col].invert()
+        head = rows[rank] = [x * inv for x in rows[rank]]
+        for i, row in enumerate(rows):
+            if i != rank and not row[col].is_zero():
+                factor = row[col]
+                rows[i] = [a - factor * b for a, b in zip(row, head)]
+        pivots.append(col)
+    return pivots
+
+
 def linear_rank(rows: Sequence[Sequence[FieldElement]], field: ResidueField):
     """Exact rank of the row system plus a kernel basis of row-combinations.
 
@@ -293,32 +337,14 @@ def linear_rank(rows: Sequence[Sequence[FieldElement]], field: ResidueField):
     if m == 0:
         return 0, []
     width = len(rows[0])
-    for r in rows:
-        if len(r) != width:
-            raise ValueError("ragged row system")
+    if any(len(r) != width for r in rows):
+        raise ValueError("ragged row system")
     # augment with identity to track row operations
     work = [list(r) + [field.one() if i == j else field.zero() for j in range(m)]
             for i, r in enumerate(rows)]
-    rank = 0
-    for col in range(width):
-        pivot = next((i for i in range(rank, m) if not work[i][col].is_zero()), None)
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        inv = work[rank][col].invert()
-        work[rank] = [x * inv for x in work[rank]]
-        for i in range(m):
-            if i != rank and not work[i][col].is_zero():
-                factor = work[i][col]
-                work[i] = [a - factor * b for a, b in zip(work[i], work[rank])]
-        rank += 1
-        if rank == m:
-            break
-    kernel = []
-    for i in range(rank, m):
-        if all(work[i][c].is_zero() for c in range(width)):
-            kernel.append([work[i][width + j] for j in range(m)])
-    return rank, kernel
+    rank = len(_gauss_jordan(work, width))
+    # the rows past the rank vanish on the first width columns
+    return rank, [row[width:] for row in work[rank:]]
 
 
 def solve_in_span(
@@ -326,48 +352,39 @@ def solve_in_span(
     basis_rows: Sequence[Sequence[FieldElement]],
     field: ResidueField,
 ) -> Optional[list[FieldElement]]:
-    """Coefficients expressing target in the row span, or None."""
-    m = len(basis_rows)
-    if m == 0:
-        return [] if all(t.is_zero() for t in target) else None
-    width = len(target)
-    for r in basis_rows:
-        if len(r) != width:
-            raise ValueError("dimension mismatch")
-    return _solve_linear_system(basis_rows, target, field)
+    """Coefficients expressing target in the row span, or None.
 
-
-def _solve_linear_system(basis_rows, target, field) -> Optional[list[FieldElement]]:
-    """Solve sum_i c_i basis_rows[i] = target by elimination over the field."""
+    Coefficients of basis rows that carry no pivot are zero.
+    """
     m = len(basis_rows)
     width = len(target)
+    if any(len(r) != width for r in basis_rows):
+        raise ValueError("dimension mismatch")
     # equations indexed by coordinate: sum_i c_i rows[i][j] = target[j]
-    mat = [[basis_rows[i][j] for i in range(m)] + [target[j]] for j in range(width)]
-    pivots: list[tuple[int, int]] = []
-    rank = 0
-    for var in range(m):
-        pivot = next((r for r in range(rank, width) if not mat[r][var].is_zero()), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = mat[rank][var].invert()
-        mat[rank] = [x * inv for x in mat[rank]]
-        for r in range(width):
-            if r != rank and not mat[r][var].is_zero():
-                factor = mat[r][var]
-                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[rank])]
-        pivots.append((rank, var))
-        rank += 1
-    for r in range(rank, width):
-        if not mat[r][m].is_zero():
-            return None
+    mat = [[r[j] for r in basis_rows] + [target[j]] for j in range(width)]
+    pivots = _gauss_jordan(mat, m)
+    if any(not row[m].is_zero() for row in mat[len(pivots):]):
+        return None
     coeffs = [field.zero()] * m
-    for row, var in pivots:
-        coeffs[var] = mat[row][m]
+    for row, var in zip(mat, pivots):
+        coeffs[var] = row[m]
     return coeffs
 
 
 # Kv-linear algebra on scalars living inside a larger residue field
+
+
+def check_subfield(sub: ResidueField, ambient: ResidueField) -> bool:
+    """Whether ``sub`` is a proper subfield of ``ambient``.
+
+    The supported pairs are Kv = Lv (False) and F_p inside F_p(s) with the
+    same p (True); any other pair raises MismatchedFields.
+    """
+    if sub == ambient:
+        return False
+    if sub.kind == "Fp" and ambient.kind == "Fp(s)" and sub.p == ambient.p:
+        return True
+    raise MismatchedFields(f"{sub.describe()} does not embed in {ambient.describe()}")
 
 
 def subfield_vectorize(
@@ -380,28 +397,24 @@ def subfield_vectorize(
     Same field: one coordinate.  Fp inside Fp(s): clear denominators and read
     off polynomial coefficients, so sub-linear combinations match exactly.
     """
-    if sub == ambient:
+    if not check_subfield(sub, ambient):
         return [[e] for e in elements]
-    if sub.kind == "Fp" and ambient.kind == "Fp(s)" and sub.p == ambient.p:
-        p = sub.p
-        den = (1,)
-        for e in elements:
-            den = _poly_mul(den, e.rep[1], p)
-        cleared = []
-        for e in elements:
-            n, d = e.rep
-            q, r = _poly_divmod(_poly_mul(n, den, p), d, p)
-            if r:
-                raise ArithmeticError("denominator clearing failed")
-            cleared.append(q)
-        width = max((len(c) for c in cleared), default=1)
-        return [
-            [sub.element(c[i] if i < len(c) else 0) for i in range(width)]
-            for c in cleared
-        ]
-    raise MismatchedFields(
-        f"unsupported subfield pair {sub.describe()} in {ambient.describe()}"
-    )
+    p = sub.p
+    den = (1,)
+    for e in elements:
+        den = _poly_mul(den, e.rep[1], p)
+    cleared = []
+    for e in elements:
+        n, d = e.rep
+        q, r = _poly_divmod(_poly_mul(n, den, p), d, p)
+        if r:
+            raise ArithmeticError("denominator clearing failed")
+        cleared.append(q)
+    width = max((len(c) for c in cleared), default=1)
+    return [
+        [sub.element(c[i] if i < len(c) else 0) for i in range(width)]
+        for c in cleared
+    ]
 
 
 def rank_over_subfield(elements, sub, ambient):
@@ -413,29 +426,21 @@ def rank_over_subfield(elements, sub, ambient):
 def solve_over_subfield(target, basis_elements, sub, ambient):
     """Subfield coefficients with sum_i c_i basis[i] = target, or None."""
     rows = subfield_vectorize(list(basis_elements) + [target], sub, ambient)
-    return _solve_linear_system(rows[:-1], rows[-1], sub)
+    return solve_in_span(rows[-1], rows[:-1], sub)
 
 
 def restrict_to_subfield(element, sub, ambient) -> Optional[FieldElement]:
     """The element as a subfield member, or None when it lies outside."""
-    if sub == ambient:
+    if not check_subfield(sub, ambient):
         return element
-    if sub.kind == "Fp" and ambient.kind == "Fp(s)" and sub.p == ambient.p:
-        n, d = element.rep
-        if d == (1,) and len(n) <= 1:
-            return sub.element(n[0] if n else 0)
-        return None
-    raise MismatchedFields(
-        f"unsupported subfield pair {sub.describe()} in {ambient.describe()}"
-    )
+    n, d = element.rep
+    if d == (1,) and len(n) <= 1:
+        return sub.element(n[0] if n else 0)
+    return None
 
 
 def embed_from_subfield(element: FieldElement, ambient: ResidueField) -> FieldElement:
     """Canonical embedding of a subfield scalar into the ambient field."""
-    if element.field == ambient:
+    if not check_subfield(element.field, ambient):
         return element
-    if element.field.kind == "Fp" and ambient.kind == "Fp(s)" and element.field.p == ambient.p:
-        return ambient.element(element.rep)
-    raise MismatchedFields(
-        f"cannot embed {element.field.describe()} into {ambient.describe()}"
-    )
+    return ambient.element(element.rep)

@@ -33,7 +33,7 @@ from .presentations import (
     laurent_presentation,
     trivial_presentation,
 )
-from .residues import FieldElement, ResidueField
+from .residues import FieldElement, MismatchedFields, ResidueField, check_subfield
 from .series import (
     Precision,
     Series,
@@ -46,6 +46,7 @@ from .series import (
 )
 from .spaces import (
     ImmediacyKind,
+    NotIndependent,
     VerdictKind,
     check_normalized,
     immediacy_evidence,
@@ -178,7 +179,7 @@ def _parse_coefficient(spec, field: ResidueField) -> FieldElement:
         raise ParseError(f"coefficients over Q are ints or 'p/q' strings, got {spec!r}")
     if _is_int(spec):
         return field.element(spec)
-    if spec == field.variable:
+    if spec == "s":
         return field.generator()
     if isinstance(spec, dict) and "num" in spec:
         return field.fraction(spec["num"], spec.get("den", [1]))
@@ -304,19 +305,12 @@ def _canonical_presentation(spec, ambient: SeriesField) -> dict:
     out["t_value"] = exponent_json(t_value)
     if "residue" in spec:
         residue = _parse_field(spec["residue"])
-        _check_residue_pair(residue, ambient.coeff)
+        try:
+            check_subfield(residue, ambient.coeff)
+        except MismatchedFields as exc:
+            raise UnsupportedCombination(f"residue field {exc}") from None
         out["residue"] = residue.describe()
     return out
-
-
-def _check_residue_pair(sub: ResidueField, amb: ResidueField) -> None:
-    if sub == amb:
-        return
-    if sub.kind == "Fp" and amb.kind == "Fp(s)" and sub.p == amb.p:
-        return
-    raise UnsupportedCombination(
-        f"residue field {sub.describe()} does not embed in {amb.describe()}"
-    )
 
 
 def _resolve_presentation(spec: dict, ambient: SeriesField) -> SubfieldPresentation:
@@ -482,8 +476,6 @@ def run(scenario: Scenario, precision: Optional[Precision] = None, seed: Optiona
         try:
             outcome = kind.run(task, runtime, seed)
             done = TaskOutcome(index, kind.name, outcome, summary=kind.summary(outcome))
-        except ScenarioError:
-            raise
         except Exception as exc:  # captured per spec: task errors land in the report
             error = {"type": type(exc).__name__, "message": str(exc)}
             done = TaskOutcome(index, kind.name, {}, error=error)
@@ -521,7 +513,7 @@ def _independence_run(task, runtime: Runtime, seed) -> dict:
     if task.get("over"):
         over_fam, over_verdict = _certified_family(runtime, runtime.named(task["over"]), prec)
         if over_verdict.kind is not VerdictKind.INDEPENDENT:
-            raise UnsupportedCombination("the 'over' family failed its certificate")
+            raise NotIndependent("the 'over' family failed its certificate")
     fam, verdict = _certified_family(runtime, runtime.named(task["family"]), prec, over=over_fam)
     out = {"verdict": verdict.kind.value}
     if verdict.kind is VerdictKind.INDEPENDENT:
@@ -591,7 +583,7 @@ def _nearest_run(task, runtime: Runtime, seed) -> dict:
     elements = _resolve_family_elements(task["family"], runtime)
     fam, verdict = _certified_family(runtime, elements, prec)
     if verdict.kind is not VerdictKind.INDEPENDENT:
-        raise UnsupportedCombination("nearest_point family failed its certificate")
+        raise NotIndependent("nearest_point family failed its certificate")
     normalized = normalize(fam, prec)
     result = nearest_point(target, normalized, prec)
     out = nearest_json(result, prec)
@@ -780,7 +772,7 @@ def _approximate_run(task, runtime: Runtime, seed) -> dict:
     prec = runtime.precision
     fam, verdict = _certified_family(runtime, runtime.named(task["family"]), prec)
     if verdict.kind is not VerdictKind.INDEPENDENT:
-        raise UnsupportedCombination("approximate needs an independent base family")
+        raise NotIndependent("approximate needs an independent base family")
     matrix = [runtime.named(row) for row in task["matrix"]]
     khat = runtime.presentations[task["completion"]]
     result = complete_and_approximate(fam, matrix, khat, prec)

@@ -14,8 +14,8 @@ bound for any exponent the series can produce, with ``None`` meaning the
 series is identically zero).  The floor is what makes lazy multiplication
 and inversion well-founded.
 
-Caches only ever grow and are replaced by fresh list objects, so concurrent
-readers see consistent snapshots.
+Caches fill lazily and without locks, so a series, and a family built from
+series, must not be used from several threads at once.
 """
 
 from __future__ import annotations
@@ -566,21 +566,18 @@ class Valuation:
         return out
 
 
-def valuation(x: Series, prec: Precision, fuel: Optional[Fuel] = None) -> Valuation:
+def valuation(x: Series, prec: Precision) -> Valuation:
     """Leading exponent below the ceiling, or how far the series is known zero.
 
     Only the first term is needed, so the expansion budget is escalated in
     stages; memoization makes the retries incremental.
     """
-    if fuel is None:
-        for budget in (8, 64):
-            x.ensure_below(prec.ceiling, Fuel(budget))
-            if x._cache or x.complete_for(prec.ceiling):
-                break
-        else:
-            x.ensure_below(prec.ceiling, prec.fuel())
+    for budget in (8, 64):
+        x.ensure_below(prec.ceiling, Fuel(budget))
+        if x._cache or x.complete_for(prec.ceiling):
+            break
     else:
-        x.ensure_below(prec.ceiling, fuel)
+        x.ensure_below(prec.ceiling, prec.fuel())
     first = x.first_exponent_bound()
     if isinstance(first, GroupElement) and x._cache and first < prec.ceiling:
         return Valuation(first, None, False)
@@ -595,8 +592,8 @@ def valuation(x: Series, prec: Precision, fuel: Optional[Fuel] = None) -> Valuat
     return Valuation(None, _bound_min(prec.ceiling, kb) if kb is not None else None, False)
 
 
-def leading_term(x: Series, prec: Precision, fuel: Optional[Fuel] = None) -> Optional[Term]:
-    v = valuation(x, prec, fuel)
+def leading_term(x: Series, prec: Precision) -> Optional[Term]:
+    v = valuation(x, prec)
     if not v.is_value:
         return None
     return x._cache[0]

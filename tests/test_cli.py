@@ -114,6 +114,30 @@ def test_cli_runs_scenario_file(tmp_path: Path, capsys):
     assert report["tasks"][0]["outcome"]["verdict"] == "independent"
 
 
+def test_failed_family_certificate_is_a_task_error(tmp_path: Path):
+    doc = {
+        "ambient": {"group": {"group": "Z"}, "coefficients": {"field": "Fp(s)", "p": 3}},
+        "base_field": {"kind": "laurent", "t_value": 1, "residue": {"field": "Fp", "p": 3}},
+        "elements": {"one": [[0, 1]], "y": [[0, "s"]], "t": [[1, 1]]},
+        "tasks": [
+            {"task": "independence", "family": ["one", "y"]},
+            {"task": "nearest_point", "target": "y", "family": ["one", "t"]},
+        ],
+        "precision": {"ceiling": 16},
+    }
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    out_path = tmp_path / "report.json"
+    assert main([
+        "run", str(path), "--verify", "--format", "structured", "--output", str(out_path),
+    ]) == 0
+    report = json.loads(out_path.read_text(encoding="utf-8"))
+    first, second = report["tasks"]
+    assert first["outcome"]["verdict"] == "independent"
+    assert second["error"]["type"] == "NotIndependent"
+    assert report["verification"] and all(c["ok"] for c in report["verification"])
+
+
 def test_cli_precision_overrides(tmp_path: Path):
     out_path = tmp_path / "r.json"
     assert main([

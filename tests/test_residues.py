@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from ultragram.residues import (
     DivisionByZero,
+    MismatchedFields,
     ResidueField,
     embed_from_subfield,
     linear_rank,
@@ -12,6 +14,7 @@ from ultragram.residues import (
     restrict_to_subfield,
     solve_in_span,
     solve_over_subfield,
+    subfield_vectorize,
 )
 
 F3 = ResidueField.prime(3)
@@ -44,8 +47,25 @@ def test_function_field_canonical_form():
 
 
 def test_prime_requires_prime():
-    with pytest.raises(ValueError):
-        ResidueField.prime(6)
+    # 561 is a Carmichael number, 2047 a strong pseudoprime to base 2 and
+    # 3215031751 one to the bases 2, 3, 5 and 7
+    for n in (6, 561, 2047, 3215031751, 2**64 + 13):
+        with pytest.raises(ValueError):
+            ResidueField.prime(n)
+
+
+def test_prime_check_matches_trial_division():
+    for n in range(5000):
+        is_prime = n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+        try:
+            ResidueField.prime(n)
+        except ValueError:
+            assert not is_prime, n
+        else:
+            assert is_prime, n
+    # the largest prime below 2**64, and the first prime above 10**18
+    for p in (2**64 - 59, 10**18 + 3):
+        assert ResidueField.rational_functions(p).p == p
 
 
 def test_linear_rank_examples():
@@ -85,6 +105,17 @@ def test_restrict_and_embed():
     assert restrict_to_subfield(F5s.element(3), F5, F5s) == F5.element(3)
     assert restrict_to_subfield(F5s.generator(), F5, F5s) is None
     assert embed_from_subfield(F5.element(3), F5s) == F5s.element(3)
+
+
+@pytest.mark.parametrize("sub", [F5, Q], ids=["F5", "Q"])
+def test_unsupported_subfield_of_f3s_raises(sub):
+    F3s = ResidueField.rational_functions(3)
+    with pytest.raises(MismatchedFields):
+        subfield_vectorize([F3s.one()], sub, F3s)
+    with pytest.raises(MismatchedFields):
+        restrict_to_subfield(F3s.one(), sub, F3s)
+    with pytest.raises(MismatchedFields):
+        embed_from_subfield(sub.one(), F3s)
 
 
 def _random_rows(rng, field, n, m):
@@ -146,3 +177,36 @@ def test_fp_field_axioms(a, b, c):
     assert x * y == y * x
     assert x * (y + z) == x * y + x * z
     assert (z * z.invert()) == F5.one()
+
+
+def _combine(coeffs, rows, width):
+    """sum_i coeffs[i] * rows[i] over F3, as field elements."""
+    out = [F3.zero()] * width
+    for c, row in zip(coeffs, rows):
+        out = [acc + c * x for acc, x in zip(out, row)]
+    return out
+
+
+_F3_VECTOR = st.lists(st.integers(0, 2), min_size=4, max_size=4)
+
+
+@given(st.lists(_F3_VECTOR, max_size=4), _F3_VECTOR, st.integers(1, 4))
+def test_elimination_matches_brute_force_span_over_f3(raw_rows, raw_target, width):
+    rows = [[F3.element(x) for x in r[:width]] for r in raw_rows]
+    target = [F3.element(x) for x in raw_target[:width]]
+    m = len(rows)
+    span = {
+        tuple(_combine([F3.element(c) for c in cs], rows, width))
+        for cs in itertools.product(range(3), repeat=m)
+    }
+    rank, kernel = linear_rank(rows, F3)
+    assert 3**rank == len(span)
+    assert len(kernel) == m - rank
+    for k in kernel:
+        assert all(x.is_zero() for x in _combine(k, rows, width))
+    if kernel:
+        assert linear_rank(kernel, F3)[0] == m - rank
+    solution = solve_in_span(target, rows, F3)
+    assert (solution is None) == (tuple(target) not in span)
+    if solution is not None:
+        assert _combine(solution, rows, width) == target

@@ -7,6 +7,7 @@ never accept a value of the wrong JSON type.
 """
 
 import json
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,6 +30,7 @@ def _set(path, value):
 
 PROBES = {
     "p-not-prime": ("paper:fpt-y", _set(["ambient", "coefficients", "p"], 4)),
+    "p-above-2-64": ("paper:fpt-y", _set(["ambient", "coefficients", "p"], 2**64 + 13)),
     "half-exponent-in-Z": ("paper:fpt-y", _set(["elements", "ty", 0, 0], "1/2")),
     "exponent-zero-denominator": ("paper:fpt-y", _set(["elements", "ty", 0, 0], "1/0")),
     "ceiling-not-a-number": ("paper:fpt-y", _set(["precision", "ceiling"], "x")),
@@ -65,6 +67,25 @@ def test_malformed_scenario_file_exits_1_with_one_error_line(name, tmp_path, cap
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_large_prime_parses_and_verifies_quickly(tmp_path, capsys):
+    doc = {
+        "ambient": {"group": {"group": "Z"}, "coefficients": {"field": "Fp", "p": 10**18 + 3}},
+        "base_field": {"kind": "laurent", "t_value": 1},
+        "elements": {"one": [[0, 1]], "t": [[1, 1]]},
+        "tasks": [{"task": "independence", "family": ["one", "t"]}],
+        "precision": {"ceiling": 16},
+    }
+    started = time.monotonic()
+    scenario = scenario_from_dict(doc)
+    assert time.monotonic() - started < 1.0
+    assert scenario.canonical["ambient"]["coefficients"]["p"] == 10**18 + 3
+    # --verify samples residues of F_p without listing them
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["run", str(path), "--verify"]) == 0
+    assert "2/2 witnesses confirmed" in capsys.readouterr().out
 
 
 def test_unreadable_scenario_path_exits_1(tmp_path, capsys):

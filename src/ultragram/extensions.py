@@ -35,14 +35,18 @@ from .spaces import (
     NearestKind,
     NearestPointResult,
     NotIndependent,
+    NotNormalized,
+    OrthogonalizeResult,
     VectorFamily,
     VerdictKind,
     _strictly_above,
+    adjoin,
+    check_normalized,
     is_valuation_independent,
     make_family,
     nearest_point,
-    normalize,
     orthogonalize,
+    value_classes,
 )
 
 
@@ -55,16 +59,9 @@ class NotCofinal(ValueError):
 
 
 @dataclass
-class ClosureResult:
-    basis: Optional[VectorFamily] = None
-    obstruction_index: Optional[int] = None
-    obstruction: Optional[NearestPointResult] = None
+class ClosureResult(OrthogonalizeResult):
     cap_reached: bool = False
     partial_dimension: Optional[int] = None
-
-    @property
-    def ok(self) -> bool:
-        return self.basis is not None and not self.cap_reached
 
 
 def span_closure_basis(
@@ -74,42 +71,30 @@ def span_closure_basis(
 ) -> ClosureResult:
     """Orthogonalize power products of the generators until the span closes.
 
-    Seeds with 1, then repeatedly reduces basis*generator products; the
+    Seeds with 1, then repeatedly adjoins basis*generator products; the
     span is closed when a full pass adjoins nothing.  Exceeding
     ``prec.degree_cap`` reports the partial dimension instead of a basis.
     """
-    seed = [K.ambient.one()] + list(generators)
-    result = orthogonalize(seed, K, prec)
-    if not result.ok:
+    seed = orthogonalize([K.ambient.one()] + list(generators), K, prec)
+    if not seed.ok:
         return ClosureResult(
-            obstruction_index=result.obstruction_index, obstruction=result.obstruction
+            obstruction_index=seed.obstruction_index, obstruction=seed.obstruction
         )
-    basis = result.basis
-    while True:
-        if len(basis) > prec.degree_cap:
-            return ClosureResult(cap_reached=True, partial_dimension=len(basis))
-        grown = False
+    basis = seed.basis
+    while len(basis) <= prec.degree_cap:
+        size = len(basis)
         for g in generators:
             for b in list(basis.elements):
-                candidate = multiply(b, g)
-                reduction = nearest_point(candidate, basis, prec)
-                if reduction.kind is NearestKind.EXACT_MEMBER:
-                    continue
-                if reduction.kind is not NearestKind.VALUE:
+                basis, obstruction = adjoin(basis, multiply(b, g), prec)
+                if obstruction is not None:
                     return ClosureResult(
-                        obstruction_index=len(basis) + 1, obstruction=reduction
+                        obstruction_index=len(basis) + 1, obstruction=obstruction
                     )
-                residual = subtract(candidate, reduction.best)
-                extended = make_family(K, list(basis.elements) + [residual])
-                verdict = is_valuation_independent(extended, prec)
-                if verdict.kind is not VerdictKind.INDEPENDENT:
-                    raise NotIndependent("closure residual failed independence")
-                basis = normalize(extended, prec)
-                grown = True
                 if len(basis) > prec.degree_cap:
                     return ClosureResult(cap_reached=True, partial_dimension=len(basis))
-        if not grown:
+        if len(basis) == size:
             return ClosureResult(basis=basis)
+    return ClosureResult(cap_reached=True, partial_dimension=len(basis))
 
 
 @dataclass
@@ -118,8 +103,6 @@ class RamificationData:
     f: int
     x_part: list          # coset representatives, 1 first when present
     y_part: list          # residue-basis lifts of the value-zero class
-    x_indices: list
-    y_indices: list
 
 
 def ramification_and_residue(
@@ -132,14 +115,11 @@ def ramification_and_residue(
     coset count is cross-checked against the exact subgroup index of vK in
     the group generated by vK and the basis values.
     """
-    from .spaces import _partition_by_coset, _witnessed_leads, check_normalized, NotNormalized
-
     check = check_normalized(basis, prec)
     if not check.ok:
         raise NotNormalized(f"ramification data needs a normalized basis ({check.condition})")
-    leads = _witnessed_leads(basis.elements, prec)
+    leads, classes = value_classes(basis.elements, K.value_subgroup, prec)
     values = [t.exponent for t in leads]
-    classes = _partition_by_coset(values, K.value_subgroup)
     zero = K.ambient.group.zero()
     one_kv = K.residue_field.one()
 
@@ -179,14 +159,11 @@ def ramification_and_residue(
         raise ArithmeticError(
             f"coset count {e} disagrees with the exact subgroup index {index}"
         )
-    f = len(y_indices)
     return RamificationData(
         e=e,
-        f=f,
+        f=len(y_indices),
         x_part=[basis.elements[i] for i in x_indices],
         y_part=[basis.elements[i] for i in y_indices],
-        x_indices=x_indices,
-        y_indices=y_indices,
     )
 
 
@@ -258,32 +235,24 @@ def analyze_extension(
     generators as spanning a fixed vector space.
     """
     if span_mode == "closure":
-        closure = span_closure_basis(generators, K, prec)
-        if closure.cap_reached:
+        result = span_closure_basis(generators, K, prec)
+        if result.cap_reached:
             return ExtensionReport(
-                closure.partial_dimension, None, None, None, "inconclusive",
-                note=f"degree cap reached at dimension {closure.partial_dimension}",
+                result.partial_dimension, None, None, None, "inconclusive",
+                note=f"degree cap reached at dimension {result.partial_dimension}",
             )
-        if closure.basis is None:
-            return ExtensionReport(
-                None, None, None, None, "obstructed",
-                obstruction=closure.obstruction,
-                obstruction_index=closure.obstruction_index,
-                note="nearest-point reduction found no maximal value",
-            )
-        basis = closure.basis
     elif span_mode == "direct":
         result = orthogonalize(generators, K, prec)
-        if not result.ok:
-            return ExtensionReport(
-                None, None, None, None, "obstructed",
-                obstruction=result.obstruction,
-                obstruction_index=result.obstruction_index,
-                note="nearest-point reduction found no maximal value",
-            )
-        basis = result.basis
     else:
         raise ValueError(f"unknown span mode {span_mode!r}")
+    if not result.ok:
+        return ExtensionReport(
+            None, None, None, None, "obstructed",
+            obstruction=result.obstruction,
+            obstruction_index=result.obstruction_index,
+            note="nearest-point reduction found no maximal value",
+        )
+    basis = result.basis
     data = ramification_and_residue(basis, K, prec)
     n = len(basis)
     ef = data.e * data.f
@@ -402,7 +371,7 @@ def complete_and_approximate(
             diff_val = valuation(
                 multiply(subtract(finite, c), u[j]), prec
             )
-            if not _strictly_above(diff_val, hat_vals[i], prec):
+            if not _strictly_above(diff_val, hat_vals[i]):
                 raise PrecisionExhausted(
                     f"truncation at ({i},{j}) misses the strict inequality"
                 )

@@ -104,20 +104,21 @@ class DependenceWitness:
     min_value: GroupElement
     achieved: Valuation
     shift: Optional[Series] = None
-    shift_coefficients: Optional[list] = None
 
 
 @dataclass
 class IndependenceVerdict:
     kind: VerdictKind
-    scaled: Optional[list] = None      # N1-scaled family for Independent verdicts
-    scalings: Optional[list] = None    # the K-scalars applied
+    scalings: Optional[list] = None    # the N1 K-scalars, for Independent verdicts
     witness: Optional[DependenceWitness] = None
     precision_note: Optional[str] = None
 
 
-def _witnessed_leads(elements: Sequence[Series], prec: Precision) -> list[Term]:
+def value_classes(elements: Sequence[Series], vk: Subgroup, prec: Precision) -> tuple[list[Term], dict]:
+    """Witnessed leading terms, and element indices grouped by the coset key
+    of their value modulo vK, classes in order of first index."""
     leads = []
+    classes: dict[tuple, list[int]] = {}
     for i, x in enumerate(elements):
         t = leading_term(x, prec)
         if t is None:
@@ -125,15 +126,23 @@ def _witnessed_leads(elements: Sequence[Series], prec: Precision) -> list[Term]:
                 f"element {i} has no witnessed term below {prec.ceiling}"
             )
         leads.append(t)
-    return leads
+        classes.setdefault(vk.coset_key(t.exponent), []).append(i)
+    return leads, classes
 
 
-def _partition_by_coset(values: Sequence[GroupElement], vk: Subgroup) -> dict[tuple, list[int]]:
-    """Indices grouped by coset key modulo vK, classes in order of first index."""
-    classes: dict[tuple, list[int]] = {}
-    for i, v in enumerate(values):
-        classes.setdefault(vk.coset_key(v), []).append(i)
-    return classes
+def _class_kernel(K: SubfieldPresentation, leads: Sequence[Term], cls: Sequence[int]) -> Optional[list]:
+    """A Kv-kernel vector of the class's residue profile res(a_i/a_first),
+    None when the profile is Kv-independent."""
+    profile = [leads[i].coefficient / leads[cls[0]].coefficient for i in cls]
+    rank, kernel = rank_over_subfield(profile, K.residue_field, K.ambient.coeff)
+    return kernel[0] if rank < len(cls) else None
+
+
+def _combination(K: SubfieldPresentation, coefficients: Sequence[Series], elements: Sequence[Series]) -> Series:
+    """sum c_i e_i over the nonzero c_i."""
+    return sum_series(K.ambient, [
+        multiply(c, e) for c, e in zip(coefficients, elements) if not _is_zero_coefficient(c)
+    ])
 
 
 def is_valuation_independent(family: VectorFamily, prec: Precision) -> IndependenceVerdict:
@@ -147,61 +156,38 @@ def is_valuation_independent(family: VectorFamily, prec: Precision) -> Independe
     if family.relative_to is not None:
         return is_valuation_independent_over(family, family.relative_to, prec)
     K = family.over
-    n = len(family.elements)
-    if n == 0:
-        verdict = IndependenceVerdict(VerdictKind.INDEPENDENT, scaled=[], scalings=[])
-        family.certificate = verdict
-        return verdict
-    leads = _witnessed_leads(family.elements, prec)
-    values = [t.exponent for t in leads]
-    classes = _partition_by_coset(values, K.value_subgroup).values()
-    scaled: list = [None] * n
-    scalings: list = [None] * n
-    for cls in classes:
-        ref = cls[0]
-        gamma_ref = values[ref]
-        class_leads = []
+    leads, classes = value_classes(family.elements, K.value_subgroup, prec)
+    scalings: list = [None] * len(leads)
+    for cls in classes.values():
+        gamma_ref = leads[cls[0]].exponent
         for i in cls:
-            delta = gamma_ref - values[i]
-            mono = K.monomial_term(delta)
-            scalings[i] = K.ambient.monomial(mono.exponent, mono.coefficient)
-            scaled[i] = multiply(scalings[i], family.elements[i])
-            class_leads.append(Term(gamma_ref, mono.coefficient * leads[i].coefficient))
-        profile = [t.coefficient / class_leads[0].coefficient for t in class_leads]
-        rank, kernel = rank_over_subfield(profile, K.residue_field, K.ambient.coeff)
-        if rank < len(cls):
-            kappa = kernel[0]
-            coefficients = [K.ambient.zero()] * n
-            parts = []
-            for pos, i in enumerate(cls):
-                if kappa[pos].is_zero():
-                    continue
-                delta = gamma_ref - values[i]
-                mono = K.monomial_term(delta)
-                coeff_series = K.ambient.monomial(
-                    mono.exponent, mono.coefficient * K.embed_residue(kappa[pos])
+            scalings[i] = K.monomial_section(gamma_ref - leads[i].exponent)
+        kappa = _class_kernel(K, leads, cls)
+        if kappa is None:
+            continue
+        coefficients = [K.ambient.zero()] * len(leads)
+        for pos, i in enumerate(cls):
+            if not kappa[pos].is_zero():
+                coefficients[i] = K.ambient.monomial(
+                    gamma_ref - leads[i].exponent, K.embed_residue(kappa[pos])
                 )
-                coefficients[i] = coeff_series
-                parts.append(multiply(coeff_series, family.elements[i]))
-            combination = sum_series(K.ambient, parts)
-            achieved = valuation(combination, prec)
-            if not _strictly_above(achieved, gamma_ref, prec):
-                verdict = IndependenceVerdict(
-                    VerdictKind.INCONCLUSIVE,
-                    precision_note=(
-                        "kernel witness could not be re-evaluated above "
-                        f"{gamma_ref} within the precision budget"
-                    ),
-                )
-                return verdict
-            witness = DependenceWitness(coefficients, gamma_ref, achieved)
-            return IndependenceVerdict(VerdictKind.DEPENDENT, witness=witness)
-    verdict = IndependenceVerdict(VerdictKind.INDEPENDENT, scaled=scaled, scalings=scalings)
+        achieved = valuation(_combination(K, coefficients, family.elements), prec)
+        if not _strictly_above(achieved, gamma_ref):
+            return IndependenceVerdict(
+                VerdictKind.INCONCLUSIVE,
+                precision_note=(
+                    "kernel witness could not be re-evaluated above "
+                    f"{gamma_ref} within the precision budget"
+                ),
+            )
+        witness = DependenceWitness(coefficients, gamma_ref, achieved)
+        return IndependenceVerdict(VerdictKind.DEPENDENT, witness=witness)
+    verdict = IndependenceVerdict(VerdictKind.INDEPENDENT, scalings=scalings)
     family.certificate = verdict
     return verdict
 
 
-def _strictly_above(achieved: Valuation, floor_value: GroupElement, prec: Precision) -> bool:
+def _strictly_above(achieved: Valuation, floor_value: GroupElement) -> bool:
     if achieved.is_value:
         return floor_value < achieved.value
     if achieved.exhausted:
@@ -225,30 +211,20 @@ def is_valuation_independent_over(
     combined = make_family(family.over, tuple(w_basis.elements) + tuple(family.elements))
     verdict = is_valuation_independent(combined, prec)
     if verdict.kind is VerdictKind.INDEPENDENT:
-        out = IndependenceVerdict(
-            VerdictKind.INDEPENDENT,
-            scaled=verdict.scaled[m:],
-            scalings=verdict.scalings[m:],
-        )
+        out = IndependenceVerdict(VerdictKind.INDEPENDENT, scalings=verdict.scalings[m:])
         family.certificate = out
         if family.relative_to is None:
             family.relative_to = w_basis
         return out
     if verdict.kind is VerdictKind.DEPENDENT:
         w = verdict.witness
-        shift_coeffs = w.coefficients[:m]
         body = w.coefficients[m:]
         if all(_is_zero_coefficient(c) for c in body):
             raise UncertifiedSubspace(
                 "dependence witness lives entirely inside the certified subspace"
             )
-        shift_parts = [
-            multiply(c, e)
-            for c, e in zip(shift_coeffs, w_basis.elements)
-            if not _is_zero_coefficient(c)
-        ]
-        shift = sum_series(family.over.ambient, shift_parts)
-        witness = DependenceWitness(body, w.min_value, w.achieved, shift, shift_coeffs)
+        shift = _combination(family.over, w.coefficients[:m], w_basis.elements)
+        witness = DependenceWitness(body, w.min_value, w.achieved, shift)
         return IndependenceVerdict(VerdictKind.DEPENDENT, witness=witness)
     return verdict
 
@@ -280,30 +256,27 @@ class NormalizationCheck:
 
 def check_normalized(family: VectorFamily, prec: Precision) -> NormalizationCheck:
     K = family.over
-    leads = _witnessed_leads(family.elements, prec)
-    values = [t.exponent for t in leads]
-    classes = _partition_by_coset(values, K.value_subgroup).values()
+    leads, classes = value_classes(family.elements, K.value_subgroup, prec)
     # the first class holding two values starts with the least index i of any
     # N1 pair (i, j), so it names the pair the pairwise scan finds first
-    for cls in classes:
-        j = next((j for j in cls if values[j] != values[cls[0]]), None)
+    for cls in classes.values():
+        j = next((j for j in cls if leads[j].exponent != leads[cls[0]].exponent), None)
         if j is not None:
             return NormalizationCheck(False, "N1", {"indices": [cls[0], j]})
-    for cls in classes:
-        profile = [leads[i].coefficient / leads[cls[0]].coefficient for i in cls]
-        rank, kernel = rank_over_subfield(profile, K.residue_field, K.ambient.coeff)
-        if rank < len(cls):
+    for cls in classes.values():
+        kappa = _class_kernel(K, leads, cls)
+        if kappa is not None:
             return NormalizationCheck(
-                False, "N2", {"indices": cls, "kernel": [c.describe() for c in kernel[0]]}
+                False, "N2", {"indices": cls, "kernel": [c.describe() for c in kappa]}
             )
     zero = K.ambient.group.zero()
-    for i, v in enumerate(values):
-        if K.value_in_subgroup(v) and v != zero:
+    for i, t in enumerate(leads):
+        if K.value_in_subgroup(t.exponent) and t.exponent != zero:
             return NormalizationCheck(False, "N3", {"index": i})
     one = K.residue_field.one()
-    for i, v in enumerate(values):
-        if v == zero:
-            res = K.restrict_residue(leads[i].coefficient)
+    for i, t in enumerate(leads):
+        if t.exponent == zero:
+            res = K.restrict_residue(t.coefficient)
             if res is not None and res != one:
                 return NormalizationCheck(False, "N4", {"index": i})
     return NormalizationCheck(True)
@@ -321,27 +294,22 @@ def normalize(family: VectorFamily, prec: Precision) -> VectorFamily:
     if verdict.kind is not VerdictKind.INDEPENDENT:
         raise NotIndependent(f"cannot normalize a {verdict.kind.value} family")
     K = family.over
-    leads = _witnessed_leads(family.elements, prec)
-    values = [t.exponent for t in leads]
-    classes = _partition_by_coset(values, K.value_subgroup).values()
+    leads, classes = value_classes(family.elements, K.value_subgroup, prec)
     zero = K.ambient.group.zero()
-    scalings: list = [None] * len(values)
-    out: list = [None] * len(values)
-    for cls in classes:
-        gamma_ref = values[cls[0]]
+    one = K.residue_field.one()
+    scalings: list = [None] * len(leads)
+    for cls in classes.values():
+        gamma_ref = leads[cls[0]].exponent
         if K.value_in_subgroup(gamma_ref):
             gamma_ref = zero
         for i in cls:
-            delta = gamma_ref - values[i]
-            mono = K.monomial_term(delta)
-            coeff = mono.coefficient
-            lead_coeff = coeff * leads[i].coefficient
+            delta = gamma_ref - leads[i].exponent
+            scalings[i] = K.monomial_section(delta)
             if gamma_ref == zero:
-                res = K.restrict_residue(lead_coeff)
-                if res is not None and res != K.residue_field.one():
-                    coeff = coeff * K.embed_residue(res.invert())
-            scalings[i] = K.ambient.monomial(mono.exponent, coeff)
-            out[i] = multiply(scalings[i], family.elements[i])
+                res = K.restrict_residue(leads[i].coefficient)
+                if res is not None and res != one:
+                    scalings[i] = K.ambient.monomial(delta, K.embed_residue(res.invert()))
+    out = [multiply(s, x) for s, x in zip(scalings, family.elements)]
     normalized = VectorFamily(tuple(out), K, relative_to=family.relative_to)
     normalized.scalings = tuple(scalings)
     confirm = is_valuation_independent(normalized, prec)
@@ -394,73 +362,54 @@ def nearest_point(b: Series, w_basis: VectorFamily, prec: Precision) -> NearestP
     if not check.ok:
         raise NotNormalized(f"basis violates {check.condition}")
     n = len(w_basis.elements)
-    zero_series = K.ambient.zero()
-    coeff_terms: list[list] = [[] for _ in range(n)]
-
-    def materialize() -> list:
-        return [K.ambient.from_terms(ts) for ts in coeff_terms]
-
-    initial = valuation(b, prec)
-    if not initial.is_value:
-        if initial.exhausted:
-            return NearestPointResult(
-                NearestKind.EXACT_MEMBER, zero_series, materialize(), initial_value=None
-            )
-        return NearestPointResult(
-            NearestKind.PRECISION_EXHAUSTED, zero_series, materialize(),
-            value=initial.up_to,
-        )
-
-    if K.full_field and n >= 1:
+    initial = current = valuation(b, prec)
+    if K.full_field and n >= 1 and initial.is_value:
         quotient = multiply(b, invert(w_basis.elements[0], prec))
-        coefficients = [quotient] + [zero_series] * (n - 1)
+        coefficients = [quotient] + [K.ambient.zero()] * (n - 1)
         return NearestPointResult(
             NearestKind.EXACT_MEMBER, b, coefficients, initial_value=initial.value
         )
 
-    # N1 holds, so every class shares one value
-    vk = K.value_subgroup
-    leads = _witnessed_leads(w_basis.elements, prec)
-    table = _partition_by_coset([t.exponent for t in leads], vk)
     r = b
-    best = zero_series
+    best = K.ambient.zero()
+    coeff_terms: list[list] = [[] for _ in range(n)]
     evidence: list = []
     approximants: list = []
     steps: list = []
-    current = initial
-    while True:
+
+    def done(kind: NearestKind, value: Optional[GroupElement] = None) -> NearestPointResult:
+        return NearestPointResult(
+            kind, best, [K.ambient.from_terms(ts) for ts in coeff_terms], value=value,
+            evidence=evidence, initial_value=initial.value,
+            approximants=approximants, steps=steps,
+        )
+
+    # N1 holds, so every class shares one value
+    vk = K.value_subgroup
+    leads, table = value_classes(w_basis.elements, vk, prec)
+    while current.is_value:
         gamma = current.value
         cls = table.get(vk.coset_key(gamma))
         if cls is None:
-            return NearestPointResult(
-                NearestKind.VALUE, best, materialize(), value=gamma,
-                evidence=evidence, initial_value=initial.value,
-                approximants=approximants, steps=steps,
-            )
+            return done(NearestKind.VALUE, gamma)
         common = leads[cls[0]].exponent
         delta = gamma - common
-        mono = K.monomial_term(delta)
+        K.monomial_section(delta)  # raises unless delta lies in vK
         r_lead = leading_term(r, prec)
-        profile = [
-            (mono.coefficient * leads[i].coefficient) / r_lead.coefficient for i in cls
-        ]
+        profile = [leads[i].coefficient / r_lead.coefficient for i in cls]
         solution = solve_over_subfield(
             K.ambient.coeff.one(), profile, K.residue_field, K.ambient.coeff
         )
         if solution is None:
-            return NearestPointResult(
-                NearestKind.VALUE, best, materialize(), value=gamma,
-                evidence=evidence, initial_value=initial.value,
-                approximants=approximants, steps=steps,
-            )
+            return done(NearestKind.VALUE, gamma)
         parts = []
         kappa_used = []
         for pos, i in enumerate(cls):
             if solution[pos].is_zero():
                 continue
-            coefficient = mono.coefficient * K.embed_residue(solution[pos])
-            coeff_terms[i].append((mono.exponent, coefficient))
-            parts.append(multiply(K.ambient.monomial(mono.exponent, coefficient), w_basis.elements[i]))
+            coefficient = K.embed_residue(solution[pos])
+            coeff_terms[i].append((delta, coefficient))
+            parts.append(multiply(K.ambient.monomial(delta, coefficient), w_basis.elements[i]))
             kappa_used.append((i, solution[pos]))
         subtracted = sum_series(K.ambient, parts)
         best = add(best, subtracted)
@@ -471,26 +420,14 @@ def nearest_point(b: Series, w_basis: VectorFamily, prec: Precision) -> NearestP
             "kappa": kappa_used,
         })
         current = valuation(r, prec)
-        if not current.is_value:
-            if current.exhausted:
-                return NearestPointResult(
-                    NearestKind.EXACT_MEMBER, best, materialize(),
-                    evidence=evidence, initial_value=initial.value,
-                    approximants=approximants, steps=steps,
-                )
-            return NearestPointResult(
-                NearestKind.PRECISION_EXHAUSTED, best, materialize(),
-                value=current.up_to, evidence=evidence,
-                initial_value=initial.value, approximants=approximants, steps=steps,
-            )
-        evidence.append(current.value)
-        approximants.append(best)
-        if len(evidence) >= prec.max_terms:
-            return NearestPointResult(
-                NearestKind.UNBOUNDED, best, materialize(),
-                evidence=evidence, initial_value=initial.value,
-                approximants=approximants, steps=steps,
-            )
+        if current.is_value:
+            evidence.append(current.value)
+            approximants.append(best)
+            if len(evidence) >= prec.max_terms:
+                return done(NearestKind.UNBOUNDED)
+    if current.exhausted:
+        return done(NearestKind.EXACT_MEMBER)
+    return done(NearestKind.PRECISION_EXHAUSTED, current.up_to)
 
 
 # orthogonalization and basis manipulation
@@ -507,41 +444,45 @@ class OrthogonalizeResult:
         return self.basis is not None
 
 
+def adjoin(
+    basis: VectorFamily, g: Series, prec: Precision
+) -> tuple[VectorFamily, Optional[NearestPointResult]]:
+    """Reduce g against a normalized certified basis and adjoin the residual.
+
+    Returns the basis, re-certified and re-normalized with the residual when
+    the reduction ends at a value, unchanged when g is an exact member, and
+    an Unbounded or PrecisionExhausted reduction as the obstruction.
+    """
+    reduction = nearest_point(g, basis, prec)
+    if reduction.kind is NearestKind.EXACT_MEMBER:
+        return basis, None
+    if reduction.kind is not NearestKind.VALUE:
+        return basis, reduction
+    # a reduction that took no step leaves g itself; subtracting zero adds nodes
+    residual = subtract(g, reduction.best) if reduction.steps else g
+    grown = make_family(basis.over, list(basis.elements) + [residual])
+    if is_valuation_independent(grown, prec).kind is not VerdictKind.INDEPENDENT:
+        raise NotIndependent("residual failed the independence check; reduction was incomplete")
+    return normalize(grown, prec), None
+
+
 def orthogonalize(
     generators: Sequence[Series], K: SubfieldPresentation, prec: Precision
 ) -> OrthogonalizeResult:
     """Build a normalized valuation basis of the span, generator by generator.
 
-    Residuals of nearest-point reductions are adjoined and the family is
-    re-normalized after each step; an Unbounded or PrecisionExhausted
-    reduction is returned as an obstruction for that generator.
+    Starting from the certified empty basis, each generator is adjoined
+    through ``adjoin``; an Unbounded or PrecisionExhausted reduction is
+    returned as an obstruction for that generator.
     """
-    basis: Optional[VectorFamily] = None
+    basis = make_family(K, [])
+    is_valuation_independent(basis, prec)
     for index, g in enumerate(generators, start=1):
-        lead = leading_term(g, prec)
-        if lead is None:
+        if leading_term(g, prec) is None:
             raise ZeroElementInFamily(f"generator {index} has no witnessed term")
-        if basis is None:
-            fresh = make_family(K, [g])
-            is_valuation_independent(fresh, prec)
-            basis = normalize(fresh, prec)
-            continue
-        reduction = nearest_point(g, basis, prec)
-        if reduction.kind is NearestKind.EXACT_MEMBER:
-            continue
-        if reduction.kind is not NearestKind.VALUE:
-            return OrthogonalizeResult(obstruction_index=index, obstruction=reduction)
-        residual = subtract(g, reduction.best)
-        grown = make_family(K, list(basis.elements) + [residual])
-        verdict = is_valuation_independent(grown, prec)
-        if verdict.kind is not VerdictKind.INDEPENDENT:
-            raise NotIndependent(
-                "residual failed the independence check; reduction was incomplete"
-            )
-        basis = normalize(grown, prec)
-    if basis is None:
-        basis = make_family(K, [])
-        is_valuation_independent(basis, prec)
+        basis, obstruction = adjoin(basis, g, prec)
+        if obstruction is not None:
+            return OrthogonalizeResult(obstruction_index=index, obstruction=obstruction)
     return OrthogonalizeResult(basis=basis)
 
 
@@ -581,37 +522,24 @@ def basis_exchange(basis: VectorFamily, x: Series, prec: Precision) -> ExchangeR
         K.ambient.zero() if _is_zero_coefficient(c) else multiply(c, s)
         for c, s in zip(reduction.coefficients, combined.scalings)
     ]
-    body = original_coeffs[m:]
+    shift = _combination(K, original_coeffs[:m], w_elements)
+    adjoined = subtract(x, shift)
     summand_values = []
-    for i, c in enumerate(body):
+    for i, c in enumerate(original_coeffs[m:]):
         if _is_zero_coefficient(c):
             continue
         lead_c = leading_term(c, prec)
         lead_b = leading_term(basis.elements[i], prec)
         summand_values.append((lead_c.exponent + lead_b.exponent, i))
     if not summand_values:
-        shift_parts = [
-            multiply(c, e) for c, e in zip(original_coeffs[:m], w_elements)
-            if not _is_zero_coefficient(c)
-        ]
-        shift = sum_series(K.ambient, shift_parts)
         subspace = w_family if w_family is not None else make_family(K, [])
         return ExchangeResult(
-            None, None, shift, subtract(x, shift), subspace, basis,
-            already_in_subspace=True,
+            None, None, shift, adjoined, subspace, basis, already_in_subspace=True,
         )
     min_value = min(v for v, _ in summand_values)
     removed_index = min(i for v, i in summand_values if v == min_value)
-    shift_parts = [
-        multiply(c, e) for c, e in zip(original_coeffs[:m], w_elements)
-        if not _is_zero_coefficient(c)
-    ]
-    shift = sum_series(K.ambient, shift_parts)
-    adjoined = subtract(x, shift)
-    new_w_elements = w_elements + [adjoined]
-    new_subspace = make_family(K, new_w_elements)
-    sub_verdict = is_valuation_independent(new_subspace, prec)
-    if sub_verdict.kind is not VerdictKind.INDEPENDENT:
+    new_subspace = make_family(K, w_elements + [adjoined])
+    if is_valuation_independent(new_subspace, prec).kind is not VerdictKind.INDEPENDENT:
         raise NotInSpan("the adjoined direction failed its independence certificate")
     remaining_elements = tuple(
         e for i, e in enumerate(basis.elements) if i != removed_index

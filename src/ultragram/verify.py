@@ -52,13 +52,12 @@ def _verify_dependence(checks, tid, elements, witness_doc, runtime, prec):
     for c, b in zip(coeffs, elements):
         if not c.witnessed_terms():
             continue
-        lead_c = leading_term(c, prec)
-        lead_b = leading_term(b, prec)
-        v = lead_c.exponent + lead_b.exponent
+        # c is a finite series: its lead is its first term, even above the ceiling
+        v = c.witnessed_terms()[0].exponent + leading_term(b, prec).exponent
         summand_min = v if summand_min is None else min(summand_min, v)
     ok = (
         summand_min == min_value
-        and _strictly_above(achieved, min_value, prec)
+        and _strictly_above(achieved, min_value)
     )
     _check(checks, check_id, ok, f"achieved {achieved.describe()} vs min {min_value}")
 
@@ -156,7 +155,7 @@ def _verify_approximation(checks, tid, family_and_matrix, outcome, runtime, prec
         diff_val = valuation(
             multiply(subtract(finite, matrix[i][j]), base_elements[j]), prec
         )
-        if not _strictly_above(diff_val, required, prec):
+        if not _strictly_above(diff_val, required):
             _check(checks, check_id, False, f"pair ({i},{j}) fails the strict inequality")
             return
     _check(checks, check_id, True)

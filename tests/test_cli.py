@@ -138,6 +138,27 @@ def test_failed_family_certificate_is_a_task_error(tmp_path: Path):
     assert report["verification"] and all(c["ok"] for c in report["verification"])
 
 
+def test_exhausted_witness_coefficient_above_ceiling_verifies(tmp_path: Path):
+    # the witness coefficient t^41 of b = t^-10 lies above the ceiling 32
+    doc = {
+        "ambient": {"group": {"group": "Z"}, "coefficients": {"field": "Fp", "p": 3}},
+        "base_field": {"kind": "laurent", "t_value": 1},
+        "elements": {"a": [[31, 1]], "b": [[-10, 1]]},
+        "tasks": [{"task": "independence", "family": ["a", "b"]}],
+        "precision": {"ceiling": 32},
+    }
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    out_path = tmp_path / "report.json"
+    assert main([
+        "run", str(path), "--verify", "--format", "structured", "--output", str(out_path),
+    ]) == 0
+    report = json.loads(out_path.read_text(encoding="utf-8"))
+    witness = report["tasks"][0]["outcome"]["witness"]
+    assert witness["coefficients"][1] == {"exact": True, "terms": [[["41"], 1]]}
+    assert [c["ok"] for c in report["verification"]] == [True, True]
+
+
 def test_cli_precision_overrides(tmp_path: Path):
     out_path = tmp_path / "r.json"
     assert main([

@@ -65,8 +65,11 @@ def test_span_closure_obstruction():
 def test_span_closure_cap(mixed_setting):
     L, K, prec = mixed_setting
     y = L.from_terms([(0, L.coeff.generator())])
-    result = span_closure_basis([y], K, Precision(Q.element(32), 8, degree_cap=5))
-    assert result.cap_reached and result.partial_dimension > 5
+    for degree_cap in (3, 5):
+        result = span_closure_basis([y], K, Precision(Q.element(32), 8, degree_cap=degree_cap))
+        # the closure stops at the first adjoin past the cap
+        assert result.cap_reached and result.partial_dimension == degree_cap + 1
+        assert not result.ok and result.basis is None
 
 
 def test_ramification_examples(sqrt_setting):

@@ -6,6 +6,7 @@ from ultragram.groups import OrderedGroup
 from ultragram.residues import ResidueField
 from ultragram.series import Precision, SeriesField, add, artin_schreier, leading_term, multiply, subtract, valuation
 from ultragram.presentations import completion_presentation, laurent_presentation, trivial_presentation
+from ultragram.reports import series_json
 from ultragram.spaces import (
     ImmediacyKind,
     NearestKind,
@@ -279,6 +280,29 @@ def test_orthogonalize_examples(fq5):
     for g in (L.one(), add(L.one(), L.monomial(1))):
         reduction = nearest_point(g, r2.basis, prec)
         assert reduction.kind is NearestKind.EXACT_MEMBER
+
+
+@pytest.mark.parametrize("terms", [[(1, 2), ("3/2", 1)], [("1/2", 3), (2, 1)]])
+def test_orthogonalize_singleton_matches_normalize(fq5, terms):
+    L, K, prec = fq5
+    g = L.from_terms(terms)
+    single = make_family(K, [g])
+    is_valuation_independent(single, prec)
+    expected = normalize(single, prec)
+    r = orthogonalize([g], K, prec)
+    assert r.ok and r.basis.is_certified
+
+    def dump(family):
+        return [series_json(x, prec) for x in family.elements + family.scalings]
+
+    assert dump(r.basis) == dump(expected)
+
+
+def test_orthogonalize_empty_is_certified(fq5):
+    L, K, prec = fq5
+    r = orthogonalize([], K, prec)
+    assert r.ok and len(r.basis) == 0 and r.basis.is_certified
+    assert r.basis.certificate.scalings == []
 
 
 def test_orthogonalize_obstruction_notca():

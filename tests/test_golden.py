@@ -1,4 +1,4 @@
-"""Golden reports: byte-exact CLI output for every built-in and two extra scenarios.
+"""Golden reports: byte-exact CLI output for every built-in and three extra scenarios.
 
 Each case is run through ``ultragram run --verify`` once in the structured
 format and once in the text format.  Text lines that carry wall-clock task
@@ -6,8 +6,9 @@ timings (``    (0.012s)``) are dropped before comparing; everything else
 must match ``golden_reports.json`` byte for byte.
 
 The extra scenarios reach paths no built-in does: an ``independence`` task
-``"over"`` a certified subspace (with a shifted dependence witness), and
-task errors captured in the report.
+``"over"`` a certified subspace (with a shifted dependence witness), task
+errors captured in the report, and a full-field ``nearest_point`` whose
+report forces the lazy quotient ``b * invert(w)`` to the ceiling.
 
 Re-record after an intended output change with
 ``PYTHONPATH=src python tests/test_golden.py``.
@@ -55,6 +56,20 @@ EXTRA_SCENARIOS = {
             {"task": "normalize", "family": ["t"]},
         ],
         "precision": {"ceiling": 16, "max_terms": 6, "degree_cap": 8},
+    },
+    "golden:lazy-quotient": {
+        "name": "golden:lazy-quotient",
+        "ambient": {"group": {"group": "Z"}, "coefficients": {"field": "Fp", "p": 3}},
+        "base_field": {"kind": "completion", "t_value": 1, "name": "F3((t))"},
+        "elements": {
+            "geometric": {"builder": "geometric"},
+            "artin": {"builder": "artin_schreier", "p": 3},
+            "noise": [[2, 1], [7, 2], [19, 1]],
+            "target": {"sum": ["geometric", "artin", "noise"]},
+            "w": {"builder": "custom_powers", "exponents": "i^2"},
+        },
+        "tasks": [{"task": "nearest_point", "target": "target", "family": ["w"]}],
+        "precision": {"ceiling": 64, "max_terms": 8, "degree_cap": 16},
     },
 }
 

@@ -14,6 +14,23 @@ bound for any exponent the series can produce, with ``None`` meaning the
 series is identically zero).  The floor is what makes lazy multiplication
 and inversion well-founded.
 
+The nodes are online (J. van der Hoeven, "Relax, but don't be too lazy",
+J. Symbolic Comput. 34(6), 2002).  Caches are append-only and each pull
+resumes from cursors saved by the last one, so pulling in small steps costs
+about what one pull to the last bound costs.  A map maps only child terms
+it has not seen; a sum merges its children with a heap, one cursor per
+child.  A product keeps one cursor per left term into the right cache and a
+heap of each left term's next pair, and forms only pairs below the bound.
+The inverse of x with lead c*t^g is the fixed point y = m + u*y, where
+m = c^-1 t^-g and u = -m*(x - c*t^g) has v(u) > 0: every term of u*y lies
+above the terms of y it uses, so the product's right cursors run over y's
+own growing prefix, iteratively.
+
+Fuel: a stream spends one unit per pulled term and an inverse one unit per
+exponent it settles, zero or not.  No other node makes terms its children
+do not bound, so every pull ends; one that runs out of fuel leaves a
+consistent prefix, and the next pull resumes it.
+
 Caches fill lazily and without locks, so a series, and a family built from
 series, must not be used from several threads at once.
 """
@@ -21,6 +38,7 @@ series, must not be used from several threads at once.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from typing import Callable, Iterable, Iterator, Optional
 
 from .groups import GroupElement, OrderedGroup
@@ -129,16 +147,8 @@ def _bound_add(a, b):
     return a + b
 
 
-def _bound_covers(bound, target) -> bool:
-    if bound is _INF:
-        return True
-    if bound is None:
-        return False
-    return target <= bound
-
-
 class Fuel:
-    """Mutable work budget; spent on stream pulls and power activations."""
+    """Mutable work budget; spent on stream pulls and inverse terms."""
 
     def __init__(self, steps: int):
         self.steps = steps
@@ -245,9 +255,6 @@ class _Leaf(Series):
         self._cache = list(terms)
         self._exhausted = True
 
-    def _expand(self, bound, fuel) -> None:  # pragma: no cover - exhausted at birth
-        pass
-
 
 class _Stream(Series):
     """Restartable generator node; pulls are charged against the fuel."""
@@ -260,7 +267,7 @@ class _Stream(Series):
     def _expand(self, bound, fuel) -> None:
         if self._iter is None:
             self._iter = self._factory()
-        cache = list(self._cache)
+        cache = self._cache
         while not self._exhausted:
             if cache and cache[-1].exponent >= bound:
                 break
@@ -278,11 +285,8 @@ class _Stream(Series):
             if not cache and term.exponent < self.floor:
                 raise ValueError("stream violated its declared floor")
             cache.append(term)
-        self._cache = cache
         if cache:
-            last = cache[-1].exponent
-            if self._known is None or self._known < last:
-                self._known = last
+            self._known = cache[-1].exponent
 
 
 class _Map(Series):
@@ -298,110 +302,148 @@ class _Map(Series):
         self.scale = scale
 
     def _expand(self, bound, fuel) -> None:
-        self.child.ensure_below(bound - self.shift, fuel)
-        kb = _bound_add(self.child.known_bound(), self.shift)
-        self._cache = [
+        child = self.child
+        child.ensure_below(bound - self.shift, fuel)
+        # term i of this cache is term i of the child's: map only the new ones
+        self._cache.extend(
             Term(t.exponent + self.shift, t.coefficient * self.scale)
-            for t in self.child._cache
-        ]
-        self._exhausted = self.child.exhausted
-        self._known = None if kb is None or kb is _INF else kb
+            for t in child._cache[len(self._cache):]
+        )
+        self._exhausted = child.exhausted
+        kb = child.known_bound()
+        if kb is not None and kb is not _INF:
+            self._known = kb + self.shift
 
 
-class _Add(Series):
-    def __init__(self, x: Series, y: Series):
-        x._check(y)
-        if x.floor is None:
-            floor = y.floor
-        elif y.floor is None:
-            floor = x.floor
-        else:
-            floor = min(x.floor, y.floor)
-        super().__init__(x.field, floor)
-        self.x = x
-        self.y = y
+class _Sum(Series):
+    """n-ary sum: a heap merge with one cursor per child cache."""
+
+    def __init__(self, children: list):
+        for c in children:
+            children[0]._check(c)
+        floors = [c.floor for c in children if c.floor is not None]
+        super().__init__(children[0].field, min(floors) if floors else None)
+        self.children = children
+        self._cursors = [0] * len(children)
 
     def _expand(self, bound, fuel) -> None:
-        self.x.ensure_below(bound, fuel)
-        self.y.ensure_below(bound, fuel)
-        w = _bound_min(bound, self.x.known_bound(), self.y.known_bound())
-        self._exhausted = self.x.exhausted and self.y.exhausted
-        if self._exhausted:
-            terms = _merge(self.x._cache, self.y._cache, None)
-            self._cache = terms
+        children, cursors = self.children, self._cursors
+        for c in children:
+            c.ensure_below(bound, fuel)
+        self._exhausted = all(c.exhausted for c in children)
+        w = None if self._exhausted else _bound_min(bound, *(c.known_bound() for c in children))
+        if w is None and not self._exhausted:
             return
-        if w is None:
-            return
-        self._cache = _merge(self.x._cache, self.y._cache, w)
-        self._known = w
+        heap = [
+            (c._cache[k].exponent.coords, n)
+            for n, (c, k) in enumerate(zip(children, cursors))
+            if k < len(c._cache)
+        ]
+        heapify(heap)
+        while heap and (w is None or heap[0][0] < w.coords):
+            key = heap[0][0]
+            total = None
+            while heap and heap[0][0] == key:
+                _, n = heappop(heap)
+                src = children[n]._cache
+                t = src[cursors[n]]
+                total = t.coefficient if total is None else total + t.coefficient
+                cursors[n] += 1
+                if cursors[n] < len(src):
+                    heappush(heap, (src[cursors[n]].exponent.coords, n))
+            if not total.is_zero():
+                self._cache.append(Term(t.exponent, total))
+        if w is not None:
+            self._known = w
 
 
-def _merge(xs: list[Term], ys: list[Term], strict_bound) -> list[Term]:
-    out: list[Term] = []
-    i = j = 0
-    while i < len(xs) or j < len(ys):
-        if j >= len(ys) or (i < len(xs) and xs[i].exponent < ys[j].exponent):
-            t = xs[i]
-            i += 1
-        elif i >= len(xs) or ys[j].exponent < xs[i].exponent:
-            t = ys[j]
-            j += 1
-        else:
-            s = xs[i].coefficient + ys[j].coefficient
-            e = xs[i].exponent
-            i += 1
-            j += 1
-            if s.is_zero():
-                continue
-            t = Term(e, s)
-        if strict_bound is not None and not t.exponent < strict_bound:
-            break
-        out.append(t)
-    return out
+class _Pairs:
+    """State of an online product: one cursor per left term into the right terms.
+
+    Left term i pairs with right terms in order; its next pair waits in a
+    heap keyed by exponent.  Left term i+1 joins once the pair (i, 0) is
+    settled, since no earlier pair of it can be smaller.  A cursor that has
+    reached the end of the right cache waits in ``stuck`` until the right
+    cache grows; all stuck cursors point at the same right index.
+    """
+
+    def __init__(self):
+        self.cursors: list[int] = []
+        self.heap: list = []  # (exponent coords, left index, exponent)
+        self.stuck: list[int] = []
+        self.due = True  # left term len(cursors) may join
+
+    def settle(self, left: list, right: list, out: list, stop, fuel: Optional[Fuel] = None):
+        """Append to ``out`` the product terms below ``stop`` (every term when None).
+
+        ``right`` may be ``out`` itself, provided each product term lies
+        strictly above the right terms it is made of.  With ``fuel``, each
+        settled exponent costs one unit.  Returns the bound below which the
+        product is settled.
+        """
+        cursors, heap, stuck = self.cursors, self.heap, self.stuck
+
+        def ready(i: int) -> None:
+            j = cursors[i]
+            if j < len(right):
+                e = left[i].exponent + right[j].exponent
+                heappush(heap, (e.coords, i, e))
+            else:
+                stuck.append(i)
+
+        while True:
+            if self.due and len(cursors) < len(left):
+                cursors.append(0)
+                self.due = False
+                ready(len(cursors) - 1)
+            if stuck and cursors[stuck[0]] < len(right):
+                waiting = stuck[:]
+                stuck.clear()
+                for i in waiting:
+                    ready(i)
+            if not heap or (stop is not None and not heap[0][0] < stop.coords):
+                return stop
+            if fuel is not None and not fuel.spend():
+                return heap[0][2]
+            key, _, e = heap[0]
+            total = None
+            while heap and heap[0][0] == key:
+                _, i, _ = heappop(heap)
+                j = cursors[i]
+                c = left[i].coefficient * right[j].coefficient
+                total = c if total is None else total + c
+                cursors[i] = j + 1
+                self.due = self.due or j == 0
+                ready(i)
+            if not total.is_zero():
+                out.append(Term(e, total))
 
 
 class _Mul(Series):
+    """Online product: each pull settles only the pairs below the new bound."""
+
     def __init__(self, x: Series, y: Series):
         x._check(y)
-        floor = None
-        if x.floor is not None and y.floor is not None:
-            floor = x.floor + y.floor
+        floor = None if x.floor is None or y.floor is None else x.floor + y.floor
         super().__init__(x.field, floor)
         self.x = x
         self.y = y
+        self._pairs = _Pairs()
 
     def _expand(self, bound, fuel) -> None:
-        if self.x.floor is None or self.y.floor is None:
-            self._exhausted = True
-            return
-        self.x.ensure_below(bound - self.y.floor, fuel)
-        self.y.ensure_below(bound - self.x.floor, fuel)
-        fx = self.x.first_exponent_bound()
-        fy = self.y.first_exponent_bound()
-        w = _bound_min(
+        x, y = self.x, self.y
+        x.ensure_below(bound - y.floor, fuel)
+        y.ensure_below(bound - x.floor, fuel)
+        self._exhausted = x.exhausted and y.exhausted
+        w = None if self._exhausted else _bound_min(
             bound,
-            _bound_add(self.x.known_bound(), fy),
-            _bound_add(self.y.known_bound(), fx),
+            _bound_add(x.known_bound(), y.first_exponent_bound()),
+            _bound_add(y.known_bound(), x.first_exponent_bound()),
         )
-        self._exhausted = self.x.exhausted and self.y.exhausted
-        strict = None if self._exhausted else w
-        if strict is None and not self._exhausted:
+        if w is None and not self._exhausted:
             return
-        acc: dict[tuple, tuple[GroupElement, FieldElement]] = {}
-        for tx in self.x._cache:
-            for ty in self.y._cache:
-                e = tx.exponent + ty.exponent
-                if strict is not None and not e < strict:
-                    continue
-                c = tx.coefficient * ty.coefficient
-                key = e.coords
-                if key in acc:
-                    c = acc[key][1] + c
-                acc[key] = (e, c)
-        terms = [Term(e, c) for e, c in acc.values() if not c.is_zero()]
-        terms.sort(key=lambda t: t.exponent.coords)
-        self._cache = terms
-        if not self._exhausted:
+        self._pairs.settle(x._cache, y._cache, self._cache, w)
+        if w is not None:
             self._known = w
 
 
@@ -415,104 +457,62 @@ class _Truncate(Series):
         self.cut = cut
 
     def _expand(self, bound, fuel) -> None:
-        target = min(bound, self.cut)
-        self.child.ensure_below(target, fuel)
-        kb = self.child.known_bound()
-        if self.child.exhausted or _bound_covers(kb, self.cut):
-            self._cache = [t for t in self.child._cache if t.exponent < self.cut]
+        child = self.child
+        child.ensure_below(min(bound, self.cut), fuel)
+        kb = child.known_bound()
+        if child.exhausted or (kb is not None and self.cut <= kb):
+            stop = self.cut
             self._exhausted = True
+        elif kb is None:
             return
-        if kb is None:
-            return
-        w = _bound_min(bound, kb)
-        self._cache = [t for t in self.child._cache if t.exponent < min(w, self.cut)]
-        self._known = w
+        else:
+            self._known = _bound_min(bound, kb)
+            stop = min(self._known, self.cut)
+        src, k = child._cache, len(self._cache)
+        while k < len(src) and src[k].exponent < stop:
+            self._cache.append(src[k])
+            k += 1
 
 
 class _Invert(Series):
-    """Geometric expansion 1/x = c0^-1 t^-g0 * sum_k (-u)^k with v(u) > 0."""
+    """1/x as the fixed point y = m + u*y over its own prefix (module docstring)."""
 
-    def __init__(self, x: Series, lead: Term):
+    def __init__(self, x: Series):
+        lead = x._cache[0]
         super().__init__(x.field, -lead.exponent)
         self.x = x
-        self.lead = lead
-        inv_coeff = lead.coefficient.invert()
-        # u = x / (c0 t^g0) - 1; exponents of u are strictly positive
-        normalized = _Map(x, -lead.exponent, inv_coeff)
-        self.u = _Add(normalized, _Leaf(x.field, (Term(x.field.group.zero(), -x.field.coeff.one()),)))
-        self.inv_scale = inv_coeff
-        self._neg_u: Optional[Series] = None
-        self._powers: list[Series] = []
+        inverse = lead.coefficient.invert()
+        self._scale = -inverse  # u_i = -x_i / c, shifted by -g
+        self._back = self.floor + self.floor  # x below b + 2g gives u*y below b
+        self._u: list[Term] = []
+        self._pairs = _Pairs()
+        self._cache.append(Term(self.floor, inverse))
 
     def _expand(self, bound, fuel) -> None:
-        g0 = self.lead.exponent
-        target = bound + g0  # bound for the geometric sum
-        self.u.ensure_below(target, fuel)
-        if not self.u._cache:
-            mono = Term(-g0, self.inv_scale)
-            if self.u.exhausted:
-                # x is exactly its leading monomial
-                self._cache = [mono]
-                self._exhausted = True
-                return
-            kb = self.u.known_bound()
-            if kb is None:
-                return
-            self._cache = [mono]
-            self._known = _bound_min(bound, kb - g0)
+        x = self.x
+        x.ensure_below(bound - self._back, fuel)
+        if x.exhausted and len(x._cache) == 1:
+            self._exhausted = True  # x is exactly its leading monomial
             return
-        delta = self.u._cache[0].exponent
-        if not self.field.group.zero() < delta:
-            raise LeadingTermUnknown("inverse correction has non-positive valuation")
-        if self._neg_u is None:
-            self._neg_u = _Map(self.u, self.field.group.zero(), -self.field.coeff.one())
-        # activate powers (-u)^k while k*delta stays below the target;
-        # binary splitting keeps the node depth logarithmic
-        tail_floor = delta.scale(len(self._powers) + 1)
-        while tail_floor < target:
-            if not fuel.spend(4):
-                break
-            k = len(self._powers) + 1
-            if k == 1:
-                self._powers.append(self._neg_u)
-            else:
-                a, b = k // 2, k - k // 2
-                self._powers.append(_Mul(self._powers[a - 1], self._powers[b - 1]))
-            tail_floor = delta.scale(len(self._powers) + 1)
-        acc = _balanced_sum(self.field, [self.field.one()] + list(self._powers))
-        acc.ensure_below(target, fuel)
-        w = _bound_min(target, acc.known_bound(), tail_floor)
-        if w is None:
+        stop = bound if x.exhausted else _bound_min(bound, _bound_add(x.known_bound(), self._back))
+        if stop is None:
             return
-        known = w - g0
-        # the sum tree is rebuilt per call: never regress recorded knowledge
-        if self._known is not None and not self._known < known:
-            return
-        self._cache = [
-            Term(t.exponent - g0, t.coefficient * self.inv_scale)
-            for t in acc._cache
-            if t.exponent < w
-        ]
-        self._known = known
-
-
-def _balanced_sum(field: SeriesField, nodes: list) -> Series:
-    if not nodes:
-        return field.zero()
-    while len(nodes) > 1:
-        nodes = [
-            _Add(nodes[i], nodes[i + 1]) if i + 1 < len(nodes) else nodes[i]
-            for i in range(0, len(nodes), 2)
-        ]
-    return nodes[0]
+        self._u.extend(
+            Term(t.exponent + self.floor, t.coefficient * self._scale)
+            for t in x._cache[len(self._u) + 1:]
+        )
+        self._known = self._pairs.settle(self._u, self._cache, self._cache, stop, fuel)
 
 
 def add(x: Series, y: Series) -> Series:
-    return _Add(x, y)
+    return _Sum([x, y])
 
 
 def sum_series(field: SeriesField, terms: Iterable[Series]) -> Series:
-    return _balanced_sum(field, list(terms))
+    parts = list(terms)
+    if len(parts) < 2:
+        return parts[0] if parts else field.zero()
+    return _Sum(parts)
 
 
 def negate(x: Series) -> Series:
@@ -520,7 +520,7 @@ def negate(x: Series) -> Series:
 
 
 def subtract(x: Series, y: Series) -> Series:
-    return _Add(x, negate(y))
+    return _Sum([x, negate(y)])
 
 
 def multiply(x: Series, y: Series) -> Series:
@@ -605,7 +605,7 @@ def invert(x: Series, prec: Precision) -> Series:
         raise LeadingTermUnknown(
             f"no leading term witnessed below the ceiling {prec.ceiling}"
         )
-    return _Invert(x, lead)
+    return _Invert(x)
 
 
 def residue_ratio(a: Series, b: Series, prec: Precision) -> FieldElement:

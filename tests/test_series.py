@@ -278,3 +278,156 @@ def test_lex_inversion_roundtrip():
         fuel = prec.fuel()
         diff.ensure_below(bound, fuel)
         assert not diff.terms_below(bound)
+
+
+# the online kernel: resumable pulls, fuel and work counts
+
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+from ultragram.groups import GroupElement
+from ultragram.series import Fuel, scale, sum_series
+
+Q = OrderedGroup.rationals()
+LEX = OrderedGroup.lex(2)
+# (group, exponent coordinates of random terms, bound of the comparison);
+# below each bound every node here has finitely many terms
+AMBIENTS = {
+    "Z": (Z, st.integers(0, 6).map(lambda e: (e,)), Z.element(12)),
+    "Q": (Q, st.builds(Fraction, st.integers(0, 12), st.integers(1, 3)).map(lambda e: (e,)), Q.element(4)),
+    "Z^2_lex": (LEX, st.tuples(st.integers(0, 1), st.integers(0, 5)), LEX.element(0, 10)),
+}
+NODES = ("sum", "product", "map", "truncate", "inverse")
+
+
+def _build(kind, field, a, b, unit):
+    """A fresh node of ``kind`` over two finite series, geometric pieces and an inverse."""
+    g = geometric(field)
+    if kind == "sum":
+        return sum_series(field, [a, g, negate(b)])
+    if kind == "product":
+        return multiply(add(a, g), add(b, g))
+    if kind == "map":
+        return scale(multiply(field.monomial(unit), add(a, g)), 2)
+    if kind == "truncate":
+        return truncate(add(a, g), unit.scale(5))
+    # 1 + t*(a + b + geometric) has lead 1 and an infinite tail
+    prec = Precision(unit.scale(64), max_terms=8)
+    return invert(add(field.one(), multiply(field.monomial(unit), sum_series(field, [a, b, g]))), prec)
+
+
+def _state(s, bound):
+    return [(t.exponent, t.coefficient) for t in s.witnessed_terms()], s.complete_for(bound), s.exhausted
+
+
+@st.composite
+def node_cases(draw):
+    name = draw(st.sampled_from(sorted(AMBIENTS)))
+    group, coords, bound = AMBIENTS[name]
+    field = SeriesField(group, F5)
+    terms = st.lists(st.tuples(coords, st.integers(1, 4)), max_size=4)
+    a, b = draw(terms), draw(terms)
+    steps = sorted(draw(st.lists(st.sampled_from(range(1, 12)), max_size=4)))
+    return field, draw(st.sampled_from(NODES)), a, b, steps, bound, draw(st.integers(1, 4))
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=node_cases())
+def test_stepwise_small_fuel_pulls_match_one_pull(case):
+    field, kind, a, b, steps, bound, fuel_size = case
+    unit = field.group.unit()
+
+    def fresh():
+        return _build(kind, field, field.from_terms(a), field.from_terms(b), unit)
+
+    whole = fresh()
+    assert whole.ensure_below(bound, Fuel(100_000))
+    stepped = fresh()
+    # intermediate bounds first, then the final one, each with fresh small fuel
+    for target in [unit.scale(k) for k in steps if unit.scale(k) < bound] + [bound]:
+        for _ in range(2000):
+            if stepped.ensure_below(target, Fuel(fuel_size)):
+                break
+    assert _state(stepped, bound) == _state(whole, bound)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    terms=st.lists(
+        st.tuples(st.builds(Fraction, st.integers(1, 9), st.integers(1, 4)), st.integers(-3, 3).filter(bool)),
+        min_size=1, max_size=4,
+    ),
+    lead=st.integers(-3, 3).filter(bool),
+    infinite=st.booleans(),
+)
+def test_inverse_times_x_is_one_over_q_exponents(terms, lead, infinite):
+    field = SeriesField(Q, ResidueField.rationals())
+    x = field.from_terms([(Q.element(0), lead)] + [(Q.element(e), c) for e, c in terms])
+    if infinite:
+        x = add(x, multiply(field.monomial(Q.element(Fraction(5, 2))), geometric(field)))
+    prec = Precision(Q.element(4), max_terms=64)
+    assert equal_up_to(multiply(x, invert(x, prec)), field.one(), Q.element(4), prec)
+
+
+@pytest.fixture
+def additions(monkeypatch):
+    """Counts GroupElement additions, the exponent work of every node."""
+    count = [0]
+    plain = GroupElement.__add__
+
+    def counted(self, other):
+        count[0] += 1
+        return plain(self, other)
+
+    monkeypatch.setattr(GroupElement, "__add__", counted)
+    return count
+
+
+def test_small_fuel_inverse_pull_stops_and_resumes(additions):
+    bound = Z.element(64)
+    inv = invert(subtract(L5.one(), L5.monomial(1)), PREC)
+    additions[0] = 0
+    assert not inv.ensure_below(bound, Fuel(8))
+    assert additions[0] < 64  # each unit of fuel buys a bounded amount of work
+    first = inv.witnessed_terms()
+    assert 1 <= len(first) <= 9
+    while not inv.ensure_below(bound, Fuel(8)):
+        pass
+    terms = inv.witnessed_terms()
+    assert terms[: len(first)] == first  # the cache only ever grows
+    assert [t.exponent for t in terms] == [Z.element(e) for e in range(64)]
+    assert all(t.coefficient == F5.one() for t in terms)
+
+
+def test_inverse_of_one_plus_t_geometric_is_linear_work(additions):
+    # 1/(1 + t + t^2 + ...) = 1 - t exactly, so the work must grow with the ceiling only
+    counts = {}
+    for ceiling in (256, 512):
+        x = add(L3.one(), multiply(L3.monomial(1), geometric(L3)))
+        inv = invert(x, Precision(Z.element(ceiling), max_terms=8))
+        additions[0] = 0
+        assert inv.ensure_below(Z.element(ceiling), Fuel(10 * ceiling))
+        counts[ceiling] = additions[0]
+        assert [(t.exponent, t.coefficient) for t in inv.witnessed_terms()] == [
+            (Z.element(0), F3.one()), (Z.element(1), F3.element(2))
+        ]
+    assert counts[512] <= 6 * 512
+    assert counts[512] <= 2.2 * counts[256]
+
+
+def test_stepwise_product_pulls_cost_at_most_twice_one_pull(additions):
+    ceiling = 128
+    work = []
+    for step in (ceiling, 16):
+        g = geometric(L3)
+        square = multiply(g, g)
+        additions[0] = 0
+        for bound in range(step, ceiling + 1, step):
+            assert square.ensure_below(Z.element(bound), Fuel(10_000))
+        work.append(additions[0])
+        # (sum t^i)^2 = sum (i+1) t^i
+        assert [t.coefficient for t in square.terms_below(Z.element(ceiling))] == [
+            F3.element(i + 1) for i in range(ceiling) if (i + 1) % 3
+        ]
+    assert work[1] <= 2 * work[0]

@@ -186,8 +186,60 @@ def _parse_coefficient(spec, field: ResidueField) -> FieldElement:
     raise ParseError(f"cannot parse function-field coefficient {spec!r}")
 
 
+class FormulaError(ScenarioError):
+    """An exponent formula has no bounded integer value at some i."""
+
+
+MAX_FORMULA_LENGTH = 200  # keeps the formula's syntax tree shallow
+MAX_POWER_BITS = 4096  # largest result of ^ in an exponent formula
+
+
+def _power(base: int, exponent: int) -> int:
+    if exponent < 0:
+        raise FormulaError(f"negative exponent in {base}^{exponent}")
+    if max(abs(base).bit_length(), 1) * exponent > MAX_POWER_BITS:
+        raise FormulaError(f"{base}^{exponent} has more than {MAX_POWER_BITS} bits")
+    return base**exponent
+
+
+_FORMULA_OPS = {
+    ast.Add: lambda a, b: a + b,
+    ast.Sub: lambda a, b: a - b,
+    ast.Mult: lambda a, b: a * b,
+    ast.FloorDiv: lambda a, b: a // b,
+    ast.Pow: _power,
+}
+
+
+def _formula_value(node: ast.AST, i: Optional[int]) -> Optional[int]:
+    """The value of a checked formula tree at i; None when i is None and the
+    tree uses i.  A ^ whose exponent is known must have a non-negative one."""
+    if isinstance(node, ast.Constant):
+        return node.value
+    if isinstance(node, ast.Name):
+        return i
+    if isinstance(node, ast.UnaryOp):
+        value = _formula_value(node.operand, i)
+        return None if value is None else -value
+    left = _formula_value(node.left, i)
+    right = _formula_value(node.right, i)
+    if isinstance(node.op, ast.Pow) and right is not None and right < 0:
+        raise FormulaError(f"negative exponent {right} after ^")
+    if left is None or right is None:
+        return None
+    return _FORMULA_OPS[type(node.op)](left, right)
+
+
 def _compile_formula(expr: str) -> Callable[[int], int]:
-    """Safe strictly-increasing integer formula in the variable i."""
+    """Safe strictly-increasing integer formula in the variable i.
+
+    Parsing folds every part that does not use i, so a constant too large
+    for ^ or a negative constant exponent is a ParseError.  A value that
+    fails later (a division by zero, a negative or oversized ^ at some i)
+    raises FormulaError: at resolve time for i = 0, as a task error after.
+    """
+    if len(expr) > MAX_FORMULA_LENGTH:
+        raise ParseError(f"exponent formula longer than {MAX_FORMULA_LENGTH} characters")
     source = expr.replace("^", "**")
     try:
         tree = ast.parse(source, mode="eval")
@@ -204,8 +256,18 @@ def _compile_formula(expr: str) -> Callable[[int], int]:
             raise ParseError(f"exponent formula may only use 'i', got {node.id!r}")
         if isinstance(node, ast.Constant) and not isinstance(node.value, int):
             raise ParseError("exponent formula constants must be integers")
-    code = compile(tree, "<exponents>", "eval")
-    return lambda i: int(eval(code, {"__builtins__": {}}, {"i": i}))
+    try:
+        _formula_value(tree.body, None)
+    except (FormulaError, ZeroDivisionError) as exc:
+        raise ParseError(f"bad exponent formula {expr!r}: {exc}") from None
+
+    def exponent_of(i: int) -> int:
+        try:
+            return _formula_value(tree.body, i)
+        except (FormulaError, ZeroDivisionError) as exc:
+            raise FormulaError(f"exponent formula {expr!r} at i={i}: {exc}") from None
+
+    return exponent_of
 
 
 # runtime environment resolved from a canonical scenario

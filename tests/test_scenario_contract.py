@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ultragram.cli import main
-from ultragram.scenarios import BUILTINS, TASKS, ScenarioError, scenario_from_dict
+from ultragram.scenarios import BUILTINS, TASKS, ScenarioError, _compile_formula, scenario_from_dict
 
 
 def _set(path, value):
@@ -86,6 +86,50 @@ def test_large_prime_parses_and_verifies_quickly(tmp_path, capsys):
     path.write_text(json.dumps(doc), encoding="utf-8")
     assert main(["run", str(path), "--verify"]) == 0
     assert "2/2 witnesses confirmed" in capsys.readouterr().out
+
+
+def _formula_scenario(formula: str) -> dict:
+    return {
+        "ambient": {"group": {"group": "Z"}, "coefficients": {"field": "Fp", "p": 3}},
+        "base_field": {"kind": "laurent", "t_value": 1},
+        "elements": {"w": {"builder": "custom_powers", "exponents": formula}},
+        "tasks": [{"task": "independence", "family": ["w"]}],
+        "precision": {"ceiling": 16},
+    }
+
+
+@pytest.mark.parametrize("formula", [
+    "i+9^9^9",  # a constant far too large for ^: refused when parsed
+    "i^(0-1)",  # a negative exponent: refused when parsed
+    "i//(i-i)",  # no value at i = 0: refused when the element is built
+    "i^" + "+".join(["i"] * 120),  # longer than any formula needs
+])
+def test_unbounded_formula_exits_1_with_one_error_line(formula, tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(_formula_scenario(formula)), encoding="utf-8")
+    started = time.monotonic()
+    assert main(["run", str(path)]) == 1
+    assert time.monotonic() - started < 5.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_formula_failing_at_pull_time_is_a_task_error(tmp_path, capsys):
+    # 0, 1, then a division by zero at i = 2, met while the task pulls terms
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(_formula_scenario("i^2//(2-i)")), encoding="utf-8")
+    assert main(["run", str(path), "--format", "structured"]) == 0
+    task = json.loads(capsys.readouterr().out)["tasks"][0]
+    assert task["error"]["type"] == "FormulaError"
+    assert "at i=2" in task["error"]["message"]
+
+
+def test_formula_values_are_exact_integers():
+    assert [_compile_formula("2^i - i//2")(i) for i in range(5)] == [1, 2, 3, 7, 14]
+    with pytest.raises(ScenarioError):
+        _compile_formula("2^(i-2)")(1)  # a negative power is refused, not truncated
 
 
 def test_unreadable_scenario_path_exits_1(tmp_path, capsys):

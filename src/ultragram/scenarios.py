@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import ast
 import json
+import operator
 import random
 import time
 from collections import namedtuple
@@ -195,19 +196,14 @@ MAX_POWER_BITS = 4096  # largest result of ^ in an exponent formula
 
 
 def _power(base: int, exponent: int) -> int:
-    if exponent < 0:
-        raise FormulaError(f"negative exponent in {base}^{exponent}")
     if max(abs(base).bit_length(), 1) * exponent > MAX_POWER_BITS:
         raise FormulaError(f"{base}^{exponent} has more than {MAX_POWER_BITS} bits")
     return base**exponent
 
 
 _FORMULA_OPS = {
-    ast.Add: lambda a, b: a + b,
-    ast.Sub: lambda a, b: a - b,
-    ast.Mult: lambda a, b: a * b,
-    ast.FloorDiv: lambda a, b: a // b,
-    ast.Pow: _power,
+    ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+    ast.FloorDiv: operator.floordiv, ast.Pow: _power,
 }
 
 

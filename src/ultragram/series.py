@@ -15,18 +15,16 @@ series is identically zero).  The floor is what makes lazy multiplication
 and inversion well-founded.
 
 The nodes are online (J. van der Hoeven, "Relax, but don't be too lazy",
-J. Symbolic Comput. 34(6), 2002).  Caches are append-only and each pull
-resumes from cursors saved by the last one, so pulling in small steps costs
-about what one pull to the last bound costs.  A map maps only child terms
-it has not seen; a sum merges its children with a heap, one cursor per
-child.  A product keeps one cursor per left term into the right cache and a
-heap of each left term's next pair, and forms only pairs below the bound.
-The inverse of x with lead c*t^g is the fixed point y = m + u*y, where
-m = c^-1 t^-g and u = -m*(x - c*t^g) has v(u) > 0: every term of u*y lies
-above the terms of y it uses, so the product's right cursors run over y's
-own growing prefix, iteratively.
+J. Symbolic Comput. 34(6), 2002): caches are append-only and each pull
+resumes from cursors saved by the last, so small steps cost about what one
+pull to the last bound costs.  A map maps only new child terms; a sum
+heap-merges its children, one cursor each; a product keeps one cursor per
+left term into the right cache and forms only pairs below the bound.  The
+inverse of x with lead c*t^g is the fixed point y = m + u*y, m = c^-1 t^-g,
+u = -m*(x - c*t^g): v(u) > 0, so each term of u*y lies above the terms of
+y it uses and the product's right cursors run over y's own prefix.
 
-Fuel: a stream spends one unit per pulled term and an inverse one unit per
+Fuel: a stream spends one unit per pulled term and an inverse one per
 exponent it settles, zero or not.  No other node makes terms its children
 do not bound, so every pull ends; one that runs out of fuel leaves a
 consistent prefix, and the next pull resumes it.
@@ -305,10 +303,10 @@ class _Map(Series):
         child = self.child
         child.ensure_below(bound - self.shift, fuel)
         # term i of this cache is term i of the child's: map only the new ones
-        self._cache.extend(
+        self._cache += [
             Term(t.exponent + self.shift, t.coefficient * self.scale)
             for t in child._cache[len(self._cache):]
-        )
+        ]
         self._exhausted = child.exhausted
         kb = child.known_bound()
         if kb is not None and kb is not _INF:
@@ -334,25 +332,28 @@ class _Sum(Series):
         w = None if self._exhausted else _bound_min(bound, *(c.known_bound() for c in children))
         if w is None and not self._exhausted:
             return
-        heap = [
-            (c._cache[k].exponent.coords, n)
-            for n, (c, k) in enumerate(zip(children, cursors))
-            if k < len(c._cache)
-        ]
+        heap = [(c._cache[k].exponent.coords, n) for n, (c, k) in enumerate(zip(children, cursors))
+                if k < len(c._cache)]
         heapify(heap)
-        while heap and (w is None or heap[0][0] < w.coords):
+
+        def take(n: int) -> Term:
+            src, k = children[n]._cache, cursors[n]
+            cursors[n] = k + 1
+            if k + 1 < len(src):
+                heappush(heap, (src[k + 1].exponent.coords, n))
+            return src[k]
+
+        stop = None if w is None else w.coords
+        while heap and (stop is None or heap[0][0] < stop):
             key = heap[0][0]
-            total = None
-            while heap and heap[0][0] == key:
-                _, n = heappop(heap)
-                src = children[n]._cache
-                t = src[cursors[n]]
-                total = t.coefficient if total is None else total + t.coefficient
-                cursors[n] += 1
-                if cursors[n] < len(src):
-                    heappush(heap, (src[cursors[n]].exponent.coords, n))
-            if not total.is_zero():
-                self._cache.append(Term(t.exponent, total))
+            t = take(heappop(heap)[1])
+            if heap and heap[0][0] == key:  # equal exponents: add the coefficients
+                total = t.coefficient
+                while heap and heap[0][0] == key:
+                    total = total + take(heappop(heap)[1]).coefficient
+                t = None if total.is_zero() else Term(t.exponent, total)
+            if t is not None:
+                self._cache.append(t)
         if w is not None:
             self._known = w
 
@@ -360,11 +361,10 @@ class _Sum(Series):
 class _Pairs:
     """State of an online product: one cursor per left term into the right terms.
 
-    Left term i pairs with right terms in order; its next pair waits in a
-    heap keyed by exponent.  Left term i+1 joins once the pair (i, 0) is
-    settled, since no earlier pair of it can be smaller.  A cursor that has
-    reached the end of the right cache waits in ``stuck`` until the right
-    cache grows; all stuck cursors point at the same right index.
+    Each left term's next pair waits in a heap keyed by exponent; left term
+    i+1 joins once the pair (i, 0) is settled, as none of its pairs is
+    smaller.  A cursor at the end of the right cache waits in ``stuck``
+    until that cache grows; all stuck cursors share one right index.
     """
 
     def __init__(self):

@@ -2,7 +2,13 @@
 
 Three kinds are supported: the integer line Z, the rational line Q, and
 lexicographic products Z^n (most significant coordinate first).  Elements
-carry exact rational coordinates; there is no floating point anywhere.
+of Z and Z^n carry plain ``int`` coordinates and elements of Q carry
+``Fraction`` ones; there is no floating point anywhere.  Series exponents
+are group elements, so their keys compare as int tuples in C on Z and Z^n.
+An ``int`` has ``numerator`` and ``denominator`` like a ``Fraction``, and
+``3 == Fraction(3)`` with equal hashes, so the key and reduction code below
+serves both, and an element built directly with integral ``Fraction``
+coordinates still equals its int twin.
 
 A finitely generated subgroup H lies in (1/D)Z^n, where D clears the
 denominators of its generators.  Each ``Subgroup`` brings D*H to Hermite
@@ -82,19 +88,23 @@ class OrderedGroup:
         if len(coords) != self.rank:
             raise ValueError(f"expected {self.rank} coordinates, got {len(coords)}")
         exact = tuple(Fraction(c) for c in coords)
-        if self.kind in (GroupKind.INTEGER_LINE, GroupKind.LEX_PRODUCT):
-            for c in exact:
-                if c.denominator != 1:
-                    raise ValueError(f"{self.kind.value} requires integer coordinates, got {c}")
-        return GroupElement(self, exact)
+        if self.kind is GroupKind.RATIONAL_LINE:
+            return GroupElement(self, exact)
+        for c in exact:
+            if c.denominator != 1:
+                raise ValueError(f"{self.kind.value} requires integer coordinates, got {c}")
+        return GroupElement(self, tuple(int(c) for c in exact))
+
+    def _coordinate(self, n: int) -> Union[int, Fraction]:
+        return Fraction(n) if self.kind is GroupKind.RATIONAL_LINE else n
 
     def zero(self) -> "GroupElement":
-        return GroupElement(self, (Fraction(0),) * self.rank)
+        return GroupElement(self, (self._coordinate(0),) * self.rank)
 
     def unit(self, axis: int = -1) -> "GroupElement":
         """The standard generator along ``axis`` (least significant by default)."""
-        coords = [Fraction(0)] * self.rank
-        coords[axis] = Fraction(1)
+        coords = [self._coordinate(0)] * self.rank
+        coords[axis] = self._coordinate(1)
         return GroupElement(self, tuple(coords))
 
     def describe(self) -> dict:
@@ -109,7 +119,7 @@ class GroupElement:
     coords: tuple
 
     def _check(self, other: "GroupElement") -> None:
-        if self.group != other.group:
+        if self.group is not other.group and self.group != other.group:
             raise MismatchedGroups(f"{self.group.describe()} vs {other.group.describe()}")
 
     def __add__(self, other: "GroupElement") -> "GroupElement":
@@ -286,10 +296,7 @@ class Subgroup:
     def lattice_basis(self) -> list[GroupElement]:
         """The Hermite basis of the subgroup, most significant pivot first."""
         scale, rows, _, _ = self._basis
-        return [
-            GroupElement(self.ambient, tuple(Fraction(c, scale) for c in row))
-            for row in rows
-        ]
+        return [self.ambient.element([Fraction(c, scale) for c in row]) for row in rows]
 
 
 def coset_equal(g: GroupElement, h: GroupElement, subgroup: Subgroup) -> bool:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Union
 
 from .groups import GroupElement
 from .series import Precision, Series
@@ -23,8 +23,8 @@ from .spaces import NearestPointResult
 SCHEMA = "ultragram/1"
 
 
-def rational_str(value: Fraction) -> str:
-    return str(Fraction(value))
+def rational_str(value: Union[int, Fraction]) -> str:
+    return str(value)
 
 
 def exponent_json(g: GroupElement) -> list:

@@ -200,7 +200,7 @@ class FieldElement:
     rep: object
 
     def _check(self, other: "FieldElement") -> None:
-        if self.field != other.field:
+        if self.field is not other.field and self.field != other.field:
             raise MismatchedFields(f"{self.field.describe()} vs {other.field.describe()}")
 
     def is_zero(self) -> bool:

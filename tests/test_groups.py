@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ultragram.groups import (
+    GroupElement,
     MismatchedGroups,
     NotASubgroup,
     OrderedGroup,
@@ -298,3 +299,41 @@ def test_index_against_sympy_snf():
         (rank_h, det_h), (rank_g, det_g) = invariant_product(sub_vectors), invariant_product(group_vectors)
         expected = det_h // det_g if rank_h == rank_g else None
         assert subgroup_index(H, G) == expected
+
+
+# coordinate types: Z and Z^n_lex keep plain ints, Q keeps Fractions, so
+# exponent keys compare as int tuples; mixed inputs still meet as equals
+
+small_ints = st.integers(-50, 50)
+integral_inputs = st.one_of(
+    small_ints,
+    small_ints.map(Fraction),
+    st.builds(lambda n, d: f"{n * d}/{d}", small_ints, st.integers(1, 5)),
+)
+
+
+@st.composite
+def coordinate_cases(draw):
+    group = draw(st.sampled_from([Z, L2, Q]))
+    coords = rationals if group is Q else integral_inputs
+    points = [group.element(*draw(st.tuples(*[coords] * group.rank))) for _ in range(3)]
+    return group, points, draw(st.integers(-1, group.rank - 1)), draw(st.integers(-6, 6))
+
+
+@given(coordinate_cases())
+def test_coordinates_are_ints_on_integer_groups(case):
+    group, (a, b, c), axis, k = case
+    produced = [a, b, c, group.zero(), group.unit(), group.unit(axis), a + b, a - c, -b, c.scale(k)]
+    produced += Subgroup.spanned_by(group, [a, b, c]).lattice_basis()
+    expected = Fraction if group is Q else int
+    assert all(type(x) is expected for g in produced for x in g.coords)
+
+
+@given(st.sampled_from([Z, L2]), st.lists(small_ints, min_size=2, max_size=2))
+def test_fraction_coordinates_meet_their_int_twins(group, values):
+    values = values[: group.rank]
+    twin = GroupElement(group, tuple(Fraction(v) for v in values))
+    g = group.element(*values)
+    assert twin == g and hash(twin) == hash(g)
+    H = Subgroup.spanned_by(group, [group.element(*[3] * group.rank)])
+    assert H.coset_key(twin) == H.coset_key(g)

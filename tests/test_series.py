@@ -431,3 +431,36 @@ def test_stepwise_product_pulls_cost_at_most_twice_one_pull(additions):
             F3.element(i + 1) for i in range(ceiling) if (i + 1) % 3
         ]
     assert work[1] <= 2 * work[0]
+
+
+def _count_fractions(monkeypatch):
+    """Counts every Fraction built from now on, including arithmetic results
+    on Pythons whose Fraction arithmetic bypasses ``__new__``."""
+    count = [0]
+
+    def counting(original):
+        def counted(*args, **kwargs):
+            count[0] += 1
+            return original(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(Fraction, "__new__", counting(Fraction.__new__))
+    if hasattr(Fraction, "_from_coprime_ints"):
+        direct = counting(Fraction._from_coprime_ints.__func__)
+        monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(direct))
+    return count
+
+
+def test_integer_exponent_pulls_build_no_fractions(monkeypatch):
+    # Z.element builds a Fraction to check its input, so ceilings and nodes come first
+    inverse_ceiling, square_ceiling = Z.element(256), Z.element(128)
+    x = add(L3.one(), multiply(L3.monomial(1), geometric(L3)))
+    inv = invert(x, Precision(inverse_ceiling, max_terms=8))
+    g = geometric(L3)
+    square = multiply(g, g)
+    built = _count_fractions(monkeypatch)
+    assert inv.ensure_below(inverse_ceiling, Fuel(2560))
+    assert square.ensure_below(square_ceiling, Fuel(10_000))
+    assert built[0] == 0
+    for s in (x, inv, g, square):
+        assert all(type(c) is int for t in s.witnessed_terms() for c in t.exponent.coords)

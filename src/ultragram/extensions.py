@@ -42,11 +42,11 @@ from .spaces import (
     _strictly_above,
     adjoin,
     check_normalized,
+    classify,
     is_valuation_independent,
     make_family,
     nearest_point,
     orthogonalize,
-    value_classes,
 )
 
 
@@ -118,7 +118,8 @@ def ramification_and_residue(
     check = check_normalized(basis, prec)
     if not check.ok:
         raise NotNormalized(f"ramification data needs a normalized basis ({check.condition})")
-    leads, classes = value_classes(basis.elements, K.value_subgroup, prec)
+    record = classify(basis, prec)  # the record check_normalized just read
+    leads, classes = record.leads, record.classes
     values = [t.exponent for t in leads]
     zero = K.ambient.group.zero()
     one_kv = K.residue_field.one()

@@ -6,6 +6,11 @@ value per class, and tested for Kv-linear independence of the residue
 profile.  The same class/residue machinery drives the greedy nearest-point
 reduction, whose residuals feed the orthogonalization loop.
 
+A family keeps its class pass (``classify``: witnessed leads, coset-keyed
+classes, classes known Kv-independent) and certificate for reuse on the same
+object under an equal Precision.  One-member classes need no elimination,
+``normalize`` keeps unit-scaled elements, ``adjoin`` ranks only the joined class.
+
 Verdicts are three-valued.  Statements quantified over an infinite
 subspace can only be refuted or evidenced at finite precision, so
 unbounded reductions return strictly increasing value chains as evidence,
@@ -18,13 +23,12 @@ from dataclasses import dataclass, field as dataclass_field
 from enum import Enum
 from typing import Optional, Sequence
 
-from .groups import GroupElement, Subgroup
+from .groups import GroupElement
 from .presentations import SubfieldPresentation
 from .residues import ResidueProfile, rank_over_subfield, solve_over_subfield
 from .series import (
     Precision,
     Series,
-    Term,
     Valuation,
     add,
     invert,
@@ -61,6 +65,16 @@ class ProbeInK(ValueError):
 
 
 @dataclass
+class Classification:
+    """A family's class pass under one Precision, with the keys of its Kv-independent classes."""
+
+    precision: Precision
+    leads: list
+    classes: dict
+    independent: set = dataclass_field(default_factory=set)
+
+
+@dataclass
 class VectorFamily:
     """A finite ordered family of nonzero series over a presentation.
 
@@ -73,6 +87,7 @@ class VectorFamily:
     relative_to: Optional["VectorFamily"] = None
     certificate: Optional["IndependenceVerdict"] = None
     scalings: Optional[tuple] = None
+    classification: Optional[Classification] = dataclass_field(default=None, repr=False, compare=False)
 
     @property
     def is_certified(self) -> bool:
@@ -112,29 +127,45 @@ class IndependenceVerdict:
     scalings: Optional[list] = None    # the N1 K-scalars, for Independent verdicts
     witness: Optional[DependenceWitness] = None
     precision_note: Optional[str] = None
+    precision: Optional[Precision] = None  # what an Independent certificate was made under
 
 
-def value_classes(elements: Sequence[Series], vk: Subgroup, prec: Precision) -> tuple[list[Term], dict]:
+def classify(family: VectorFamily, prec: Precision) -> Classification:
     """Witnessed leading terms, and element indices grouped by the coset key
-    of their value modulo vK, classes in order of first index."""
+    of their value modulo vK, classes in order of first index.  The record
+    is kept on the family and reused under an equal Precision."""
+    record = family.classification
+    if record is not None and record.precision == prec:
+        return record
+    vk = family.over.value_subgroup
     leads = []
     classes: dict[tuple, list[int]] = {}
-    for i, x in enumerate(elements):
+    for i, x in enumerate(family.elements):
         t = leading_term(x, prec)
         if t is None:
-            raise ZeroElementInFamily(
-                f"element {i} has no witnessed term below {prec.ceiling}"
-            )
+            raise ZeroElementInFamily(f"element {i} has no witnessed term below {prec.ceiling}")
         leads.append(t)
         classes.setdefault(vk.coset_key(t.exponent), []).append(i)
-    return leads, classes
+    family.classification = Classification(prec, leads, classes)
+    return family.classification
 
 
-def _class_kernel(K: SubfieldPresentation, leads: Sequence[Term], cls: Sequence[int]) -> Optional[list]:
-    """A Kv-kernel vector of the class's residue profile res(a_i/a_first),
-    None when the profile is Kv-independent."""
+def _certificate(family: VectorFamily, prec: Precision) -> IndependenceVerdict:
+    """The family's certificate when it was made under ``prec``, else a fresh verdict."""
+    cert = family.certificate
+    return cert if cert is not None and cert.precision == prec else is_valuation_independent(family, prec)
+
+
+def _class_kernel(K: SubfieldPresentation, record: Classification, key: tuple) -> Optional[list]:
+    """A Kv-kernel vector of the class's residue profile res(a_i/a_first), None when
+    it is Kv-independent (kept in the record); a one-member profile is [1]."""
+    cls, leads = record.classes[key], record.leads
+    if key in record.independent or len(cls) == 1:
+        return None
     profile = [leads[i].coefficient / leads[cls[0]].coefficient for i in cls]
     rank, kernel = rank_over_subfield(profile, K.residue_field, K.ambient.coeff)
+    if rank == len(cls):
+        record.independent.add(key)
     return kernel[0] if rank < len(cls) else None
 
 
@@ -156,33 +187,27 @@ def is_valuation_independent(family: VectorFamily, prec: Precision) -> Independe
     if family.relative_to is not None:
         return is_valuation_independent_over(family, family.relative_to, prec)
     K = family.over
-    leads, classes = value_classes(family.elements, K.value_subgroup, prec)
+    record = classify(family, prec)
+    leads = record.leads
     scalings: list = [None] * len(leads)
-    for cls in classes.values():
+    for key, cls in record.classes.items():
         gamma_ref = leads[cls[0]].exponent
         for i in cls:
             scalings[i] = K.monomial_section(gamma_ref - leads[i].exponent)
-        kappa = _class_kernel(K, leads, cls)
+        kappa = _class_kernel(K, record, key)
         if kappa is None:
             continue
         coefficients = [K.ambient.zero()] * len(leads)
         for pos, i in enumerate(cls):
             if not kappa[pos].is_zero():
-                coefficients[i] = K.ambient.monomial(
-                    gamma_ref - leads[i].exponent, K.embed_residue(kappa[pos])
-                )
+                coefficients[i] = K.ambient.monomial(gamma_ref - leads[i].exponent, K.embed_residue(kappa[pos]))
         achieved = valuation(_combination(K, coefficients, family.elements), prec)
         if not _strictly_above(achieved, gamma_ref):
-            return IndependenceVerdict(
-                VerdictKind.INCONCLUSIVE,
-                precision_note=(
-                    "kernel witness could not be re-evaluated above "
-                    f"{gamma_ref} within the precision budget"
-                ),
-            )
+            note = f"kernel witness could not be re-evaluated above {gamma_ref} within the precision budget"
+            return IndependenceVerdict(VerdictKind.INCONCLUSIVE, precision_note=note)
         witness = DependenceWitness(coefficients, gamma_ref, achieved)
         return IndependenceVerdict(VerdictKind.DEPENDENT, witness=witness)
-    verdict = IndependenceVerdict(VerdictKind.INDEPENDENT, scalings=scalings)
+    verdict = IndependenceVerdict(VerdictKind.INDEPENDENT, scalings=scalings, precision=prec)
     family.certificate = verdict
     return verdict
 
@@ -211,7 +236,7 @@ def is_valuation_independent_over(
     combined = make_family(family.over, tuple(w_basis.elements) + tuple(family.elements))
     verdict = is_valuation_independent(combined, prec)
     if verdict.kind is VerdictKind.INDEPENDENT:
-        out = IndependenceVerdict(VerdictKind.INDEPENDENT, scalings=verdict.scalings[m:])
+        out = IndependenceVerdict(VerdictKind.INDEPENDENT, scalings=verdict.scalings[m:], precision=prec)
         family.certificate = out
         if family.relative_to is None:
             family.relative_to = w_basis
@@ -220,9 +245,7 @@ def is_valuation_independent_over(
         w = verdict.witness
         body = w.coefficients[m:]
         if all(_is_zero_coefficient(c) for c in body):
-            raise UncertifiedSubspace(
-                "dependence witness lives entirely inside the certified subspace"
-            )
+            raise UncertifiedSubspace("dependence witness lives entirely inside the certified subspace")
         shift = _combination(family.over, w.coefficients[:m], w_basis.elements)
         witness = DependenceWitness(body, w.min_value, w.achieved, shift)
         return IndependenceVerdict(VerdictKind.DEPENDENT, witness=witness)
@@ -234,14 +257,8 @@ def residue_profile(family: VectorFamily, a: Series, prec: Precision) -> Residue
     ta = leading_term(a, prec)
     if ta is None:
         raise ZeroElementInFamily("profile reference has no witnessed term")
-    entries = []
-    for x in family.elements:
-        tx = leading_term(x, prec)
-        if tx is None:
-            raise ZeroElementInFamily("family element has no witnessed term")
-        if tx.exponent == ta.exponent:
-            entries.append(tx.coefficient / ta.coefficient)
-    return ResidueProfile(tuple(entries))
+    leads = classify(family, prec).leads
+    return ResidueProfile(tuple(t.coefficient / ta.coefficient for t in leads if t.exponent == ta.exponent))
 
 
 # normalization: conditions N1 to N4
@@ -256,19 +273,18 @@ class NormalizationCheck:
 
 def check_normalized(family: VectorFamily, prec: Precision) -> NormalizationCheck:
     K = family.over
-    leads, classes = value_classes(family.elements, K.value_subgroup, prec)
+    record = classify(family, prec)
+    leads, classes = record.leads, record.classes
     # the first class holding two values starts with the least index i of any
     # N1 pair (i, j), so it names the pair the pairwise scan finds first
     for cls in classes.values():
         j = next((j for j in cls if leads[j].exponent != leads[cls[0]].exponent), None)
         if j is not None:
             return NormalizationCheck(False, "N1", {"indices": [cls[0], j]})
-    for cls in classes.values():
-        kappa = _class_kernel(K, leads, cls)
+    for key, cls in classes.items():
+        kappa = _class_kernel(K, record, key)
         if kappa is not None:
-            return NormalizationCheck(
-                False, "N2", {"indices": cls, "kernel": [c.describe() for c in kappa]}
-            )
+            return NormalizationCheck(False, "N2", {"indices": cls, "kernel": [c.describe() for c in kappa]})
     zero = K.ambient.group.zero()
     for i, t in enumerate(leads):
         if K.value_in_subgroup(t.exponent) and t.exponent != zero:
@@ -290,28 +306,34 @@ def normalize(family: VectorFamily, prec: Precision) -> VectorFamily:
     divided away.  Raises NotIndependent when the family is not certified
     independent.
     """
-    verdict = family.certificate or is_valuation_independent(family, prec)
+    verdict = _certificate(family, prec)
     if verdict.kind is not VerdictKind.INDEPENDENT:
         raise NotIndependent(f"cannot normalize a {verdict.kind.value} family")
     K = family.over
-    leads, classes = value_classes(family.elements, K.value_subgroup, prec)
+    record = classify(family, prec)
+    leads = record.leads
     zero = K.ambient.group.zero()
     one = K.residue_field.one()
     scalings: list = [None] * len(leads)
-    for cls in classes.values():
+    out = list(family.elements)
+    kept = set(record.independent)  # classes whose members all stay the same objects
+    for key, cls in record.classes.items():
         gamma_ref = leads[cls[0]].exponent
         if K.value_in_subgroup(gamma_ref):
             gamma_ref = zero
         for i in cls:
             delta = gamma_ref - leads[i].exponent
             scalings[i] = K.monomial_section(delta)
-            if gamma_ref == zero:
-                res = K.restrict_residue(leads[i].coefficient)
-                if res is not None and res != one:
-                    scalings[i] = K.ambient.monomial(delta, K.embed_residue(res.invert()))
-    out = [multiply(s, x) for s, x in zip(scalings, family.elements)]
-    normalized = VectorFamily(tuple(out), K, relative_to=family.relative_to)
-    normalized.scalings = tuple(scalings)
+            res = K.restrict_residue(leads[i].coefficient) if gamma_ref == zero else None
+            if res is not None and res != one:
+                scalings[i] = K.ambient.monomial(delta, K.embed_residue(res.invert()))
+            elif delta == zero:
+                continue
+            out[i] = multiply(scalings[i], out[i])
+            kept.discard(key)
+    normalized = VectorFamily(tuple(out), K, relative_to=family.relative_to, scalings=tuple(scalings))
+    fresh = classify(normalized, prec)  # witnesses the scaled leads
+    fresh.independent |= {key for key in kept if fresh.classes.get(key) == record.classes[key]}
     confirm = is_valuation_independent(normalized, prec)
     if confirm.kind is not VerdictKind.INDEPENDENT:
         raise NotIndependent("normalization lost independence; input certificate was stale")
@@ -356,7 +378,7 @@ def nearest_point(b: Series, w_basis: VectorFamily, prec: Precision) -> NearestP
     precision verdict.
     """
     K = w_basis.over
-    if not w_basis.is_certified:
+    if not w_basis.is_certified or _certificate(w_basis, prec).kind is not VerdictKind.INDEPENDENT:
         raise UncertifiedSubspace("nearest_point needs a certified basis")
     check = check_normalized(w_basis, prec)
     if not check.ok:
@@ -366,16 +388,11 @@ def nearest_point(b: Series, w_basis: VectorFamily, prec: Precision) -> NearestP
     if K.full_field and n >= 1 and initial.is_value:
         quotient = multiply(b, invert(w_basis.elements[0], prec))
         coefficients = [quotient] + [K.ambient.zero()] * (n - 1)
-        return NearestPointResult(
-            NearestKind.EXACT_MEMBER, b, coefficients, initial_value=initial.value
-        )
+        return NearestPointResult(NearestKind.EXACT_MEMBER, b, coefficients, initial_value=initial.value)
 
-    r = b
-    best = K.ambient.zero()
+    r, best = b, K.ambient.zero()
     coeff_terms: list[list] = [[] for _ in range(n)]
-    evidence: list = []
-    approximants: list = []
-    steps: list = []
+    evidence, approximants, steps = [], [], []
 
     def done(kind: NearestKind, value: Optional[GroupElement] = None) -> NearestPointResult:
         return NearestPointResult(
@@ -386,7 +403,8 @@ def nearest_point(b: Series, w_basis: VectorFamily, prec: Precision) -> NearestP
 
     # N1 holds, so every class shares one value
     vk = K.value_subgroup
-    leads, table = value_classes(w_basis.elements, vk, prec)
+    record = classify(w_basis, prec)
+    leads, table = record.leads, record.classes
     while current.is_value:
         gamma = current.value
         cls = table.get(vk.coset_key(gamma))
@@ -402,8 +420,7 @@ def nearest_point(b: Series, w_basis: VectorFamily, prec: Precision) -> NearestP
         )
         if solution is None:
             return done(NearestKind.VALUE, gamma)
-        parts = []
-        kappa_used = []
+        parts, kappa_used = [], []
         for pos, i in enumerate(cls):
             if solution[pos].is_zero():
                 continue
@@ -414,11 +431,7 @@ def nearest_point(b: Series, w_basis: VectorFamily, prec: Precision) -> NearestP
         subtracted = sum_series(K.ambient, parts)
         best = add(best, subtracted)
         r = subtract(r, subtracted)
-        steps.append({
-            "value_killed": gamma,
-            "class_value": common,
-            "kappa": kappa_used,
-        })
+        steps.append({"value_killed": gamma, "class_value": common, "kappa": kappa_used})
         current = valuation(r, prec)
         if current.is_value:
             evidence.append(current.value)
@@ -461,6 +474,12 @@ def adjoin(
     # a reduction that took no step leaves g itself; subtracting zero adds nodes
     residual = subtract(g, reduction.best) if reduction.steps else g
     grown = make_family(basis.over, list(basis.elements) + [residual])
+    lead = leading_term(residual, prec)
+    if lead is not None:  # else the class pass of the check names the element
+        record = classify(basis, prec)
+        key = basis.over.value_subgroup.coset_key(lead.exponent)
+        classes = {**record.classes, key: record.classes.get(key, []) + [len(basis)]}
+        grown.classification = Classification(prec, record.leads + [lead], classes, record.independent - {key})
     if is_valuation_independent(grown, prec).kind is not VerdictKind.INDEPENDENT:
         raise NotIndependent("residual failed the independence check; reduction was incomplete")
     return normalize(grown, prec), None
@@ -568,10 +587,7 @@ def relative_basis(
         adjoined.append(result.adjoined)
         current = result.remaining
     over_original = make_family(basis.over, adjoined, relative_to=basis.relative_to)
-    if basis.relative_to is not None:
-        is_valuation_independent_over(over_original, basis.relative_to, prec)
-    else:
-        is_valuation_independent(over_original, prec)
+    is_valuation_independent(over_original, prec)  # over basis.relative_to when it is set
     return over_original, current
 
 

@@ -210,3 +210,44 @@ def test_elimination_matches_brute_force_span_over_f3(raw_rows, raw_target, widt
     assert (solution is None) == (tuple(target) not in span)
     if solution is not None:
         assert _combine(solution, rows, width) == target
+
+
+# shared constants and the one-member solve of nearest_point
+
+
+@pytest.mark.parametrize("field", [F5, Q, F5s], ids=["Fp", "Q", "Fp(s)"])
+def test_one_and_zero_are_shared_per_field(field):
+    assert field.one() is field.one() and field.zero() is field.zero()
+    assert field.one() == field.element(1) and field.zero() == field.element(0)
+    # equality, hashing and repr read the fields only, as before the cache
+    twin = ResidueField(field.kind, field.p)
+    assert twin == field and hash(twin) == hash(field) and repr(twin) == repr(field)
+    assert {field: 1}[twin] == 1
+    assert twin.one() == field.one() and twin.one() is not field.one()
+    assert field != ResidueField.prime(7)
+
+
+def _nonzero(field, draw):
+    if field.kind == "Fp":
+        return field.element(draw(st.integers(1, field.p - 1)))
+    if field.kind == "Q":
+        return field.element(draw(st.fractions(max_denominator=6).filter(bool)))
+    num = draw(st.lists(st.integers(0, 2), min_size=1, max_size=3).filter(any))
+    den = draw(st.lists(st.integers(0, 2), min_size=1, max_size=3).filter(any))
+    return field.fraction(num, den)
+
+
+F3s = ResidueField.rational_functions(3)
+
+
+@given(pair=st.sampled_from([(F3, F3), (Q, Q), (F3, F3s)]), data=st.data())
+def test_one_element_solve_matches_elimination(pair, data):
+    """c * b = target over the subfield: the one-division shortcut against the
+    general elimination on the vectorized system."""
+    sub, ambient = pair
+    b = _nonzero(ambient, data.draw)
+    target = ambient.zero() if data.draw(st.booleans()) else _nonzero(ambient, data.draw)
+    if data.draw(st.booleans()):
+        target = b * ambient.element(data.draw(st.integers(1, 2)))  # a solution in F_3
+    rows = subfield_vectorize([b, target], sub, ambient)
+    assert solve_over_subfield(target, [b], sub, ambient) == solve_in_span(rows[-1], rows[:-1], sub)

@@ -464,3 +464,196 @@ def test_reduction_against_infinite_division_stays_honest(fq5):
     for ev, approx in zip(r.evidence, r.approximants):
         val = valuation(subtract(ex.removed, approx), prec)
         assert val.is_value and val.value == ev
+
+
+# the classification record: reuse rule, equivalence with fresh families, work counts
+
+from hypothesis import given, settings, strategies as st
+
+from ultragram import spaces
+from ultragram.reports import nearest_json
+from ultragram.spaces import adjoin
+
+LEX = OrderedGroup.lex(2)
+F3S = ResidueField.rational_functions(3)
+# (group, exponent coordinates of random terms, t value of the Laurent base,
+# ceiling above every exponent)
+GROUPS = {
+    "Z": (Z, st.integers(-2, 6).map(lambda e: (e,)), (2,), (16,)),
+    "Q": (Q, st.builds(Fraction, st.integers(-4, 12), st.integers(2, 3)).map(lambda e: (e,)), (1,), (8,)),
+    "Z^2_lex": (LEX, st.tuples(st.integers(0, 1), st.integers(-2, 5)), (0, 1), (2, 0)),
+}
+
+
+@st.composite
+def family_cases(draw):
+    """A presentation, a precision, a family of 1 to 4 finite nonzero series and a target.
+
+    Coefficients lie in F_3, or in F_3(s) over the residue field F_3, so that
+    classes of several members can be Kv-independent."""
+    group, coords, t_value, ceiling = GROUPS[draw(st.sampled_from(sorted(GROUPS)))]
+    coeff = draw(st.sampled_from([F3, F3S]))
+    L = SeriesField(group, coeff)
+    if draw(st.booleans()):
+        K = trivial_presentation(L)
+    else:
+        K = laurent_presentation(L, group.element(*t_value), residue_field=F3)
+    s = F3S.generator()
+    pool = [1, 2] if coeff is F3 else [F3S.one(), F3S.element(2), s, s + F3S.one(), s * s]
+
+    def element():
+        terms = draw(st.lists(
+            st.tuples(coords, st.sampled_from(pool)), min_size=1, max_size=3, unique_by=lambda t: t[0],
+        ))
+        return L.from_terms([(group.element(*c), v) for c, v in terms])
+
+    elements = [element() for _ in range(draw(st.integers(1, 4)))]
+    return K, Precision(group.element(*ceiling), max_terms=6), elements, element()
+
+
+def _copy(family):
+    """The same elements in a new family object, without certificate or record."""
+    return make_family(family.over, family.elements, family.relative_to)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _verdict_json(v, prec):
+    if isinstance(v, tuple):
+        return v
+    out = [v.kind, [series_json(x, prec) for x in v.scalings or []]]
+    if v.witness is not None:
+        w = v.witness
+        out += [[series_json(c, prec) for c in w.coefficients], w.min_value, w.achieved.describe()]
+    return out
+
+
+def _family_json(family, prec):
+    if isinstance(family, tuple):
+        return family
+    return [series_json(x, prec) for x in list(family.elements) + list(family.scalings or [])]
+
+
+def _nearest(target, basis, prec):
+    result = _outcome(nearest_point, target, basis, prec)
+    return result if isinstance(result, tuple) else nearest_json(result, prec)
+
+
+def _orthogonalize_fresh(generators, K, prec):
+    """``orthogonalize`` on a new, uncertified copy of the basis at every step."""
+    basis = make_family(K, [])
+    for index, g in enumerate(generators, start=1):
+        fresh = _copy(basis)
+        is_valuation_independent(fresh, prec)
+        reduction = nearest_point(g, fresh, prec)
+        if reduction.kind is NearestKind.EXACT_MEMBER:
+            continue
+        if reduction.kind is not NearestKind.VALUE:
+            return index, nearest_json(reduction, prec)
+        residual = subtract(g, reduction.best) if reduction.steps else g
+        basis = normalize(make_family(K, list(basis.elements) + [residual]), prec)
+    return _family_json(basis, prec)
+
+
+def _orthogonalize(generators, K, prec):
+    r = orthogonalize(generators, K, prec)
+    if not r.ok:
+        return r.obstruction_index, nearest_json(r.obstruction, prec)
+    return _family_json(r.basis, prec)
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=family_cases())
+def test_records_give_the_results_of_fresh_families(case):
+    K, prec, elements, target = case
+    carried = make_family(K, elements)
+    verdict = _outcome(is_valuation_independent, carried, prec)
+    fresh_verdict = _outcome(is_valuation_independent, make_family(K, elements), prec)
+    assert _verdict_json(verdict, prec) == _verdict_json(fresh_verdict, prec)
+    if carried.is_certified:
+        normalized = _outcome(normalize, carried, prec)
+        fresh = _outcome(normalize, make_family(K, elements), prec)
+        assert _family_json(normalized, prec) == _family_json(fresh, prec)
+        if not isinstance(normalized, tuple):
+            assert check_normalized(normalized, prec) == check_normalized(_copy(normalized), prec)
+            basis = _copy(normalized)
+            is_valuation_independent(basis, prec)
+            assert _nearest(target, normalized, prec) == _nearest(target, basis, prec)
+    assert _outcome(_orthogonalize, elements, K, prec) == _outcome(_orthogonalize_fresh, elements, K, prec)
+
+
+def test_stale_certificate_is_recomputed_under_a_new_precision(fq5, monkeypatch):
+    L, K, prec = fq5
+    other = Precision(Q.element(24), max_terms=6)
+    family = make_family(K, [L.monomial("1/2", 2), L.monomial(0, 3)])
+    is_valuation_independent(family, prec)
+    basis = normalize(family, prec)
+    assert basis.certificate.precision == basis.classification.precision == prec
+    calls = []
+    plain = spaces.is_valuation_independent
+
+    def spy(fam, p):
+        calls.append((fam, p))
+        return plain(fam, p)
+
+    monkeypatch.setattr(spaces, "is_valuation_independent", spy)
+    renormalized = normalize(family, other)
+    assert any(fam is family and p == other for fam, p in calls)
+    assert family.certificate.precision == family.classification.precision == other
+    assert renormalized.classification.precision == other
+    calls.clear()
+    nearest_point(L.monomial("1/4"), basis, other)
+    assert any(fam is basis and p == other for fam, p in calls)
+    assert basis.certificate.precision == basis.classification.precision == other
+
+
+@pytest.fixture
+def ranks(monkeypatch):
+    """The residue profiles handed to rank_over_subfield by spaces."""
+    profiles = []
+    plain = spaces.rank_over_subfield
+
+    def counted(elements, sub, ambient):
+        profiles.append(list(elements))
+        return plain(elements, sub, ambient)
+
+    monkeypatch.setattr(spaces, "rank_over_subfield", counted)
+    return profiles
+
+
+def test_orthogonalizing_the_telescoping_family_ranks_nothing(ranks):
+    L = SeriesField(Z, ResidueField.rationals())
+    K = trivial_presentation(L, name="Q")
+    prec = Precision(Z.element(40), max_terms=8)
+    r = orthogonalize([L.from_terms([(i, 1), (i + 1, -1)]) for i in range(1, 33)], K, prec)
+    assert r.ok and len(r.basis) == 32
+    assert ranks == []  # every class has one member
+
+
+@pytest.mark.parametrize("joins", ["value-zero class, unit scaling", "value-1/2 class, rescaled"])
+def test_adjoin_ranks_only_the_class_the_residual_joins(ranks, joins):
+    L = SeriesField(Q, F3S)
+    K = laurent_presentation(L, Q.element(1), residue_field=F3, name="F3(t)")
+    prec = Precision(Q.element(16), max_terms=8)
+    s = F3S.generator()
+    # classes: value 0 {1, s, s^2}, value 1/2 {t^1/2, s t^1/2}, value 1/3 {t^1/3}
+    elements = [L.from_terms([(e, c)]) for e, c in [
+        (0, F3S.one()), (0, s), (0, s * s), ("1/2", F3S.one()), ("1/2", s), ("1/3", F3S.one()),
+    ]]
+    family = make_family(K, elements)
+    is_valuation_independent(family, prec)
+    basis = normalize(family, prec)
+    ranks.clear()
+    if joins.startswith("value-zero"):
+        g, profile, calls = L.from_terms([(0, s * s * s), (1, F3S.one())]), [F3S.one(), s, s * s, s * s * s], 1
+    else:
+        # t^3/2 s^2 is scaled by t^-1 into the class: the confirm pass re-ranks it
+        g, profile, calls = L.from_terms([("3/2", s * s)]), [F3S.one(), s, s * s], 2
+    grown, obstruction = adjoin(basis, g, prec)
+    assert obstruction is None and len(grown) == 7 and check_normalized(grown, prec).ok
+    assert ranks == [profile] * calls

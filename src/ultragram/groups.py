@@ -168,14 +168,6 @@ def compare(g: GroupElement, h: GroupElement) -> Ordering:
     return Ordering.GREATER
 
 
-def add(g: GroupElement, h: GroupElement) -> GroupElement:
-    return g + h
-
-
-def negate(g: GroupElement) -> GroupElement:
-    return -g
-
-
 def _hermite(vectors: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[list[int]]]:
     """Row Hermite normal form of the integer matrix A whose rows are ``vectors``.
 
@@ -241,9 +233,6 @@ class Subgroup:
     @staticmethod
     def trivial(ambient: OrderedGroup) -> "Subgroup":
         return Subgroup(ambient, ())
-
-    def is_trivial(self) -> bool:
-        return all(g.is_zero() for g in self.generators)
 
     @cached_property
     def _basis(self) -> tuple[int, list[list[int]], list[int], list[list[int]]]:

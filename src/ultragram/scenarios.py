@@ -11,8 +11,13 @@ Each task kind is one ``TaskKind`` record in ``TASKS``: how a raw task is
 canonicalized, how it runs, its one-line text summary and the witnesses the
 verifier re-checks on its outcome.
 
-``run`` resolves a fresh runtime environment per call, so repeated runs of
-the same scenario produce byte-identical structured reports.
+``scenario_from_dict`` is the one place where input becomes objects.  It
+builds the series field, the presentations and the precision once, makes each
+finite term list its exhausted leaf once and compiles each exponent formula
+once, then renders the canonical form from what it parsed.  Every ``run``
+builds fresh streams, sums and telescoping families, which keep state as they
+expand, so repeated runs of the same scenario produce byte-identical
+structured reports.
 """
 
 from __future__ import annotations
@@ -37,7 +42,6 @@ from .presentations import (
 from .residues import FieldElement, MismatchedFields, ResidueField, check_subfield
 from .series import (
     Precision,
-    Series,
     SeriesField,
     artin_schreier,
     custom_powers,
@@ -121,6 +125,14 @@ def _integer(spec, what: str, low: Optional[int] = None) -> int:
     return spec
 
 
+def _size(spec, what: str) -> int:
+    """A JSON integer from 1 to MAX_SIZE: a size that sets how much work a run does."""
+    size = _integer(spec, what, 1)
+    if size > MAX_SIZE:
+        raise ParseError(f"{what} must be at most {MAX_SIZE}, got {size}")
+    return size
+
+
 def _refs(spec, known: dict, what: str, single: bool = False):
     """References to declared elements: one name, or a list of names."""
     names = [spec] if single else spec
@@ -193,6 +205,7 @@ class FormulaError(ScenarioError):
 
 MAX_FORMULA_LENGTH = 200  # keeps the formula's syntax tree shallow
 MAX_POWER_BITS = 4096  # largest result of ^ in an exponent formula
+MAX_SIZE = 4096  # largest count, term budget, degree cap or sample size in a scenario
 
 
 def _power(base: int, exponent: int) -> int:
@@ -266,7 +279,7 @@ def _compile_formula(expr: str) -> Callable[[int], int]:
     return exponent_of
 
 
-# runtime environment resolved from a canonical scenario
+# parsed scenarios and the runtime of one run
 
 
 @dataclass
@@ -283,9 +296,16 @@ class Runtime:
 
 @dataclass
 class Scenario:
-    """A validated scenario; ``canonical`` is its normal form."""
+    """A validated scenario: ``canonical`` is its normal form, and the other
+    fields are the objects parsed from it.  ``builders`` maps each element
+    name to a function of the elements built before it."""
 
     canonical: dict
+    ambient: SeriesField
+    base: SubfieldPresentation
+    presentations: dict
+    builders: dict
+    precision: Precision
 
     @property
     def name(self) -> str:
@@ -322,37 +342,42 @@ def scenario_from_dict(raw: dict) -> Scenario:
     group = _parse_group(ambient_spec.get("group", {}))
     coeff = _parse_field(ambient_spec.get("coefficients", {}))
     ambient = SeriesField(group, coeff)
+    base, base_json = _parse_presentation(raw["base_field"], ambient)
+    precision = _parse_precision(raw["precision"], group)
 
     canonical: dict = {
         "name": raw.get("name", "<unnamed>"),
         "ambient": {"group": group.describe(), "coefficients": coeff.describe()},
-        "base_field": _canonical_presentation(raw["base_field"], ambient),
+        "base_field": base_json,
         "elements": {},
         "tasks": [],
-        "precision": _canonical_precision(raw["precision"], group),
+        "precision": precision.describe(),
     }
-    presentations = _object(raw.get("presentations", {}), "'presentations'")
-    if presentations:
-        canonical["presentations"] = {
-            name: _canonical_presentation(spec, ambient)
-            for name, spec in presentations.items()
-        }
+    presentations = {"base": base}
+    named = _object(raw.get("presentations", {}), "'presentations'")
+    if named:
+        canonical["presentations"] = {}
+        for name, spec in named.items():
+            presentations[name], canonical["presentations"][name] = _parse_presentation(spec, ambient)
 
+    builders: dict = {}
     for name, spec in _object(raw.get("elements", {}), "'elements'").items():
-        canonical["elements"][name] = _canonical_element(spec, ambient, canonical["elements"])
+        canonical["elements"][name], builders[name] = _parse_element(spec, ambient, canonical["elements"])
 
     for pos, task in enumerate(raw["tasks"]):
         canonical["tasks"].append(_canonical_task(task, pos, canonical))
-    return Scenario(canonical)
+    return Scenario(canonical, ambient, base, presentations, builders, precision)
 
 
-def _canonical_presentation(spec, ambient: SeriesField) -> dict:
+def _parse_presentation(spec, ambient: SeriesField) -> tuple:
+    """A presentation and its canonical form."""
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ParseError(f"presentation descriptor needs a 'kind', got {spec!r}")
     kind = spec["kind"]
-    out = {"kind": kind, "name": spec.get("name", "K")}
+    name = spec.get("name", "K")
+    out = {"kind": kind, "name": name}
     if kind == "trivial":
-        return out
+        return trivial_presentation(ambient, name=name), out
     if kind not in ("laurent", "completion"):
         raise ParseError(f"unknown presentation kind {kind!r}")
     if "t_value" not in spec:
@@ -361,6 +386,7 @@ def _canonical_presentation(spec, ambient: SeriesField) -> dict:
     if t_value.is_zero() or not ambient.group.zero() < t_value:
         raise UnsupportedCombination("uniformizer value must be positive")
     out["t_value"] = exponent_json(t_value)
+    residue = None
     if "residue" in spec:
         residue = _parse_field(spec["residue"])
         try:
@@ -368,82 +394,66 @@ def _canonical_presentation(spec, ambient: SeriesField) -> dict:
         except MismatchedFields as exc:
             raise UnsupportedCombination(f"residue field {exc}") from None
         out["residue"] = residue.describe()
-    return out
+    present = laurent_presentation if kind == "laurent" else completion_presentation
+    return present(ambient, t_value, residue, name=name), out
 
 
-def _resolve_presentation(spec: dict, ambient: SeriesField) -> SubfieldPresentation:
-    kind = spec["kind"]
-    name = spec.get("name", "K")
-    if kind == "trivial":
-        return trivial_presentation(ambient, name=name)
-    t_value = _parse_exponent(spec["t_value"], ambient.group)
-    residue = _parse_field(spec["residue"]) if "residue" in spec else None
-    if kind == "laurent":
-        return laurent_presentation(ambient, t_value, residue, name=name)
-    return completion_presentation(ambient, t_value, residue, name=name)
-
-
-def _canonical_precision(spec, group: OrderedGroup) -> dict:
+def _parse_precision(spec, group: OrderedGroup) -> Precision:
     if not isinstance(spec, dict) or "ceiling" not in spec:
         raise ParseError("precision block needs a 'ceiling'")
-    ceiling = _parse_exponent(spec["ceiling"], group)
-    return {
-        "ceiling": exponent_json(ceiling),
-        "max_terms": _integer(spec.get("max_terms", 8), "max_terms", 1),
-        "degree_cap": _integer(spec.get("degree_cap", 16), "degree_cap", 1),
-    }
+    return Precision(
+        _parse_exponent(spec["ceiling"], group),
+        _size(spec.get("max_terms", 8), "max_terms"),
+        _size(spec.get("degree_cap", 16), "degree_cap"),
+    )
 
 
-def _canonical_element(spec, ambient: SeriesField, known: dict) -> dict | list:
+def _parse_terms(spec: list, ambient: SeriesField) -> list:
+    """A term list as (exponent, coefficient) pairs, in input order, zeros kept."""
+    for pair in spec:
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise ParseError(f"series term must be [exponent, coefficient], got {pair!r}")
+    return [
+        (_parse_exponent(exp, ambient.group), _parse_coefficient(c, ambient.coeff))
+        for exp, c in spec
+    ]
+
+
+def _parse_element(spec, ambient: SeriesField, known: dict) -> tuple:
+    """An element's canonical form and its builder."""
     if isinstance(spec, list):
-        out = []
-        for pair in spec:
-            if not isinstance(pair, list) or len(pair) != 2:
-                raise ParseError(f"series term must be [exponent, coefficient], got {pair!r}")
-            exp = _parse_exponent(pair[0], ambient.group)
-            coeff = _parse_coefficient(pair[1], ambient.coeff)
-            out.append([exponent_json(exp), coeff.describe()])
-        return out
+        terms = _parse_terms(spec, ambient)
+        leaf = ambient.from_terms(terms)  # exhausted when made, so every run shares it
+        return [[exponent_json(e), c.describe()] for e, c in terms], lambda made: leaf
     if isinstance(spec, dict) and "sum" in spec:
         if not spec["sum"]:
             raise ParseError("'sum' takes a nonempty list of element names")
-        return {"sum": _refs(spec["sum"], known, "'sum'")}
+        names = _refs(spec["sum"], known, "'sum'")
+        return {"sum": names}, lambda made: sum_series(ambient, [made[n] for n in names])
     if isinstance(spec, dict) and "builder" in spec:
         builder = spec["builder"]
         axis = _integer(spec.get("axis", ambient.group.rank - 1), "builder axis", 0)
         if axis >= ambient.group.rank:
             raise ParseError(f"builder axis {axis!r} out of range")
         if builder == "geometric":
-            return {"builder": "geometric", "axis": axis}
+            return {"builder": "geometric", "axis": axis}, lambda made: geometric(ambient, axis)
         if builder == "artin_schreier":
             p = _integer(spec.get("p"), "artin_schreier 'p'", 2)
-            return {"builder": "artin_schreier", "p": p, "axis": axis}
+            return (
+                {"builder": "artin_schreier", "p": p, "axis": axis},
+                lambda made: artin_schreier(ambient, p, axis),
+            )
         if builder == "custom_powers":
             expr = spec.get("exponents")
             if not isinstance(expr, str):
                 raise ParseError("custom_powers builder needs an 'exponents' formula")
-            _compile_formula(expr)
-            return {"builder": "custom_powers", "exponents": expr, "axis": axis}
+            exponent_of = _compile_formula(expr)
+            return (
+                {"builder": "custom_powers", "exponents": expr, "axis": axis},
+                lambda made: custom_powers(ambient, exponent_of, axis),
+            )
         raise ParseError(f"unknown builder {builder!r}")
     raise ParseError(f"cannot parse series element {spec!r}")
-
-
-def _resolve_element(spec, ambient: SeriesField, resolved: dict) -> Series:
-    if isinstance(spec, list):
-        terms = [
-            (_parse_exponent(exp, ambient.group), _parse_coefficient(c, ambient.coeff))
-            for exp, c in spec
-        ]
-        return ambient.from_terms(terms)
-    if "sum" in spec:
-        return sum_series(ambient, [resolved[name] for name in spec["sum"]])
-    builder = spec["builder"]
-    axis = spec["axis"]
-    if builder == "geometric":
-        return geometric(ambient, axis)
-    if builder == "artin_schreier":
-        return artin_schreier(ambient, spec["p"], axis)
-    return custom_powers(ambient, _compile_formula(spec["exponents"]), axis)
 
 
 def _canonical_family(spec, what: str, canonical: dict):
@@ -452,7 +462,7 @@ def _canonical_family(spec, what: str, canonical: dict):
     start = _integer(spec.get("start", 1), "telescoping start", 0)
     count = spec.get("count", 4)
     if count != "auto":
-        count = _integer(count, "telescoping count (or 'auto')", 1)
+        count = _size(count, "telescoping count (or 'auto')")
     if canonical["ambient"]["group"]["group"] == "Z^n_lex":
         raise UnsupportedCombination("telescoping families need a rank-1 exponent group")
     return {"family_builder": "telescoping", "start": start, "count": count}
@@ -481,24 +491,12 @@ def _canonical_task(task, pos: int, canonical: dict) -> dict:
 
 
 def resolve_runtime(scenario: Scenario, precision: Optional[Precision] = None) -> Runtime:
-    """Materialize a fresh runtime: ambient field, presentations, elements."""
-    c = scenario.canonical
-    group = _parse_group(c["ambient"]["group"])
-    coeff = _parse_field(c["ambient"]["coefficients"])
-    ambient = SeriesField(group, coeff)
-    base = _resolve_presentation(c["base_field"], ambient)
-    presentations = {"base": base}
-    for name, spec in (c.get("presentations") or {}).items():
-        presentations[name] = _resolve_presentation(spec, ambient)
+    """A runtime for one run: each element made by its builder, in order."""
     elements: dict = {}
-    for name, spec in c["elements"].items():
-        elements[name] = _resolve_element(spec, ambient, elements)
-    if precision is None:
-        p = c["precision"]
-        precision = Precision(
-            _parse_exponent(p["ceiling"], group), p["max_terms"], p["degree_cap"]
-        )
-    return Runtime(ambient, base, presentations, elements, precision)
+    for name, build in scenario.builders.items():
+        elements[name] = build(elements)
+    precision = scenario.precision if precision is None else precision
+    return Runtime(scenario.ambient, scenario.base, scenario.presentations, elements, precision)
 
 
 def apply_precision_overrides(
@@ -507,17 +505,16 @@ def apply_precision_overrides(
     max_terms: Optional[int] = None,
     degree_cap: Optional[int] = None,
 ) -> Precision:
-    group = _parse_group(scenario.canonical["ambient"]["group"])
-    p = scenario.canonical["precision"]
+    p = scenario.precision
     try:
         if ceiling is not None and ceiling.strip().startswith("["):
             ceiling = json.loads(ceiling)
         return Precision(
-            _parse_exponent(p["ceiling"] if ceiling is None else ceiling, group),
-            p["max_terms"] if max_terms is None else max_terms,
-            p["degree_cap"] if degree_cap is None else degree_cap,
+            p.ceiling if ceiling is None else _parse_exponent(ceiling, scenario.ambient.group),
+            p.max_terms if max_terms is None else _size(max_terms, "max_terms"),
+            p.degree_cap if degree_cap is None else _size(degree_cap, "degree_cap"),
         )
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise ScenarioError(f"invalid precision override: {exc}") from exc
 
 
@@ -676,9 +673,9 @@ def _orthogonalize_canonical(task, refs, where, canonical) -> dict:
     if not isinstance(sample, dict) or "count" not in sample:
         raise ParseError(f"{where}: sample spec needs a 'count'")
     return {"sample": {
-        "count": _integer(sample["count"], f"{where} sample 'count'", 1),
-        "support": _integer(sample.get("support", 4), f"{where} sample 'support'", 1),
-        "max_size": _integer(sample.get("max_size", 3), f"{where} sample 'max_size'", 1),
+        "count": _size(sample["count"], f"{where} sample 'count'"),
+        "support": _size(sample.get("support", 4), f"{where} sample 'support'"),
+        "max_size": _size(sample.get("max_size", 3), f"{where} sample 'max_size'"),
         "seed": _integer(sample.get("seed", 0), f"{where} sample 'seed'"),
     }}
 

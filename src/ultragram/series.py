@@ -158,10 +158,6 @@ class Fuel:
         self.steps -= n
         return True
 
-    @property
-    def exhausted(self) -> bool:
-        return self.steps <= 0
-
 
 @dataclass(frozen=True)
 class Precision:

@@ -413,10 +413,9 @@ def nearest_point(b: Series, w_basis: VectorFamily, prec: Precision) -> NearestP
         common = leads[cls[0]].exponent
         delta = gamma - common
         K.monomial_section(delta)  # raises unless delta lies in vK
-        r_lead = leading_term(r, prec)
-        profile = [leads[i].coefficient / r_lead.coefficient for i in cls]
         solution = solve_over_subfield(
-            K.ambient.coeff.one(), profile, K.residue_field, K.ambient.coeff
+            leading_term(r, prec).coefficient, [leads[i].coefficient for i in cls],
+            K.residue_field, K.ambient.coeff,
         )
         if solution is None:
             return done(NearestKind.VALUE, gamma)

@@ -15,14 +15,14 @@ from typing import Optional
 from .reports import Report, emit
 from .series import Precision, Series, leading_term, multiply, subtract, sum_series, valuation
 from .spaces import VerdictKind, _strictly_above, is_valuation_independent, make_family
-from .scenarios import TASKS, Runtime, Scenario, _parse_exponent, _resolve_element, resolve_runtime, run
+from .scenarios import TASKS, Runtime, Scenario, _parse_exponent, _parse_terms, resolve_runtime, run
 
 
 def _series_from_json(doc: dict, runtime: Runtime) -> Optional[Series]:
     """Rebuild a serialized series; None when only a truncation was stored."""
     if not doc.get("exact") and not doc.get("complete_below"):
         return None
-    return _resolve_element(doc["terms"], runtime.ambient, {})
+    return runtime.ambient.from_terms(_parse_terms(doc["terms"], runtime.ambient))
 
 
 def _check(checks: list, check_id: str, ok: bool, detail: str = "") -> None:

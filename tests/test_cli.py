@@ -5,12 +5,15 @@ import pytest
 
 from ultragram.cli import main
 from ultragram.reports import emit
+from ultragram import scenarios
 from ultragram.scenarios import (
     BUILTINS,
+    MAX_SIZE,
     ParseError,
     UnknownName,
     load_scenario,
     parse_scenario,
+    resolve_runtime,
     run,
     scenario_from_dict,
 )
@@ -62,6 +65,35 @@ def test_builtins_parse_and_roundtrip():
         # the canonical scenario echoes through parse unchanged
         echo = json.dumps(scenario.canonical)
         assert parse_scenario(echo) == scenario
+
+
+def test_resolve_runtime_parses_nothing(monkeypatch):
+    custom = {
+        "ambient": {"group": {"group": "Z"}, "coefficients": {"field": "Fp", "p": 3}},
+        "base_field": {"kind": "laurent", "t_value": 1},
+        "elements": {"w": {"builder": "custom_powers", "exponents": "i^2"}},
+        "tasks": [{"task": "independence", "family": ["w"]}],
+        "precision": {"ceiling": 16},
+    }
+    parsed = [load_scenario(name) for name in BUILTINS] + [scenario_from_dict(custom)]
+
+    def refuse(*args):
+        raise AssertionError("resolve_runtime parsed scenario input")
+
+    for name in ("_parse_group", "_parse_field", "_parse_exponent", "_parse_coefficient", "_compile_formula"):
+        monkeypatch.setattr(scenarios, name, refuse)
+    for scenario in parsed:
+        runtime = resolve_runtime(scenario)
+        assert sorted(runtime.elements) == sorted(scenario.canonical["elements"])
+        assert runtime.precision is scenario.precision
+
+
+def test_resolve_runtime_builds_stateful_series_fresh_and_shares_leaves():
+    scenario = load_scenario("paper:notCA")
+    first, second = resolve_runtime(scenario), resolve_runtime(scenario)
+    assert first.elements["frobenius_orbit"] is not second.elements["frobenius_orbit"]
+    assert first.elements["x"] is not second.elements["x"]
+    assert first.elements["one"] is second.elements["one"]
 
 
 def test_report_echo_roundtrip():
@@ -179,6 +211,8 @@ def test_cli_precision_overrides(tmp_path: Path):
         ["--degree-cap", "0"],
         ["--precision-exp", "abc"],
         ["--precision-exp", "1/0"],
+        ["--max-terms", str(MAX_SIZE + 1)],
+        ["--degree-cap", str(MAX_SIZE + 1)],
     ],
 )
 def test_cli_rejects_bad_precision_override(override, capsys):

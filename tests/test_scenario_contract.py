@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ultragram.cli import main
-from ultragram.scenarios import BUILTINS, TASKS, ScenarioError, _compile_formula, scenario_from_dict
+from ultragram.scenarios import BUILTINS, MAX_SIZE, TASKS, ScenarioError, _compile_formula, scenario_from_dict
 
 
 def _set(path, value):
@@ -42,6 +42,19 @@ PROBES = {
     "sample-count-not-an-integer": ("paper:baur-sampling", _set(["tasks", 0, "sample", "count"], "x")),
     "family-is-a-string": ("paper:fpt-y", _set(["tasks", 0, "family"], "one")),
     "max-terms-boolean": ("paper:fpt-y", _set(["precision", "max_terms"], True)),
+    # sizes that set how much work a run does are bounded by MAX_SIZE
+    "max-terms-above-max-size": ("paper:fpt-y", _set(["precision", "max_terms"], MAX_SIZE + 1)),
+    "degree-cap-above-max-size": ("paper:fpt-y", _set(["precision", "degree_cap"], MAX_SIZE + 1)),
+    "telescoping-count-above-max-size": (
+        "paper:ti-minus-ti1", _set(["tasks", 0, "family", "count"], MAX_SIZE + 1),
+    ),
+    "sample-count-above-max-size": ("paper:baur-sampling", _set(["tasks", 0, "sample", "count"], MAX_SIZE + 1)),
+    "sample-support-above-max-size": (
+        "paper:baur-sampling", _set(["tasks", 0, "sample", "support"], MAX_SIZE + 1),
+    ),
+    "sample-max-size-above-max-size": (
+        "paper:baur-sampling", _set(["tasks", 0, "sample", "max_size"], MAX_SIZE + 1),
+    ),
 }
 
 

@@ -13,7 +13,6 @@ from .groups import (
     Ordering,
     Subgroup,
     compare,
-    coset_equal,
     is_cofinal,
     subgroup_index,
 )

@@ -279,7 +279,6 @@ class ApproximationPair:
     cutoff: GroupElement
     difference_value: Valuation
     required_above: GroupElement
-    exact: bool
 
 
 @dataclass
@@ -376,12 +375,7 @@ def complete_and_approximate(
                 raise PrecisionExhausted(
                     f"truncation at ({i},{j}) misses the strict inequality"
                 )
-            pairs.append(
-                ApproximationPair(
-                    i, j, cutoff, diff_val, hat_vals[i],
-                    exact=diff_val.is_value or diff_val.exhausted,
-                )
-            )
+            pairs.append(ApproximationPair(i, j, cutoff, diff_val, hat_vals[i]))
             out_row.append(finite)
         truncated_rows.append(out_row)
 

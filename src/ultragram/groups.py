@@ -288,11 +288,6 @@ class Subgroup:
         return [self.ambient.element([Fraction(c, scale) for c in row]) for row in rows]
 
 
-def coset_equal(g: GroupElement, h: GroupElement, subgroup: Subgroup) -> bool:
-    """True iff g - h lies in the subgroup (equal coset keys)."""
-    return subgroup.coset_key(g) == subgroup.coset_key(h)
-
-
 INFINITE = None
 
 

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field as dataclass_field
-from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional
 
 from .groups import GroupElement
 from .series import Precision, Series
@@ -23,12 +22,8 @@ from .spaces import NearestPointResult
 SCHEMA = "ultragram/1"
 
 
-def rational_str(value: Union[int, Fraction]) -> str:
-    return str(value)
-
-
 def exponent_json(g: GroupElement) -> list:
-    return [rational_str(c) for c in g.coords]
+    return [str(c) for c in g.coords]
 
 
 def series_json(x: Series, prec: Precision) -> dict:

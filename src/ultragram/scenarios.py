@@ -68,7 +68,6 @@ from .reports import (
     TaskOutcome,
     exponent_json,
     nearest_json,
-    rational_str,
     series_json,
 )
 
@@ -744,7 +743,7 @@ def _extension_run(task, runtime: Runtime, seed) -> dict:
         "n": report.n,
         "e": report.e,
         "f": report.f,
-        "defect_index": None if report.defect_index is None else rational_str(report.defect_index),
+        "defect_index": None if report.defect_index is None else str(report.defect_index),
     }
     if report.note:
         out["note"] = report.note

@@ -7,12 +7,13 @@ two ways, by an exponent ceiling and by a work budget (:class:`Fuel`),
 because equality of lazy series is undecidable in general; all verdicts
 built on top of this module carry the bound they were computed under.
 
-Completeness bookkeeping: each node tracks ``_known`` (a strict exponent
-bound below which the cache is provably complete), an ``_exhausted`` flag
-(the cache holds every term of the series), and a static ``floor`` (a lower
-bound for any exponent the series can produce, with ``None`` meaning the
-series is identically zero).  The floor is what makes lazy multiplication
-and inversion well-founded.
+Completeness bookkeeping: each node has one field ``_known``, which is
+``None`` (nothing is known yet), an exponent (the cache is provably
+complete below it) or ``_INF`` (the cache holds every term: the series is
+exhausted), and a static ``floor``, a lower bound for any exponent the
+series can produce.  A floor of ``None`` means the series is identically
+zero, and such a node is exhausted when it is built.  The floor is what
+makes lazy multiplication and inversion well-founded.
 
 The nodes are online (J. van der Hoeven, "Relax, but don't be too lazy",
 J. Symbolic Comput. 34(6), 2002): caches are append-only and each pull
@@ -191,8 +192,7 @@ class Series:
         self.field = field
         self.floor = floor
         self._cache: list[Term] = []
-        self._known: Optional[GroupElement] = None
-        self._exhausted = False
+        self._known = None if floor is not None else _INF
 
     # node-specific production
     def _expand(self, bound: GroupElement, fuel: Fuel) -> None:
@@ -200,19 +200,13 @@ class Series:
 
     def ensure_below(self, bound: GroupElement, fuel: Fuel) -> bool:
         """Try to certify the cache complete below ``bound``; report success."""
-        if self.complete_for(bound):
-            return True
-        if self.floor is None:
-            self._exhausted = True
-            return True
-        self._expand(bound, fuel)
+        if not self.complete_for(bound):
+            self._expand(bound, fuel)
         return self.complete_for(bound)
 
     def complete_for(self, bound: GroupElement) -> bool:
-        return self._exhausted or (self._known is not None and bound <= self._known)
-
-    def known_bound(self):
-        return _INF if self._exhausted else self._known
+        known = self._known
+        return known is _INF or (known is not None and bound <= known)
 
     def terms_below(self, bound: GroupElement) -> list[Term]:
         return [t for t in self._cache if t.exponent < bound]
@@ -221,15 +215,11 @@ class Series:
         """A certified lower bound for the first exponent (exact if witnessed)."""
         if self._cache:
             return self._cache[0].exponent
-        if self._exhausted:
-            return _INF
-        if self._known is not None:
-            return self._known
-        return self.floor if self.floor is not None else _INF
+        return self.floor if self._known is None else self._known
 
     @property
     def exhausted(self) -> bool:
-        return self._exhausted
+        return self._known is _INF
 
     def witnessed_terms(self) -> list[Term]:
         return list(self._cache)
@@ -247,7 +237,7 @@ class _Leaf(Series):
         first = terms[0].exponent if terms else None
         super().__init__(field, first)
         self._cache = list(terms)
-        self._exhausted = True
+        self._known = _INF
 
 
 class _Stream(Series):
@@ -262,16 +252,12 @@ class _Stream(Series):
         if self._iter is None:
             self._iter = self._factory()
         cache = self._cache
-        while not self._exhausted:
-            if cache and cache[-1].exponent >= bound:
-                break
-            if not fuel.spend():
-                break
+        while not (cache and cache[-1].exponent >= bound) and fuel.spend():
             try:
                 term = next(self._iter)
             except StopIteration:
-                self._exhausted = True
-                break
+                self._known = _INF
+                return
             if term.coefficient.is_zero():
                 raise ValueError("stream produced a zero coefficient")
             if cache and term.exponent <= cache[-1].exponent:
@@ -303,10 +289,7 @@ class _Map(Series):
             Term(t.exponent + self.shift, t.coefficient * self.scale)
             for t in child._cache[len(self._cache):]
         ]
-        self._exhausted = child.exhausted
-        kb = child.known_bound()
-        if kb is not None and kb is not _INF:
-            self._known = kb + self.shift
+        self._known = _bound_add(child._known, self.shift)
 
 
 class _Sum(Series):
@@ -324,10 +307,11 @@ class _Sum(Series):
         children, cursors = self.children, self._cursors
         for c in children:
             c.ensure_below(bound, fuel)
-        self._exhausted = all(c.exhausted for c in children)
-        w = None if self._exhausted else _bound_min(bound, *(c.known_bound() for c in children))
-        if w is None and not self._exhausted:
+        w = _bound_min(*(c._known for c in children))  # _INF when every child is exhausted
+        if w is None:
             return
+        if w is not _INF:
+            w = min(bound, w)
         heap = [(c._cache[k].exponent.coords, n) for n, (c, k) in enumerate(zip(children, cursors))
                 if k < len(c._cache)]
         heapify(heap)
@@ -339,7 +323,7 @@ class _Sum(Series):
                 heappush(heap, (src[k + 1].exponent.coords, n))
             return src[k]
 
-        stop = None if w is None else w.coords
+        stop = None if w is _INF else w.coords
         while heap and (stop is None or heap[0][0] < stop):
             key = heap[0][0]
             t = take(heappop(heap)[1])
@@ -350,8 +334,7 @@ class _Sum(Series):
                 t = None if total.is_zero() else Term(t.exponent, total)
             if t is not None:
                 self._cache.append(t)
-        if w is not None:
-            self._known = w
+        self._known = w
 
 
 class _Pairs:
@@ -370,7 +353,7 @@ class _Pairs:
         self.due = True  # left term len(cursors) may join
 
     def settle(self, left: list, right: list, out: list, stop, fuel: Optional[Fuel] = None):
-        """Append to ``out`` the product terms below ``stop`` (every term when None).
+        """Append to ``out`` the product terms below ``stop`` (every term when ``_INF``).
 
         ``right`` may be ``out`` itself, provided each product term lies
         strictly above the right terms it is made of.  With ``fuel``, each
@@ -397,7 +380,7 @@ class _Pairs:
                 stuck.clear()
                 for i in waiting:
                     ready(i)
-            if not heap or (stop is not None and not heap[0][0] < stop.coords):
+            if not heap or (stop is not _INF and not heap[0][0] < stop.coords):
                 return stop
             if fuel is not None and not fuel.spend():
                 return heap[0][2]
@@ -430,17 +413,17 @@ class _Mul(Series):
         x, y = self.x, self.y
         x.ensure_below(bound - y.floor, fuel)
         y.ensure_below(bound - x.floor, fuel)
-        self._exhausted = x.exhausted and y.exhausted
-        w = None if self._exhausted else _bound_min(
-            bound,
-            _bound_add(x.known_bound(), y.first_exponent_bound()),
-            _bound_add(y.known_bound(), x.first_exponent_bound()),
-        )
-        if w is None and not self._exhausted:
-            return
-        self._pairs.settle(x._cache, y._cache, self._cache, w)
-        if w is not None:
-            self._known = w
+        if x.exhausted and y.exhausted:
+            w = _INF
+        else:
+            w = _bound_min(
+                bound,
+                _bound_add(x._known, y.first_exponent_bound()),
+                _bound_add(y._known, x.first_exponent_bound()),
+            )
+            if w is None:
+                return
+        self._known = self._pairs.settle(x._cache, y._cache, self._cache, w)
 
 
 class _Truncate(Series):
@@ -455,15 +438,13 @@ class _Truncate(Series):
     def _expand(self, bound, fuel) -> None:
         child = self.child
         child.ensure_below(min(bound, self.cut), fuel)
-        kb = child.known_bound()
-        if child.exhausted or (kb is not None and self.cut <= kb):
-            stop = self.cut
-            self._exhausted = True
-        elif kb is None:
+        known = child._known
+        if known is None:
             return
+        if known is _INF or self.cut <= known:
+            self._known, stop = _INF, self.cut
         else:
-            self._known = _bound_min(bound, kb)
-            stop = min(self._known, self.cut)
+            self._known = stop = min(bound, known)  # below the cut
         src, k = child._cache, len(self._cache)
         while k < len(src) and src[k].exponent < stop:
             self._cache.append(src[k])
@@ -488,9 +469,9 @@ class _Invert(Series):
         x = self.x
         x.ensure_below(bound - self._back, fuel)
         if x.exhausted and len(x._cache) == 1:
-            self._exhausted = True  # x is exactly its leading monomial
+            self._known = _INF  # x is exactly its leading monomial
             return
-        stop = bound if x.exhausted else _bound_min(bound, _bound_add(x.known_bound(), self._back))
+        stop = _bound_min(bound, _bound_add(x._known, self._back))
         if stop is None:
             return
         self._u.extend(
@@ -574,18 +555,14 @@ def valuation(x: Series, prec: Precision) -> Valuation:
             break
     else:
         x.ensure_below(prec.ceiling, prec.fuel())
-    first = x.first_exponent_bound()
-    if isinstance(first, GroupElement) and x._cache and first < prec.ceiling:
-        return Valuation(first, None, False)
-    if x.exhausted and not x._cache:
-        return Valuation(None, prec.ceiling, True)
     if x._cache:
-        # the true first term is witnessed at or above the ceiling
-        return Valuation(None, prec.ceiling, False)
-    kb = x.known_bound()
-    if kb is _INF:
-        return Valuation(None, prec.ceiling, False)
-    return Valuation(None, _bound_min(prec.ceiling, kb) if kb is not None else None, False)
+        first = x._cache[0].exponent
+        if first < prec.ceiling:
+            return Valuation(first, None, False)
+        return Valuation(None, prec.ceiling, False)  # the first term lies at or above it
+    if x.exhausted:
+        return Valuation(None, prec.ceiling, True)
+    return Valuation(None, _bound_min(prec.ceiling, x._known), False)
 
 
 def leading_term(x: Series, prec: Precision) -> Optional[Term]:
@@ -639,31 +616,12 @@ def equal_up_to(x: Series, y: Series, cut: GroupElement, prec: Precision) -> boo
 
 def geometric(field: SeriesField, axis: int = -1) -> Series:
     """1 + t + t^2 + ... along the given exponent axis."""
-    unit = field.group.unit(axis)
-    one = field.coeff.one()
-
-    def gen() -> Iterator[Term]:
-        current = field.group.zero()
-        while True:
-            yield Term(current, one)
-            current = current + unit
-
-    return field.stream(field.group.zero(), gen)
+    return custom_powers(field, lambda i: i, axis)
 
 
 def artin_schreier(field: SeriesField, p: int, axis: int = -1) -> Series:
     """sum_i t^(p^i): the classic immediate-extension generator."""
-    unit = field.group.unit(axis)
-    one = field.coeff.one()
-
-    def gen() -> Iterator[Term]:
-        power = p
-        yield Term(unit, one)
-        while True:
-            yield Term(unit.scale(power), one)
-            power *= p
-
-    return field.stream(unit, gen)
+    return custom_powers(field, lambda i: p**i, axis)
 
 
 def custom_powers(field: SeriesField, exponent_of: Callable[[int], int], axis: int = -1) -> Series:

@@ -191,6 +191,19 @@ def test_exhausted_witness_coefficient_above_ceiling_verifies(tmp_path: Path):
     assert [c["ok"] for c in report["verification"]] == [True, True]
 
 
+@pytest.mark.parametrize("ceiling", ["1", "2"])
+def test_verify_samples_leading_at_or_above_a_low_ceiling(ceiling, tmp_path: Path):
+    # some coefficients the independence check samples lead at or above these ceilings
+    out_path = tmp_path / "report.json"
+    assert main([
+        "run", "paper:fpt-y", "--verify", "--precision-exp", ceiling,
+        "--format", "structured", "--output", str(out_path),
+    ]) == 0
+    checks = json.loads(out_path.read_text(encoding="utf-8"))["verification"]
+    assert "task0:independence" in [c["id"] for c in checks]
+    assert all(c["ok"] for c in checks)
+
+
 def test_cli_precision_overrides(tmp_path: Path):
     out_path = tmp_path / "r.json"
     assert main([

@@ -464,3 +464,35 @@ def test_integer_exponent_pulls_build_no_fractions(monkeypatch):
     assert built[0] == 0
     for s in (x, inv, g, square):
         assert all(type(c) is int for t in s.witnessed_terms() for c in t.exponent.coords)
+
+
+def test_zero_nodes_are_exhausted_before_any_pull():
+    zero = L3.zero()
+    for s in (negate(zero), sum_series(L3, [zero, zero]), truncate(L3.monomial(5), Z.element(3))):
+        assert s.exhausted and not s.witnessed_terms()
+        v = valuation(s, PREC)
+        assert not v.is_value and v.exhausted and v.up_to == PREC.ceiling
+
+
+# the exponent of a power stream's i-th term along each axis, written out per group
+POWER_AXES = {
+    "Z": (Z, -1, Z.element),
+    "Q": (Q, -1, Q.element),
+    "Z^2_lex axis 0": (LEX, 0, lambda e: LEX.element(e, 0)),
+    "Z^2_lex axis 1": (LEX, 1, lambda e: LEX.element(0, e)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(POWER_AXES))
+def test_power_builders_give_explicit_terms(name):
+    group, axis, element = POWER_AXES[name]
+    field = SeriesField(group, F3)
+    ceiling = element(30)
+    for s, exponents in (
+        (geometric(field, axis), range(30)),
+        (artin_schreier(field, 3, axis), [1, 3, 9, 27]),
+    ):
+        assert s.ensure_below(ceiling, Fuel(64))
+        assert [(t.exponent, t.coefficient) for t in s.terms_below(ceiling)] == [
+            (element(e), F3.one()) for e in exponents
+        ]

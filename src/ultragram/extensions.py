@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .groups import GroupElement, GroupKind, Subgroup, is_cofinal, subgroup_index
+from .groups import GroupElement, Subgroup, is_cofinal, subgroup_index
 from .presentations import SubfieldPresentation
 from .series import (
     Precision,
@@ -28,7 +28,6 @@ from .series import (
     multiply,
     subtract,
     sum_series,
-    truncate,
     valuation,
 )
 from .spaces import (
@@ -125,14 +124,9 @@ def ramification_and_residue(
     one_kv = K.residue_field.one()
 
     def prefer_unit(indices: list[int]) -> list[int]:
-        def is_unit(i: int) -> bool:
-            if values[i] != zero:
-                return False
-            res = K.restrict_residue(leads[i].coefficient)
-            return res is not None and res == one_kv
-        units = [i for i in indices if is_unit(i)]
-        rest = [i for i in indices if not is_unit(i)]
-        return units + rest
+        def not_unit(i: int) -> bool:
+            return values[i] != zero or K.restrict_residue(leads[i].coefficient) != one_kv
+        return sorted(indices, key=not_unit)
 
     x_indices = []
     y_indices: list[int] = []
@@ -290,13 +284,6 @@ class ApproximationResult:
     output_values: list           # v(b_i*) of the output family
 
 
-def _ambient_step(K: SubfieldPresentation) -> GroupElement:
-    group = K.ambient.group
-    if group.kind is GroupKind.LEX_PRODUCT:
-        return group.unit(-1)
-    return group.element(1)
-
-
 def complete_and_approximate(
     u_family: VectorFamily,
     hat_coefficients: Sequence[Sequence[Series]],
@@ -344,7 +331,7 @@ def complete_and_approximate(
     if not is_cofinal(K.value_subgroup, witnessed):
         raise NotCofinal("vK is not cofinal in the witnessed value span")
 
-    step = _ambient_step(K)
+    step = K.ambient.group.unit()
     pairs = []
     truncated_rows: list[list[Series]] = []
     for i in range(n):
@@ -353,21 +340,13 @@ def complete_and_approximate(
             c = rows[i][j]
             required = hat_vals[i] - u_leads[j].exponent
             cutoff = required + step
-            cut = truncate(c, cutoff)
-            fuel = prec.fuel()
-            if not cut.ensure_below(cutoff, fuel):
+            if not c.ensure_below(cutoff, prec.fuel()):
                 raise PrecisionExhausted(
                     f"could not enumerate coefficient ({i},{j}) below {cutoff}"
                 )
-            if c.exhausted:
-                # already a finite K-element: keep it whole
-                finite = K.ambient.from_terms(
-                    [(t.exponent, t.coefficient) for t in c.witnessed_terms()]
-                )
-            else:
-                finite = K.ambient.from_terms(
-                    [(t.exponent, t.coefficient) for t in cut.terms_below(cutoff)]
-                )
+            # an exhausted c is already a finite K-element: keep it whole
+            terms = c.witnessed_terms() if c.exhausted else c.terms_below(cutoff)
+            finite = K.ambient.from_terms([(t.exponent, t.coefficient) for t in terms])
             diff_val = valuation(
                 multiply(subtract(finite, c), u[j]), prec
             )

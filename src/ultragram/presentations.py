@@ -5,8 +5,8 @@ capabilities: coset tests against the value subgroup vK, monomial sections
 (an element of K of prescribed value), residue sections (an element of the
 valuation ring of K with prescribed residue), and linear algebra over the
 residue subfield Kv inside the ambient residue field Lv.  The coefficient
-closure adds sampling and enumeration of K-elements for evidence
-procedures and property tests.
+closure adds sampling of K-elements for evidence procedures and property
+tests.
 
 A presentation may declare itself *full*: its closure is the entire
 ambient field (the completion presentations of the series field itself).
@@ -19,9 +19,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Optional
 
-from .groups import GroupElement, Subgroup
+from .groups import GroupElement, GroupKind, Subgroup
 from .residues import (
     FieldElement,
     ResidueField,
@@ -71,7 +71,7 @@ class SubfieldPresentation:
     def value_in_subgroup(self, gamma: GroupElement) -> bool:
         return self.value_subgroup.contains(gamma)
 
-    # coefficient closure: finite K-elements for sampling and filtration
+    # coefficient closure: finite K-elements for sampling
 
     def _residue_pool(self) -> tuple[int, list[FieldElement]]:
         """The residues sampled from: the constants 0, 1, ..., n - 1 of Kv, then
@@ -90,38 +90,6 @@ class SubfieldPresentation:
             return [self.ambient.group.zero()]
         primary = gens[0]
         return [primary.scale(k) for k in range(-support, support + 1)]
-
-    def enumerate_elements(self, support: int) -> Iterator[Series]:
-        """All closure elements with the given support bound, zero excluded.
-
-        Deterministic order: increasing support bound, then lexicographic on
-        the coefficient tuples.  Only usable when the residue pool is the
-        whole of Kv (finite Kv); for infinite Kv it enumerates the pool span.
-        """
-        n, extra = self._residue_pool()
-        pool = [self.residue_field.element(i) for i in range(n)] + extra
-        for bound in range(support + 1):
-            window = self._exponent_window(bound)
-            seen_smaller = self._exponent_window(bound - 1) if bound else []
-            tuples = [[]]
-            for _ in window:
-                tuples = [t + [c] for t in tuples for c in range(len(pool))]
-            for combo in tuples:
-                if all(c == 0 for c in combo):
-                    continue
-                if bound and not any(
-                    c != 0 and exp not in seen_smaller
-                    for c, exp in zip(combo, window)
-                ):
-                    continue  # already yielded at a smaller bound
-                terms = [
-                    (exp, self.embed_residue(pool[c]))
-                    for c, exp in zip(combo, window)
-                    if c != 0 and not pool[c].is_zero()
-                ]
-                if not terms:
-                    continue
-                yield self.ambient.from_terms(terms)
 
     def sample_element(self, rng: random.Random, support: int) -> Series:
         """A random nonzero closure element with bounded support."""
@@ -178,8 +146,7 @@ def completion_presentation(
 
 def _spans_group(sub: Subgroup) -> bool:
     ambient = sub.ambient
-    if ambient.kind.value == "Z":
-        return sub.contains(ambient.element(1))
-    if ambient.kind.value == "Q":
-        return False  # no finitely generated subgroup spans Q
-    return all(sub.contains(ambient.unit(axis)) for axis in range(ambient.rank))
+    # no finitely generated subgroup spans Q
+    return ambient.kind is not GroupKind.RATIONAL_LINE and all(
+        sub.contains(ambient.unit(axis)) for axis in range(ambient.rank)
+    )

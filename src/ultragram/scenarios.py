@@ -56,7 +56,6 @@ from .spaces import (
     check_normalized,
     immediacy_evidence,
     is_valuation_independent,
-    is_valuation_independent_over,
     make_family,
     nearest_point,
     normalize,
@@ -306,10 +305,6 @@ class Scenario:
     builders: dict
     precision: Precision
 
-    @property
-    def name(self) -> str:
-        return self.canonical.get("name", "<unnamed>")
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Scenario) and self.canonical == other.canonical
 
@@ -539,12 +534,8 @@ def run(scenario: Scenario, precision: Optional[Precision] = None, seed: Optiona
 
 
 def _certified_family(runtime: Runtime, elements: list, prec: Precision, over=None):
-    fam = make_family(runtime.base, elements)
-    if over is not None:
-        verdict = is_valuation_independent_over(fam, over, prec)
-    else:
-        verdict = is_valuation_independent(fam, prec)
-    return fam, verdict
+    fam = make_family(runtime.base, elements, relative_to=over)
+    return fam, is_valuation_independent(fam, prec)
 
 
 def _fmt_exp(coords: list) -> str:
@@ -790,16 +781,13 @@ def _immediacy_run(task, runtime: Runtime, seed) -> dict:
         out["witness"] = series_json(result.witness, prec)
     else:
         out["precision_limited"] = result.precision_limited
-    if result.reduction is not None:
-        out["reduction"] = nearest_json(result.reduction, prec)
+    out["reduction"] = nearest_json(result.reduction, prec)
     return out
 
 
 def _immediacy_witnesses(task, outcome: dict, runtime: Runtime):
     probe = runtime.elements[task["probe"]]
-    reduction = outcome.get("reduction")
-    if reduction is None:
-        return
+    reduction = outcome["reduction"]
     if outcome["kind"] == "not_immediate":
         yield "max", probe, reduction
     yield "chain", probe, reduction

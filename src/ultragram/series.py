@@ -25,6 +25,11 @@ inverse of x with lead c*t^g is the fixed point y = m + u*y, m = c^-1 t^-g,
 u = -m*(x - c*t^g): v(u) > 0, so each term of u*y lies above the terms of
 y it uses and the product's right cursors run over y's own prefix.
 
+A pull is one explicit-stack loop in :meth:`Series.ensure_below`: a node's
+``_expand`` is a generator that yields each child with the bound it needs,
+and the loop expands that child first when its cache falls short.  No pull
+recurses, so the depth of a chain of nodes is bounded only by the inputs.
+
 Fuel: a stream spends one unit per pulled term and an inverse one per
 exponent it settles, zero or not.  No other node makes terms its children
 do not bound, so every pull ends; one that runs out of fuel leaves a
@@ -194,14 +199,20 @@ class Series:
         self._cache: list[Term] = []
         self._known = None if floor is not None else _INF
 
-    # node-specific production
-    def _expand(self, bound: GroupElement, fuel: Fuel) -> None:
+    # node-specific production: yields (child, bound) pairs, then extends the cache
+    def _expand(self, bound: GroupElement, fuel: Fuel) -> Iterator[tuple]:
         raise NotImplementedError
 
     def ensure_below(self, bound: GroupElement, fuel: Fuel) -> bool:
         """Try to certify the cache complete below ``bound``; report success."""
-        if not self.complete_for(bound):
-            self._expand(bound, fuel)
+        stack = [] if self.complete_for(bound) else [self._expand(bound, fuel)]
+        while stack:
+            for child, below in stack[-1]:
+                if not child.complete_for(below):
+                    stack.append(child._expand(below, fuel))
+                    break
+            else:
+                stack.pop()
         return self.complete_for(bound)
 
     def complete_for(self, bound: GroupElement) -> bool:
@@ -248,7 +259,8 @@ class _Stream(Series):
         self._factory = factory
         self._iter: Optional[Iterator[Term]] = None
 
-    def _expand(self, bound, fuel) -> None:
+    def _expand(self, bound, fuel):
+        yield from ()  # no children to pull
         if self._iter is None:
             self._iter = self._factory()
         cache = self._cache
@@ -281,9 +293,9 @@ class _Map(Series):
         self.shift = shift
         self.scale = scale
 
-    def _expand(self, bound, fuel) -> None:
+    def _expand(self, bound, fuel):
         child = self.child
-        child.ensure_below(bound - self.shift, fuel)
+        yield child, bound - self.shift
         # term i of this cache is term i of the child's: map only the new ones
         self._cache += [
             Term(t.exponent + self.shift, t.coefficient * self.scale)
@@ -303,10 +315,10 @@ class _Sum(Series):
         self.children = children
         self._cursors = [0] * len(children)
 
-    def _expand(self, bound, fuel) -> None:
+    def _expand(self, bound, fuel):
         children, cursors = self.children, self._cursors
         for c in children:
-            c.ensure_below(bound, fuel)
+            yield c, bound
         w = _bound_min(*(c._known for c in children))  # _INF when every child is exhausted
         if w is None:
             return
@@ -409,10 +421,10 @@ class _Mul(Series):
         self.y = y
         self._pairs = _Pairs()
 
-    def _expand(self, bound, fuel) -> None:
+    def _expand(self, bound, fuel):
         x, y = self.x, self.y
-        x.ensure_below(bound - y.floor, fuel)
-        y.ensure_below(bound - x.floor, fuel)
+        yield x, bound - y.floor
+        yield y, bound - x.floor
         if x.exhausted and y.exhausted:
             w = _INF
         else:
@@ -435,9 +447,9 @@ class _Truncate(Series):
         self.child = child
         self.cut = cut
 
-    def _expand(self, bound, fuel) -> None:
+    def _expand(self, bound, fuel):
         child = self.child
-        child.ensure_below(min(bound, self.cut), fuel)
+        yield child, min(bound, self.cut)
         known = child._known
         if known is None:
             return
@@ -465,9 +477,9 @@ class _Invert(Series):
         self._pairs = _Pairs()
         self._cache.append(Term(self.floor, inverse))
 
-    def _expand(self, bound, fuel) -> None:
+    def _expand(self, bound, fuel):
         x = self.x
-        x.ensure_below(bound - self._back, fuel)
+        yield x, bound - self._back
         if x.exhausted and len(x._cache) == 1:
             self._known = _INF  # x is exactly its leading monomial
             return

@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines; every
 criterion states its runtime budget and asserts it.
 """
 
+import itertools
 import time
 from fractions import Fraction
 
@@ -47,7 +48,8 @@ def test_criterion_1_transcendental_residue():
         assert immediacy["kind"] == "not_immediate"
         assert immediacy["max_value"] == ["1"]
 
-        # module-level check: v(ty - a) <= 1 = v(ty) for every enumerated a
+        # module-level check: v(ty - a) <= 1 = v(ty) for every nonzero
+        # a = sum c_k t^k over F3 with -2 <= k <= 2
         F3 = ResidueField.prime(3)
         F3s = ResidueField.rational_functions(3)
         ambient = SeriesField(Z, F3s)
@@ -56,11 +58,16 @@ def test_criterion_1_transcendental_residue():
         ty = ambient.from_terms([(1, F3s.generator())])
         one_val = Z.element(1)
         count = 0
-        for a in K.enumerate_elements(2):
+        for combo in itertools.product(range(3), repeat=5):
+            if not any(combo):
+                continue
+            a = ambient.from_terms(
+                [(k, K.embed_residue(c)) for k, c in zip(range(-2, 3), combo) if c]
+            )
             val = valuation(subtract(ty, a), prec)
             assert val.is_value and val.value <= one_val
             count += 1
-        assert count > 200  # the filtration window is genuinely exhausted
+        assert count == 3**5 - 1  # the filtration window is genuinely exhausted
 
     _criterion(1, "paper:fpt-y transcendental residue", 1.0, body)
 

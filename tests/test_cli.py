@@ -247,6 +247,43 @@ def test_cli_verify_flag(tmp_path: Path):
     assert all(check["ok"] for check in report["verification"])
 
 
+def test_deep_chase_probe_has_no_task_error(tmp_path: Path):
+    # a 600-step chase builds subtraction chains far deeper than the
+    # interpreter's recursion limit
+    out_path = tmp_path / "r.json"
+    assert main([
+        "run", "paper:ti-minus-ti1", "--max-terms", "600", "--precision-exp", "2000",
+        "--format", "structured", "--output", str(out_path),
+    ]) == 0
+    report = json.loads(out_path.read_text(encoding="utf-8"))
+    assert not any("error" in task for task in report["tasks"])
+    assert len(report["tasks"][1]["outcome"]["evidence"]) == 600
+
+
+def test_chase_at_1024_terms_verifies(tmp_path: Path):
+    max_terms = 1024
+    doc = {
+        "name": "chase-s5-m1024",
+        "ambient": {"group": {"group": "Z"}, "coefficients": {"field": "Q"}},
+        "base_field": {"kind": "trivial", "name": "Q"},
+        "elements": {"target": [[5, 1]]},
+        "tasks": [{
+            "task": "nearest_point", "target": "target",
+            "family": {"family_builder": "telescoping", "start": 5, "count": "auto"},
+        }],
+        "precision": {"ceiling": 2 * max_terms + 40, "max_terms": max_terms, "degree_cap": 16},
+    }
+    path = tmp_path / "chase.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    out_path = tmp_path / "r.json"
+    assert main(["run", str(path), "--verify", "--format", "structured", "--output", str(out_path)]) == 0
+    report = json.loads(out_path.read_text(encoding="utf-8"))
+    outcome = report["tasks"][0]["outcome"]
+    assert outcome["kind"] == "unbounded"
+    assert len(outcome["evidence"]) == max_terms
+    assert all(check["ok"] for check in report["verification"])
+
+
 def test_verify_rejects_tampered_witness():
     scenario = load_scenario("paper:ti-minus-ti1")
     report = run(scenario)

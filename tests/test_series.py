@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -472,6 +473,34 @@ def test_zero_nodes_are_exhausted_before_any_pull():
         assert s.exhausted and not s.witnessed_terms()
         v = valuation(s, PREC)
         assert not v.is_value and v.exhausted and v.up_to == PREC.ceiling
+
+
+LINKS = 5000  # five times the interpreter's default recursion limit
+
+
+def test_pull_through_a_long_subtract_chain():
+    # 1 + t + t^2 + ... - t - t^2 - ... - t^LINKS
+    chain = geometric(L3)
+    for i in range(1, LINKS + 1):
+        chain = subtract(chain, L3.monomial(i))
+    assert chain.ensure_below(Z.element(4), Fuel(64))
+    assert [(t.exponent, t.coefficient) for t in chain.terms_below(Z.element(4))] == [
+        (Z.element(0), F3.one()),
+    ]
+
+
+def test_pull_through_a_long_multiply_chain():
+    # (1 + t)^LINKS / (1 - t): the coefficient of t^k is sum_{j <= k} C(LINKS, j)
+    one_plus_t = L3.from_terms([(0, 1), (1, 1)])
+    chain = geometric(L3)
+    for _ in range(LINKS):
+        chain = multiply(chain, one_plus_t)
+    assert chain.ensure_below(Z.element(3), Fuel(64))
+    expected = [(Z.element(k), F3.element(sum(math.comb(LINKS, j) for j in range(k + 1))))
+                for k in range(3)]
+    assert [(t.exponent, t.coefficient) for t in chain.terms_below(Z.element(3))] == [
+        (e, c) for e, c in expected if not c.is_zero()
+    ]
 
 
 # the exponent of a power stream's i-th term along each axis, written out per group

@@ -408,6 +408,19 @@ def test_full_field_presentation_short_circuits():
     assert r.ok and len(r.basis) == 1
 
 
+LEX2 = OrderedGroup.lex(2)
+
+
+@pytest.mark.parametrize("group, t_value, full", [
+    (Z, Z.element(1), True),
+    (Z, Z.element(2), False),
+    (Q, Q.element(1), False),  # no finitely generated subgroup spans Q
+    (LEX2, LEX2.element(0, 1), False),  # one generator cannot span rank 2
+], ids=["Z-t1", "Z-t2", "Q", "Z2lex"])
+def test_completion_presentation_full_field_per_group_kind(group, t_value, full):
+    assert completion_presentation(SeriesField(group, F3), t_value).full_field is full
+
+
 def test_nearest_point_residue_class_solves_exactly(fps_ambient):
     # the value-zero class {1, y} has two residue directions; reductions must
     # rebuild exact members and stop only on genuine residue escapes

@@ -20,10 +20,13 @@ J. Symbolic Comput. 34(6), 2002): caches are append-only and each pull
 resumes from cursors saved by the last, so small steps cost about what one
 pull to the last bound costs.  A map maps only new child terms; a sum
 heap-merges its children, one cursor each; a product keeps one cursor per
-left term into the right cache and forms only pairs below the bound.  The
-inverse of x with lead c*t^g is the fixed point y = m + u*y, m = c^-1 t^-g,
-u = -m*(x - c*t^g): v(u) > 0, so each term of u*y lies above the terms of
-y it uses and the product's right cursors run over y's own prefix.
+left term into the right cache and forms only pairs below the bound.  Its
+pair loop works on raw exponent keys (coordinates summed as numbers) and
+coefficient reps (the field's op table) and builds one element per settled
+exponent.  The inverse of x with lead c*t^g is the fixed point y = m + u*y,
+m = c^-1 t^-g, u = -m*(x - c*t^g): v(u) > 0, so each term of u*y lies above
+the terms of y it uses and the product's right cursors run over y's own
+prefix.
 
 A pull is one explicit-stack loop in :meth:`Series.ensure_below`: a node's
 ``_expand`` is a generator that yields each child with the bound it needs,
@@ -43,6 +46,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
+from itertools import count
+from operator import add as _coord_add
 from typing import Callable, Iterable, Iterator, Optional
 
 from .groups import GroupElement, OrderedGroup
@@ -88,15 +93,13 @@ class SeriesField:
             coeff = self.coeff.element(c)
             if coeff.is_zero():
                 continue
-            if not isinstance(exp, GroupElement):
-                exp = self.group.element(exp)
+            exp = exp if isinstance(exp, GroupElement) else self.group.element(exp)
             terms.append(Term(exp, coeff))
         terms.sort(key=lambda t: t.exponent.coords)
         merged: list[Term] = []
         for t in terms:
             if merged and merged[-1].exponent == t.exponent:
-                s = merged[-1].coefficient + t.coefficient
-                merged.pop()
+                s = merged.pop().coefficient + t.coefficient
                 if not s.is_zero():
                     merged.append(Term(t.exponent, s))
             else:
@@ -183,11 +186,8 @@ class Precision:
         return Fuel(256 + 64 * self.max_terms)
 
     def describe(self) -> dict:
-        return {
-            "ceiling": [str(c) for c in self.ceiling.coords],
-            "max_terms": self.max_terms,
-            "degree_cap": self.degree_cap,
-        }
+        ceiling = [str(c) for c in self.ceiling.coords]
+        return {"ceiling": ceiling, "max_terms": self.max_terms, "degree_cap": self.degree_cap}
 
 
 class Series:
@@ -352,15 +352,17 @@ class _Sum(Series):
 class _Pairs:
     """State of an online product: one cursor per left term into the right terms.
 
-    Each left term's next pair waits in a heap keyed by exponent; left term
-    i+1 joins once the pair (i, 0) is settled, as none of its pairs is
-    smaller.  A cursor at the end of the right cache waits in ``stuck``
-    until that cache grows; all stuck cursors share one right index.
+    Each left term's next pair waits in a heap keyed by its raw exponent (the
+    one coordinate on rank 1, else the coordinate tuple); left term i+1 joins
+    once the pair (i, 0) is settled, as none of its pairs is smaller.  A cursor
+    at the end of the right cache waits in ``stuck`` until that cache grows;
+    all stuck cursors share one right index.
     """
 
-    def __init__(self):
+    def __init__(self, field: SeriesField):
+        self.field = field
         self.cursors: list[int] = []
-        self.heap: list = []  # (exponent coords, left index, exponent)
+        self.heap: list = []  # (exponent key, left index)
         self.stuck: list[int] = []
         self.due = True  # left term len(cursors) may join
 
@@ -373,12 +375,17 @@ class _Pairs:
         product is settled.
         """
         cursors, heap, stuck = self.cursors, self.heap, self.stuck
+        group, coeff = self.field.group, self.field.coeff
+        plus, times, canon, _ = coeff._ops
+        rank1 = group.rank == 1  # one number per key costs a fifth of a tuple made by map()
+        key_of = (lambda a, b: a[0] + b[0]) if rank1 else (lambda a, b: tuple(map(_coord_add, a, b)))
+        elem = (lambda k: GroupElement(group, (k,))) if rank1 else (lambda k: GroupElement(group, k))
+        stop_key = None if stop is _INF else stop.coords[0] if rank1 else stop.coords
 
         def ready(i: int) -> None:
             j = cursors[i]
             if j < len(right):
-                e = left[i].exponent + right[j].exponent
-                heappush(heap, (e.coords, i, e))
+                heappush(heap, (key_of(left[i].exponent.coords, right[j].exponent.coords), i))
             else:
                 stuck.append(i)
 
@@ -392,22 +399,24 @@ class _Pairs:
                 stuck.clear()
                 for i in waiting:
                     ready(i)
-            if not heap or (stop is not _INF and not heap[0][0] < stop.coords):
+            if not heap or (stop_key is not None and not heap[0][0] < stop_key):
                 return stop
             if fuel is not None and not fuel.spend():
-                return heap[0][2]
-            key, _, e = heap[0]
+                return elem(heap[0][0])
+            key = heap[0][0]
             total = None
             while heap and heap[0][0] == key:
-                _, i, _ = heappop(heap)
+                i = heappop(heap)[1]
                 j = cursors[i]
-                c = left[i].coefficient * right[j].coefficient
-                total = c if total is None else total + c
+                c = times(left[i].coefficient.rep, right[j].coefficient.rep)
+                total = c if total is None else plus(total, c)
                 cursors[i] = j + 1
                 self.due = self.due or j == 0
                 ready(i)
-            if not total.is_zero():
-                out.append(Term(e, total))
+            if canon is not None:
+                total = canon(total)
+            if total != coeff._zero_rep:
+                out.append(Term(elem(key), FieldElement(coeff, total)))
 
 
 class _Mul(Series):
@@ -419,7 +428,7 @@ class _Mul(Series):
         super().__init__(x.field, floor)
         self.x = x
         self.y = y
-        self._pairs = _Pairs()
+        self._pairs = _Pairs(self.field)
 
     def _expand(self, bound, fuel):
         x, y = self.x, self.y
@@ -474,7 +483,7 @@ class _Invert(Series):
         self._scale = -inverse  # u_i = -x_i / c, shifted by -g
         self._back = self.floor + self.floor  # x below b + 2g gives u*y below b
         self._u: list[Term] = []
-        self._pairs = _Pairs()
+        self._pairs = _Pairs(self.field)
         self._cache.append(Term(self.floor, inverse))
 
     def _expand(self, bound, fuel):
@@ -587,9 +596,7 @@ def leading_term(x: Series, prec: Precision) -> Optional[Term]:
 def invert(x: Series, prec: Precision) -> Series:
     lead = leading_term(x, prec)
     if lead is None:
-        raise LeadingTermUnknown(
-            f"no leading term witnessed below the ceiling {prec.ceiling}"
-        )
+        raise LeadingTermUnknown(f"no leading term witnessed below the ceiling {prec.ceiling}")
     return _Invert(x)
 
 
@@ -611,15 +618,11 @@ def residue_ratio(a: Series, b: Series, prec: Precision) -> FieldElement:
 def equal_up_to(x: Series, y: Series, cut: GroupElement, prec: Precision) -> bool:
     """Termwise equality of the truncations below ``cut``."""
     diff = subtract(x, y)
-    fuel = prec.fuel()
-    complete = diff.ensure_below(cut, fuel)
-    witnessed = diff.terms_below(cut)
-    if witnessed:
+    complete = diff.ensure_below(cut, prec.fuel())
+    if diff.terms_below(cut):
         return False
     if not complete:
-        raise PrecisionExhausted(
-            f"equality below {cut} undecided within the precision budget"
-        )
+        raise PrecisionExhausted(f"equality below {cut} undecided within the precision budget")
     return True
 
 
@@ -643,14 +646,12 @@ def custom_powers(field: SeriesField, exponent_of: Callable[[int], int], axis: i
     first = exponent_of(0)
 
     def gen() -> Iterator[Term]:
-        i = 0
         last = None
-        while True:
+        for i in count():
             e = exponent_of(i)
             if last is not None and e <= last:
                 raise ValueError("exponent formula must strictly increase")
             last = e
             yield Term(unit.scale(e), one)
-            i += 1
 
     return field.stream(unit.scale(first), gen)

@@ -49,6 +49,15 @@ def test_integer_line_rejects_fractions():
         L2.element("1/2", 0)
 
 
+@pytest.mark.parametrize("group", [Z, Q, L2], ids=["Z", "Q", "Z^2_lex"])
+def test_elements_reject_floats(group):
+    # Fraction(0.1) is the binary expansion 3602879701896397/36028797018963968, not 1/10
+    with pytest.raises(TypeError):
+        group.element(*[0.1] + [0] * (group.rank - 1))
+    with pytest.raises(TypeError):
+        group.element(*[0] * (group.rank - 1) + [2.0])
+
+
 def test_coset_equal_examples():
     key = Subgroup.spanned_by(Q, [Q.element(1)]).coset_key
     assert key(Q.element(5)) == key(Q.element(5))

@@ -1,4 +1,5 @@
 import itertools
+import pickle
 import random
 
 import pytest
@@ -44,6 +45,23 @@ def test_function_field_canonical_form():
     assert F5s.fraction(num, den) == F5s.fraction([1, 1], [1])
     # 2/(2s) reduces with a monic denominator
     assert F5s.fraction([2], [0, 2]) == F5s.fraction([1], [0, 1])
+
+
+@pytest.mark.parametrize("field", [F3, Q, F5s], ids=["F3", "Q", "F5(s)"])
+def test_elements_reject_floats(field):
+    # F3 would truncate 2.7 to 2 and Q would take the binary expansion of 0.1
+    for value in (2.7, 0.1, 1.0):
+        with pytest.raises(TypeError):
+            field.element(value)
+    assert field.element(1) == field.one()
+
+
+@pytest.mark.parametrize("field", [F3, Q, F5s], ids=["F3", "Q", "F5(s)"])
+def test_fields_and_elements_survive_pickling(field):
+    x = field.element(2) if field is not F5s else F5s.generator() + F5s.element(2)
+    back = pickle.loads(pickle.dumps(x))
+    assert back == x and back.field == field
+    assert back * back.invert() == field.one() and (back - x).is_zero()
 
 
 def test_prime_requires_prime():

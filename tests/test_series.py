@@ -287,7 +287,9 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
+from ultragram import series
 from ultragram.groups import GroupElement
+from ultragram.residues import FieldElement
 from ultragram.series import Fuel, scale, sum_series
 
 Q = OrderedGroup.rationals()
@@ -300,6 +302,17 @@ AMBIENTS = {
     "Z^2_lex": (LEX, st.tuples(st.integers(0, 1), st.integers(0, 5)), LEX.element(0, 10)),
 }
 NODES = ("sum", "product", "map", "truncate", "inverse")
+# one coefficient field per row of the op table, with nonzero coefficients for random terms;
+# the F5(s) ones are (num, den) pairs, so sums and products cross-multiply denominators
+F5S = ResidueField.rational_functions(5)
+COEFFICIENTS = {
+    "F5": (F5, st.integers(1, 4)),
+    "Q": (ResidueField.rationals(), st.builds(Fraction, st.integers(-4, 4).filter(bool), st.integers(1, 3))),
+    "F5(s)": (F5S, st.tuples(
+        st.lists(st.integers(0, 4), min_size=1, max_size=3).filter(any),
+        st.sampled_from([(1,), (1, 1), (2, 0, 1)]),
+    )),
+}
 
 
 def _build(kind, field, a, b, unit):
@@ -324,10 +337,10 @@ def _state(s, bound):
 
 @st.composite
 def node_cases(draw):
-    name = draw(st.sampled_from(sorted(AMBIENTS)))
-    group, coords, bound = AMBIENTS[name]
-    field = SeriesField(group, F5)
-    terms = st.lists(st.tuples(coords, st.integers(1, 4)), max_size=4)
+    group, coords, bound = AMBIENTS[draw(st.sampled_from(sorted(AMBIENTS)))]
+    coeff, values = COEFFICIENTS[draw(st.sampled_from(sorted(COEFFICIENTS)))]
+    field = SeriesField(group, coeff)
+    terms = st.lists(st.tuples(coords, values), max_size=4)
     a, b = draw(terms), draw(terms)
     steps = sorted(draw(st.lists(st.sampled_from(range(1, 12)), max_size=4)))
     return field, draw(st.sampled_from(NODES)), a, b, steps, bound, draw(st.integers(1, 4))
@@ -372,25 +385,25 @@ def test_inverse_times_x_is_one_over_q_exponents(terms, lead, infinite):
 
 
 @pytest.fixture
-def additions(monkeypatch):
-    """Counts GroupElement additions, the exponent work of every node."""
+def pushes(monkeypatch):
+    """Counts heap pushes in the series module: one per product pair and per merged sum term."""
     count = [0]
-    plain = GroupElement.__add__
+    plain = series.heappush
 
-    def counted(self, other):
+    def counted(heap, item):
         count[0] += 1
-        return plain(self, other)
+        plain(heap, item)
 
-    monkeypatch.setattr(GroupElement, "__add__", counted)
+    monkeypatch.setattr(series, "heappush", counted)
     return count
 
 
-def test_small_fuel_inverse_pull_stops_and_resumes(additions):
+def test_small_fuel_inverse_pull_stops_and_resumes(pushes):
     bound = Z.element(64)
     inv = invert(subtract(L5.one(), L5.monomial(1)), PREC)
-    additions[0] = 0
+    pushes[0] = 0
     assert not inv.ensure_below(bound, Fuel(8))
-    assert additions[0] < 64  # each unit of fuel buys a bounded amount of work
+    assert pushes[0] < 64  # each unit of fuel buys a bounded amount of work
     first = inv.witnessed_terms()
     assert 1 <= len(first) <= 9
     while not inv.ensure_below(bound, Fuel(8)):
@@ -401,15 +414,15 @@ def test_small_fuel_inverse_pull_stops_and_resumes(additions):
     assert all(t.coefficient == F5.one() for t in terms)
 
 
-def test_inverse_of_one_plus_t_geometric_is_linear_work(additions):
+def test_inverse_of_one_plus_t_geometric_is_linear_work(pushes):
     # 1/(1 + t + t^2 + ...) = 1 - t exactly, so the work must grow with the ceiling only
     counts = {}
     for ceiling in (256, 512):
         x = add(L3.one(), multiply(L3.monomial(1), geometric(L3)))
         inv = invert(x, Precision(Z.element(ceiling), max_terms=8))
-        additions[0] = 0
+        pushes[0] = 0
         assert inv.ensure_below(Z.element(ceiling), Fuel(10 * ceiling))
-        counts[ceiling] = additions[0]
+        counts[ceiling] = pushes[0]
         assert [(t.exponent, t.coefficient) for t in inv.witnessed_terms()] == [
             (Z.element(0), F3.one()), (Z.element(1), F3.element(2))
         ]
@@ -417,21 +430,71 @@ def test_inverse_of_one_plus_t_geometric_is_linear_work(additions):
     assert counts[512] <= 2.2 * counts[256]
 
 
-def test_stepwise_product_pulls_cost_at_most_twice_one_pull(additions):
+def test_stepwise_product_pulls_cost_at_most_twice_one_pull(pushes):
     ceiling = 128
     work = []
     for step in (ceiling, 16):
         g = geometric(L3)
         square = multiply(g, g)
-        additions[0] = 0
+        pushes[0] = 0
         for bound in range(step, ceiling + 1, step):
             assert square.ensure_below(Z.element(bound), Fuel(10_000))
-        work.append(additions[0])
+        work.append(pushes[0])
         # (sum t^i)^2 = sum (i+1) t^i
         assert [t.coefficient for t in square.terms_below(Z.element(ceiling))] == [
             F3.element(i + 1) for i in range(ceiling) if (i + 1) % 3
         ]
     assert work[1] <= 2 * work[0]
+
+
+def _count_inits(monkeypatch, cls):
+    """Counts every ``cls`` built from now on."""
+    count = [0]
+    plain = cls.__init__
+
+    def counted(self, *args, **kwargs):
+        count[0] += 1
+        plain(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, "__init__", counted)
+    return count
+
+
+def test_product_pull_builds_one_element_per_settled_exponent(monkeypatch):
+    # 128 * 129 / 2 pairs lie below 128, but only one exponent and one coefficient survive per sum
+    ceiling = Z.element(128)
+    g = geometric(L3)
+    assert g.ensure_below(ceiling, Fuel(10_000))  # the stream's own exponents come first
+    square = multiply(g, g)
+    exponents, coefficients = _count_inits(monkeypatch, GroupElement), _count_inits(monkeypatch, FieldElement)
+    assert square.ensure_below(ceiling, Fuel(10_000))
+    settled = len(square.terms_below(ceiling))
+    assert settled == 128 - 128 // 3  # (sum t^i)^2 = sum (i+1) t^i over F3
+    # the constant covers the pull's own bound arithmetic (8 exponents here)
+    assert settled <= exponents[0] <= settled + 16
+    assert settled <= coefficients[0] <= settled + 16
+
+
+def test_lex_product_with_rational_coefficients_matches_schoolbook():
+    # exponent keys of rank 2 and Q coefficients, against the schoolbook product of the term lists
+    field = SeriesField(LEX, ResidueField.rationals())
+    bound = LEX.element(1, 4)
+    rng = random.Random(41)
+    for _ in range(60):
+        def rnd():
+            support = {(rng.randint(-1, 1), rng.randint(-3, 6)) for _ in range(rng.randint(1, 5))}
+            return {e: Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.randint(1, 4)) for e in sorted(support)}
+
+        a, b = rnd(), rnd()
+        product = multiply(field.from_terms(a.items()), field.from_terms(b.items()))
+        assert product.ensure_below(bound, Fuel(10_000))
+        want: dict = {}
+        for (i1, i2), c in a.items():
+            for (j1, j2), d in b.items():
+                want[(i1 + j1, i2 + j2)] = want.get((i1 + j1, i2 + j2), 0) + c * d
+        assert [(t.exponent.coords, t.coefficient.rep) for t in product.terms_below(bound)] == [
+            (e, c) for e, c in sorted(want.items()) if c and e < bound.coords
+        ]
 
 
 def _count_fractions(monkeypatch):

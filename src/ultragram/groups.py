@@ -87,6 +87,8 @@ class OrderedGroup:
             coords = tuple(coords[0])
         if len(coords) != self.rank:
             raise ValueError(f"expected {self.rank} coordinates, got {len(coords)}")
+        if self.kind is not GroupKind.RATIONAL_LINE and all(type(c) is int for c in coords):
+            return GroupElement(self, coords)
         if any(isinstance(c, float) for c in coords):
             raise TypeError(f"exact groups take no floats, got {coords!r}")
         exact = tuple(Fraction(c) for c in coords)

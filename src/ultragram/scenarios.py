@@ -175,7 +175,7 @@ def _parse_exponent(spec, group: OrderedGroup) -> GroupElement:
     coords = spec if isinstance(spec, list) else [spec]
     if len(coords) != group.rank or not all(_is_int(c) or isinstance(c, str) for c in coords):
         raise ParseError(f"exponent {spec!r} needs {group.rank} integer or 'p/q' coordinates")
-    return group.element(*[Fraction(c) for c in coords])
+    return group.element(*coords)
 
 
 @_atom

@@ -28,6 +28,15 @@ m = c^-1 t^-g, u = -m*(x - c*t^g): v(u) > 0, so each term of u*y lies above
 the terms of y it uses and the product's right cursors run over y's own
 prefix.
 
+A product over Z and F_p uses Kronecker substitution instead (D. Harvey,
+J. Symbolic Comput. 44, 2009): each factor's prefix is one int, a byte slot
+per exponent, wide enough that no product slot overflows (else both
+repack).  A pull adds only the new L-shaped strip (new left slots times all
+right slots, old left times new right) to an accumulator and reads the
+settled slots mod p.  A strip with more than ``_SPARSE`` slots per new term
+(say, sum t^(3^i)) moves the product to the pair loop for good, its cursors
+bisected past the settled bound.  The inverse keeps the pair loop.
+
 A pull is one explicit-stack loop in :meth:`Series.ensure_below`: a node's
 ``_expand`` is a generator that yields each child with the bound it needs,
 and the loop expands that child first when its cache falls short.  No pull
@@ -44,13 +53,14 @@ series, must not be used from several threads at once.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import count
 from operator import add as _coord_add
 from typing import Callable, Iterable, Iterator, Optional
 
-from .groups import GroupElement, OrderedGroup
+from .groups import GroupElement, GroupKind, OrderedGroup
 from .residues import FieldElement, ResidueField
 
 
@@ -366,6 +376,13 @@ class _Pairs:
         self.stuck: list[int] = []
         self.due = True  # left term len(cursors) may join
 
+    def skip_below(self, left: list, right: list, bound: GroupElement) -> None:
+        """Start with every left term, each cursor at its first pair not below ``bound`` (rank 1)."""
+        keys = [t.exponent.coords[0] for t in right]
+        self.cursors = [bisect_left(keys, bound.coords[0] - t.exponent.coords[0]) for t in left]
+        self.stuck = list(range(len(left) - 1, -1, -1))  # least cursor first: one ready() pass
+        self.due = not left or self.cursors[-1] > 0
+
     def settle(self, left: list, right: list, out: list, stop, fuel: Optional[Fuel] = None):
         """Append to ``out`` the product terms below ``stop`` (every term when ``_INF``).
 
@@ -419,8 +436,71 @@ class _Pairs:
                 out.append(Term(elem(key), FieldElement(coeff, total)))
 
 
+_SPARSE = 8  # a block strip with more slots than this per new term goes to _Pairs
+
+
+def _pack(terms: list, origin: int, nbytes: int) -> int:
+    """The reps of ``terms`` (F_p over rank 1) as one int, exponent e in slot e - origin."""
+    buf = bytearray(nbytes * (terms[-1].exponent.coords[0] - origin + 1))
+    for t in terms:
+        k = nbytes * (t.exponent.coords[0] - origin)
+        buf[k:k + nbytes] = t.coefficient.rep.to_bytes(nbytes, "little")
+    return int.from_bytes(buf, "little")
+
+
+def _unpack(value: int, slots: int, nbytes: int, p: int) -> list:
+    """The lowest ``slots`` slots of ``value``, ``nbytes`` bytes each, reduced mod p."""
+    data = (value & ((1 << 8 * nbytes * slots) - 1)).to_bytes(nbytes * slots, "little")
+    return [int.from_bytes(data[k:k + nbytes], "little") % p for k in range(0, len(data), nbytes)]
+
+
+class _Block:
+    """State of a Kronecker product over Z and F_p (module docstring)."""
+
+    def __init__(self, field: SeriesField):
+        self.field, self.nbytes = field, 0  # bytes per slot
+        self.sizes = self.spans = self.ints = (0, 0)  # per factor: terms, slots, packed int
+        self.acc = self.done = 0  # the product slots from ``done`` on; ``done`` slots settled
+
+    def settle(self, left: list, right: list, out: list, stop):
+        """As :meth:`_Pairs.settle` without fuel, or None (settling nothing) on a sparse strip."""
+        if not (left and right):
+            return stop
+        x0, y0 = left[0].exponent.coords[0], right[0].exponent.coords[0]
+        (nx, ny), (ax, ay), (X, Y) = self.sizes, self.spans, self.ints
+        bx, by = left[-1].exponent.coords[0] - x0 + 1, right[-1].exponent.coords[0] - y0 + 1
+        if bx + by - ax - ay > _SPARSE * (len(left) + len(right) - nx - ny):
+            return None
+        p, done = self.field.coeff.p, self.done
+        nbytes = ((min(bx, by) * (p - 1) ** 2).bit_length() + 7) // 8
+        if nbytes > self.nbytes:  # a product slot could overflow: repack both prefixes
+            self.nbytes = nbytes
+            X, Y = _pack(left, x0, nbytes), _pack(right, y0, nbytes)
+            self.acc = X * Y >> 8 * nbytes * done
+        else:
+            nbytes, bits = self.nbytes, 8 * self.nbytes
+            if ny < len(right):  # old left slots times new right slots
+                lo = right[ny].exponent.coords[0] - y0
+                new = _pack(right[ny:], y0 + lo, nbytes)
+                self.acc, Y = self.acc + (X * new << bits * (lo - done)), Y + (new << bits * lo)
+            if nx < len(left):  # new left slots times every right slot
+                lo = left[nx].exponent.coords[0] - x0
+                new = _pack(left[nx:], x0 + lo, nbytes)
+                self.acc, X = self.acc + (new * Y << bits * (lo - done)), X + (new << bits * lo)
+        self.sizes, self.spans, self.ints = (len(left), len(right)), (bx, by), (X, Y)
+        end = bx + by - 1  # the slots the packed prefixes fill
+        top = end if stop is _INF else stop.coords[0] - x0 - y0  # the slots settled after this pull
+        if top > done:
+            group, coeff = self.field.group, self.field.coeff
+            for k, v in enumerate(_unpack(self.acc, max(min(top, end) - done, 0), nbytes, p), x0 + y0 + done):
+                if v:
+                    out.append(Term(GroupElement(group, (k,)), FieldElement(coeff, v)))
+            self.acc, self.done = self.acc >> 8 * nbytes * (top - done), top
+        return stop
+
+
 class _Mul(Series):
-    """Online product: each pull settles only the pairs below the new bound."""
+    """Online product: each pull settles only the products below the new bound."""
 
     def __init__(self, x: Series, y: Series):
         x._check(y)
@@ -429,6 +509,8 @@ class _Mul(Series):
         self.x = x
         self.y = y
         self._pairs = _Pairs(self.field)
+        dense = self.field.group.kind is GroupKind.INTEGER_LINE and self.field.coeff.kind == "Fp"
+        self._block = _Block(self.field) if dense else None  # Z and F_p: the Kronecker block path
 
     def _expand(self, bound, fuel):
         x, y = self.x, self.y
@@ -444,6 +526,14 @@ class _Mul(Series):
             )
             if w is None:
                 return
+        if self._block is not None:
+            known = self._block.settle(x._cache, y._cache, self._cache, w)
+            if known is not None:
+                self._known = known
+                return
+            self._block = None  # a sparse strip: the pair loop from here on
+            if self._known is not None:
+                self._pairs.skip_below(x._cache, y._cache, self._known)
         self._known = self._pairs.settle(x._cache, y._cache, self._cache, w)
 
 

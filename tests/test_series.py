@@ -290,7 +290,7 @@ from hypothesis import given, settings, strategies as st
 from ultragram import series
 from ultragram.groups import GroupElement
 from ultragram.residues import FieldElement
-from ultragram.series import Fuel, scale, sum_series
+from ultragram.series import Fuel, Term, scale, sum_series
 
 Q = OrderedGroup.rationals()
 LEX = OrderedGroup.lex(2)
@@ -386,15 +386,26 @@ def test_inverse_times_x_is_one_over_q_exponents(terms, lead, infinite):
 
 @pytest.fixture
 def pushes(monkeypatch):
-    """Counts heap pushes in the series module: one per product pair and per merged sum term."""
+    """Counts the work of the series module: a heap push per product pair and per merged
+    sum term, and a slot per coefficient slot that a block product packs or reads."""
     count = [0]
-    plain = series.heappush
+    plain_push, plain_pack, plain_unpack = series.heappush, series._pack, series._unpack
 
-    def counted(heap, item):
+    def push(heap, item):
         count[0] += 1
-        plain(heap, item)
+        plain_push(heap, item)
 
-    monkeypatch.setattr(series, "heappush", counted)
+    def pack(terms, origin, nbytes):
+        count[0] += terms[-1].exponent.coords[0] - origin + 1
+        return plain_pack(terms, origin, nbytes)
+
+    def unpack(value, slots, nbytes, p):
+        count[0] += slots
+        return plain_unpack(value, slots, nbytes, p)
+
+    monkeypatch.setattr(series, "heappush", push)
+    monkeypatch.setattr(series, "_pack", pack)
+    monkeypatch.setattr(series, "_unpack", unpack)
     return count
 
 
@@ -444,7 +455,32 @@ def test_stepwise_product_pulls_cost_at_most_twice_one_pull(pushes):
         assert [t.coefficient for t in square.terms_below(Z.element(ceiling))] == [
             F3.element(i + 1) for i in range(ceiling) if (i + 1) % 3
         ]
+        assert square._block is not None  # the Kronecker block path did the work
     assert work[1] <= 2 * work[0]
+
+
+def test_block_quotient_pull_grows_linearly(pushes):
+    # geometric / sum t^(i^2) over F3: a block product over a pair-loop inverse.  The
+    # inverse forms about n^1.5 pairs (x2.8 per doubling), so its factors are pulled first
+    work = {}
+    for ceiling in (320, 640):
+        bound = Z.element(ceiling)
+        divisor = custom_powers(L3, lambda i: i * i)
+        g, inverse = geometric(L3), invert(divisor, Precision(bound, max_terms=8))
+        assert g.ensure_below(bound, Fuel(10 * ceiling)) and inverse.ensure_below(bound, Fuel(10 * ceiling))
+        quotient = multiply(g, inverse)
+        pushes[0] = 0
+        assert quotient.ensure_below(bound, Fuel(10 * ceiling))
+        work[ceiling] = pushes[0]
+        assert quotient._block is not None
+        # dense division: q * divisor = geometric, so q_k = 1 - sum_{i >= 1} q_(k - i^2)
+        q = []
+        for k in range(ceiling):
+            q.append((1 - sum(q[k - i * i] for i in range(1, math.isqrt(k) + 1))) % 3)
+        assert [(t.exponent, t.coefficient) for t in quotient.terms_below(bound)] == [
+            (Z.element(k), F3.element(c)) for k, c in enumerate(q) if c
+        ]
+    assert work[640] <= 2.5 * work[320]
 
 
 def _count_inits(monkeypatch, cls):
@@ -470,6 +506,7 @@ def test_product_pull_builds_one_element_per_settled_exponent(monkeypatch):
     assert square.ensure_below(ceiling, Fuel(10_000))
     settled = len(square.terms_below(ceiling))
     assert settled == 128 - 128 // 3  # (sum t^i)^2 = sum (i+1) t^i over F3
+    assert square._block is not None
     # the constant covers the pull's own bound arithmetic (8 exponents here)
     assert settled <= exponents[0] <= settled + 16
     assert settled <= coefficients[0] <= settled + 16
@@ -497,6 +534,54 @@ def test_lex_product_with_rational_coefficients_matches_schoolbook():
         ]
 
 
+BLOCK_PRIMES = (2, 3, 5, 2**61 - 1)
+
+
+@st.composite
+def block_factors(draw, p):
+    """A finite F_p series over Z as {exponent: rep}: dense, sparse, or dense with a sparse tail."""
+    kind = draw(st.sampled_from(("dense", "sparse", "tail")))
+    start = draw(st.integers(-4, 4))
+    if kind == "sparse":
+        exponents = [start + 3**i for i in range(draw(st.integers(1, 7)))]
+    else:
+        keep = draw(st.lists(st.booleans(), min_size=1, max_size=48))
+        exponents = [start + i for i, k in enumerate(keep) if k] or [start]
+        if kind == "tail":  # its last gap, 162, is too sparse for any small-step strip
+            exponents += [exponents[-1] + 3**i for i in range(1, 6)]
+    return {e: draw(st.integers(1, p - 1)) for e in exponents}, kind
+
+
+def _stream_of(field, reps):
+    """{exponent: rep} as a stream, so that each pull sees only a prefix of it."""
+    terms = [Term(Z.element(e), field.coeff.element(c)) for e, c in sorted(reps.items())]
+    return field.stream(terms[0].exponent, lambda: iter(terms))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_block_product_in_small_steps_matches_schoolbook(data):
+    p = data.draw(st.sampled_from(BLOCK_PRIMES))
+    field = SeriesField(Z, ResidueField.prime(p))
+    (a, a_kind), (b, b_kind) = data.draw(block_factors(p)), data.draw(block_factors(p))
+    product = multiply(_stream_of(field, a), _stream_of(field, b))
+    want: dict = {}
+    for i, c in a.items():
+        for j, d in b.items():
+            want[i + j] = (want.get(i + j, 0) + c * d) % p
+    rng = data.draw(st.randoms(use_true_random=False))
+    bound, seen = min(a) + min(b), []
+    while not product.exhausted:
+        bound += rng.randint(1, 12)
+        assert product.ensure_below(Z.element(bound), Fuel(10_000))
+        got = [(t.exponent.coords[0], t.coefficient.rep) for t in product.witnessed_terms()]
+        assert got[: len(seen)] == seen  # earlier prefixes stay as they were
+        assert got == [(e, c) for e, c in sorted(want.items()) if c and (e < bound or product.exhausted)]
+        seen = got
+    if "tail" in (a_kind, b_kind):
+        assert product._block is None  # the tail moved the product to the pair loop
+
+
 def _count_fractions(monkeypatch):
     """Counts every Fraction built from now on, including arithmetic results
     on Pythons whose Fraction arithmetic bypasses ``__new__``."""
@@ -515,8 +600,19 @@ def _count_fractions(monkeypatch):
     return count
 
 
+def test_int_coordinates_build_no_fractions(monkeypatch):
+    built = _count_fractions(monkeypatch)
+    assert Z.element(5).coords == (5,) and LEX.element(1, 2).coords == (1, 2)
+    assert built[0] == 0
+    # other inputs still go through the exact check
+    assert type(Z.element("4").coords[0]) is int
+    with pytest.raises(TypeError):
+        Z.element(1.5)
+    with pytest.raises(ValueError):
+        Z.element("3/2")
+
+
 def test_integer_exponent_pulls_build_no_fractions(monkeypatch):
-    # Z.element builds a Fraction to check its input, so ceilings and nodes come first
     inverse_ceiling, square_ceiling = Z.element(256), Z.element(128)
     x = add(L3.one(), multiply(L3.monomial(1), geometric(L3)))
     inv = invert(x, Precision(inverse_ceiling, max_terms=8))

@@ -10,13 +10,11 @@ from .groups import (
     GroupElement,
     GroupKind,
     OrderedGroup,
-    Ordering,
     Subgroup,
-    compare,
     is_cofinal,
     subgroup_index,
 )
-from .residues import FieldElement, ResidueField, ResidueProfile, linear_rank, solve_in_span
+from .residues import FieldElement, ResidueField, linear_rank, solve_in_span
 from .series import (
     Precision,
     Series,
@@ -32,8 +30,6 @@ from .series import (
     leading_term,
     multiply,
     negate,
-    residue_ratio,
-    scale,
     subtract,
     sum_series,
     truncate,
@@ -63,7 +59,6 @@ from .spaces import (
     normalize,
     orthogonalize,
     relative_basis,
-    residue_profile,
 )
 from .extensions import (
     ExtensionReport,

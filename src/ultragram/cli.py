@@ -1,8 +1,9 @@
 """Command-line runner for scenario files and built-in scenarios.
 
 Exit codes: 0 for completed runs (dependent, obstructed and inconclusive
-verdicts are answers, not failures), 1 for parse or validation problems,
-2 for internal errors and failed witness verification.
+verdicts are answers, not failures), 1 for parse or validation problems
+and an unwritable --output, 2 for internal errors and failed witness
+verification.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .reports import emit
-from .scenarios import BUILTINS, ScenarioError, apply_precision_overrides, load_scenario, run
+from .scenarios import BUILTINS, ScenarioError, apply_precision_overrides, load_scenario, parse_scenario, run
 from .verify import verify_report
 
 
@@ -47,7 +48,7 @@ def _load(source: str):
         raise ScenarioError(
             f"{source!r} is neither a built-in scenario nor a readable file: {exc}"
         ) from None
-    return load_scenario(text)
+    return parse_scenario(text)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -85,7 +86,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
 
     if args.output:
-        Path(args.output).write_bytes(payload)
+        try:
+            Path(args.output).write_bytes(payload)
+        except OSError as exc:
+            print(f"error: cannot write {args.output!r}: {exc}", file=sys.stderr)
+            return 1
     else:
         sys.stdout.buffer.write(payload)
     return 2 if verification_failed else 0

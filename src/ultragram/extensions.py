@@ -27,7 +27,6 @@ from .series import (
     leading_term,
     multiply,
     subtract,
-    sum_series,
     valuation,
 )
 from .spaces import (
@@ -38,6 +37,7 @@ from .spaces import (
     OrthogonalizeResult,
     VectorFamily,
     VerdictKind,
+    _combination,
     _strictly_above,
     adjoin,
     check_normalized,
@@ -310,10 +310,7 @@ def complete_and_approximate(
     if any(t is None for t in u_leads):
         raise NotIndependent("family elements need witnessed valuations")
 
-    hat_rows = [
-        sum_series(K.ambient, [multiply(c, x) for c, x in zip(row, u)])
-        for row in rows
-    ]
+    hat_rows = [_combination(K, row, u) for row in rows]
     hat_family = make_family(khat, hat_rows)
     hat_verdict = is_valuation_independent(hat_family, prec)
     if hat_verdict.kind is not VerdictKind.INDEPENDENT:
@@ -358,10 +355,7 @@ def complete_and_approximate(
             out_row.append(finite)
         truncated_rows.append(out_row)
 
-    out_elements = [
-        sum_series(K.ambient, [multiply(c, x) for c, x in zip(row, u)])
-        for row in truncated_rows
-    ]
+    out_elements = [_combination(K, row, u) for row in truncated_rows]
     out_family = make_family(K, out_elements)
     out_verdict = is_valuation_independent(out_family, prec)
     if out_verdict.kind is not VerdictKind.INDEPENDENT:

@@ -49,12 +49,6 @@ class GroupKind(Enum):
     LEX_PRODUCT = "Z^n_lex"
 
 
-class Ordering(Enum):
-    LESS = -1
-    EQUAL = 0
-    GREATER = 1
-
-
 Coordinate = Union[int, Fraction, str]
 
 
@@ -160,16 +154,6 @@ class GroupElement:
         if self.group.rank == 1:
             return f"g({self.coords[0]})"
         return "g(" + ", ".join(str(c) for c in self.coords) + ")"
-
-
-def compare(g: GroupElement, h: GroupElement) -> Ordering:
-    """Total-order comparison; lexicographic with the first coordinate dominant."""
-    g._check(h)
-    if g.coords < h.coords:
-        return Ordering.LESS
-    if g.coords == h.coords:
-        return Ordering.EQUAL
-    return Ordering.GREATER
 
 
 def _hermite(vectors: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[list[int]]]:

@@ -299,16 +299,6 @@ class FieldElement:
         return side(n) if d == (1,) else f"({side(n)})/({side(d)})"
 
 
-@dataclass(frozen=True)
-class ResidueProfile:
-    """Ordered multiset of residues res(a'/a), duplicates preserved."""
-
-    entries: tuple
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
 def _gauss_jordan(rows: list, ncols: int) -> list[int]:
     """Reduce ``rows`` in place to reduced row echelon form on the first ``ncols`` columns.
 

@@ -111,6 +111,13 @@ def _object(spec, what: str) -> dict:
     return spec
 
 
+def _only_keys(spec: dict, allowed, where: str) -> None:
+    """Reject the keys of ``spec`` that its parser never reads."""
+    unknown = set(spec).difference(allowed)
+    if unknown:
+        raise ParseError(f"unknown keys {sorted(unknown)} in {where}")
+
+
 def _is_int(spec) -> bool:
     return isinstance(spec, int) and not isinstance(spec, bool)
 
@@ -147,6 +154,7 @@ def _parse_group(spec) -> OrderedGroup:
     if not isinstance(spec, dict) or "group" not in spec:
         raise ParseError(f"group descriptor must be an object with 'group', got {spec!r}")
     kind = spec["group"]
+    _only_keys(spec, ("group", "n") if kind == "Z^n_lex" else ("group",), f"group {kind!r}")
     if kind == "Z":
         return OrderedGroup.integers()
     if kind == "Q":
@@ -161,6 +169,7 @@ def _parse_field(spec) -> ResidueField:
     if not isinstance(spec, dict) or "field" not in spec:
         raise ParseError(f"field descriptor must be an object with 'field', got {spec!r}")
     kind = spec["field"]
+    _only_keys(spec, ("field",) if kind == "Q" else ("field", "p"), f"field {kind!r}")
     if kind == "Fp":
         return ResidueField.prime(_integer(spec.get("p"), "field 'p'", 2))
     if kind == "Q":
@@ -193,6 +202,7 @@ def _parse_coefficient(spec, field: ResidueField) -> FieldElement:
     if spec == "s":
         return field.generator()
     if isinstance(spec, dict) and "num" in spec:
+        _only_keys(spec, ("num", "den"), "function-field coefficient")
         return field.fraction(spec["num"], spec.get("den", [1]))
     raise ParseError(f"cannot parse function-field coefficient {spec!r}")
 
@@ -321,11 +331,9 @@ def parse_scenario(text: str) -> Scenario:
 def scenario_from_dict(raw: dict) -> Scenario:
     if not isinstance(raw, dict):
         raise ParseError("scenario must be an object")
-    unknown = set(raw) - {
+    _only_keys(raw, (
         "name", "ambient", "base_field", "presentations", "elements", "tasks", "precision",
-    }
-    if unknown:
-        raise ParseError(f"unknown scenario keys {sorted(unknown)}")
+    ), "the scenario")
     for key in ("ambient", "base_field", "precision"):
         if key not in raw:
             raise ParseError(f"scenario is missing {key!r}")
@@ -333,6 +341,7 @@ def scenario_from_dict(raw: dict) -> Scenario:
         raise ParseError("scenario needs a task list (possibly empty)")
 
     ambient_spec = _object(raw["ambient"], "'ambient'")
+    _only_keys(ambient_spec, ("group", "coefficients"), "'ambient'")
     group = _parse_group(ambient_spec.get("group", {}))
     coeff = _parse_field(ambient_spec.get("coefficients", {}))
     ambient = SeriesField(group, coeff)
@@ -356,7 +365,7 @@ def scenario_from_dict(raw: dict) -> Scenario:
 
     builders: dict = {}
     for name, spec in _object(raw.get("elements", {}), "'elements'").items():
-        canonical["elements"][name], builders[name] = _parse_element(spec, ambient, canonical["elements"])
+        canonical["elements"][name], builders[name] = _parse_element(name, spec, ambient, canonical["elements"])
 
     for pos, task in enumerate(raw["tasks"]):
         canonical["tasks"].append(_canonical_task(task, pos, canonical))
@@ -370,6 +379,8 @@ def _parse_presentation(spec, ambient: SeriesField) -> tuple:
     kind = spec["kind"]
     name = spec.get("name", "K")
     out = {"kind": kind, "name": name}
+    _only_keys(spec, ("kind", "name") if kind == "trivial" else ("kind", "name", "t_value", "residue"),
+               f"{kind!r} presentation")
     if kind == "trivial":
         return trivial_presentation(ambient, name=name), out
     if kind not in ("laurent", "completion"):
@@ -395,6 +406,7 @@ def _parse_presentation(spec, ambient: SeriesField) -> tuple:
 def _parse_precision(spec, group: OrderedGroup) -> Precision:
     if not isinstance(spec, dict) or "ceiling" not in spec:
         raise ParseError("precision block needs a 'ceiling'")
+    _only_keys(spec, ("ceiling", "max_terms", "degree_cap"), "the precision block")
     return Precision(
         _parse_exponent(spec["ceiling"], group),
         _size(spec.get("max_terms", 8), "max_terms"),
@@ -413,13 +425,15 @@ def _parse_terms(spec: list, ambient: SeriesField) -> list:
     ]
 
 
-def _parse_element(spec, ambient: SeriesField, known: dict) -> tuple:
+def _parse_element(name: str, spec, ambient: SeriesField, known: dict) -> tuple:
     """An element's canonical form and its builder."""
+    where = f"element {name!r}"
     if isinstance(spec, list):
         terms = _parse_terms(spec, ambient)
         leaf = ambient.from_terms(terms)  # exhausted when made, so every run shares it
         return [[exponent_json(e), c.describe()] for e, c in terms], lambda made: leaf
     if isinstance(spec, dict) and "sum" in spec:
+        _only_keys(spec, ("sum",), where)
         if not spec["sum"]:
             raise ParseError("'sum' takes a nonempty list of element names")
         names = _refs(spec["sum"], known, "'sum'")
@@ -430,14 +444,17 @@ def _parse_element(spec, ambient: SeriesField, known: dict) -> tuple:
         if axis >= ambient.group.rank:
             raise ParseError(f"builder axis {axis!r} out of range")
         if builder == "geometric":
+            _only_keys(spec, ("builder", "axis"), where)
             return {"builder": "geometric", "axis": axis}, lambda made: geometric(ambient, axis)
         if builder == "artin_schreier":
+            _only_keys(spec, ("builder", "axis", "p"), where)
             p = _integer(spec.get("p"), "artin_schreier 'p'", 2)
             return (
                 {"builder": "artin_schreier", "p": p, "axis": axis},
                 lambda made: artin_schreier(ambient, p, axis),
             )
         if builder == "custom_powers":
+            _only_keys(spec, ("builder", "axis", "exponents"), where)
             expr = spec.get("exponents")
             if not isinstance(expr, str):
                 raise ParseError("custom_powers builder needs an 'exponents' formula")
@@ -453,6 +470,7 @@ def _parse_element(spec, ambient: SeriesField, known: dict) -> tuple:
 def _canonical_family(spec, what: str, canonical: dict):
     if not (isinstance(spec, dict) and spec.get("family_builder") == "telescoping"):
         return _refs(spec, canonical["elements"], what)
+    _only_keys(spec, ("family_builder", "start", "count"), what)
     start = _integer(spec.get("start", 1), "telescoping start", 0)
     count = spec.get("count", 4)
     if count != "auto":
@@ -481,7 +499,9 @@ def _canonical_task(task, pos: int, canonical: dict) -> dict:
     def refs(key, single=False):
         return _refs(task.get(key), canonical["elements"], f"{where} {key!r}", single)
 
-    return {"task": kind, **TASKS[kind].canonical(task, refs, where, canonical)}
+    fields = TASKS[kind].canonical(task, refs, where, canonical)
+    _only_keys(task, ("task", *fields), where)  # a task's canonical form keeps every key it reads
+    return {"task": kind, **fields}
 
 
 def resolve_runtime(scenario: Scenario, precision: Optional[Precision] = None) -> Runtime:
@@ -547,7 +567,7 @@ def _fmt_exp(coords: list) -> str:
 
 def _independence_canonical(task, refs, where, canonical) -> dict:
     out = {"family": refs("family")}
-    if task.get("over") is not None:
+    if "over" in task:
         out["over"] = refs("over")
     return out
 
@@ -662,6 +682,7 @@ def _orthogonalize_canonical(task, refs, where, canonical) -> dict:
     sample = task["sample"]
     if not isinstance(sample, dict) or "count" not in sample:
         raise ParseError(f"{where}: sample spec needs a 'count'")
+    _only_keys(sample, ("count", "support", "max_size", "seed"), f"{where} sample")
     return {"sample": {
         "count": _size(sample["count"], f"{where} sample 'count'"),
         "support": _size(sample.get("support", 4), f"{where} sample 'support'"),

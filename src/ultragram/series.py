@@ -69,11 +69,7 @@ class MismatchedAmbient(ValueError):
 
 
 class LeadingTermUnknown(RuntimeError):
-    """Inversion (or residue extraction) asked for an unwitnessed leading term."""
-
-
-class ValuationMismatch(ValueError):
-    pass
+    """Inversion asked for an unwitnessed leading term."""
 
 
 class PrecisionExhausted(RuntimeError):
@@ -622,13 +618,6 @@ def multiply(x: Series, y: Series) -> Series:
     return _Mul(x, y)
 
 
-def scale(x: Series, coefficient) -> Series:
-    c = x.field.coeff.element(coefficient)
-    if c.is_zero():
-        return x.field.zero()
-    return _Map(x, x.field.group.zero(), c)
-
-
 def truncate(x: Series, cut: GroupElement) -> Series:
     return _Truncate(x, cut)
 
@@ -688,21 +677,6 @@ def invert(x: Series, prec: Precision) -> Series:
     if lead is None:
         raise LeadingTermUnknown(f"no leading term witnessed below the ceiling {prec.ceiling}")
     return _Invert(x)
-
-
-def residue_ratio(a: Series, b: Series, prec: Precision) -> FieldElement:
-    """res(a/b) for series with equal witnessed valuations.
-
-    Under the precondition v(a) = v(b) the quotient has valuation 0 and its
-    residue is exactly the ratio of leading coefficients.
-    """
-    ta = leading_term(a, prec)
-    tb = leading_term(b, prec)
-    if ta is None or tb is None:
-        raise LeadingTermUnknown("residue ratio needs both leading terms")
-    if ta.exponent != tb.exponent:
-        raise ValuationMismatch(f"v(a)={ta.exponent} differs from v(b)={tb.exponent}")
-    return ta.coefficient / tb.coefficient
 
 
 def equal_up_to(x: Series, y: Series, cut: GroupElement, prec: Precision) -> bool:

@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 
 from .groups import GroupElement
 from .presentations import SubfieldPresentation
-from .residues import ResidueProfile, rank_over_subfield, solve_over_subfield
+from .residues import rank_over_subfield, solve_over_subfield
 from .series import (
     Precision,
     Series,
@@ -250,15 +250,6 @@ def is_valuation_independent_over(
         witness = DependenceWitness(body, w.min_value, w.achieved, shift)
         return IndependenceVerdict(VerdictKind.DEPENDENT, witness=witness)
     return verdict
-
-
-def residue_profile(family: VectorFamily, a: Series, prec: Precision) -> ResidueProfile:
-    """The ordered multiset res(a'/a) over family elements of value v(a)."""
-    ta = leading_term(a, prec)
-    if ta is None:
-        raise ZeroElementInFamily("profile reference has no witnessed term")
-    leads = classify(family, prec).leads
-    return ResidueProfile(tuple(t.coefficient / ta.coefficient for t in leads if t.exponent == ta.exponent))
 
 
 # normalization: conditions N1 to N4

@@ -13,8 +13,8 @@ import random
 from typing import Optional
 
 from .reports import Report, emit
-from .series import Precision, Series, leading_term, multiply, subtract, sum_series, valuation
-from .spaces import VerdictKind, _strictly_above, is_valuation_independent, make_family
+from .series import Precision, Series, add, leading_term, multiply, subtract, valuation
+from .spaces import VerdictKind, _combination, _strictly_above, is_valuation_independent, make_family
 from .scenarios import TASKS, Runtime, Scenario, _parse_exponent, _parse_terms, resolve_runtime, run
 
 
@@ -39,14 +39,13 @@ def _verify_dependence(checks, tid, elements, witness_doc, runtime, prec):
         _check(checks, check_id, False, "witness coefficients were serialized truncated")
         return
     min_value = _parse_exponent(witness_doc["min_value"], runtime.ambient.group)
-    parts = [multiply(c, b) for c, b in zip(coeffs, elements) if c.witnessed_terms()]
+    combined = _combination(runtime.base, coeffs, elements)
     if "shift" in witness_doc:
         shift = _series_from_json(witness_doc["shift"], runtime)
         if shift is None:
             _check(checks, check_id, False, "witness shift was serialized truncated")
             return
-        parts.append(shift)
-    combined = sum_series(runtime.ambient, parts)
+        combined = add(combined, shift)
     achieved = valuation(combined, prec)
     summand_min = None
     for c, b in zip(coeffs, elements):
@@ -73,11 +72,10 @@ def _verify_independence(checks, tid, elements, outcome, runtime, prec):
     base = runtime.base
     for _ in range(20):
         coefficients = [base.sample_element(rng, 2) for _ in elements]
-        parts = [multiply(c, b) for c, b in zip(coefficients, elements)]
         # a sample is a finite series: its lead is its first term, even above the ceiling
         expected = min(c.witnessed_terms()[0].exponent + leading_term(b, prec).exponent
                        for c, b in zip(coefficients, elements))
-        val = valuation(sum_series(runtime.ambient, parts), prec)
+        val = valuation(_combination(base, coefficients, elements), prec)
         if expected < prec.ceiling:
             ok = val.is_value and val.value == expected
         else:  # the minimum lies at or above the ceiling: no term may lie below it

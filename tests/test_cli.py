@@ -122,6 +122,25 @@ def test_cli_exit_codes(tmp_path: Path, capsys):
     capsys.readouterr()
 
 
+def test_unwritable_output_exits_1_with_one_error_line(tmp_path: Path, capsys):
+    out = tmp_path / "no-such-dir" / "out.json"
+    assert main(["run", "paper:sqrt-t", "--output", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_file_text_is_parsed_as_json_not_as_a_builtin_name(tmp_path: Path, capsys):
+    named = tmp_path / "named.txt"
+    named.write_text("paper:sqrt-t", encoding="utf-8")
+    assert main(["run", str(named)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    # a built-in name is still taken as the argument itself
+    assert main(["run", "paper:sqrt-t"]) == 0
+
+
 def test_cli_list(capsys):
     assert main(["list"]) == 0
     out = capsys.readouterr().out

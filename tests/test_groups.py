@@ -10,9 +10,7 @@ from ultragram.groups import (
     MismatchedGroups,
     NotASubgroup,
     OrderedGroup,
-    Ordering,
     Subgroup,
-    compare,
     is_cofinal,
     subgroup_index,
 )
@@ -23,9 +21,9 @@ L2 = OrderedGroup.lex(2)
 
 
 def test_compare_examples():
-    assert compare(L2.element(1, 2), L2.element(1, 2)) is Ordering.EQUAL
-    assert compare(L2.element(1, -5), L2.element(0, 100)) is Ordering.GREATER
-    assert compare(Q.element("1/2"), Q.element("1/3")) is Ordering.GREATER
+    assert L2.element(1, 2) == L2.element(1, 2)
+    assert L2.element(0, 100) < L2.element(1, -5)
+    assert Q.element("1/3") < Q.element("1/2")
 
 
 def test_add_examples():
@@ -39,7 +37,7 @@ def test_mismatched_groups():
     with pytest.raises(MismatchedGroups):
         Z.element(1) + Q.element(1)
     with pytest.raises(MismatchedGroups):
-        compare(Z.element(0), L2.element(0, 0))
+        Z.element(0) < L2.element(0, 0)
 
 
 def test_integer_line_rejects_fractions():
@@ -153,7 +151,8 @@ rationals = st.fractions(max_denominator=20)
 @given(rationals, rationals, rationals)
 def test_order_translation_invariant(a, b, c):
     ga, gb, gc = Q.element(a), Q.element(b), Q.element(c)
-    assert compare(ga, gb) is compare(ga + gc, gb + gc)
+    assert (ga < gb) == (ga + gc < gb + gc)
+    assert (ga == gb) == (ga + gc == gb + gc)
 
 
 @given(rationals, rationals)
@@ -171,8 +170,8 @@ def test_add_associative(a, b, c):
 def test_lex_order_total(a, b, c):
     x = L2.element(a, b)
     y = L2.element(b, c)
-    results = [compare(x, y), compare(y, x)]
-    assert Ordering.EQUAL in results or set(results) == {Ordering.LESS, Ordering.GREATER}
+    # exactly one of x < y, x == y, y < x
+    assert [x < y, x == y, y < x].count(True) == 1
 
 
 @given(rationals, rationals, rationals)

@@ -3,17 +3,20 @@
 The parser must turn every malformed scenario into a ``ScenarioError``
 (the CLI then exits 1 with one ``error:`` line), never let a raw
 ``ValueError``, ``ZeroDivisionError`` or ``AttributeError`` escape, and
-never accept a value of the wrong JSON type.
+never accept a value of the wrong JSON type or a key that no parser reads.
 """
 
 import json
+import re
 import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ultragram.cli import main
-from ultragram.scenarios import BUILTINS, MAX_SIZE, TASKS, ScenarioError, _compile_formula, scenario_from_dict
+from ultragram.scenarios import (
+    BUILTINS, MAX_SIZE, TASKS, ParseError, ScenarioError, _compile_formula, scenario_from_dict,
+)
 
 
 def _set(path, value):
@@ -57,6 +60,33 @@ PROBES = {
     ),
 }
 
+# a key no parser reads, inside each kind of nested object: (built-in, mutation, the key)
+UNKNOWN_KEYS = {
+    "unknown-key-in-ambient": ("paper:fpt-y", _set(["ambient", "coefficent"], 1), "coefficent"),
+    "unknown-key-in-group": ("paper:notCA", _set(["ambient", "group", "rank"], 2), "rank"),
+    "unknown-key-in-field": ("paper:fpt-y", _set(["ambient", "coefficients", "prime"], 3), "prime"),
+    "unknown-key-p-in-field-Q": ("paper:ti-minus-ti1", _set(["ambient", "coefficients", "p"], 3), "p"),
+    "unknown-key-in-presentation": ("paper:fpt-y", _set(["base_field", "residu"], {}), "residu"),
+    "unknown-key-t-value-in-trivial": ("paper:ti-minus-ti1", _set(["base_field", "t_value"], 1), "t_value"),
+    "unknown-key-in-named-presentation": (
+        "paper:cofinal-approx", _set(["presentations", "Khat", "t_val"], 1), "t_val",
+    ),
+    "unknown-key-in-residue-field": ("paper:fpt-y", _set(["base_field", "residue", "q"], 3), "q"),
+    "unknown-key-in-precision": ("paper:fpt-y", _set(["precision", "max_term"], 100), "max_term"),
+    "unknown-key-in-builder": ("paper:notCA", _set(["elements", "frobenius_orbit", "axs"], 0), "axs"),
+    "unknown-key-in-sum": ("paper:notCA", _set(["elements", "x", "builder"], "geometric"), "builder"),
+    "unknown-key-in-coefficient": (
+        "paper:fpt-y", _set(["elements", "y", 0, 1], {"num": [0, 1], "denom": [1]}), "denom",
+    ),
+    "unknown-key-in-telescoping": ("paper:ti-minus-ti1", _set(["tasks", 0, "family", "stop"], 9), "stop"),
+    "unknown-key-in-sample": ("paper:baur-sampling", _set(["tasks", 0, "sample", "seeds"], 1), "seeds"),
+    "unknown-key-in-task": ("paper:fpt-y", _set(["tasks", 0, "ovr"], ["one"]), "ovr"),
+    "unknown-key-generators-in-sampled-task": (
+        "paper:baur-sampling", _set(["tasks", 0, "generators"], []), "generators",
+    ),
+}
+PROBES.update({name: (builtin, mutate) for name, (builtin, mutate, _) in UNKNOWN_KEYS.items()})
+
 
 def _probe(name: str) -> dict:
     builtin, mutate = PROBES[name]
@@ -80,6 +110,12 @@ def test_malformed_scenario_file_exits_1_with_one_error_line(name, tmp_path, cap
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("name", sorted(UNKNOWN_KEYS))
+def test_unknown_key_error_names_the_key(name):
+    with pytest.raises(ParseError, match=re.escape(f"unknown keys [{UNKNOWN_KEYS[name][2]!r}] in ")):
+        scenario_from_dict(_probe(name))
 
 
 def test_large_prime_parses_and_verifies_quickly(tmp_path, capsys):

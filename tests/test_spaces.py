@@ -26,7 +26,6 @@ from ultragram.spaces import (
     normalize,
     orthogonalize,
     relative_basis,
-    residue_profile,
 )
 
 Z = OrderedGroup.integers()
@@ -111,17 +110,6 @@ def test_uncertified_subspace_rejected(fq5):
     w = make_family(K, [L.one()])  # no certificate attached
     with pytest.raises(UncertifiedSubspace):
         is_valuation_independent_over(make_family(K, [L.monomial("1/2")]), w, prec)
-
-
-def test_residue_profile_examples(fq5):
-    L, K, prec = fq5
-    t = L.monomial(1)
-    fam = make_family(K, [t, L.monomial(1, 2), L.monomial(2)])
-    profile = residue_profile(fam, t, prec)
-    assert [e.rep for e in profile.entries] == [1, 2]
-    fam2 = make_family(K, [L.from_terms([(1, 1), (2, 1)]), L.from_terms([(1, 1), (2, -1)])])
-    profile2 = residue_profile(fam2, t, prec)
-    assert [e.rep for e in profile2.entries] == [1, 1]  # multiset keeps repeats
 
 
 def test_check_normalized_examples(fq5):

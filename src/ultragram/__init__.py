@@ -32,7 +32,6 @@ from .series import (
     negate,
     subtract,
     sum_series,
-    truncate,
     valuation,
 )
 from .presentations import (

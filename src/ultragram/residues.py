@@ -207,6 +207,8 @@ class ResidueField:
         """Reduced rational function num/den with monic denominator."""
         if self.kind != "Fp(s)":
             raise MismatchedFields("fraction() is for Fp(s)")
+        if not all(isinstance(c, int) for c in (*num, *den)):
+            raise TypeError(f"Fp(s) coefficients are integers, got {num!r} / {den!r}")
         return FieldElement(self, self._ops[2]((num, den)))
 
     def generator(self) -> "FieldElement":
@@ -261,7 +263,7 @@ class FieldElement:
         if k == "Q":
             return FieldElement(self.field, 1 / self.rep)
         n, d = self.rep
-        return self.field.fraction(d, n)
+        return FieldElement(self.field, self.field._ops[2]((d, n)))
 
     def __truediv__(self, other: "FieldElement") -> "FieldElement":
         return self * other.invert()

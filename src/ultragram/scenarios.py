@@ -203,7 +203,10 @@ def _parse_coefficient(spec, field: ResidueField) -> FieldElement:
         return field.generator()
     if isinstance(spec, dict) and "num" in spec:
         _only_keys(spec, ("num", "den"), "function-field coefficient")
-        return field.fraction(spec["num"], spec.get("den", [1]))
+        num, den = spec["num"], spec.get("den", [1])
+        if any(isinstance(c, bool) for c in (*num, *den)):
+            raise ParseError(f"function-field coefficients are integers, got {spec!r}")
+        return field.fraction(num, den)
     raise ParseError(f"cannot parse function-field coefficient {spec!r}")
 
 

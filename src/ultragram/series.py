@@ -533,31 +533,6 @@ class _Mul(Series):
         self._known = self._pairs.settle(x._cache, y._cache, self._cache, w)
 
 
-class _Truncate(Series):
-    def __init__(self, child: Series, cut: GroupElement):
-        floor = child.floor
-        if floor is not None and not floor < cut:
-            floor = None
-        super().__init__(child.field, floor)
-        self.child = child
-        self.cut = cut
-
-    def _expand(self, bound, fuel):
-        child = self.child
-        yield child, min(bound, self.cut)
-        known = child._known
-        if known is None:
-            return
-        if known is _INF or self.cut <= known:
-            self._known, stop = _INF, self.cut
-        else:
-            self._known = stop = min(bound, known)  # below the cut
-        src, k = child._cache, len(self._cache)
-        while k < len(src) and src[k].exponent < stop:
-            self._cache.append(src[k])
-            k += 1
-
-
 class _Invert(Series):
     """1/x as the fixed point y = m + u*y over its own prefix (module docstring)."""
 
@@ -616,10 +591,6 @@ def multiply(x: Series, y: Series) -> Series:
         if isinstance(a, _Leaf) and not a._cache:
             return a.field.zero()
     return _Mul(x, y)
-
-
-def truncate(x: Series, cut: GroupElement) -> Series:
-    return _Truncate(x, cut)
 
 
 @dataclass(frozen=True)

@@ -307,8 +307,7 @@ def normalize(family: VectorFamily, prec: Precision) -> VectorFamily:
     one = K.residue_field.one()
     scalings: list = [None] * len(leads)
     out = list(family.elements)
-    kept = set(record.independent)  # classes whose members all stay the same objects
-    for key, cls in record.classes.items():
+    for cls in record.classes.values():
         gamma_ref = leads[cls[0]].exponent
         if K.value_in_subgroup(gamma_ref):
             gamma_ref = zero
@@ -321,10 +320,10 @@ def normalize(family: VectorFamily, prec: Precision) -> VectorFamily:
             elif delta == zero:
                 continue
             out[i] = multiply(scalings[i], out[i])
-            kept.discard(key)
     normalized = VectorFamily(tuple(out), K, relative_to=family.relative_to, scalings=tuple(scalings))
     fresh = classify(normalized, prec)  # witnesses the scaled leads
-    fresh.independent |= {key for key in kept if fresh.classes.get(key) == record.classes[key]}
+    # scaling by K-monomials and Kv-scalars keeps each value coset and the Kv-rank of its residues
+    fresh.independent |= record.independent
     confirm = is_valuation_independent(normalized, prec)
     if confirm.kind is not VerdictKind.INDEPENDENT:
         raise NotIndependent("normalization lost independence; input certificate was stale")
@@ -410,15 +409,13 @@ def nearest_point(b: Series, w_basis: VectorFamily, prec: Precision) -> NearestP
         )
         if solution is None:
             return done(NearestKind.VALUE, gamma)
-        parts, kappa_used = [], []
-        for pos, i in enumerate(cls):
-            if solution[pos].is_zero():
-                continue
-            coefficient = K.embed_residue(solution[pos])
-            coeff_terms[i].append((delta, coefficient))
-            parts.append(multiply(K.ambient.monomial(delta, coefficient), w_basis.elements[i]))
-            kappa_used.append((i, solution[pos]))
-        subtracted = sum_series(K.ambient, parts)
+        kappa_used = [(i, c) for i, c in zip(cls, solution) if not c.is_zero()]
+        lifts = [(i, K.embed_residue(c)) for i, c in kappa_used]
+        for i, c in lifts:
+            coeff_terms[i].append((delta, c))
+        subtracted = _combination(
+            K, [K.ambient.monomial(delta, c) for _, c in lifts], [w_basis.elements[i] for i, _ in lifts]
+        )
         best = add(best, subtracted)
         r = subtract(r, subtracted)
         steps.append({"value_killed": gamma, "class_value": common, "kappa": kappa_used})

@@ -19,6 +19,8 @@ from ultragram.scenarios import (
 )
 from ultragram.verify import verify_report
 
+from test_golden import EXTRA_SCENARIOS
+
 
 def test_parse_error_has_position():
     with pytest.raises(ParseError) as err:
@@ -303,15 +305,46 @@ def test_chase_at_1024_terms_verifies(tmp_path: Path):
     assert all(check["ok"] for check in report["verification"])
 
 
-def test_verify_rejects_tampered_witness():
-    scenario = load_scenario("paper:ti-minus-ti1")
+def _truncate_json(doc):
+    doc["exact"] = False  # as serialized when only a prefix of the series is known
+
+
+def _duplicate_first(docs):
+    docs[1] = docs[0]
+
+
+# (scenario, task index, corruption of that task's structured outcome, the check it fails)
+TAMPERED = {
+    "dependence-min-value": ("golden:independence-over", 1, lambda o: o["witness"].update(min_value=["1"]),
+                             "dependence"),
+    "dependence-coefficient-truncated": ("golden:independence-over", 1,
+                                         lambda o: _truncate_json(o["witness"]["coefficients"][0]), "dependence"),
+    "dependence-shift-truncated": ("golden:independence-over", 1, lambda o: _truncate_json(o["witness"]["shift"]),
+                                   "dependence"),
+    "scaling-dropped": ("paper:fpt-y", 0, lambda o: o["scalings"].pop(), "independence"),
+    "claimed-value": ("paper:ti-minus-ti1", 0, lambda o: o.update(value=["7"]), "max"),
+    "best-truncated": ("paper:ti-minus-ti1", 0, lambda o: _truncate_json(o["best"]), "max"),
+    "evidence-not-increasing": ("paper:ti-minus-ti1", 1, lambda o: _duplicate_first(o["evidence"]), "chain"),
+    "approximant-dropped": ("paper:ti-minus-ti1", 1, lambda o: o["approximants"].pop(), "chain"),
+    "approximant-duplicated": ("paper:ti-minus-ti1", 1, lambda o: _duplicate_first(o["approximants"]), "chain"),
+    "standard-product-duplicated": ("paper:sqrt-t", 0, lambda o: _duplicate_first(o["standard_basis"]["products"]),
+                                    "standard"),
+    "truncated-coefficient-emptied": ("paper:cofinal-approx", 0, lambda o: o["coefficients"][0][0].update(terms=[]),
+                                      "approximation"),
+    "truncated-coefficient-truncated": ("paper:cofinal-approx", 0, lambda o: _truncate_json(o["coefficients"][0][0]),
+                                        "approximation"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TAMPERED))
+def test_verify_rejects_tampered_witness(case):
+    name, index, corrupt, check = TAMPERED[case]
+    scenario = scenario_from_dict(EXTRA_SCENARIOS[name]) if name in EXTRA_SCENARIOS else load_scenario(name)
     report = run(scenario)
-    # corrupt the claimed maximum of the first nearest_point task
-    doc = report.tasks[0].outcome
-    assert doc["kind"] == "value"
-    doc["value"] = ["7"]
-    checks = verify_report(scenario, report)
-    assert any(not c["ok"] for c in checks)
+    check_id = f"task{index}:{check}"
+    assert {"id": check_id, "ok": True} in verify_report(scenario, report)
+    corrupt(report.tasks[index].outcome)
+    assert [c["ok"] for c in verify_report(scenario, report) if c["id"] == check_id] == [False]
 
 
 def test_text_format_stable():

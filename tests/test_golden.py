@@ -1,4 +1,4 @@
-"""Golden reports: byte-exact CLI output for every built-in and three extra scenarios.
+"""Golden reports: byte-exact CLI output for every built-in and four extra scenarios.
 
 Each case is run through ``ultragram run --verify`` once in the structured
 format and once in the text format.  Text lines that carry wall-clock task
@@ -7,8 +7,10 @@ must match ``golden_reports.json`` byte for byte.
 
 The extra scenarios reach paths no built-in does: an ``independence`` task
 ``"over"`` a certified subspace (with a shifted dependence witness), task
-errors captured in the report, and a full-field ``nearest_point`` whose
-report forces the lazy quotient ``b * invert(w)`` to the ceiling.
+errors captured in the report, a full-field ``nearest_point`` whose
+report forces the lazy quotient ``b * invert(w)`` to the ceiling, and
+outcomes no built-in reports: an ``orthogonalize`` basis, both kinds of
+inconclusive ``analyze_extension`` and a ``precision_exhausted`` nearest point.
 
 Re-record after an intended output change with
 ``PYTHONPATH=src python tests/test_golden.py``.
@@ -70,6 +72,19 @@ EXTRA_SCENARIOS = {
         },
         "tasks": [{"task": "nearest_point", "target": "target", "family": ["w"]}],
         "precision": {"ceiling": 64, "max_terms": 8, "degree_cap": 16},
+    },
+    "golden:uncovered-outcomes": {
+        "name": "golden:uncovered-outcomes",
+        "ambient": {"group": {"group": "Q"}, "coefficients": {"field": "Fp", "p": 5}},
+        "base_field": {"kind": "laurent", "t_value": 1, "name": "F5(t)"},
+        "elements": {"one": [[0, 1]], "root": [["1/2", 1]], "far": [[40, 1]], "mix": [[0, 1], ["1/2", 2]]},
+        "tasks": [
+            {"task": "orthogonalize", "generators": ["one", "root", "mix"]},
+            {"task": "analyze_extension", "generators": ["root"], "mode": "direct"},
+            {"task": "analyze_extension", "generators": ["root"], "mode": "closure"},
+            {"task": "nearest_point", "target": "far", "family": ["one"]},
+        ],
+        "precision": {"ceiling": 32, "max_terms": 8, "degree_cap": 1},
     },
 }
 

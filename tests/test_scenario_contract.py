@@ -45,6 +45,9 @@ PROBES = {
     "sample-count-not-an-integer": ("paper:baur-sampling", _set(["tasks", 0, "sample", "count"], "x")),
     "family-is-a-string": ("paper:fpt-y", _set(["tasks", 0, "family"], "one")),
     "max-terms-boolean": ("paper:fpt-y", _set(["precision", "max_terms"], True)),
+    # function-field coefficients are exact integers, not floats or booleans
+    "fp-s-float-numerator": ("paper:fpt-y", _set(["elements", "y", 0, 1], {"num": [1.5], "den": [1]})),
+    "fp-s-boolean-numerator": ("paper:fpt-y", _set(["elements", "y", 0, 1], {"num": [True, 2]})),
     # sizes that set how much work a run does are bounded by MAX_SIZE
     "max-terms-above-max-size": ("paper:fpt-y", _set(["precision", "max_terms"], MAX_SIZE + 1)),
     "degree-cap-above-max-size": ("paper:fpt-y", _set(["precision", "degree_cap"], MAX_SIZE + 1)),

@@ -20,7 +20,6 @@ from ultragram.series import (
     multiply,
     negate,
     subtract,
-    truncate,
     valuation,
 )
 
@@ -129,13 +128,6 @@ def test_invert_random_roundtrip():
 
 
 def test_truncate_and_equal_up_to():
-    g = geometric(L5)
-    cut = truncate(g, Z.element(3))
-    fuel = PREC.fuel()
-    assert cut.ensure_below(Z.element(100), fuel)
-    assert cut.exhausted
-    assert [int(t.exponent.coords[0]) for t in cut.terms_below(Z.element(100))] == [0, 1, 2]
-
     x = artin_schreier(L3, 3)
     fin = L3.from_terms([(1, 1), (3, 1)])
     prec = Precision(Z.element(40), max_terms=12)
@@ -289,7 +281,7 @@ AMBIENTS = {
     "Q": (Q, st.builds(Fraction, st.integers(0, 12), st.integers(1, 3)).map(lambda e: (e,)), Q.element(4)),
     "Z^2_lex": (LEX, st.tuples(st.integers(0, 1), st.integers(0, 5)), LEX.element(0, 10)),
 }
-NODES = ("sum", "product", "map", "truncate", "inverse")
+NODES = ("sum", "product", "map", "inverse")
 # one coefficient field per row of the op table, with nonzero coefficients for random terms;
 # the F5(s) ones are (num, den) pairs, so sums and products cross-multiply denominators
 F5S = ResidueField.rational_functions(5)
@@ -312,8 +304,6 @@ def _build(kind, field, a, b, unit):
         return multiply(add(a, g), add(b, g))
     if kind == "map":
         return multiply(field.monomial(unit, 2), add(a, g))
-    if kind == "truncate":
-        return truncate(add(a, g), unit.scale(5))
     # 1 + t*(a + b + geometric) has lead 1 and an infinite tail
     prec = Precision(unit.scale(64), max_terms=8)
     return invert(add(field.one(), multiply(field.monomial(unit), sum_series(field, [a, b, g]))), prec)
@@ -616,7 +606,7 @@ def test_integer_exponent_pulls_build_no_fractions(monkeypatch):
 
 def test_zero_nodes_are_exhausted_before_any_pull():
     zero = L3.zero()
-    for s in (negate(zero), sum_series(L3, [zero, zero]), truncate(L3.monomial(5), Z.element(3))):
+    for s in (negate(zero), sum_series(L3, [zero, zero])):
         assert s.exhausted and not s.witnessed_terms()
         v = valuation(s, PREC)
         assert not v.is_value and v.exhausted and v.up_to == PREC.ceiling

@@ -48,16 +48,13 @@ from .spaces import (
     NearestPointResult,
     VectorFamily,
     VerdictKind,
-    basis_exchange,
     check_normalized,
     immediacy_evidence,
     is_valuation_independent,
-    is_valuation_independent_over,
     make_family,
     nearest_point,
     normalize,
     orthogonalize,
-    relative_basis,
 )
 from .extensions import (
     ExtensionReport,

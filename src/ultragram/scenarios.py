@@ -130,6 +130,12 @@ def _integer(spec, what: str, low: Optional[int] = None) -> int:
     return spec
 
 
+def _string(spec, what: str) -> str:
+    if not isinstance(spec, str):
+        raise ParseError(f"{what} must be a string, got {spec!r}")
+    return spec
+
+
 def _size(spec, what: str) -> int:
     """A JSON integer from 1 to MAX_SIZE: a size that sets how much work a run does."""
     size = _integer(spec, what, 1)
@@ -352,7 +358,7 @@ def scenario_from_dict(raw: dict) -> Scenario:
     precision = _parse_precision(raw["precision"], group)
 
     canonical: dict = {
-        "name": raw.get("name", "<unnamed>"),
+        "name": _string(raw.get("name", "<unnamed>"), "the scenario name"),
         "ambient": {"group": group.describe(), "coefficients": coeff.describe()},
         "base_field": base_json,
         "elements": {},
@@ -380,7 +386,7 @@ def _parse_presentation(spec, ambient: SeriesField) -> tuple:
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ParseError(f"presentation descriptor needs a 'kind', got {spec!r}")
     kind = spec["kind"]
-    name = spec.get("name", "K")
+    name = _string(spec.get("name", "K"), f"the name of a {kind!r} presentation")
     out = {"kind": kind, "name": name}
     _only_keys(spec, ("kind", "name") if kind == "trivial" else ("kind", "name", "t_value", "residue"),
                f"{kind!r} presentation")

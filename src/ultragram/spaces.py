@@ -56,10 +56,6 @@ class NotIndependent(ValueError):
     pass
 
 
-class NotInSpan(ValueError):
-    pass
-
-
 class ProbeInK(ValueError):
     pass
 
@@ -177,15 +173,16 @@ def _combination(K: SubfieldPresentation, coefficients: Sequence[Series], elemen
 
 
 def is_valuation_independent(family: VectorFamily, prec: Precision) -> IndependenceVerdict:
-    """Decide plain valuation independence of the family.
+    """Decide valuation independence of the family, over ``family.relative_to``
+    when it is set.
 
     Per value-coset class, scale to a common value through the monomial
     section and test the residue profile for Kv-linear independence.  A
     kernel vector lifts to a dependence witness with a strict-inequality
-    certificate.
+    certificate; over W, the witness carries the W-part as its shift.
     """
     if family.relative_to is not None:
-        return is_valuation_independent_over(family, family.relative_to, prec)
+        return _independent_over(family, prec)
     K = family.over
     record = classify(family, prec)
     leads = record.leads
@@ -224,10 +221,9 @@ def _is_zero_coefficient(c: Series) -> bool:
     return c.exhausted and not c.witnessed_terms()
 
 
-def is_valuation_independent_over(
-    family: VectorFamily, w_basis: VectorFamily, prec: Precision
-) -> IndependenceVerdict:
-    """Independence over W, reduced to the concatenated plain check."""
+def _independent_over(family: VectorFamily, prec: Precision) -> IndependenceVerdict:
+    """Independence over the certified W = ``family.relative_to``: the plain check of W, then the family."""
+    w_basis = family.relative_to
     if w_basis.over != family.over:
         raise UncertifiedSubspace("family and subspace use different presentations")
     if not w_basis.is_certified:
@@ -236,11 +232,8 @@ def is_valuation_independent_over(
     combined = make_family(family.over, tuple(w_basis.elements) + tuple(family.elements))
     verdict = is_valuation_independent(combined, prec)
     if verdict.kind is VerdictKind.INDEPENDENT:
-        out = IndependenceVerdict(VerdictKind.INDEPENDENT, scalings=verdict.scalings[m:], precision=prec)
-        family.certificate = out
-        if family.relative_to is None:
-            family.relative_to = w_basis
-        return out
+        family.certificate = IndependenceVerdict(VerdictKind.INDEPENDENT, verdict.scalings[m:], precision=prec)
+        return family.certificate
     if verdict.kind is VerdictKind.DEPENDENT:
         w = verdict.witness
         body = w.coefficients[m:]
@@ -430,7 +423,7 @@ def nearest_point(b: Series, w_basis: VectorFamily, prec: Precision) -> NearestP
     return done(NearestKind.PRECISION_EXHAUSTED, current.up_to)
 
 
-# orthogonalization and basis manipulation
+# orthogonalization
 
 
 @dataclass
@@ -490,92 +483,6 @@ def orthogonalize(
         if obstruction is not None:
             return OrthogonalizeResult(obstruction_index=index, obstruction=obstruction)
     return OrthogonalizeResult(basis=basis)
-
-
-@dataclass
-class ExchangeResult:
-    removed_index: Optional[int]
-    removed: Optional[Series]
-    shift: Series
-    adjoined: Series              # x - shift, spanning the new subspace direction
-    new_subspace: VectorFamily    # previous W extended by the adjoined element
-    remaining: VectorFamily       # basis minus the removed element, over new_subspace
-    already_in_subspace: bool = False
-
-
-def basis_exchange(basis: VectorFamily, x: Series, prec: Precision) -> ExchangeResult:
-    """Trade one basis vector for x, keeping a valuation basis over W + Kx.
-
-    x must reduce to an exact member of span(basis) + W; the removed vector
-    is the expansion summand of minimal value (lowest index on ties).
-    """
-    K = basis.over
-    if not basis.is_certified:
-        raise UncertifiedSubspace("basis_exchange needs a certified basis")
-    w_family = basis.relative_to
-    w_elements = list(w_family.elements) if w_family is not None else []
-    m = len(w_elements)
-    combined_raw = make_family(K, w_elements + list(basis.elements))
-    verdict = is_valuation_independent(combined_raw, prec)
-    if verdict.kind is not VerdictKind.INDEPENDENT:
-        raise UncertifiedSubspace("combined family failed its independence re-check")
-    combined = normalize(combined_raw, prec)
-    reduction = nearest_point(x, combined, prec)
-    if reduction.kind is not NearestKind.EXACT_MEMBER:
-        raise NotInSpan(f"x does not reduce into the span ({reduction.kind.value})")
-    # coefficients are against the normalized family; pull back the scalings
-    original_coeffs = [
-        K.ambient.zero() if _is_zero_coefficient(c) else multiply(c, s)
-        for c, s in zip(reduction.coefficients, combined.scalings)
-    ]
-    shift = _combination(K, original_coeffs[:m], w_elements)
-    adjoined = subtract(x, shift)
-    summand_values = []
-    for i, c in enumerate(original_coeffs[m:]):
-        if _is_zero_coefficient(c):
-            continue
-        lead_c = leading_term(c, prec)
-        lead_b = leading_term(basis.elements[i], prec)
-        summand_values.append((lead_c.exponent + lead_b.exponent, i))
-    if not summand_values:
-        subspace = w_family if w_family is not None else make_family(K, [])
-        return ExchangeResult(
-            None, None, shift, adjoined, subspace, basis, already_in_subspace=True,
-        )
-    min_value = min(v for v, _ in summand_values)
-    removed_index = min(i for v, i in summand_values if v == min_value)
-    new_subspace = make_family(K, w_elements + [adjoined])
-    if is_valuation_independent(new_subspace, prec).kind is not VerdictKind.INDEPENDENT:
-        raise NotInSpan("the adjoined direction failed its independence certificate")
-    remaining_elements = tuple(
-        e for i, e in enumerate(basis.elements) if i != removed_index
-    )
-    remaining = make_family(K, remaining_elements, relative_to=new_subspace)
-    rem_verdict = is_valuation_independent_over(remaining, new_subspace, prec)
-    if rem_verdict.kind is not VerdictKind.INDEPENDENT:
-        raise NotInSpan("exchange lost independence over the extended subspace")
-    return ExchangeResult(
-        removed_index, basis.elements[removed_index], shift, adjoined,
-        new_subspace, remaining,
-    )
-
-
-def relative_basis(
-    basis: VectorFamily, subspace_generators: Sequence[Series], prec: Precision
-) -> tuple[VectorFamily, VectorFamily]:
-    """A valuation basis A of the generated subspace W' over W, plus the
-    complementary subset B' of the original basis, certified over W'."""
-    current = basis
-    adjoined: list[Series] = []
-    for g in subspace_generators:
-        result = basis_exchange(current, g, prec)
-        if result.already_in_subspace:
-            continue
-        adjoined.append(result.adjoined)
-        current = result.remaining
-    over_original = make_family(basis.over, adjoined, relative_to=basis.relative_to)
-    is_valuation_independent(over_original, prec)  # over basis.relative_to when it is set
-    return over_original, current
 
 
 # immediacy evidence

@@ -31,7 +31,6 @@ from ultragram.spaces import (
     ZeroElementInFamily,
     check_normalized,
     is_valuation_independent,
-    is_valuation_independent_over,
     make_family,
     nearest_point,
     normalize,
@@ -169,13 +168,12 @@ def test_transitivity():
             continue
         b1 = _random_family(rng, max_size=2)
         b2 = _random_family(rng, max_size=2)
-        combined = make_family(K, b1 + b2, relative_to=w_family)
-        lhs = is_valuation_independent_over(combined, w_family, PREC).kind
-        first = is_valuation_independent_over(make_family(K, b1), w_family, PREC).kind
+        lhs = is_valuation_independent(make_family(K, b1 + b2, relative_to=w_family), PREC).kind
+        first = is_valuation_independent(make_family(K, b1, relative_to=w_family), PREC).kind
         if first is VerdictKind.INDEPENDENT:
             extended = make_family(K, w_elements + b1)
             is_valuation_independent(extended, PREC)
-            second = is_valuation_independent_over(make_family(K, b2), extended, PREC).kind
+            second = is_valuation_independent(make_family(K, b2, relative_to=extended), PREC).kind
             expected = (
                 VerdictKind.INDEPENDENT
                 if second is VerdictKind.INDEPENDENT

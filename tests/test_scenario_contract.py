@@ -45,6 +45,8 @@ PROBES = {
     "sample-count-not-an-integer": ("paper:baur-sampling", _set(["tasks", 0, "sample", "count"], "x")),
     "family-is-a-string": ("paper:fpt-y", _set(["tasks", 0, "family"], "one")),
     "max-terms-boolean": ("paper:fpt-y", _set(["precision", "max_terms"], True)),
+    "scenario-name-not-a-string": ("paper:fpt-y", _set(["name"], 5)),
+    "presentation-name-not-a-string": ("paper:fpt-y", _set(["base_field", "name"], [1])),
     # function-field coefficients are exact integers, not floats or booleans
     "fp-s-float-numerator": ("paper:fpt-y", _set(["elements", "y", 0, 1], {"num": [1.5], "den": [1]})),
     "fp-s-boolean-numerator": ("paper:fpt-y", _set(["elements", "y", 0, 1], {"num": [True, 2]})),

@@ -10,22 +10,18 @@ from ultragram.reports import series_json
 from ultragram.spaces import (
     ImmediacyKind,
     NearestKind,
-    NotInSpan,
     NotNormalized,
     ProbeInK,
     UncertifiedSubspace,
     VerdictKind,
     ZeroElementInFamily,
-    basis_exchange,
     check_normalized,
     immediacy_evidence,
     is_valuation_independent,
-    is_valuation_independent_over,
     make_family,
     nearest_point,
     normalize,
     orthogonalize,
-    relative_basis,
 )
 
 Z = OrderedGroup.integers()
@@ -95,12 +91,13 @@ def test_independence_over_subspace(fq5):
     L, K, prec = fq5
     w = make_family(K, [L.one()])
     is_valuation_independent(w, prec)
-    fam = make_family(K, [L.monomial("1/2")])
-    verdict = is_valuation_independent_over(fam, w, prec)
+    fam = make_family(K, [L.monomial("1/2")], relative_to=w)
+    verdict = is_valuation_independent(fam, prec)
     assert verdict.kind is VerdictKind.INDEPENDENT
+    assert fam.certificate is verdict and len(verdict.scalings) == 1
     # dependent over W: the shift lands in the witness
-    fam2 = make_family(K, [add(L.one(), L.monomial(1))])
-    verdict2 = is_valuation_independent_over(fam2, w, prec)
+    fam2 = make_family(K, [add(L.one(), L.monomial(1))], relative_to=w)
+    verdict2 = is_valuation_independent(fam2, prec)
     assert verdict2.kind is VerdictKind.DEPENDENT
     assert verdict2.witness.shift is not None
 
@@ -108,8 +105,13 @@ def test_independence_over_subspace(fq5):
 def test_uncertified_subspace_rejected(fq5):
     L, K, prec = fq5
     w = make_family(K, [L.one()])  # no certificate attached
-    with pytest.raises(UncertifiedSubspace):
-        is_valuation_independent_over(make_family(K, [L.monomial("1/2")]), w, prec)
+    with pytest.raises(UncertifiedSubspace, match="no independence certificate"):
+        is_valuation_independent(make_family(K, [L.monomial("1/2")], relative_to=w), prec)
+    # certified, but over another presentation of the same ambient
+    w = make_family(trivial_presentation(L, name="F5"), [L.one()])
+    assert is_valuation_independent(w, prec).kind is VerdictKind.INDEPENDENT
+    with pytest.raises(UncertifiedSubspace, match="different presentations"):
+        is_valuation_independent(make_family(K, [L.monomial("1/2")], relative_to=w), prec)
 
 
 def test_check_normalized_examples(fq5):
@@ -307,54 +309,6 @@ def test_orthogonalize_obstruction_notca():
     assert all(a < b for a, b in zip(evidence, evidence[1:]))
 
 
-def test_basis_exchange_examples():
-    L = SeriesField(Z, F5)
-    K = trivial_presentation(L, name="F5")
-    prec = Precision(Z.element(32), max_terms=8)
-    B = make_family(K, [L.one(), L.monomial(1)])
-    is_valuation_independent(B, prec)
-    ex = basis_exchange(B, add(L.one(), L.monomial(1)), prec)
-    assert ex.removed_index == 0
-    assert not ex.shift.witnessed_terms()
-    assert ex.remaining.is_certified and len(ex.remaining) == 1
-
-    B2 = make_family(K, [L.one(), L.monomial(1)])
-    is_valuation_independent(B2, prec)
-    assert basis_exchange(B2, L.one(), prec).removed_index == 0
-
-
-def test_basis_exchange_tie_break(fps_ambient):
-    L, K, prec = fps_ambient
-    y = L.from_terms([(0, L.coeff.generator())])
-    B = make_family(K, [L.one(), y])
-    is_valuation_independent(B, prec)
-    ex = basis_exchange(B, add(L.one(), y), prec)
-    assert ex.removed_index == 0  # both summands have value 0: lowest index
-
-
-def test_basis_exchange_not_in_span(fq5):
-    L, K, prec = fq5
-    B = make_family(K, [L.one()])
-    is_valuation_independent(B, prec)
-    with pytest.raises(NotInSpan):
-        basis_exchange(B, L.monomial("1/2"), prec)
-
-
-def test_relative_basis_examples():
-    L = SeriesField(Q, F5)
-    K = trivial_presentation(L, name="F5")
-    prec = Precision(Q.element(32), max_terms=8)
-    B = make_family(K, [L.one(), L.monomial("1/2"), L.monomial(1)])
-    is_valuation_independent(B, prec)
-    A, rest = relative_basis(B, [add(L.one(), L.monomial(1))], prec)
-    assert len(A) == 1 and len(rest) == 2
-    assert A.is_certified and rest.is_certified
-    A_full, rest_full = relative_basis(B, list(B.elements), prec)
-    assert len(A_full) == 3 and len(rest_full) == 0
-    A_none, rest_none = relative_basis(B, [], prec)
-    assert len(A_none) == 0 and len(rest_none) == 3
-
-
 def test_immediacy_artin_schreier():
     L = SeriesField(Z, F3)
     K = laurent_presentation(L, Z.element(1), name="F3(t)")
@@ -452,18 +406,13 @@ def test_reduction_against_infinite_division_stays_honest(fq5):
     # infinite series: the chase cannot confirm membership and must return a
     # genuine strictly-increasing evidence chain instead of a wrong verdict
     L, K, prec = fq5
-    one_plus_t = add(L.one(), L.monomial(1))
-    B = make_family(K, [L.one(), L.monomial("1/2")])
-    is_valuation_independent(B, prec)
-    x = add(multiply(one_plus_t, L.one()), L.monomial("1/2"))
-    ex = basis_exchange(B, x, prec)
-    assert ex.removed_index == 0
-    combined = make_family(K, list(ex.new_subspace.elements) + list(ex.remaining.elements))
+    x = add(add(L.one(), L.monomial(1)), L.monomial("1/2"))
+    combined = make_family(K, [x, L.monomial("1/2")])
     is_valuation_independent(combined, prec)
-    r = nearest_point(ex.removed, normalize(combined, prec), prec)
+    r = nearest_point(L.one(), normalize(combined, prec), prec)
     assert r.kind is NearestKind.UNBOUNDED
     for ev, approx in zip(r.evidence, r.approximants):
-        val = valuation(subtract(ex.removed, approx), prec)
+        val = valuation(subtract(L.one(), approx), prec)
         assert val.is_value and val.value == ev
 
 

@@ -337,7 +337,7 @@ def complete_and_approximate(
             c = rows[i][j]
             required = hat_vals[i] - u_leads[j].exponent
             cutoff = required + step
-            if not c.ensure_below(cutoff, prec.fuel()):
+            if not c.ensure_below(cutoff, prec.fuel(), whole=True):
                 raise PrecisionExhausted(
                     f"could not enumerate coefficient ({i},{j}) below {cutoff}"
                 )

@@ -619,7 +619,7 @@ def _independence_witnesses(task, outcome: dict, runtime: Runtime):
     if outcome["verdict"] == "dependent":
         yield "dependence", family, outcome["witness"]
     elif outcome["verdict"] == "independent":
-        yield "scalings", family, outcome
+        yield "scalings", (runtime.named(task["over"]) if task.get("over") else [], family), outcome
 
 
 def _normalize_canonical(task, refs, where, canonical) -> dict:

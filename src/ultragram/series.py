@@ -16,17 +16,27 @@ zero, and such a node is exhausted when it is built.  The floor is what
 makes lazy multiplication and inversion well-founded.
 
 The nodes are online (J. van der Hoeven, "Relax, but don't be too lazy",
-J. Symbolic Comput. 34(6), 2002): caches are append-only and each pull
-resumes from cursors saved by the last, so small steps cost about what one
-pull to the last bound costs.  A map maps only new child terms; a sum
-heap-merges its children, one cursor each; a product keeps one cursor per
-left term into the right cache and forms only pairs below the bound.  Its
-pair loop works on raw exponent keys (coordinates summed as numbers) and
-coefficient reps (the field's op table) and builds one element per settled
-exponent.  The inverse of x with lead c*t^g is the fixed point y = m + u*y,
-m = c^-1 t^-g, u = -m*(x - c*t^g): v(u) > 0, so each term of u*y lies above
-the terms of y it uses and the product's right cursors run over y's own
-prefix.
+J. Symbolic Comput. 34(6), 2002): caches are append-only, a node appends
+only settled terms, and each pull resumes from cursors saved by the last.
+A pull asks for the terms below a bound or for the first ``need`` terms,
+whichever comes first, so a node makes only what its consumer needs:
+:func:`valuation` pulls lead-first (need 1) and answers from a cached term
+without pulling.  A map maps only new child terms.  A sum keeps a heap of
+its children's next terms between pulls, pulls an idle child only when it
+holds up the next exponent, and merges only below the bound.  Once every
+child but one is exhausted and merged, the sum forwards its demand to that
+child and copies its new terms, skipping to the child's own source when the
+child forwards too (tail sharing): a chase r_k = r_{k-1} - c*t^d costs O(1)
+per new term, however deep the chain.  A finite node asked for ``_WHOLE``
+is pulled to its end, so a report prints an exact series exactly.  A
+product keeps one cursor per left term into the right cache and forms only
+pairs below the bound; a lead pull asks its factors for one more term per
+round.  Its pair loop works on raw exponent keys (coordinates summed as
+numbers) and coefficient reps (the field's op table) and builds one element
+per settled exponent.  The inverse of x with lead c*t^g is the fixed point
+y = m + u*y, m = c^-1 t^-g, u = -m*(x - c*t^g): v(u) > 0, so each term of
+u*y lies above the terms of y it uses and the product's right cursors run
+over y's own prefix.
 
 A product over Z and F_p uses Kronecker substitution instead (D. Harvey,
 J. Symbolic Comput. 44, 2009): each factor's prefix is one int, a byte slot
@@ -37,10 +47,11 @@ settled slots mod p.  A strip with more than ``_SPARSE`` slots per new term
 (say, sum t^(3^i)) moves the product to the pair loop for good, its cursors
 bisected past the settled bound.  The inverse keeps the pair loop.
 
-A pull is one explicit-stack loop in :meth:`Series.ensure_below`: a node's
-``_expand`` is a generator that yields each child with the bound it needs,
-and the loop expands that child first when its cache falls short.  No pull
-recurses, so the depth of a chain of nodes is bounded only by the inputs.
+A pull is one explicit-stack loop in :meth:`Series._pull`: a node's
+``_expand`` is a generator that yields each child with the bound and need
+it has of it, and the loop expands that child first when its cache falls
+short.  No pull recurses, so the depth of a chain of nodes is bounded only
+by the inputs.
 
 Fuel: a stream spends one unit per pulled term and an inverse one per
 exponent it settles, zero or not.  No other node makes terms its children
@@ -55,9 +66,9 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from itertools import count
-from operator import add as _coord_add
+from operator import add as _coord_add, attrgetter
 from typing import Callable, Iterable, Iterator, Optional
 
 from .groups import GroupElement, GroupKind, OrderedGroup
@@ -138,6 +149,10 @@ class _InfBound:
 
 
 _INF = _InfBound()
+# the needs of a pull beside a term count: every term below the bound, and
+# for a finite node every term (the same for a node that may be infinite)
+_ALL, _WHOLE = float("inf"), float("inf")
+_TOP = (_ALL,)  # an exponent key above every other
 
 
 def _bound_min(*bounds):
@@ -199,27 +214,37 @@ class Precision:
 class Series:
     """Base node: memoized prefix plus completeness bookkeeping."""
 
+    _finite = False  # built from finitely many terms, so a whole pull exhausts it
+
     def __init__(self, field: SeriesField, floor: Optional[GroupElement]):
         self.field = field
         self.floor = floor
         self._cache: list[Term] = []
         self._known = None if floor is not None else _INF
 
-    # node-specific production: yields (child, bound) pairs, then extends the cache
-    def _expand(self, bound: GroupElement, fuel: Fuel) -> Iterator[tuple]:
+    # node-specific production: yields (child, bound, need) triples, then extends the cache
+    def _expand(self, bound: GroupElement, fuel: Fuel, need) -> Iterator[tuple]:
         raise NotImplementedError
 
-    def ensure_below(self, bound: GroupElement, fuel: Fuel) -> bool:
-        """Try to certify the cache complete below ``bound``; report success."""
-        stack = [] if self.complete_for(bound) else [self._expand(bound, fuel)]
+    def ensure_below(self, bound: GroupElement, fuel: Fuel, whole: bool = False) -> bool:
+        """Try to certify the cache complete below ``bound``; report success.
+
+        With ``whole``, a finite series is pulled to its end, so it shows exhausted."""
+        self._pull(bound, fuel, _WHOLE if whole else _ALL)
+        return self.complete_for(bound)
+
+    def _pull(self, bound: GroupElement, fuel: Fuel, need) -> None:
+        """Pull until the cache holds ``need`` terms or is complete below ``bound``
+        (exhausted, for a finite node and the need ``_WHOLE``)."""
+        stack = [iter([(self, bound, need)])]
         while stack:
-            for child, below in stack[-1]:
-                if not child.complete_for(below):
-                    stack.append(child._expand(below, fuel))
+            for child, below, n in stack[-1]:
+                if not (len(child._cache) >= n or child.complete_for(below) and (
+                        n is not _WHOLE or child._known is _INF or not child._finite)):
+                    stack.append(child._expand(below, fuel, n))
                     break
             else:
                 stack.pop()
-        return self.complete_for(bound)
 
     def complete_for(self, bound: GroupElement) -> bool:
         known = self._known
@@ -250,6 +275,8 @@ class Series:
 
 
 class _Leaf(Series):
+    _finite = True
+
     def __init__(self, field: SeriesField, terms: tuple):
         first = terms[0].exponent if terms else None
         super().__init__(field, first)
@@ -265,12 +292,12 @@ class _Stream(Series):
         self._factory = factory
         self._iter: Optional[Iterator[Term]] = None
 
-    def _expand(self, bound, fuel):
+    def _expand(self, bound, fuel, need):
         yield from ()  # no children to pull
         if self._iter is None:
             self._iter = self._factory()
-        cache = self._cache
-        while not (cache and cache[-1].exponent >= bound) and fuel.spend():
+        cache, room = self._cache, need - len(self._cache)
+        while room > 0 and not (cache and cache[-1].exponent >= bound) and fuel.spend():
             try:
                 term = next(self._iter)
             except StopIteration:
@@ -283,6 +310,7 @@ class _Stream(Series):
             if not cache and term.exponent < self.floor:
                 raise ValueError("stream violated its declared floor")
             cache.append(term)
+            room -= 1
         if cache:
             self._known = cache[-1].exponent
 
@@ -295,13 +323,14 @@ class _Map(Series):
             raise ValueError("scale must be nonzero")
         floor = None if child.floor is None else child.floor + shift
         super().__init__(child.field, floor)
+        self._finite = child._finite
         self.child = child
         self.shift = shift
         self.scale = scale
 
-    def _expand(self, bound, fuel):
+    def _expand(self, bound, fuel, need):
         child = self.child
-        yield child, bound - self.shift
+        yield child, bound - self.shift, need
         # term i of this cache is term i of the child's: map only the new ones
         self._cache += [
             Term(t.exponent + self.shift, t.coefficient * self.scale)
@@ -310,49 +339,119 @@ class _Map(Series):
         self._known = _bound_add(child._known, self.shift)
 
 
+_exponent_key = attrgetter("exponent.coords")
+
+
+def _key(known) -> tuple:
+    """The exponent key below which a child not exhausted is known: () for None."""
+    return () if known is None else known.coords
+
+
 class _Sum(Series):
-    """n-ary sum: a heap merge with one cursor per child cache."""
+    """n-ary sum: a heap merge with one cursor per child cache, kept between pulls.
+
+    A child with a term at its cursor waits in the heap, keyed by that term's
+    exponent; the others are idle until they grow, and an exhausted one leaves
+    once merged.  With one child left the sum forwards: it passes its demand
+    on and copies the child's new terms, and skips to that child's own source
+    when the child forwards too (tail sharing).
+    """
 
     def __init__(self, children: list):
         for c in children:
             children[0]._check(c)
         floors = [c.floor for c in children if c.floor is not None]
         super().__init__(children[0].field, min(floors) if floors else None)
+        self._finite = all([c._finite for c in children])
         self.children = children
         self._cursors = [0] * len(children)
+        self._heap: list = []  # (exponent key, child index)
+        self._idle = list(range(len(children)))
 
-    def _expand(self, bound, fuel):
-        children, cursors = self.children, self._cursors
-        for c in children:
-            yield c, bound
-        w = _bound_min(*(c._known for c in children))  # _INF when every child is exhausted
-        if w is None:
+    _lag = None  # forwarding: from index _shared on, _cache[i] is children[0]._cache[i - _lag]
+    _shared = 0
+
+    def _expand(self, bound, fuel, need):
+        cache, cursors = self._cache, self._cursors
+        if self._lag is not None:
+            child, k = self.children[0], cursors[0]
+            while type(child) is _Sum and child._lag is not None and k >= child._shared:
+                k, child = k - child._lag, child.children[0]
+                self.children[0], self._shared, self._lag = child, len(cache), len(cache) - k
+            yield child, bound, need if need == _ALL else k + need - len(cache)
+            src = child._cache
+            end = min(len(src) if need is _WHOLE and child.exhausted else
+                      bisect_left(src, bound.coords, k, key=_exponent_key), k + need - len(cache))
+            cache += src[k:end]
+            cursors[0], self._known = end, child._known if end == len(src) else src[end].exponent
             return
-        if w is not _INF:
-            w = min(bound, w)
-        heap = [(c._cache[k].exponent.coords, n) for n, (c, k) in enumerate(zip(children, cursors))
-                if k < len(c._cache)]
-        heapify(heap)
-
-        def take(n: int) -> Term:
-            src, k = children[n]._cache, cursors[n]
-            cursors[n] = k + 1
-            if k + 1 < len(src):
-                heappush(heap, (src[k + 1].exponent.coords, n))
-            return src[k]
-
-        stop = None if w is _INF else w.coords
-        while heap and (stop is None or heap[0][0] < stop):
-            key = heap[0][0]
-            t = take(heappop(heap)[1])
-            if heap and heap[0][0] == key:  # equal exponents: add the coefficients
-                total = t.coefficient
-                while heap and heap[0][0] == key:
-                    total = total + take(heappop(heap)[1]).coefficient
-                t = None if total.is_zero() else Term(t.exponent, total)
-            if t is not None:
-                self._cache.append(t)
-        self._known = w
+        children, heap, idle = self.children, self._heap, self._idle
+        if need == _ALL:  # a pull to the bound needs every child complete below it
+            for c in children:
+                yield c, bound, need
+        # a whole pull merges exhausted children past the bound, to the end
+        stop = _TOP if need is _WHOLE and all(c._known is _INF for c in children) else bound.coords
+        stalled = False
+        while True:
+            lim = stop  # keys below it merge: below the stop and each idle child's known
+            for n in idle[:]:  # grown children rejoin the heap, exhausted ones leave
+                c, k = children[n], cursors[n]
+                if k < len(c._cache):
+                    idle.remove(n)
+                    heappush(heap, (c._cache[k].exponent.coords, n))
+                elif c._known is _INF:
+                    idle.remove(n)
+                else:
+                    lim = min(lim, _key(c._known))
+            room = need - len(cache)
+            while room > 0 and heap and heap[0][0] < lim:
+                key, n = heappop(heap)
+                first = total = None
+                while True:
+                    src, k = children[n]._cache, cursors[n]
+                    t = src[k]
+                    cursors[n] = k = k + 1
+                    if k < len(src):
+                        heappush(heap, (src[k].exponent.coords, n))
+                    elif children[n]._known is not _INF:
+                        idle.append(n)
+                        lim = min(lim, _key(children[n]._known))
+                    if first is None:
+                        first = t
+                    else:  # equal exponents: add the coefficients
+                        total = (first.coefficient if total is None else total) + t.coefficient
+                    if not heap or heap[0][0] != key:
+                        break
+                    n = heappop(heap)[1]
+                if total is None:
+                    cache.append(first)
+                    room -= 1
+                elif not total.is_zero():
+                    cache.append(Term(first.exponent, total))
+                    room -= 1
+            if stalled or room <= 0 or not (heap or idle):
+                break
+            # pull the idle children that block the next key below the stop, or the stop itself
+            head = heap[0][0] if heap and heap[0][0] < stop else None
+            blocking = [n for n in idle if (
+                _key(children[n]._known) <= head if head is not None else _key(children[n]._known) < stop)]
+            if not blocking:
+                break
+            for n in blocking:
+                c, more = children[n], need if need == _ALL else cursors[n] + 1
+                yield c, bound, more
+                if not (len(c._cache) >= more or c.complete_for(bound)):
+                    stalled = True  # out of fuel: merge what came, then stop
+                    break
+        if not (heap or idle):
+            self._known = _INF
+            return
+        n = heap[0][1] if heap else idle[0]
+        self._known = _bound_min(children[n]._cache[cursors[n]].exponent if heap else _INF,
+                                 *(children[i]._known for i in idle))
+        if len(heap) + len(idle) == 1:  # one child left: forward to it from now on
+            self.children, self._cursors = [children[n]], [cursors[n]]
+            self._shared, self._lag = len(cache), len(cache) - cursors[n]
 
 
 class _Pairs:
@@ -502,35 +601,41 @@ class _Mul(Series):
         x._check(y)
         floor = None if x.floor is None or y.floor is None else x.floor + y.floor
         super().__init__(x.field, floor)
+        self._finite = x._finite and y._finite
         self.x = x
         self.y = y
         self._pairs = _Pairs(self.field)
         dense = self.field.group.kind is GroupKind.INTEGER_LINE and self.field.coeff.kind == "Fp"
         self._block = _Block(self.field) if dense else None  # Z and F_p: the Kronecker block path
 
-    def _expand(self, bound, fuel):
+    def _expand(self, bound, fuel, need):
         x, y = self.x, self.y
-        yield x, bound - y.floor
-        yield y, bound - x.floor
-        if x.exhausted and y.exhausted:
-            w = _INF
-        else:
-            w = _bound_min(
-                bound,
-                _bound_add(x._known, y.first_exponent_bound()),
-                _bound_add(y._known, x.first_exponent_bound()),
-            )
-            if w is None:
+        bx, by = bound - y.floor, bound - x.floor
+        while True:  # a lead pull asks each factor for one more term per round
+            nx, ny = (need, need) if need == _ALL else (len(x._cache) + 1, len(y._cache) + 1)
+            yield x, bx, nx
+            yield y, by, ny
+            if x.exhausted and y.exhausted:
+                w = _INF
+            else:
+                w = _bound_min(
+                    bound,
+                    _bound_add(x._known, y.first_exponent_bound()),
+                    _bound_add(y._known, x.first_exponent_bound()),
+                )
+            if w is not None and self._block is not None:
+                known = self._block.settle(x._cache, y._cache, self._cache, w)
+                if known is None:  # a sparse strip: the pair loop from here on
+                    self._block = None
+                    if self._known is not None:
+                        self._pairs.skip_below(x._cache, y._cache, self._known)
+                else:
+                    self._known = known
+            if w is not None and self._block is None:
+                self._known = self._pairs.settle(x._cache, y._cache, self._cache, w)
+            if len(self._cache) >= need or self.complete_for(bound) or not (
+                    (len(x._cache) >= nx or x.complete_for(bx)) and (len(y._cache) >= ny or y.complete_for(by))):
                 return
-        if self._block is not None:
-            known = self._block.settle(x._cache, y._cache, self._cache, w)
-            if known is not None:
-                self._known = known
-                return
-            self._block = None  # a sparse strip: the pair loop from here on
-            if self._known is not None:
-                self._pairs.skip_below(x._cache, y._cache, self._known)
-        self._known = self._pairs.settle(x._cache, y._cache, self._cache, w)
 
 
 class _Invert(Series):
@@ -539,6 +644,7 @@ class _Invert(Series):
     def __init__(self, x: Series):
         lead = x._cache[0]
         super().__init__(x.field, -lead.exponent)
+        self._finite = x.exhausted and len(x._cache) == 1
         self.x = x
         inverse = lead.coefficient.invert()
         self._scale = -inverse  # u_i = -x_i / c, shifted by -g
@@ -547,9 +653,9 @@ class _Invert(Series):
         self._pairs = _Pairs(self.field)
         self._cache.append(Term(self.floor, inverse))
 
-    def _expand(self, bound, fuel):
+    def _expand(self, bound, fuel, need):  # the lead is cached: any demand settles to the bound
         x = self.x
-        yield x, bound - self._back
+        yield x, bound - self._back, _WHOLE if need is _WHOLE else _ALL
         if x.exhausted and len(x._cache) == 1:
             self._known = _INF  # x is exactly its leading monomial
             return
@@ -561,6 +667,13 @@ class _Invert(Series):
             for t in x._cache[len(self._u) + 1:]
         )
         self._known = self._pairs.settle(self._u, self._cache, self._cache, stop, fuel)
+
+
+def _scaled(x: Series, shift: GroupElement, scale: FieldElement) -> Series:
+    """x * scale * t^shift; a leaf is mapped at once, as a map pulls all of it anyway."""
+    if type(x) is _Leaf:
+        return _Leaf(x.field, tuple(Term(t.exponent + shift, t.coefficient * scale) for t in x._cache))
+    return _Map(x, shift, scale)
 
 
 def add(x: Series, y: Series) -> Series:
@@ -575,7 +688,7 @@ def sum_series(field: SeriesField, terms: Iterable[Series]) -> Series:
 
 
 def negate(x: Series) -> Series:
-    return _Map(x, x.field.group.zero(), -x.field.coeff.one())
+    return _scaled(x, x.field.group.zero(), -x.field.coeff.one())
 
 
 def subtract(x: Series, y: Series) -> Series:
@@ -587,7 +700,7 @@ def multiply(x: Series, y: Series) -> Series:
     for a, b in ((x, y), (y, x)):
         if isinstance(a, _Leaf) and len(a._cache) == 1:
             t = a._cache[0]
-            return _Map(b, t.exponent, t.coefficient)
+            return _scaled(b, t.exponent, t.coefficient)
         if isinstance(a, _Leaf) and not a._cache:
             return a.field.zero()
     return _Mul(x, y)
@@ -617,15 +730,14 @@ class Valuation:
 def valuation(x: Series, prec: Precision) -> Valuation:
     """Leading exponent below the ceiling, or how far the series is known zero.
 
-    Only the first term is needed, so the expansion budget is escalated in
-    stages; memoization makes the retries incremental.
+    The pull is lead-first: it stops once the first term is certified, and a
+    cached first term answers without pulling (every cached term is settled).
     """
-    for budget in (8, 64):
-        x.ensure_below(prec.ceiling, Fuel(budget))
-        if x._cache or x.complete_for(prec.ceiling):
-            break
-    else:
-        x.ensure_below(prec.ceiling, prec.fuel())
+    if not x._cache:
+        fuel = prec.fuel()
+        x._pull(prec.ceiling, fuel, 1)
+        if not x._cache:  # none below the ceiling: a finite x is pulled whole, to show an exact zero
+            x._pull(prec.ceiling, fuel, _WHOLE)
     if x._cache:
         first = x._cache[0].exponent
         if first < prec.ceiling:

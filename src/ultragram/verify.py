@@ -61,15 +61,28 @@ def _verify_dependence(checks, tid, elements, witness_doc, runtime, prec):
     _check(checks, check_id, ok, f"achieved {achieved.describe()} vs min {min_value}")
 
 
-def _verify_independence(checks, tid, elements, outcome, runtime, prec):
-    """Confirm the N1-scaling witnesses by sampled minimum equality."""
+def _verify_independence(checks, tid, over_and_elements, outcome, runtime, prec):
+    """Recompute each N1 scaling from the leads, then confirm minimum equality by sampling."""
     check_id = f"{tid}:independence"
+    over, elements = over_and_elements
     scalings = [_series_from_json(s, runtime) for s in outcome.get("scalings", [])]
     if len(scalings) != len(elements) or any(s is None for s in scalings):
         _check(checks, check_id, False, "scaling witnesses were serialized truncated")
         return
-    rng = random.Random(8128)
     base = runtime.base
+    leads = [leading_term(b, prec) for b in list(over) + list(elements)]
+    if any(t is None for t in leads):
+        _check(checks, check_id, False, "an element has no witnessed lead")
+        return
+    # as is_valuation_independent: t^(v(b_ref) - v(b_i)), b_ref first in b_i's coset class (W's members first)
+    refs: dict = {}
+    for i, t in enumerate(leads):
+        ref = refs.setdefault(base.value_subgroup.coset_key(t.exponent), t.exponent)
+        k = i - len(over)
+        if k >= 0 and scalings[k].witnessed_terms() != base.monomial_section(ref - t.exponent).witnessed_terms():
+            _check(checks, check_id, False, f"scaling {k} is not t^(v(b_ref) - v(b_{k}))")
+            return
+    rng = random.Random(8128)
     for _ in range(20):
         coefficients = [base.sample_element(rng, 2) for _ in elements]
         # a sample is a finite series: its lead is its first term, even above the ceiling

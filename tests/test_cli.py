@@ -322,6 +322,8 @@ TAMPERED = {
     "dependence-shift-truncated": ("golden:independence-over", 1, lambda o: _truncate_json(o["witness"]["shift"]),
                                    "dependence"),
     "scaling-dropped": ("paper:fpt-y", 0, lambda o: o["scalings"].pop(), "independence"),
+    "scaling-replaced": ("paper:fpt-y", 0, lambda o: o.update(scalings=[
+        {"exact": True, "terms": [[["7"], {"num": [2], "den": [1]}]]}] * 2), "independence"),
     "claimed-value": ("paper:ti-minus-ti1", 0, lambda o: o.update(value=["7"]), "max"),
     "best-truncated": ("paper:ti-minus-ti1", 0, lambda o: _truncate_json(o["best"]), "max"),
     "evidence-not-increasing": ("paper:ti-minus-ti1", 1, lambda o: _duplicate_first(o["evidence"]), "chain"),
@@ -345,6 +347,19 @@ def test_verify_rejects_tampered_witness(case):
     assert {"id": check_id, "ok": True} in verify_report(scenario, report)
     corrupt(report.tasks[index].outcome)
     assert [c["ok"] for c in verify_report(scenario, report) if c["id"] == check_id] == [False]
+
+
+def test_relative_scalings_are_checked_against_w():
+    # ty shares the coset of vK with W's one, so its scaling is t^(v(one) - v(ty)) = t^-1, not 1
+    doc = scenarios.BUILTINS["paper:fpt-y"]()
+    doc["tasks"] = [{"task": "independence", "family": ["ty"], "over": ["one"]}]
+    scenario = scenario_from_dict(doc)
+    report = run(scenario)
+    outcome = report.tasks[0].outcome
+    assert outcome["verdict"] == "independent" and outcome["scalings"][0]["terms"][0][0] == ["-1"]
+    assert {"id": "task0:independence", "ok": True} in verify_report(scenario, report)
+    outcome["scalings"][0]["terms"][0][0] = ["0"]  # the scaling that ignores W
+    assert [c["ok"] for c in verify_report(scenario, report) if c["id"] == "task0:independence"] == [False]
 
 
 def test_text_format_stable():

@@ -142,12 +142,12 @@ def test_large_prime_parses_and_verifies_quickly(tmp_path, capsys):
     assert "2/2 witnesses confirmed" in capsys.readouterr().out
 
 
-def _formula_scenario(formula: str) -> dict:
+def _formula_scenario(formula: str, task: str = "independence") -> dict:
     return {
         "ambient": {"group": {"group": "Z"}, "coefficients": {"field": "Fp", "p": 3}},
         "base_field": {"kind": "laurent", "t_value": 1},
         "elements": {"w": {"builder": "custom_powers", "exponents": formula}},
-        "tasks": [{"task": "independence", "family": ["w"]}],
+        "tasks": [{"task": task, "family": ["w"]}],
         "precision": {"ceiling": 16},
     }
 
@@ -171,13 +171,22 @@ def test_unbounded_formula_exits_1_with_one_error_line(formula, tmp_path, capsys
 
 
 def test_formula_failing_at_pull_time_is_a_task_error(tmp_path, capsys):
-    # 0, 1, then a division by zero at i = 2, met while the task pulls terms
+    # 0, 1, then a division by zero at i = 2, met while normalize prints w up to the ceiling
     path = tmp_path / "scenario.json"
-    path.write_text(json.dumps(_formula_scenario("i^2//(2-i)")), encoding="utf-8")
+    path.write_text(json.dumps(_formula_scenario("i^2//(2-i)", "normalize")), encoding="utf-8")
     assert main(["run", str(path), "--format", "structured"]) == 0
     task = json.loads(capsys.readouterr().out)["tasks"][0]
     assert task["error"]["type"] == "FormulaError"
     assert "at i=2" in task["error"]["message"]
+
+
+def test_lead_first_pull_stops_before_a_failing_term(tmp_path, capsys):
+    # independence needs only the lead t^0 of w, so the formula is never asked for i = 2
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(_formula_scenario("i^2//(2-i)")), encoding="utf-8")
+    assert main(["run", str(path), "--format", "structured"]) == 0
+    task = json.loads(capsys.readouterr().out)["tasks"][0]
+    assert task["outcome"]["verdict"] == "independent"
 
 
 def test_formula_values_are_exact_integers():

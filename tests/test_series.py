@@ -344,6 +344,44 @@ def test_stepwise_small_fuel_pulls_match_one_pull(case):
     assert _state(stepped, bound) == _state(whole, bound)
 
 
+@st.composite
+def chase_chains(draw):
+    """A stream, then add/subtract links of random monomials and of the chain's own lead."""
+    name = draw(st.sampled_from(["Z", "Q", "Z^2_lex"]))
+    group, coords, bound = AMBIENTS[name]
+    coeff, values = COEFFICIENTS[draw(st.sampled_from(["F5", "Q"]))]
+    links = draw(st.lists(st.tuples(st.sampled_from(["add", "subtract", "cancel"]), coords, values), max_size=8))
+    return SeriesField(group, coeff), draw(st.sampled_from(["geometric", "artin_schreier"])), links, bound
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=chase_chains())
+def test_lead_first_pulls_match_a_twin_pulled_to_the_ceiling(case):
+    field, source, links, bound = case
+    prec = Precision(bound, max_terms=8)
+
+    def stream():
+        return geometric(field) if source == "geometric" else artin_schreier(field, 3)
+
+    lazy, twin = stream(), stream()
+    for op, coords, value in links:
+        if op == "cancel":  # subtract the lead, as a nearest-point step does
+            assert twin.ensure_below(bound, Fuel(100_000))
+            if not twin.terms_below(bound):
+                continue
+            lead = twin.terms_below(bound)[0]
+            op, coords, value = "subtract", lead.exponent, lead.coefficient
+        link = add if op == "add" else subtract
+        lazy, twin = (link(s, field.from_terms([(coords, value)])) for s in (lazy, twin))
+    assert twin.ensure_below(bound, Fuel(100_000))
+    pulled = twin.witnessed_terms()
+    assert valuation(lazy, prec) == valuation(twin, prec)
+    assert leading_term(lazy, prec) == leading_term(twin, prec)
+    assert twin.witnessed_terms() == pulled  # the twin answered from its cache
+    assert lazy.ensure_below(bound, Fuel(100_000))
+    assert lazy.terms_below(bound) == twin.terms_below(bound)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     terms=st.lists(
@@ -626,6 +664,28 @@ def test_pull_through_a_long_subtract_chain():
     ]
 
 
+def test_exhausted_difference_chain_merges_only_below_the_bound(pushes):
+    # 1 - t - t^2 - ... - t^LINKS: every link is exhausted, yet merges only below t^3
+    chain = L3.one()
+    for i in range(1, LINKS + 1):
+        chain = subtract(chain, L3.monomial(i))
+    pushes[0] = 0
+    assert chain.ensure_below(Z.element(3), Fuel(64))
+    assert pushes[0] <= 50_000
+    assert [(t.exponent, t.coefficient) for t in chain.terms_below(Z.element(3))] == [
+        (Z.element(0), F3.one()), (Z.element(1), F3.element(2)), (Z.element(2), F3.element(2)),
+    ]
+    assert not chain.exhausted
+    # a sum whose terms all cancel below the bound still ends exhausted
+    x = L3.from_terms([(0, 1), (1, 1)])
+    zero = subtract(x, x)
+    assert zero.ensure_below(Z.element(3), Fuel(8)) and zero.exhausted
+    # and a lead pull still finds an exact zero whose cancelling terms lie past the ceiling
+    y = L3.from_terms([(0, 1), (40, 1)])
+    v = valuation(subtract(y, y), PREC)
+    assert not v.is_value and v.exhausted
+
+
 def test_pull_through_a_long_multiply_chain():
     # (1 + t)^LINKS / (1 - t): the coefficient of t^k is sum_{j <= k} C(LINKS, j)
     one_plus_t = L3.from_terms([(0, 1), (1, 1)])
@@ -662,3 +722,35 @@ def test_power_builders_give_explicit_terms(name):
         assert [(t.exponent, t.coefficient) for t in s.terms_below(ceiling)] == [
             (element(e), F3.one()) for e in exponents
         ]
+
+
+def test_not_ca_decision_work_grows_linearly(pushes, monkeypatch):
+    # the chase's residuals form one chain of sums; report serialization (quadratic by
+    # nature: the approximants hold about k^2/2 terms) is not counted
+    from ultragram import reports, scenarios
+    from ultragram.scenarios import apply_precision_overrides, load_scenario, run
+
+    plain_json, plain_expand = reports.series_json, series._Sum._expand
+
+    def uncounted(*args):
+        before = pushes[0]
+        out = plain_json(*args)
+        pushes[0] = before
+        return out
+
+    def expand(self, *args):
+        pushes[0] += 1  # each visit of a sum node counts too, so chain walks show
+        return plain_expand(self, *args)
+
+    for module in (reports, scenarios):
+        monkeypatch.setattr(module, "series_json", uncounted)
+    monkeypatch.setattr(series._Sum, "_expand", expand)
+    scenario = load_scenario("paper:notCA")
+    work = {}
+    for max_terms in (64, 128, 256):
+        pushes[0] = 0
+        report = run(scenario, apply_precision_overrides(scenario, None, max_terms, None))
+        result = report.tasks[0].outcome["result"]
+        assert result["kind"] == "unbounded" and len(result["evidence"]) == max_terms
+        work[max_terms] = pushes[0]
+    assert work[128] <= 2.3 * work[64] and work[256] <= 2.3 * work[128], work

@@ -9,6 +9,7 @@ verification.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -18,6 +19,7 @@ from .scenarios import BUILTINS, ScenarioError, apply_precision_overrides, load_
 from .verify import verify_report
 
 
+@functools.cache  # built once per process: parse_args leaves the parser as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ultragram",

@@ -71,8 +71,11 @@ def span_closure_basis(
     """Orthogonalize power products of the generators until the span closes.
 
     Seeds with 1, then repeatedly adjoins basis*generator products; the
-    span is closed when a full pass adjoins nothing.  Exceeding
-    ``prec.degree_cap`` reports the partial dimension instead of a basis.
+    span is closed when a full pass adjoins nothing.  Each basis element is
+    multiplied by each generator once: a product already adjoined lies in
+    the span, so a pass takes, per generator, only the elements added since
+    that generator's last pass.  Exceeding ``prec.degree_cap`` reports the
+    partial dimension instead of a basis.
     """
     seed = orthogonalize([K.ambient.one()] + list(generators), K, prec)
     if not seed.ok:
@@ -80,10 +83,12 @@ def span_closure_basis(
             obstruction_index=seed.obstruction_index, obstruction=seed.obstruction
         )
     basis = seed.basis
+    multiplied = [0] * len(generators)  # per generator, the basis prefix it has multiplied
     while len(basis) <= prec.degree_cap:
         size = len(basis)
-        for g in generators:
-            for b in list(basis.elements):
+        for k, g in enumerate(generators):
+            fresh, multiplied[k] = basis.elements[multiplied[k]:], len(basis)
+            for b in fresh:
                 basis, obstruction = adjoin(basis, multiply(b, g), prec)
                 if obstruction is not None:
                     return ClosureResult(
@@ -171,15 +176,14 @@ class StandardBasis:
 
 
 def standard_basis(
-    basis: VectorFamily, K: SubfieldPresentation, prec: Precision
+    basis: VectorFamily, K: SubfieldPresentation, prec: Precision, data: RamificationData
 ) -> StandardBasis:
     """The product family {x*y} as a certified standard valuation basis.
 
     Requires the span to be field-closed for these products: every product
     must reduce back into the span and the product count must equal the
-    basis size.
+    basis size.  ``data`` is the basis's ``ramification_and_residue``.
     """
-    data = ramification_and_residue(basis, K, prec)
     if data.f == 0:
         raise NotFieldClosed("no value-zero class: the span does not contain units")
     products = []
@@ -253,7 +257,7 @@ def analyze_extension(
     ef = data.e * data.f
     defect = Fraction(n, ef) if ef else None
     if ef and n == ef:
-        standard = standard_basis(basis, K, prec)
+        standard = standard_basis(basis, K, prec, data)
         return ExtensionReport(
             n, data.e, data.f, defect, "vs_defectless", basis=basis, standard=standard
         )

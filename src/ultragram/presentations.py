@@ -17,7 +17,7 @@ division.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -28,7 +28,7 @@ from .residues import (
     embed_from_subfield,
     restrict_to_subfield,
 )
-from .series import Series, SeriesField, Term
+from .series import Series, SeriesField, Term, _Leaf
 
 
 class ValueNotInSubgroup(ValueError):
@@ -42,6 +42,8 @@ class SubfieldPresentation:
     value_subgroup: Subgroup
     residue_field: ResidueField
     full_field: bool = False
+    # support -> its exponent window, built once per presentation object
+    _windows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     # sections
 
@@ -85,11 +87,14 @@ class SubfieldPresentation:
         return kv.p, [kv.generator(), kv.fraction([1, 1], [1])]
 
     def _exponent_window(self, support: int) -> list[GroupElement]:
-        gens = [g for g in self.value_subgroup.generators if not g.is_zero()]
-        if not gens:
-            return [self.ambient.group.zero()]
-        primary = gens[0]
-        return [primary.scale(k) for k in range(-support, support + 1)]
+        """The multiples -support..support of the first generator of vK, sorted."""
+        window = self._windows.get(support)
+        if window is None:
+            gens = [g for g in self.value_subgroup.generators if not g.is_zero()]
+            if not gens:
+                return [self.ambient.group.zero()]
+            window = self._windows[support] = sorted(gens[0].scale(k) for k in range(-support, support + 1))
+        return window
 
     def sample_element(self, rng: random.Random, support: int) -> Series:
         """A random nonzero closure element with bounded support."""
@@ -98,8 +103,10 @@ class SubfieldPresentation:
             return self.residue_section(self._nonzero_residue(rng))
         count = rng.randint(1, min(3, len(window)))
         exponents = rng.sample(range(len(window)), count)
-        terms = [(window[i], self.embed_residue(self._nonzero_residue(rng))) for i in sorted(exponents)]
-        return self.ambient.from_terms(terms)
+        # distinct window positions in increasing order, nonzero residues: a sorted term list
+        return _Leaf(self.ambient, tuple(
+            Term(window[i], self.embed_residue(self._nonzero_residue(rng))) for i in sorted(exponents)
+        ))
 
     def _nonzero_residue(self, rng: random.Random) -> FieldElement:
         """A uniform draw from the nonzero pool residues, constants 1..n-1 then extra."""

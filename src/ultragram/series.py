@@ -27,16 +27,17 @@ holds up the next exponent, and merges only below the bound.  Once every
 child but one is exhausted and merged, the sum forwards its demand to that
 child and copies its new terms, skipping to the child's own source when the
 child forwards too (tail sharing): a chase r_k = r_{k-1} - c*t^d costs O(1)
-per new term, however deep the chain.  A finite node asked for ``_WHOLE``
-is pulled to its end, so a report prints an exact series exactly.  A
-product keeps one cursor per left term into the right cache and forms only
-pairs below the bound; a lead pull asks its factors for one more term per
-round.  Its pair loop works on raw exponent keys (coordinates summed as
-numbers) and coefficient reps (the field's op table) and builds one element
-per settled exponent.  The inverse of x with lead c*t^g is the fixed point
-y = m + u*y, m = c^-1 t^-g, u = -m*(x - c*t^g): v(u) > 0, so each term of
-u*y lies above the terms of y it uses and the product's right cursors run
-over y's own prefix.
+per new term, however deep the chain.  A whole pull (the need ``_WHOLE``)
+expands each node it reaches once even when complete below the bound, so a
+node whose parts end, when built or at run time, is pulled to its end and a
+report prints an exact series exactly.  A product keeps one cursor per left
+term into the right cache and forms only pairs below the bound; a lead pull
+asks its factors for one more term per round.  Its pair loop works on raw
+exponent keys (coordinates summed as numbers) and coefficient reps (the
+field's op table) and builds one element per settled exponent.  The
+inverse of x with lead c*t^g is the fixed point y = m + u*y, m = c^-1 t^-g,
+u = -m*(x - c*t^g): v(u) > 0, so each term of u*y lies above the terms of y
+it uses and the product's right cursors run over y's own prefix.
 
 A product over Z and F_p uses Kronecker substitution instead (D. Harvey,
 J. Symbolic Comput. 44, 2009): each factor's prefix is one int, a byte slot
@@ -214,8 +215,6 @@ class Precision:
 class Series:
     """Base node: memoized prefix plus completeness bookkeeping."""
 
-    _finite = False  # built from finitely many terms, so a whole pull exhausts it
-
     def __init__(self, field: SeriesField, floor: Optional[GroupElement]):
         self.field = field
         self.floor = floor
@@ -235,12 +234,18 @@ class Series:
 
     def _pull(self, bound: GroupElement, fuel: Fuel, need) -> None:
         """Pull until the cache holds ``need`` terms or is complete below ``bound``
-        (exhausted, for a finite node and the need ``_WHOLE``)."""
+        (exhausted, for a finite node and the need ``_WHOLE``).
+
+        A whole pull expands each node it reaches once, complete or not, so a node
+        made of nodes that end, when built or at run time, is pulled to its end."""
         stack = [iter([(self, bound, need)])]
+        whole = set() if need is _WHOLE else None  # ids of the nodes a whole pull expanded
         while stack:
             for child, below, n in stack[-1]:
                 if not (len(child._cache) >= n or child.complete_for(below) and (
-                        n is not _WHOLE or child._known is _INF or not child._finite)):
+                        n is not _WHOLE or child._known is _INF or id(child) in whole)):
+                    if n is _WHOLE:
+                        whole.add(id(child))
                     stack.append(child._expand(below, fuel, n))
                     break
             else:
@@ -275,8 +280,6 @@ class Series:
 
 
 class _Leaf(Series):
-    _finite = True
-
     def __init__(self, field: SeriesField, terms: tuple):
         first = terms[0].exponent if terms else None
         super().__init__(field, first)
@@ -323,7 +326,6 @@ class _Map(Series):
             raise ValueError("scale must be nonzero")
         floor = None if child.floor is None else child.floor + shift
         super().__init__(child.field, floor)
-        self._finite = child._finite
         self.child = child
         self.shift = shift
         self.scale = scale
@@ -362,7 +364,6 @@ class _Sum(Series):
             children[0]._check(c)
         floors = [c.floor for c in children if c.floor is not None]
         super().__init__(children[0].field, min(floors) if floors else None)
-        self._finite = all([c._finite for c in children])
         self.children = children
         self._cursors = [0] * len(children)
         self._heap: list = []  # (exponent key, child index)
@@ -601,7 +602,6 @@ class _Mul(Series):
         x._check(y)
         floor = None if x.floor is None or y.floor is None else x.floor + y.floor
         super().__init__(x.field, floor)
-        self._finite = x._finite and y._finite
         self.x = x
         self.y = y
         self._pairs = _Pairs(self.field)
@@ -644,7 +644,6 @@ class _Invert(Series):
     def __init__(self, x: Series):
         lead = x._cache[0]
         super().__init__(x.field, -lead.exponent)
-        self._finite = x.exhausted and len(x._cache) == 1
         self.x = x
         inverse = lead.coefficient.invert()
         self._scale = -inverse  # u_i = -x_i / c, shifted by -g

@@ -7,9 +7,11 @@ profile.  The same class/residue machinery drives the greedy nearest-point
 reduction, whose residuals feed the orthogonalization loop.
 
 A family keeps its class pass (``classify``: witnessed leads, coset-keyed
-classes, classes known Kv-independent) and certificate for reuse on the same
-object under an equal Precision.  One-member classes need no elimination,
-``normalize`` keeps unit-scaled elements, ``adjoin`` ranks only the joined class.
+classes, classes known Kv-independent, the N1 to N4 check once made) and
+certificate for reuse on the same object under an equal Precision.  One-member
+classes need no elimination, ``normalize`` keeps unit-scaled elements, and
+``adjoin`` scales only the residual and ranks and checks only its class: a
+scaling keeps each coset and class rank, and N1 to N4 are per class or member.
 
 Verdicts are three-valued.  Statements quantified over an infinite
 subspace can only be refuted or evidenced at finite precision, so
@@ -29,6 +31,7 @@ from .residues import rank_over_subfield, solve_over_subfield
 from .series import (
     Precision,
     Series,
+    Term,
     Valuation,
     add,
     invert,
@@ -68,6 +71,7 @@ class Classification:
     leads: list
     classes: dict
     independent: set = dataclass_field(default_factory=set)
+    normalized: Optional["NormalizationCheck"] = None  # the N1 to N4 check, once made
 
 
 @dataclass
@@ -137,13 +141,18 @@ def classify(family: VectorFamily, prec: Precision) -> Classification:
     leads = []
     classes: dict[tuple, list[int]] = {}
     for i, x in enumerate(family.elements):
-        t = leading_term(x, prec)
-        if t is None:
-            raise ZeroElementInFamily(f"element {i} has no witnessed term below {prec.ceiling}")
+        t = _lead(x, i, prec)
         leads.append(t)
         classes.setdefault(vk.coset_key(t.exponent), []).append(i)
     family.classification = Classification(prec, leads, classes)
     return family.classification
+
+
+def _lead(x: Series, index: int, prec: Precision) -> Term:
+    t = leading_term(x, prec)
+    if t is None:
+        raise ZeroElementInFamily(f"element {index} has no witnessed term below {prec.ceiling}")
+    return t
 
 
 def _certificate(family: VectorFamily, prec: Precision) -> IndependenceVerdict:
@@ -256,27 +265,36 @@ class NormalizationCheck:
 
 
 def check_normalized(family: VectorFamily, prec: Precision) -> NormalizationCheck:
-    K = family.over
+    """N1 to N4 over the whole family, made once per class pass and kept in its record."""
     record = classify(family, prec)
+    if record.normalized is None:
+        record.normalized = _normalization(family.over, record, record.classes, range(len(record.leads)))
+    return record.normalized
+
+
+def _normalization(K: SubfieldPresentation, record: Classification, keys, members) -> NormalizationCheck:
+    """N1 and N2 over the classes of ``keys``, then N3 and N4 over ``members``."""
     leads, classes = record.leads, record.classes
     # the first class holding two values starts with the least index i of any
     # N1 pair (i, j), so it names the pair the pairwise scan finds first
-    for cls in classes.values():
+    for key in keys:
+        cls = classes[key]
         j = next((j for j in cls if leads[j].exponent != leads[cls[0]].exponent), None)
         if j is not None:
             return NormalizationCheck(False, "N1", {"indices": [cls[0], j]})
-    for key, cls in classes.items():
+    for key in keys:
         kappa = _class_kernel(K, record, key)
         if kappa is not None:
-            return NormalizationCheck(False, "N2", {"indices": cls, "kernel": [c.describe() for c in kappa]})
+            witness = {"indices": classes[key], "kernel": [c.describe() for c in kappa]}
+            return NormalizationCheck(False, "N2", witness)
     zero = K.ambient.group.zero()
-    for i, t in enumerate(leads):
-        if K.value_in_subgroup(t.exponent) and t.exponent != zero:
+    for i in members:
+        if K.value_in_subgroup(leads[i].exponent) and leads[i].exponent != zero:
             return NormalizationCheck(False, "N3", {"index": i})
     one = K.residue_field.one()
-    for i, t in enumerate(leads):
-        if t.exponent == zero:
-            res = K.restrict_residue(t.coefficient)
+    for i in members:
+        if leads[i].exponent == zero:
+            res = K.restrict_residue(leads[i].coefficient)
             if res is not None and res != one:
                 return NormalizationCheck(False, "N4", {"index": i})
     return NormalizationCheck(True)
@@ -296,23 +314,11 @@ def normalize(family: VectorFamily, prec: Precision) -> VectorFamily:
     K = family.over
     record = classify(family, prec)
     leads = record.leads
-    zero = K.ambient.group.zero()
-    one = K.residue_field.one()
     scalings: list = [None] * len(leads)
     out = list(family.elements)
     for cls in record.classes.values():
-        gamma_ref = leads[cls[0]].exponent
-        if K.value_in_subgroup(gamma_ref):
-            gamma_ref = zero
         for i in cls:
-            delta = gamma_ref - leads[i].exponent
-            scalings[i] = K.monomial_section(delta)
-            res = K.restrict_residue(leads[i].coefficient) if gamma_ref == zero else None
-            if res is not None and res != one:
-                scalings[i] = K.ambient.monomial(delta, K.embed_residue(res.invert()))
-            elif delta == zero:
-                continue
-            out[i] = multiply(scalings[i], out[i])
+            scalings[i], out[i] = _scale_member(K, out[i], leads[i], leads[cls[0]].exponent)
     normalized = VectorFamily(tuple(out), K, relative_to=family.relative_to, scalings=tuple(scalings))
     fresh = classify(normalized, prec)  # witnesses the scaled leads
     # scaling by K-monomials and Kv-scalars keeps each value coset and the Kv-rank of its residues
@@ -321,6 +327,22 @@ def normalize(family: VectorFamily, prec: Precision) -> VectorFamily:
     if confirm.kind is not VerdictKind.INDEPENDENT:
         raise NotIndependent("normalization lost independence; input certificate was stale")
     return normalized
+
+
+def _scale_member(K: SubfieldPresentation, x: Series, lead: Term, first: GroupElement) -> tuple:
+    """(s, s*x) for the K-scalar s scaling x into a class whose first value is ``first``:
+    one monomial section to that value, or to 0 with the Kv residue divided away when
+    it lies in vK.  x itself when s is the unit."""
+    zero = K.ambient.group.zero()
+    common = zero if K.value_in_subgroup(first) else first
+    delta = common - lead.exponent
+    scaling = K.monomial_section(delta)
+    res = K.restrict_residue(lead.coefficient) if common == zero else None
+    if res is not None and res != K.residue_field.one():
+        scaling = K.ambient.monomial(delta, K.embed_residue(res.invert()))
+    elif delta == zero:
+        return scaling, x
+    return scaling, multiply(scaling, x)
 
 
 # nearest point reduction
@@ -442,9 +464,12 @@ def adjoin(
 ) -> tuple[VectorFamily, Optional[NearestPointResult]]:
     """Reduce g against a normalized certified basis and adjoin the residual.
 
-    Returns the basis, re-certified and re-normalized with the residual when
-    the reduction ends at a value, unchanged when g is an exact member, and
-    an Unbounded or PrecisionExhausted reduction as the obstruction.
+    Returns the basis grown by the residual, scaled into its class as
+    ``normalize`` scales a member, when the reduction ends at a value;
+    unchanged when g is an exact member; and an Unbounded or
+    PrecisionExhausted reduction as the obstruction.  The grown family's
+    record, normalization check, certificate and scalings extend the
+    basis's: only the residual's class is ranked and only its member checked.
     """
     reduction = nearest_point(g, basis, prec)
     if reduction.kind is NearestKind.EXACT_MEMBER:
@@ -453,16 +478,24 @@ def adjoin(
         return basis, reduction
     # a reduction that took no step leaves g itself; subtracting zero adds nodes
     residual = subtract(g, reduction.best) if reduction.steps else g
-    grown = make_family(basis.over, list(basis.elements) + [residual])
-    lead = leading_term(residual, prec)
-    if lead is not None:  # else the class pass of the check names the element
-        record = classify(basis, prec)
-        key = basis.over.value_subgroup.coset_key(lead.exponent)
-        classes = {**record.classes, key: record.classes.get(key, []) + [len(basis)]}
-        grown.classification = Classification(prec, record.leads + [lead], classes, record.independent - {key})
-    if is_valuation_independent(grown, prec).kind is not VerdictKind.INDEPENDENT:
+    K, n, record = basis.over, len(basis), classify(basis, prec)
+    lead = _lead(residual, n, prec)
+    key = K.value_subgroup.coset_key(lead.exponent)
+    cls = record.classes.get(key, [])
+    scaling, scaled = _scale_member(K, residual, lead, record.leads[cls[0]].exponent if cls else lead.exponent)
+    grown = VectorFamily(basis.elements + (scaled,), K, scalings=(K.ambient.one(),) * n + (scaling,))
+    grown.classification = grown_record = Classification(
+        prec, record.leads + [_lead(scaled, n, prec)], {**record.classes, key: cls + [n]},
+        record.independent - {key},
+    )
+    if _class_kernel(K, grown_record, key) is not None:
         raise NotIndependent("residual failed the independence check; reduction was incomplete")
-    return normalize(grown, prec), None
+    grown_record.normalized = _normalization(K, grown_record, [key], [n])
+    # a normalized basis certifies with unit scalings
+    grown.certificate = IndependenceVerdict(
+        VerdictKind.INDEPENDENT, scalings=basis.certificate.scalings + [K.ambient.one()], precision=prec
+    )
+    return grown, None
 
 
 def orthogonalize(

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from ultragram.cli import main
+from ultragram.cli import build_parser, main
 from ultragram.reports import emit
 from ultragram import scenarios
 from ultragram.scenarios import (
@@ -378,3 +378,17 @@ def test_seed_override_changes_sampling_but_stays_green(tmp_path: Path):
     for p in (p1, p2):
         doc = json.loads(p.read_text(encoding="utf-8"))
         assert doc["tasks"][0]["outcome"]["all_basis"] is True
+
+
+def test_options_of_one_main_call_do_not_reach_the_next(tmp_path: Path):
+    """The parser is built once per process; a parse leaves no option behind."""
+    assert build_parser() is build_parser()
+    full = ["run", "x", "--precision-exp", "7", "--max-terms", "3", "--degree-cap", "2",
+            "--format", "structured", "--verify", "--seed", "5", "--output", "o"]
+    fresh = build_parser.__wrapped__()
+    for argv in (full, ["run", "x"], full, ["list"], ["run", "x"]):
+        assert build_parser().parse_args(argv) == fresh.parse_args(argv)
+    plain, seeded, after = (tmp_path / f"{name}.json" for name in ("plain", "seeded", "after"))
+    for path, extra in ((plain, []), (seeded, ["--seed", "1", "--max-terms", "4"]), (after, [])):
+        assert main(["run", "paper:ti-minus-ti1", *extra, "--format", "structured", "--output", str(path)]) == 0
+    assert after.read_bytes() == plain.read_bytes() != seeded.read_bytes()

@@ -2,11 +2,16 @@ from fractions import Fraction
 
 import pytest
 
+from hypothesis import given, settings, strategies as st
+
+from ultragram import extensions, groups
 from ultragram.groups import OrderedGroup
+from ultragram.reports import nearest_json, series_json
 from ultragram.residues import ResidueField
-from ultragram.series import Precision, SeriesField, artin_schreier, invert, leading_term, subtract
-from ultragram.presentations import completion_presentation, laurent_presentation
+from ultragram.series import Precision, SeriesField, artin_schreier, invert, leading_term, multiply, subtract
+from ultragram.presentations import completion_presentation, laurent_presentation, trivial_presentation
 from ultragram.extensions import (
+    ClosureResult,
     NotFieldClosed,
     analyze_extension,
     complete_and_approximate,
@@ -16,9 +21,12 @@ from ultragram.extensions import (
 )
 from ultragram.spaces import (
     VerdictKind,
+    adjoin,
+    check_normalized,
     is_valuation_independent,
     make_family,
     normalize,
+    orthogonalize,
 )
 
 Z = OrderedGroup.integers()
@@ -103,7 +111,7 @@ def test_standard_basis_2x2(mixed_setting):
     )
     is_valuation_independent(fam, prec)
     basis = normalize(fam, prec)
-    sb = standard_basis(basis, K, prec)
+    sb = standard_basis(basis, K, prec, ramification_and_residue(basis, K, prec))
     assert len(sb.products) == 4
     assert sb.family.is_certified
     verdict = is_valuation_independent(make_family(K, sb.products), prec)
@@ -115,8 +123,9 @@ def test_standard_basis_rejects_open_span(mixed_setting):
     y = L.from_terms([(0, L.coeff.generator())])
     fam = make_family(K, [L.one(), y, L.monomial("1/2")])
     is_valuation_independent(fam, prec)
+    basis = normalize(fam, prec)
     with pytest.raises(NotFieldClosed):
-        standard_basis(normalize(fam, prec), K, prec)
+        standard_basis(basis, K, prec, ramification_and_residue(basis, K, prec))
 
 
 def test_analyze_extension_sqrt(sqrt_setting):
@@ -235,3 +244,89 @@ def test_direct_span_coset_count_vs_group_index(sqrt_setting):
     closed = analyze_extension([L.monomial("1/3")], K, prec, span_mode="closure")
     assert (closed.n, closed.e, closed.f) == (3, 3, 1)
     assert closed.verdict == "vs_defectless"
+
+
+def test_closure_ladder_adjoins_each_product_once(monkeypatch):
+    """t^(1/n) over F5(t): n adjoins in the closure loop, and its coset work about doubles with n."""
+    adjoins, reductions = [0], [0]
+    plain_adjoin, plain_reduce = extensions.adjoin, groups.Subgroup._reduce
+
+    def counted_adjoin(*args):
+        adjoins[0] += 1
+        return plain_adjoin(*args)
+
+    def counted_reduce(*args):
+        reductions[0] += 1
+        return plain_reduce(*args)
+
+    monkeypatch.setattr(extensions, "adjoin", counted_adjoin)
+    monkeypatch.setattr(groups.Subgroup, "_reduce", counted_reduce)
+    L = SeriesField(Q, F5)
+    K = laurent_presentation(L, Q.element(1), name="F5(t)")
+    work = []
+    for n in (16, 32, 64, 128):
+        adjoins[0] = reductions[0] = 0
+        result = span_closure_basis([L.monomial(Fraction(1, n))], K, Precision(Q.element(32), degree_cap=n))
+        assert result.ok and len(result.basis) == n and adjoins[0] == n
+        work.append(reductions[0])
+    assert all(b <= 2.3 * a for a, b in zip(work, work[1:])), work
+
+
+def _closure_readjoining(generators, K, prec):
+    """The closure loop that multiplies every basis element by every generator on each pass."""
+    seed = orthogonalize([K.ambient.one()] + list(generators), K, prec)
+    if not seed.ok:
+        return ClosureResult(obstruction_index=seed.obstruction_index, obstruction=seed.obstruction)
+    basis = seed.basis
+    while len(basis) <= prec.degree_cap:
+        size = len(basis)
+        for g in generators:
+            for b in list(basis.elements):
+                basis, obstruction = adjoin(basis, multiply(b, g), prec)
+                if obstruction is not None:
+                    return ClosureResult(obstruction_index=len(basis) + 1, obstruction=obstruction)
+                if len(basis) > prec.degree_cap:
+                    return ClosureResult(cap_reached=True, partial_dimension=len(basis))
+        if len(basis) == size:
+            return ClosureResult(basis=basis)
+    return ClosureResult(cap_reached=True, partial_dimension=len(basis))
+
+
+def _closure_json(result, prec):
+    out = [result.cap_reached, result.partial_dimension, result.obstruction_index]
+    if result.obstruction is not None:
+        out.append(nearest_json(result.obstruction, prec))
+    if result.basis is not None:
+        basis = result.basis
+        out += [series_json(x, prec) for x in basis.elements + basis.scalings]
+        # the check adjoin carried over and extended is the one a fresh family gets
+        cached = basis.classification.normalized
+        assert cached is not None and cached == check_normalized(make_family(basis.over, basis.elements), prec)
+    return out
+
+
+F3S = ResidueField.rational_functions(3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    laurent=st.sampled_from([True, True, True, False]),
+    monomials=st.lists(st.tuples(
+        st.builds(Fraction, st.integers(-4, 8), st.integers(1, 4)),
+        st.sampled_from(["1", "2", "1", "2", "s", "s+1", "s^2"]),
+    ), min_size=1, max_size=2),
+    cap=st.integers(1, 12),
+)
+def test_closure_matches_the_loop_that_readjoins_every_product(laurent, monomials, cap):
+    # products of monomials reduce in one step, so a product adjoined again is an exact member
+    L = SeriesField(Q, F3S)
+    K = laurent_presentation(L, Q.element(1), residue_field=F3, name="F3(t)") if laurent else trivial_presentation(L)
+    prec = Precision(Q.element(16), max_terms=6, degree_cap=cap)
+    s = F3S.generator()
+    coefficient = {"1": F3S.one(), "2": F3S.element(2), "s": s, "s+1": s + F3S.one(), "s^2": s * s}
+
+    def generators():
+        return [L.monomial(e, coefficient[c]) for e, c in monomials]
+
+    assert _closure_json(span_closure_basis(generators(), K, prec), prec) == _closure_json(
+        _closure_readjoining(generators(), K, prec), prec)

@@ -754,3 +754,22 @@ def test_not_ca_decision_work_grows_linearly(pushes, monkeypatch):
         assert result["kind"] == "unbounded" and len(result["evidence"]) == max_terms
         work[max_terms] = pushes[0]
     assert work[128] <= 2.3 * work[64] and work[256] <= 2.3 * work[128], work
+
+
+def test_whole_pull_after_a_plain_pull_reaches_the_end():
+    # parts that end only at run time: 1/(t + t^50 - t^50) is 1/t once the sum is pulled
+    # past t^50, and a stream ends once a pull reaches past its last term
+    from ultragram.reports import series_json
+
+    t = L5.monomial
+    inverse = add(invert(subtract(add(t(1), t(50)), t(50)), PREC), t(100))
+    ended = L5.stream(Z.element(1), lambda: iter([Term(Z.element(1), F5.one()), Term(Z.element(40), F5.one())]))
+    stream_sum = add(add(ended, t(100)), t(200))
+    for s in (inverse, stream_sum):
+        assert s.ensure_below(PREC.ceiling, PREC.fuel())
+    assert "complete_below" in series_json(stream_sum, PREC)  # the stream has not shown its end yet
+    assert ended.ensure_below(Z.element(64), PREC.fuel()) and ended.exhausted
+    assert series_json(inverse, PREC) == {"terms": [[["-1"], 1], [["100"], 1]], "exact": True}
+    assert series_json(stream_sum, PREC) == {
+        "terms": [[["1"], 1], [["40"], 1], [["100"], 1], [["200"], 1]], "exact": True,
+    }

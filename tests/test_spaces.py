@@ -514,6 +514,9 @@ def _orthogonalize(generators, K, prec):
     r = orthogonalize(generators, K, prec)
     if not r.ok:
         return r.obstruction_index, nearest_json(r.obstruction, prec)
+    # adjoin extends the record's N1 to N4 check; a fresh family's full check must agree
+    cached = r.basis.classification.normalized
+    assert cached is not None and cached == check_normalized(_copy(r.basis), prec)
     return _family_json(r.basis, prec)
 
 
@@ -602,8 +605,8 @@ def test_adjoin_ranks_only_the_class_the_residual_joins(ranks, joins):
     if joins.startswith("value-zero"):
         g, profile = L.from_terms([(0, s * s * s), (1, F3S.one())]), [F3S.one(), s, s * s, s * s * s]
     else:
-        # t^3/2 s^2 is scaled by t^-1 into the class; a scaling keeps the class's Kv-rank,
-        # so normalize carries the rank over and its confirm pass does not re-rank the class
+        # t^3/2 s^2 is scaled by t^-1 into the class, and the class is ranked once, on the
+        # scaled leads: a scaling keeps its Kv-rank
         g, profile = L.from_terms([("3/2", s * s)]), [F3S.one(), s, s * s]
     grown, obstruction = adjoin(basis, g, prec)
     assert obstruction is None and len(grown) == 7 and check_normalized(grown, prec).ok

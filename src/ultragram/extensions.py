@@ -153,8 +153,10 @@ def ramification_and_residue(
         raise ArithmeticError(
             f"coset count {e} exceeds the exact subgroup index {index}"
         )
+    # finitely many cosets are closed under addition iff each span row maps them into themselves
     reps = [values[cls[0]] for cls in classes.values()]
-    coset_closed = all(K.value_subgroup.coset_key(a + b) in classes for a in reps for b in reps)
+    rows = span_all.lattice_basis()
+    coset_closed = all(K.value_subgroup.coset_key(a + b) in classes for a in reps for b in rows)
     if coset_closed and index != e:
         raise ArithmeticError(
             f"coset count {e} disagrees with the exact subgroup index {index}"

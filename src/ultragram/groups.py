@@ -27,6 +27,7 @@ one basis.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -50,6 +51,16 @@ class GroupKind(Enum):
 
 
 Coordinate = Union[int, Fraction, str]
+
+
+def parse_rational(text: str) -> Union[int, Fraction]:
+    """An ``int`` for "n", a ``Fraction`` for "n/d": an optional sign, ASCII digits and an
+    optional "/digits".  Anything else (spaces, exponent notation, a decimal point) is a
+    ValueError, so no string takes long to parse."""
+    if not re.fullmatch(r"[+-]?[0-9]+(?:/[0-9]+)?", text):
+        raise ValueError(f"expected an integer or 'p/q', got {text!r}")
+    num, _, den = text.partition("/")
+    return Fraction(int(num), int(den)) if den else int(num)
 
 
 @dataclass(frozen=True)
@@ -76,7 +87,7 @@ class OrderedGroup:
         return OrderedGroup(GroupKind.LEX_PRODUCT, rank)
 
     def element(self, *coords: Coordinate) -> "GroupElement":
-        """Build an element from rank-many coordinates (ints, Fractions or 'p/q')."""
+        """Build an element from rank-many coordinates (ints, Fractions or 'n' and 'p/q' strings)."""
         if len(coords) == 1 and isinstance(coords[0], (tuple, list)):
             coords = tuple(coords[0])
         if len(coords) != self.rank:
@@ -85,9 +96,9 @@ class OrderedGroup:
             return GroupElement(self, coords)
         if any(isinstance(c, float) for c in coords):
             raise TypeError(f"exact groups take no floats, got {coords!r}")
-        exact = tuple(Fraction(c) for c in coords)
+        exact = tuple(parse_rational(c) if isinstance(c, str) else Fraction(c) for c in coords)
         if self.kind is GroupKind.RATIONAL_LINE:
-            return GroupElement(self, exact)
+            return GroupElement(self, tuple(map(Fraction, exact)))
         for c in exact:
             if c.denominator != 1:
                 raise ValueError(f"{self.kind.value} requires integer coordinates, got {c}")
@@ -111,7 +122,7 @@ class OrderedGroup:
         return {"group": self.kind.value}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)  # slots: every sum and key builds one
 class GroupElement:
     group: OrderedGroup
     coords: tuple
@@ -125,7 +136,8 @@ class GroupElement:
         return GroupElement(self.group, tuple(a + b for a, b in zip(self.coords, other.coords)))
 
     def __sub__(self, other: "GroupElement") -> "GroupElement":
-        return self + (-other)
+        self._check(other)
+        return GroupElement(self.group, tuple(a - b for a, b in zip(self.coords, other.coords)))
 
     def __neg__(self) -> "GroupElement":
         return GroupElement(self.group, tuple(-a for a in self.coords))
@@ -239,6 +251,8 @@ class Subgroup:
         if g.group != self.ambient:
             raise MismatchedGroups("element outside ambient group")
         scale, rows, pivots, _ = self._basis
+        if not rows:  # the trivial subgroup: every coordinate is its own key
+            return list(g.coords), []
         # D*c is an integer unless c's denominator does not divide D (then g is not in H)
         rest = [
             c.numerator * (scale // c.denominator) if scale % c.denominator == 0 else c * scale

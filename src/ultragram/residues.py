@@ -2,7 +2,9 @@
 
 Covers the three coefficient/residue fields the toolkit needs: prime fields
 F_p, the rationals, and rational function fields F_p(s).  Elements are kept
-in canonical form (reduced, monic denominator) so equality is syntactic.
+in canonical form (reduced, monic denominator) so equality is syntactic.  A
+rational is an ``int`` while integral and a ``Fraction`` otherwise; ``3`` and
+``Fraction(3)`` agree on ``==``, ``hash`` and ``str``, so no report changes.
 Row reduction and span solving are exact; a subfield layer decides
 Kv-linear independence of scalars living in a larger residue field.
 """
@@ -144,16 +146,16 @@ class ResidueField:
                 raise ValueError(f"p must be below 2**64, got {self.p}")
             if self.p is None or not _is_prime(self.p):
                 raise ValueError(f"p must be prime, got {self.p}")
-        # the op table (plus, times, canon, neg) on reps, picked once: canon (None on Q)
-        # makes any chain of plus and times canonical again.  It, the rep of zero and the
-        # shared zero and one are not dataclass fields, so equality, hashing and repr
-        # ignore them; they are set here and not through __dict__, which on CPython 3.11
-        # slows every later attribute load on the field (`a + b` by 20-40 % in a timeit loop)
-        p = self.p
+        # the op table (plus, times, canon, neg) on reps, picked once: canon makes any chain
+        # of plus and times canonical again (on Q it turns an integral Fraction into an int).
+        # It, the rep of zero and the shared zero and one are not dataclass fields, so equality,
+        # hashing and repr ignore them; they are set here and not through __dict__, which on CPython
+        # 3.11 slows every later attribute load on the field (`a + b` by 20-40 % in a timeit loop)
+        p, zero = self.p, 0
         if self.kind == "Fp":
-            ops, zero = (_plus, _times, lambda r: r % p, lambda r: -r % p), 0
+            ops = _plus, _times, lambda r: r % p, lambda r: -r % p
         elif self.kind == "Q":
-            ops, zero = (_plus, _times, None, _neg), 0
+            ops = _plus, _times, lambda r: r if type(r) is int or r.denominator > 1 else r.numerator, _neg
         else:
             ops, zero = _ratfunc_ops(p), ((), (1,))
         object.__setattr__(self, "_ops", ops)
@@ -195,7 +197,7 @@ class ResidueField:
                 value = value.numerator * pow(value.denominator, -1, self.p)
             return FieldElement(self, int(value) % self.p)
         if self.kind == "Q":
-            return FieldElement(self, Fraction(value))
+            return FieldElement(self, value if type(value) is int else self._ops[2](Fraction(value)))
         # Fp(s): ints embed as constants, tuples as (num, den) coefficient lists
         if isinstance(value, int):
             return FieldElement(self, (_poly_trim([value % self.p]), (1,)))
@@ -239,8 +241,7 @@ class FieldElement:
     def __add__(self, other: "FieldElement") -> "FieldElement":
         self._check(other)
         plus, _, canon, _ = self.field._ops
-        r = plus(self.rep, other.rep)
-        return FieldElement(self.field, r if canon is None else canon(r))
+        return FieldElement(self.field, canon(plus(self.rep, other.rep)))
 
     def __neg__(self) -> "FieldElement":
         return FieldElement(self.field, self.field._ops[3](self.rep))
@@ -251,8 +252,7 @@ class FieldElement:
     def __mul__(self, other: "FieldElement") -> "FieldElement":
         self._check(other)
         _, times, canon, _ = self.field._ops
-        r = times(self.rep, other.rep)
-        return FieldElement(self.field, r if canon is None else canon(r))
+        return FieldElement(self.field, canon(times(self.rep, other.rep)))
 
     def invert(self) -> "FieldElement":
         if self.is_zero():
@@ -260,8 +260,9 @@ class FieldElement:
         k = self.field.kind
         if k == "Fp":
             return FieldElement(self.field, pow(self.rep, -1, self.field.p))
-        if k == "Q":
-            return FieldElement(self.field, 1 / self.rep)
+        if k == "Q":  # d/n, never 1/int (a float); an int exactly when n is a unit
+            n, d = self.rep.numerator, self.rep.denominator
+            return FieldElement(self.field, d * n if n in (1, -1) else Fraction(d, n))
         n, d = self.rep
         return FieldElement(self.field, self.field._ops[2]((d, n)))
 
@@ -273,7 +274,7 @@ class FieldElement:
         if k == "Fp":
             return self.rep
         if k == "Q":
-            return str(self.rep)  # "n" or "n/d", as Fraction prints it
+            return str(self.rep)  # "n" or "n/d", as int and Fraction print it
         n, d = self.rep
         return {"num": list(n), "den": list(d)}
 

@@ -29,10 +29,9 @@ import random
 import time
 from collections import namedtuple
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Optional
 
-from .groups import GroupElement, OrderedGroup
+from .groups import GroupElement, OrderedGroup, parse_rational
 from .presentations import (
     SubfieldPresentation,
     completion_presentation,
@@ -201,7 +200,7 @@ def _parse_coefficient(spec, field: ResidueField) -> FieldElement:
         raise ParseError(f"coefficients over F_p are integers, got {spec!r}")
     if field.kind == "Q":
         if _is_int(spec) or isinstance(spec, str):
-            return field.element(Fraction(spec))
+            return field.element(parse_rational(spec) if isinstance(spec, str) else spec)
         raise ParseError(f"coefficients over Q are ints or 'p/q' strings, got {spec!r}")
     if _is_int(spec):
         return field.element(spec)

@@ -88,7 +88,7 @@ class PrecisionExhausted(RuntimeError):
     """A comparison could not be decided within the precision budget."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Term:
     exponent: GroupElement
     coefficient: FieldElement
@@ -526,8 +526,7 @@ class _Pairs:
                 cursors[i] = j + 1
                 self.due = self.due or j == 0
                 ready(i)
-            if canon is not None:
-                total = canon(total)
+            total = canon(total)
             if total != coeff._zero_rep:
                 out.append(Term(elem(key), FieldElement(coeff, total)))
 

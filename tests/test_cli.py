@@ -245,6 +245,7 @@ def test_cli_precision_overrides(tmp_path: Path):
         ["--degree-cap", "0"],
         ["--precision-exp", "abc"],
         ["--precision-exp", "1/0"],
+        ["--precision-exp", "1e2"],
         ["--max-terms", str(MAX_SIZE + 1)],
         ["--degree-cap", str(MAX_SIZE + 1)],
     ],

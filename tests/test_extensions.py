@@ -272,6 +272,35 @@ def test_closure_ladder_adjoins_each_product_once(monkeypatch):
     assert all(b <= 2.3 * a for a, b in zip(work, work[1:])), work
 
 
+def test_closure_cross_check_keys_each_class_once_per_span_row(monkeypatch):
+    """t^(1/128) over F5(t): the coset-closure check of e against the Hermite index
+    translates the e classes by the one Hermite row of the value span, not by each other."""
+    L = SeriesField(Q, F5)
+    K = laurent_presentation(L, Q.element(1), name="F5(t)")
+    prec = Precision(Q.element(32), degree_cap=128)
+    result = span_closure_basis([L.monomial(Fraction(1, 128))], K, prec)
+    keys = [0]
+    plain_key = groups.Subgroup.coset_key
+
+    def counted_key(*args):
+        keys[0] += 1
+        return plain_key(*args)
+
+    monkeypatch.setattr(groups.Subgroup, "coset_key", counted_key)
+    data = ramification_and_residue(result.basis, K, prec)
+    assert (data.e, data.f) == (128, 1) and keys[0] <= 2 * data.e
+
+
+def test_closure_cross_check_still_catches_a_wrong_index(monkeypatch):
+    L = SeriesField(Q, F5)
+    K = laurent_presentation(L, Q.element(1), name="F5(t)")
+    prec = Precision(Q.element(32), degree_cap=4)
+    result = span_closure_basis([L.monomial(Fraction(1, 4))], K, prec)
+    monkeypatch.setattr(extensions, "subgroup_index", lambda sub, group: 8)
+    with pytest.raises(ArithmeticError, match="disagrees with the exact subgroup index 8"):
+        ramification_and_residue(result.basis, K, prec)
+
+
 def _closure_readjoining(generators, K, prec):
     """The closure loop that multiplies every basis element by every generator on each pass."""
     seed = orthogonalize([K.ambient.one()] + list(generators), K, prec)

@@ -1,4 +1,6 @@
+import pickle
 import random
+import time
 from fractions import Fraction
 from math import prod
 
@@ -12,8 +14,11 @@ from ultragram.groups import (
     OrderedGroup,
     Subgroup,
     is_cofinal,
+    parse_rational,
     subgroup_index,
 )
+from ultragram.residues import ResidueField
+from ultragram.series import Term
 
 Z = OrderedGroup.integers()
 Q = OrderedGroup.rationals()
@@ -343,3 +348,46 @@ def test_fraction_coordinates_meet_their_int_twins(group, values):
     assert twin == g and hash(twin) == hash(g)
     H = Subgroup.spanned_by(group, [group.element(*[3] * group.rank)])
     assert H.coset_key(twin) == H.coset_key(g)
+
+
+@given(coordinate_cases())
+def test_subtraction_adds_the_negative(case):
+    _, (a, b, _), _, _ = case
+    assert a - b == a + (-b) and hash(a - b) == hash(a + (-b))
+    assert (a - b) + b == a
+
+
+@given(coordinate_cases(), st.fractions(max_denominator=20).filter(bool))
+def test_slotted_elements_and_terms_pickle(case, c):
+    group, (a, _, _), _, _ = case
+    term = Term(a, ResidueField.rationals().element(c))
+    for value in (a, term):
+        assert not hasattr(value, "__dict__")
+        back = pickle.loads(pickle.dumps(value))
+        assert back == value and hash(back) == hash(value)
+    with pytest.raises(ValueError):
+        Term(a, ResidueField.rationals().zero())
+
+
+@pytest.mark.parametrize("text, value", [
+    ("7", 7), ("-7", -7), ("+7", 7), ("007", 7), ("6/4", Fraction(3, 2)), ("-1/2", Fraction(-1, 2)), ("4/2", 2),
+])
+def test_parse_rational_reads_integers_and_quotients(text, value):
+    assert parse_rational(text) == value
+    assert type(parse_rational(text)) is (Fraction if "/" in text else int)
+
+
+@pytest.mark.parametrize("text", [
+    "1e2", "1E2", "1.5", ".5", " 3 ", "3\n", "\u0663", "\uff13", "1/-2", "", "-", "/2", "1/", "--1", "0x10",
+    "1_000", "inf", "nan", "1/2/3", "1" * 5000,
+])
+def test_parse_rational_rejects_everything_else(text):
+    with pytest.raises(ValueError):
+        parse_rational(text)
+
+
+def test_parse_rational_rejects_exponent_notation_at_once():
+    started = time.monotonic()
+    with pytest.raises(ValueError):
+        parse_rational("1e10000000")
+    assert time.monotonic() - started < 0.1

@@ -1,12 +1,14 @@
 import itertools
 import pickle
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from ultragram.residues import (
     DivisionByZero,
+    FieldElement,
     MismatchedFields,
     ResidueField,
     embed_from_subfield,
@@ -17,6 +19,8 @@ from ultragram.residues import (
     solve_over_subfield,
     subfield_vectorize,
 )
+from ultragram.scenarios import run, scenario_from_dict
+from ultragram.verify import verify_report
 
 F3 = ResidueField.prime(3)
 F5 = ResidueField.prime(5)
@@ -269,3 +273,62 @@ def test_one_element_solve_matches_elimination(pair, data):
         target = b * ambient.element(data.draw(st.integers(1, 2)))  # a solution in F_3
     rows = subfield_vectorize([b, target], sub, ambient)
     assert solve_over_subfield(target, [b], sub, ambient) == solve_in_span(rows[-1], rows[:-1], sub)
+
+
+_Q_VALUES = st.one_of(st.integers(-10**6, 10**6), st.fractions(max_denominator=50))
+
+
+def _agrees(element, oracle: Fraction) -> None:
+    """A Q element has the oracle's value, as an int exactly when the value is integral."""
+    assert (type(element.rep) is int) is (oracle.denominator == 1)
+    twin = FieldElement(Q, oracle)  # the same value with a Fraction rep
+    assert element == twin and hash(element) == hash(twin)
+    assert element.describe() == str(oracle) and repr(element) == str(oracle)
+
+
+@given(_Q_VALUES, _Q_VALUES)
+def test_q_ops_match_the_fraction_oracle(a, b):
+    x, y, fa, fb = Q.element(a), Q.element(b), Fraction(a), Fraction(b)
+    _agrees(x, fa)
+    for element, oracle in ((x + y, fa + fb), (x - y, fa - fb), (x * y, fa * fb), (-x, -fa)):
+        _agrees(element, oracle)
+    assert x - y == x + (-y)
+    if fb:
+        _agrees(x / y, fa / fb)
+        _agrees(y.invert(), 1 / fb)
+
+
+def test_q_reps_stay_int_through_unit_inverses():
+    assert type(Q.element(-1).invert().rep) is int and Q.element(-1).invert() == Q.element(-1)
+    assert Q.element(Fraction(6, 3)).rep == 2 and type(Q.element(Fraction(6, 3)).rep) is int
+    assert type((Q.element(Fraction(1, 2)) * Q.element(2)).rep) is int
+    assert Q.element(Fraction(-1, 3)).invert().rep == -3
+
+
+def test_verified_q_chase_builds_no_fraction(monkeypatch):
+    """t^5 against the telescoping family over Q, parsed, run and re-checked in ints.
+
+    Arithmetic on Fractions starts from some Fraction, so counting the
+    constructor counts every Fraction the run could build (CPython 3.12 on
+    makes arithmetic results without calling it).
+    """
+    built = [0]
+    plain_new = Fraction.__new__
+
+    def counted_new(cls, *args, **kwargs):
+        built[0] += 1
+        return plain_new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted_new))
+    scenario = scenario_from_dict({
+        "ambient": {"group": {"group": "Z"}, "coefficients": {"field": "Q"}},
+        "base_field": {"kind": "trivial", "name": "Q"},
+        "elements": {"target": [[5, 1]]},
+        "tasks": [{"task": "nearest_point", "target": "target",
+                   "family": {"family_builder": "telescoping", "start": 5, "count": "auto"}}],
+        "precision": {"ceiling": 296, "max_terms": 128, "degree_cap": 16},
+    })
+    report = run(scenario)
+    checks = verify_report(scenario, report)
+    assert report.tasks[0].outcome["kind"] == "unbounded" and checks and all(c["ok"] for c in checks)
+    assert built[0] == 0

@@ -63,6 +63,13 @@ PROBES = {
     "sample-max-size-above-max-size": (
         "paper:baur-sampling", _set(["tasks", 0, "sample", "max_size"], MAX_SIZE + 1),
     ),
+    # number strings are a sign, ASCII digits and an optional "/digits", nothing else:
+    # exponent notation would parse 10**10000000 for seconds before any check
+    "exponent-in-exponent-notation": ("paper:ti-minus-ti1", _set(["elements", "t", 0, 0], "1e10000000")),
+    "coefficient-in-exponent-notation": ("paper:ti-minus-ti1", _set(["elements", "t", 0, 1], "1e10000000")),
+    "coefficient-with-decimal-point": ("paper:ti-minus-ti1", _set(["elements", "t", 0, 1], "1.5")),
+    "ceiling-padded-with-spaces": ("paper:ti-minus-ti1", _set(["precision", "ceiling"], " 3 ")),
+    "coefficient-non-ascii-digit": ("paper:ti-minus-ti1", _set(["elements", "t", 0, 1], "\u0663")),
 }
 
 # a key no parser reads, inside each kind of nested object: (built-in, mutation, the key)

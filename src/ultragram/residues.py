@@ -17,6 +17,8 @@ from itertools import zip_longest
 from operator import add as _plus, mul as _times, neg as _neg
 from typing import Optional, Sequence
 
+from .groups import parse_rational
+
 
 class DivisionByZero(ZeroDivisionError):
     pass
@@ -190,6 +192,8 @@ class ResidueField:
             return value
         if isinstance(value, float):
             raise TypeError(f"exact fields take no floats, got {value!r}")
+        if isinstance(value, str):  # "n" or "p/q" only, as in scenario input
+            value = parse_rational(value)
         if self.kind == "Fp":
             if isinstance(value, Fraction):
                 if value.denominator % self.p == 0:

@@ -31,7 +31,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .groups import GroupElement, OrderedGroup, parse_rational
+from .groups import GroupElement, OrderedGroup
 from .presentations import (
     SubfieldPresentation,
     completion_presentation,
@@ -200,7 +200,7 @@ def _parse_coefficient(spec, field: ResidueField) -> FieldElement:
         raise ParseError(f"coefficients over F_p are integers, got {spec!r}")
     if field.kind == "Q":
         if _is_int(spec) or isinstance(spec, str):
-            return field.element(parse_rational(spec) if isinstance(spec, str) else spec)
+            return field.element(spec)  # a string in the strict grammar of groups.parse_rational
         raise ParseError(f"coefficients over Q are ints or 'p/q' strings, got {spec!r}")
     if _is_int(spec):
         return field.element(spec)
@@ -295,7 +295,7 @@ def _compile_formula(expr: str) -> Callable[[int], int]:
     return exponent_of
 
 
-# parsed scenarios and the runtime of one run
+# parsed scenarios and the runtime of one task
 
 
 @dataclass
@@ -513,7 +513,7 @@ def _canonical_task(task, pos: int, canonical: dict) -> dict:
 
 
 def resolve_runtime(scenario: Scenario, precision: Optional[Precision] = None) -> Runtime:
-    """A runtime for one run: each element made by its builder, in order."""
+    """A runtime for one task: each element made by its builder, in order."""
     elements: dict = {}
     for name, build in scenario.builders.items():
         elements[name] = build(elements)
@@ -544,10 +544,12 @@ def apply_precision_overrides(
 
 
 def run(scenario: Scenario, precision: Optional[Precision] = None, seed: Optional[int] = None) -> Report:
-    """Execute the task list against a fresh runtime."""
-    runtime = resolve_runtime(scenario, precision)
-    report = Report(scenario=scenario.canonical)
-    for index, task in enumerate(scenario.canonical["tasks"]):
+    """Execute each task against a fresh runtime: its outcome depends on no other task."""
+    report, tasks = Report(scenario=scenario.canonical), scenario.canonical["tasks"]
+    if not tasks:  # a builder that fails is a scenario error with no task to run too
+        resolve_runtime(scenario, precision)
+    for index, task in enumerate(tasks):
+        runtime = resolve_runtime(scenario, precision)  # outside the try: a failing builder is no task error
         started = time.monotonic()
         kind = TASKS[task["task"]]
         try:

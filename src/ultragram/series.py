@@ -7,13 +7,16 @@ two ways, by an exponent ceiling and by a work budget (:class:`Fuel`),
 because equality of lazy series is undecidable in general; all verdicts
 built on top of this module carry the bound they were computed under.
 
-Completeness bookkeeping: each node has one field ``_known``, which is
-``None`` (nothing is known yet), an exponent (the cache is provably
-complete below it) or ``_INF`` (the cache holds every term: the series is
-exhausted), and a static ``floor``, a lower bound for any exponent the
-series can produce.  A floor of ``None`` means the series is identically
-zero, and such a node is exhausted when it is built.  The floor is what
-makes lazy multiplication and inversion well-founded.
+Completeness bookkeeping: each node has one field ``_known``, an exponent
+key (the coordinate tuple the heaps compare) below which the cache is
+provably complete: ``()`` lies below every key and means nothing is known
+yet, and ``_TOP`` lies above every key and means the cache holds every term
+(the series is exhausted).  So ``min`` and ``<=`` on tuples combine and test
+bounds, and a group element becomes a bound only as its ``coords``.  Each
+node also has a static ``floor``, a lower bound for any exponent the series
+can produce.  A floor of ``None`` means the series is identically zero, and
+such a node is exhausted when it is built.  The floor is what makes lazy
+multiplication and inversion well-founded.
 
 The nodes are online (J. van der Hoeven, "Relax, but don't be too lazy",
 J. Symbolic Comput. 34(6), 2002): caches are append-only, a node appends
@@ -142,38 +145,15 @@ class SeriesField:
         return _Stream(self, floor, factory)
 
 
-# completeness bounds: GroupElement, _INF (everything known) or None (nothing)
-
-class _InfBound:
-    def __repr__(self) -> str:
-        return "INF"
-
-
-_INF = _InfBound()
 # the needs of a pull beside a term count: every term below the bound, and
 # for a finite node every term (the same for a node that may be infinite)
 _ALL, _WHOLE = float("inf"), float("inf")
-_TOP = (_ALL,)  # an exponent key above every other
+_TOP = (_ALL,)  # an exponent key above every other: an exhausted node's bound
 
 
-def _bound_min(*bounds):
-    out = _INF
-    for b in bounds:
-        if b is None:
-            return None
-        if b is _INF:
-            continue
-        if out is _INF or b < out:
-            out = b
-    return out
-
-
-def _bound_add(a, b):
-    if a is None or b is None:
-        return None
-    if a is _INF or b is _INF:
-        return _INF
-    return a + b
+def _shift(known: tuple, by: tuple) -> tuple:
+    """The bound ``known`` moved by the coordinates ``by``; () and _TOP stay themselves."""
+    return known if known is _TOP or not known else tuple(map(_coord_add, known, by))
 
 
 class Fuel:
@@ -219,7 +199,7 @@ class Series:
         self.field = field
         self.floor = floor
         self._cache: list[Term] = []
-        self._known = None if floor is not None else _INF
+        self._known = () if floor is not None else _TOP
 
     # node-specific production: yields (child, bound, need) triples, then extends the cache
     def _expand(self, bound: GroupElement, fuel: Fuel, need) -> Iterator[tuple]:
@@ -243,7 +223,7 @@ class Series:
         while stack:
             for child, below, n in stack[-1]:
                 if not (len(child._cache) >= n or child.complete_for(below) and (
-                        n is not _WHOLE or child._known is _INF or id(child) in whole)):
+                        n is not _WHOLE or child._known is _TOP or id(child) in whole)):
                     if n is _WHOLE:
                         whole.add(id(child))
                     stack.append(child._expand(below, fuel, n))
@@ -252,21 +232,20 @@ class Series:
                 stack.pop()
 
     def complete_for(self, bound: GroupElement) -> bool:
-        known = self._known
-        return known is _INF or (known is not None and bound <= known)
+        return bound.coords <= self._known
 
     def terms_below(self, bound: GroupElement) -> list[Term]:
         return [t for t in self._cache if t.exponent < bound]
 
-    def first_exponent_bound(self):
-        """A certified lower bound for the first exponent (exact if witnessed)."""
+    def first_exponent_bound(self) -> tuple:
+        """The key of a certified lower bound for the first exponent (exact if witnessed)."""
         if self._cache:
-            return self._cache[0].exponent
-        return self.floor if self._known is None else self._known
+            return self._cache[0].exponent.coords
+        return self._known or self.floor.coords
 
     @property
     def exhausted(self) -> bool:
-        return self._known is _INF
+        return self._known is _TOP
 
     def witnessed_terms(self) -> list[Term]:
         return list(self._cache)
@@ -284,7 +263,7 @@ class _Leaf(Series):
         first = terms[0].exponent if terms else None
         super().__init__(field, first)
         self._cache = list(terms)
-        self._known = _INF
+        self._known = _TOP
 
 
 class _Stream(Series):
@@ -304,7 +283,7 @@ class _Stream(Series):
             try:
                 term = next(self._iter)
             except StopIteration:
-                self._known = _INF
+                self._known = _TOP
                 return
             if term.coefficient.is_zero():
                 raise ValueError("stream produced a zero coefficient")
@@ -315,7 +294,7 @@ class _Stream(Series):
             cache.append(term)
             room -= 1
         if cache:
-            self._known = cache[-1].exponent
+            self._known = cache[-1].exponent.coords
 
 
 class _Map(Series):
@@ -338,15 +317,10 @@ class _Map(Series):
             Term(t.exponent + self.shift, t.coefficient * self.scale)
             for t in child._cache[len(self._cache):]
         ]
-        self._known = _bound_add(child._known, self.shift)
+        self._known = _shift(child._known, self.shift.coords)
 
 
 _exponent_key = attrgetter("exponent.coords")
-
-
-def _key(known) -> tuple:
-    """The exponent key below which a child not exhausted is known: () for None."""
-    return () if known is None else known.coords
 
 
 class _Sum(Series):
@@ -384,14 +358,14 @@ class _Sum(Series):
             end = min(len(src) if need is _WHOLE and child.exhausted else
                       bisect_left(src, bound.coords, k, key=_exponent_key), k + need - len(cache))
             cache += src[k:end]
-            cursors[0], self._known = end, child._known if end == len(src) else src[end].exponent
+            cursors[0], self._known = end, child._known if end == len(src) else src[end].exponent.coords
             return
         children, heap, idle = self.children, self._heap, self._idle
         if need == _ALL:  # a pull to the bound needs every child complete below it
             for c in children:
                 yield c, bound, need
         # a whole pull merges exhausted children past the bound, to the end
-        stop = _TOP if need is _WHOLE and all(c._known is _INF for c in children) else bound.coords
+        stop = _TOP if need is _WHOLE and all(c.exhausted for c in children) else bound.coords
         stalled = False
         while True:
             lim = stop  # keys below it merge: below the stop and each idle child's known
@@ -400,10 +374,10 @@ class _Sum(Series):
                 if k < len(c._cache):
                     idle.remove(n)
                     heappush(heap, (c._cache[k].exponent.coords, n))
-                elif c._known is _INF:
+                elif c.exhausted:
                     idle.remove(n)
                 else:
-                    lim = min(lim, _key(c._known))
+                    lim = min(lim, c._known)
             room = need - len(cache)
             while room > 0 and heap and heap[0][0] < lim:
                 key, n = heappop(heap)
@@ -414,9 +388,9 @@ class _Sum(Series):
                     cursors[n] = k = k + 1
                     if k < len(src):
                         heappush(heap, (src[k].exponent.coords, n))
-                    elif children[n]._known is not _INF:
+                    elif not children[n].exhausted:
                         idle.append(n)
-                        lim = min(lim, _key(children[n]._known))
+                        lim = min(lim, children[n]._known)
                     if first is None:
                         first = t
                     else:  # equal exponents: add the coefficients
@@ -435,7 +409,7 @@ class _Sum(Series):
             # pull the idle children that block the next key below the stop, or the stop itself
             head = heap[0][0] if heap and heap[0][0] < stop else None
             blocking = [n for n in idle if (
-                _key(children[n]._known) <= head if head is not None else _key(children[n]._known) < stop)]
+                children[n]._known <= head if head is not None else children[n]._known < stop)]
             if not blocking:
                 break
             for n in blocking:
@@ -445,11 +419,10 @@ class _Sum(Series):
                     stalled = True  # out of fuel: merge what came, then stop
                     break
         if not (heap or idle):
-            self._known = _INF
+            self._known = _TOP
             return
         n = heap[0][1] if heap else idle[0]
-        self._known = _bound_min(children[n]._cache[cursors[n]].exponent if heap else _INF,
-                                 *(children[i]._known for i in idle))
+        self._known = min([key for key, _ in heap[:1]] + [children[i]._known for i in idle])
         if len(heap) + len(idle) == 1:  # one child left: forward to it from now on
             self.children, self._cursors = [children[n]], [cursors[n]]
             self._shared, self._lag = len(cache), len(cache) - cursors[n]
@@ -472,19 +445,19 @@ class _Pairs:
         self.stuck: list[int] = []
         self.due = True  # left term len(cursors) may join
 
-    def skip_below(self, left: list, right: list, bound: GroupElement) -> None:
-        """Start with every left term, each cursor at its first pair not below ``bound`` (rank 1)."""
+    def skip_below(self, left: list, right: list, bound: tuple) -> None:
+        """Start with every left term, each cursor at its first pair not below the key ``bound`` (rank 1)."""
         keys = [t.exponent.coords[0] for t in right]
-        self.cursors = [bisect_left(keys, bound.coords[0] - t.exponent.coords[0]) for t in left]
+        self.cursors = [bisect_left(keys, bound[0] - t.exponent.coords[0]) for t in left]
         self.stuck = list(range(len(left) - 1, -1, -1))  # least cursor first: one ready() pass
         self.due = not left or self.cursors[-1] > 0
 
-    def settle(self, left: list, right: list, out: list, stop, fuel: Optional[Fuel] = None):
-        """Append to ``out`` the product terms below ``stop`` (every term when ``_INF``).
+    def settle(self, left: list, right: list, out: list, stop: tuple, fuel: Optional[Fuel] = None) -> tuple:
+        """Append to ``out`` the product terms below the key ``stop`` (every term at ``_TOP``).
 
         ``right`` may be ``out`` itself, provided each product term lies
         strictly above the right terms it is made of.  With ``fuel``, each
-        settled exponent costs one unit.  Returns the bound below which the
+        settled exponent costs one unit.  Returns the key below which the
         product is settled.
         """
         cursors, heap, stuck = self.cursors, self.heap, self.stuck
@@ -493,7 +466,7 @@ class _Pairs:
         rank1 = group.rank == 1  # one number per key costs a fifth of a tuple made by map()
         key_of = (lambda a, b: a[0] + b[0]) if rank1 else (lambda a, b: tuple(map(_coord_add, a, b)))
         elem = (lambda k: GroupElement(group, (k,))) if rank1 else (lambda k: GroupElement(group, k))
-        stop_key = None if stop is _INF else stop.coords[0] if rank1 else stop.coords
+        stop_key = stop[0] if rank1 else stop  # inf at _TOP, above every key
 
         def ready(i: int) -> None:
             j = cursors[i]
@@ -512,10 +485,10 @@ class _Pairs:
                 stuck.clear()
                 for i in waiting:
                     ready(i)
-            if not heap or (stop_key is not None and not heap[0][0] < stop_key):
+            if not heap or not heap[0][0] < stop_key:
                 return stop
             if fuel is not None and not fuel.spend():
-                return elem(heap[0][0])
+                return (heap[0][0],) if rank1 else heap[0][0]
             key = heap[0][0]
             total = None
             while heap and heap[0][0] == key:
@@ -557,7 +530,7 @@ class _Block:
         self.sizes = self.spans = self.ints = (0, 0)  # per factor: terms, slots, packed int
         self.acc = self.done = 0  # the product slots from ``done`` on; ``done`` slots settled
 
-    def settle(self, left: list, right: list, out: list, stop):
+    def settle(self, left: list, right: list, out: list, stop: tuple) -> Optional[tuple]:
         """As :meth:`_Pairs.settle` without fuel, or None (settling nothing) on a sparse strip."""
         if not (left and right):
             return stop
@@ -584,7 +557,7 @@ class _Block:
                 self.acc, X = self.acc + (new * Y << bits * (lo - done)), X + (new << bits * lo)
         self.sizes, self.spans, self.ints = (len(left), len(right)), (bx, by), (X, Y)
         end = bx + by - 1  # the slots the packed prefixes fill
-        top = end if stop is _INF else stop.coords[0] - x0 - y0  # the slots settled after this pull
+        top = end if stop is _TOP else stop[0] - x0 - y0  # the slots settled after this pull
         if top > done:
             group, coeff = self.field.group, self.field.coeff
             for k, v in enumerate(_unpack(self.acc, max(min(top, end) - done, 0), nbytes, p), x0 + y0 + done):
@@ -614,23 +587,18 @@ class _Mul(Series):
             nx, ny = (need, need) if need == _ALL else (len(x._cache) + 1, len(y._cache) + 1)
             yield x, bx, nx
             yield y, by, ny
-            if x.exhausted and y.exhausted:
-                w = _INF
-            else:
-                w = _bound_min(
-                    bound,
-                    _bound_add(x._known, y.first_exponent_bound()),
-                    _bound_add(y._known, x.first_exponent_bound()),
-                )
-            if w is not None and self._block is not None:
+            # the key below which the product is settled; () when nothing is
+            w = _TOP if x.exhausted and y.exhausted else min(
+                bound.coords, _shift(x._known, y.first_exponent_bound()), _shift(y._known, x.first_exponent_bound()))
+            if w and self._block is not None:
                 known = self._block.settle(x._cache, y._cache, self._cache, w)
                 if known is None:  # a sparse strip: the pair loop from here on
                     self._block = None
-                    if self._known is not None:
+                    if self._known:
                         self._pairs.skip_below(x._cache, y._cache, self._known)
                 else:
                     self._known = known
-            if w is not None and self._block is None:
+            if w and self._block is None:
                 self._known = self._pairs.settle(x._cache, y._cache, self._cache, w)
             if len(self._cache) >= need or self.complete_for(bound) or not (
                     (len(x._cache) >= nx or x.complete_for(bx)) and (len(y._cache) >= ny or y.complete_for(by))):
@@ -655,10 +623,10 @@ class _Invert(Series):
         x = self.x
         yield x, bound - self._back, _WHOLE if need is _WHOLE else _ALL
         if x.exhausted and len(x._cache) == 1:
-            self._known = _INF  # x is exactly its leading monomial
+            self._known = _TOP  # x is exactly its leading monomial
             return
-        stop = _bound_min(bound, _bound_add(x._known, self._back))
-        if stop is None:
+        stop = min(bound.coords, _shift(x._known, self._back.coords))
+        if not stop:
             return
         self._u.extend(
             Term(t.exponent + self.floor, t.coefficient * self._scale)
@@ -743,7 +711,8 @@ def valuation(x: Series, prec: Precision) -> Valuation:
         return Valuation(None, prec.ceiling, False)  # the first term lies at or above it
     if x.exhausted:
         return Valuation(None, prec.ceiling, True)
-    return Valuation(None, _bound_min(prec.ceiling, x._known), False)
+    known = x._known  # the one place a bound becomes a group element again
+    return Valuation(None, min(prec.ceiling, GroupElement(x.field.group, known)) if known else None, False)
 
 
 def leading_term(x: Series, prec: Precision) -> Optional[Term]:

@@ -192,11 +192,11 @@ def verify_report(scenario: Scenario, report: Report, precision: Optional[Precis
         emit(fresh, "structured") == emit(Report(report.scenario, report.tasks), "structured"),
         "re-run produced a different structured report",
     )
-    runtime = resolve_runtime(scenario, precision)
-    prec = runtime.precision
     for task_outcome in report.tasks:
         if task_outcome.error is not None:
             continue
+        runtime = resolve_runtime(scenario, precision)  # each task's witnesses on fresh elements, as run made them
+        prec = runtime.precision
         task = scenario.canonical["tasks"][task_outcome.index]
         witnesses = TASKS[task_outcome.task].witnesses(task, task_outcome.outcome, runtime)
         for witness, subject, doc in witnesses:

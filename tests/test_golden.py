@@ -1,4 +1,4 @@
-"""Golden reports: byte-exact CLI output for every built-in and four extra scenarios.
+"""Golden reports: byte-exact CLI output for every built-in and five extra scenarios.
 
 Each case is run through ``ultragram run --verify`` once in the structured
 format and once in the text format.  Text lines that carry wall-clock task
@@ -10,7 +10,8 @@ The extra scenarios reach paths no built-in does: an ``independence`` task
 errors captured in the report, a full-field ``nearest_point`` whose
 report forces the lazy quotient ``b * invert(w)`` to the ceiling, and
 outcomes no built-in reports: an ``orthogonalize`` basis, both kinds of
-inconclusive ``analyze_extension`` and a ``precision_exhausted`` nearest point.
+inconclusive ``analyze_extension`` and a ``precision_exhausted`` nearest point,
+and a series cut by the fuel (``truncated``), printed alike by two identical tasks.
 
 Re-record after an intended output change with
 ``PYTHONPATH=src python tests/test_golden.py``.
@@ -85,6 +86,17 @@ EXTRA_SCENARIOS = {
             {"task": "nearest_point", "target": "far", "family": ["one"]},
         ],
         "precision": {"ceiling": 32, "max_terms": 8, "degree_cap": 1},
+    },
+    "golden:truncated-series": {
+        "name": "golden:truncated-series",
+        "ambient": {"group": {"group": "Z"}, "coefficients": {"field": "Fp", "p": 3}},
+        "base_field": {"kind": "laurent", "t_value": 1, "name": "F3(t)"},
+        "elements": {"geometric": {"builder": "geometric"}},
+        "tasks": [
+            {"task": "normalize", "family": ["geometric"]},
+            {"task": "normalize", "family": ["geometric"]},
+        ],
+        "precision": {"ceiling": 1000, "max_terms": 1, "degree_cap": 8},
     },
 }
 

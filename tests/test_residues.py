@@ -332,3 +332,17 @@ def test_verified_q_chase_builds_no_fraction(monkeypatch):
     checks = verify_report(scenario, report)
     assert report.tasks[0].outcome["kind"] == "unbounded" and checks and all(c["ok"] for c in checks)
     assert built[0] == 0
+
+
+@pytest.mark.parametrize("field", [F5, Q], ids=["Fp", "Q"])
+@pytest.mark.parametrize("text, value", [("3", 3), ("-1/2", Fraction(-1, 2)), ("+4", 4), ("4/2", 2)])
+def test_element_parses_number_strings(field, text, value):
+    assert field.element(text) == field.element(value)
+
+
+@pytest.mark.parametrize("field", [F5, Q], ids=["Fp", "Q"])
+@pytest.mark.parametrize("text", ["1e2", " 3 ", "1.5", "1e300000", "\u0663", "", "1/2/3"])
+def test_element_rejects_other_strings(field, text):
+    """The strict number grammar of scenario input, not ``int`` or ``Fraction`` parsing."""
+    with pytest.raises(ValueError):
+        field.element(text)

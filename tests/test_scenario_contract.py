@@ -196,6 +196,50 @@ def test_lead_first_pull_stops_before_a_failing_term(tmp_path, capsys):
     assert task["outcome"]["verdict"] == "independent"
 
 
+def test_formula_failing_at_i_0_exits_1_with_no_task(tmp_path, capsys):
+    doc = _formula_scenario("i//(i-i)")
+    doc["tasks"] = []
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["run", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+
+
+def _geometric_outcomes(tasks: list, tmp_path, capsys) -> list:
+    """Each task's structured outcome, as bytes, over F3(t) at a ceiling the fuel never reaches."""
+    doc = {
+        "ambient": {"group": {"group": "Z"}, "coefficients": {"field": "Fp", "p": 3}},
+        "base_field": {"kind": "laurent", "t_value": 1},
+        "elements": {"g": {"builder": "geometric"}, "t": [[1, 1]]},
+        "tasks": tasks,
+        "precision": {"ceiling": 100000, "max_terms": 1},
+    }
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["run", str(path), "--verify", "--format", "structured"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert all(c["ok"] for c in report["verification"])
+    return [json.dumps(t["outcome"], sort_keys=True).encode() for t in report["tasks"]]
+
+
+NORMALIZE_G = {"task": "normalize", "family": ["g"]}
+
+
+def test_identical_tasks_report_identical_outcomes(tmp_path, capsys):
+    first, second = _geometric_outcomes([NORMALIZE_G, NORMALIZE_G], tmp_path, capsys)
+    assert first == second
+    assert json.loads(first)["elements"][0]["truncated"]
+
+
+def test_a_task_in_front_leaves_a_later_outcome_unchanged(tmp_path, capsys):
+    # orthogonalize pulls g far past what normalize alone prints
+    alone, = _geometric_outcomes([NORMALIZE_G], tmp_path, capsys)
+    front = {"task": "orthogonalize", "generators": ["g", "t"]}
+    _, behind = _geometric_outcomes([front, NORMALIZE_G], tmp_path, capsys)
+    assert behind == alone
+
+
 def test_formula_values_are_exact_integers():
     assert [_compile_formula("2^i - i//2")(i) for i in range(5)] == [1, 2, 3, 7, 14]
     with pytest.raises(ScenarioError):

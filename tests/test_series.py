@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from ultragram.groups import OrderedGroup
+from ultragram.groups import GroupElement, OrderedGroup
 from ultragram.residues import ResidueField
 from ultragram.series import (
     LeadingTermUnknown,
@@ -64,6 +64,20 @@ def test_valuation_examples():
     assert v.is_value and v.value == Z.element(1)
     v0 = valuation(L5.zero(), PREC)
     assert not v0.is_value and v0.exhausted
+
+
+@pytest.mark.parametrize("group, ceiling, up_to", [
+    (Z, (10**6,), (319,)),
+    (OrderedGroup.rationals(), (10**6,), (319,)),
+    (OrderedGroup.lex(2), (1, 0), (0, 319)),
+], ids=["Z", "Q", "Z2_lex"])
+def test_zero_up_to_below_the_ceiling_is_a_group_element(group, ceiling, up_to):
+    # g - g stays zero as far as the fuel of max_terms 1 reaches: far below the ceiling, not exhausted
+    g = geometric(SeriesField(group, F3))
+    v = valuation(subtract(g, g), Precision(group.element(*ceiling), max_terms=1))
+    assert not v.is_value and not v.exhausted
+    assert isinstance(v.up_to, GroupElement) and v.up_to.group == group and v.up_to == group.element(*up_to)
+    assert v.describe() == {"zero_up_to": [str(c) for c in up_to]}
 
 
 def test_telescoping_product_is_one():

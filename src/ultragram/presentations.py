@@ -32,7 +32,7 @@ from .series import Series, SeriesField, Term, _Leaf
 
 
 class ValueNotInSubgroup(ValueError):
-    """monomial_section was asked for a value outside vK."""
+    """A section was asked for a value outside vK."""
 
 
 @dataclass(frozen=True)
@@ -47,10 +47,14 @@ class SubfieldPresentation:
 
     # sections
 
+    def require_value(self, delta: GroupElement) -> None:
+        """Raise ValueNotInSubgroup unless ``delta`` lies in vK."""
+        if not self.value_in_subgroup(delta):
+            raise ValueNotInSubgroup(f"{delta} is not in v{self.name}")
+
     def monomial_section(self, delta: GroupElement) -> Series:
         """The monomial t^delta of K: coefficient one, valuation exactly ``delta``."""
-        if not self.value_subgroup.contains(delta):
-            raise ValueNotInSubgroup(f"{delta} is not in v{self.name}")
+        self.require_value(delta)
         return self.ambient.monomial(delta)
 
     def monomial_term(self, delta: GroupElement) -> Term:

@@ -49,7 +49,13 @@ repack).  A pull adds only the new L-shaped strip (new left slots times all
 right slots, old left times new right) to an accumulator and reads the
 settled slots mod p.  A strip with more than ``_SPARSE`` slots per new term
 (say, sum t^(3^i)) moves the product to the pair loop for good, its cursors
-bisected past the settled bound.  The inverse keeps the pair loop.
+bisected past the settled bound.  An inverse over Z and F_p settles windows
+of packed ints: with y settled below offset n, the slots [n, n+s), s <= n,
+are lead*A*y[:s] mod t^s, A the slots there of u*y[:n] (the accumulator of
+the pairs that the settled prefix makes), as 1/(1-u) = lead*y.  The windows
+double up to a long pull's bound, and a short pull settles one window.  Once
+the prefixes of u and y span more than ``_SPARSE`` slots per term, the
+inverse moves to the pair loop in the same way.
 
 A pull is one explicit-stack loop in :meth:`Series._pull`: a node's
 ``_expand`` is a generator that yields each child with the bound and need
@@ -58,9 +64,10 @@ short.  No pull recurses, so the depth of a chain of nodes is bounded only
 by the inputs.
 
 Fuel: a stream spends one unit per pulled term and an inverse one per
-exponent it settles, zero or not.  No other node makes terms its children
-do not bound, so every pull ends; one that runs out of fuel leaves a
-consistent prefix, and the next pull resumes it.
+exponent it settles that a pair of u*y meets (a block window one per nonzero
+term it settles, never more).  No other node makes terms its children do not
+bound, so every pull ends; one that runs out of fuel leaves a consistent
+prefix, and the next pull resumes it.
 
 Caches fill lazily and without locks, so a series, and a family built from
 series, must not be used from several threads at once.
@@ -68,6 +75,7 @@ series, must not be used from several threads at once.
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from heapq import heappop, heappush
@@ -504,46 +512,52 @@ class _Pairs:
                 out.append(Term(elem(key), FieldElement(coeff, total)))
 
 
-_SPARSE = 8  # a block strip with more slots than this per new term goes to _Pairs
+_SPARSE = 8  # a block strip (an inverse's prefix) with more slots than this per term goes to _Pairs
+
+
+# slot widths that a memoryview reads and writes as native unsigned ints, on a
+# little-endian host, where they are the little-endian slots of the packed ints
+_CAST = {memoryview(bytes(8)).cast(c).itemsize: c for c in "BHIQ"} if sys.byteorder == "little" else {}
 
 
 def _pack(terms: list, origin: int, nbytes: int) -> int:
     """The reps of ``terms`` (F_p over rank 1) as one int, exponent e in slot e - origin."""
     buf = bytearray(nbytes * (terms[-1].exponent.coords[0] - origin + 1))
-    for t in terms:
-        k = nbytes * (t.exponent.coords[0] - origin)
-        buf[k:k + nbytes] = t.coefficient.rep.to_bytes(nbytes, "little")
+    if nbytes in _CAST:
+        slots = memoryview(buf).cast(_CAST[nbytes])
+        for t in terms:
+            slots[t.exponent.coords[0] - origin] = t.coefficient.rep
+    else:
+        for t in terms:
+            k = nbytes * (t.exponent.coords[0] - origin)
+            buf[k:k + nbytes] = t.coefficient.rep.to_bytes(nbytes, "little")
     return int.from_bytes(buf, "little")
 
 
 def _unpack(value: int, slots: int, nbytes: int, p: int) -> list:
     """The lowest ``slots`` slots of ``value``, ``nbytes`` bytes each, reduced mod p."""
     data = (value & ((1 << 8 * nbytes * slots) - 1)).to_bytes(nbytes * slots, "little")
+    if nbytes in _CAST:
+        return [v % p for v in memoryview(data).cast(_CAST[nbytes])]
     return [int.from_bytes(data[k:k + nbytes], "little") % p for k in range(0, len(data), nbytes)]
 
 
 class _Block:
-    """State of a Kronecker product over Z and F_p (module docstring)."""
+    """State of a Kronecker product over Z and F_p, or of an inverse's u*y (module docstring)."""
 
     def __init__(self, field: SeriesField):
         self.field, self.nbytes = field, 0  # bytes per slot
         self.sizes = self.spans = self.ints = (0, 0)  # per factor: terms, slots, packed int
-        self.acc = self.done = 0  # the product slots from ``done`` on; ``done`` slots settled
+        self.acc = self.done = 0  # the product slots from ``done`` on
 
-    def settle(self, left: list, right: list, out: list, stop: tuple) -> Optional[tuple]:
-        """As :meth:`_Pairs.settle` without fuel, or None (settling nothing) on a sparse strip."""
-        if not (left and right):
-            return stop
-        x0, y0 = left[0].exponent.coords[0], right[0].exponent.coords[0]
-        (nx, ny), (ax, ay), (X, Y) = self.sizes, self.spans, self.ints
-        bx, by = left[-1].exponent.coords[0] - x0 + 1, right[-1].exponent.coords[0] - y0 + 1
-        if bx + by - ax - ay > _SPARSE * (len(left) + len(right) - nx - ny):
-            return None
-        p, done = self.field.coeff.p, self.done
-        nbytes = ((min(bx, by) * (p - 1) ** 2).bit_length() + 7) // 8
+    def _grow(self, left: list, nleft: int, right: list, origins: tuple, most: int) -> None:
+        """Add to ``acc`` each pair of ``left[:nleft]`` and ``right`` with a new term, a
+        factor's exponent e in slot e - origin, in slots that hold ``most``."""
+        (nx, ny), (X, Y), (x0, y0), done = self.sizes, self.ints, origins, self.done
+        nbytes = (most.bit_length() + 7) // 8
         if nbytes > self.nbytes:  # a product slot could overflow: repack both prefixes
             self.nbytes = nbytes
-            X, Y = _pack(left, x0, nbytes), _pack(right, y0, nbytes)
+            X, Y = _pack(left[:nleft], x0, nbytes), _pack(right, y0, nbytes)
             self.acc = X * Y >> 8 * nbytes * done
         else:
             nbytes, bits = self.nbytes, 8 * self.nbytes
@@ -551,20 +565,70 @@ class _Block:
                 lo = right[ny].exponent.coords[0] - y0
                 new = _pack(right[ny:], y0 + lo, nbytes)
                 self.acc, Y = self.acc + (X * new << bits * (lo - done)), Y + (new << bits * lo)
-            if nx < len(left):  # new left slots times every right slot
+            if nx < nleft:  # new left slots times every right slot
                 lo = left[nx].exponent.coords[0] - x0
-                new = _pack(left[nx:], x0 + lo, nbytes)
+                new = _pack(left[nx:nleft], x0 + lo, nbytes)
                 self.acc, X = self.acc + (new * Y << bits * (lo - done)), X + (new << bits * lo)
-        self.sizes, self.spans, self.ints = (len(left), len(right)), (bx, by), (X, Y)
+        self.sizes, self.ints = (nleft, len(right)), (X, Y)
+
+    def _emit(self, slots: list, first: int, out: list) -> None:
+        """Append a term for each nonzero rep in ``slots``, the first at exponent ``first``."""
+        group, coeff = self.field.group, self.field.coeff
+        for k, v in enumerate(slots, first):
+            if v:
+                out.append(Term(GroupElement(group, (k,)), FieldElement(coeff, v)))
+
+    def settle(self, left: list, right: list, out: list, stop: tuple) -> Optional[tuple]:
+        """As :meth:`_Pairs.settle` without fuel, or None (settling nothing) on a sparse strip."""
+        if not (left and right):
+            return stop
+        x0, y0 = left[0].exponent.coords[0], right[0].exponent.coords[0]
+        (nx, ny), (ax, ay) = self.sizes, self.spans
+        bx, by = left[-1].exponent.coords[0] - x0 + 1, right[-1].exponent.coords[0] - y0 + 1
+        if bx + by - ax - ay > _SPARSE * (len(left) + len(right) - nx - ny):
+            return None
+        p, done = self.field.coeff.p, self.done
+        self._grow(left, len(left), right, (x0, y0), min(bx, by) * (p - 1) ** 2)
+        self.spans = bx, by
         end = bx + by - 1  # the slots the packed prefixes fill
         top = end if stop is _TOP else stop[0] - x0 - y0  # the slots settled after this pull
         if top > done:
-            group, coeff = self.field.group, self.field.coeff
-            for k, v in enumerate(_unpack(self.acc, max(min(top, end) - done, 0), nbytes, p), x0 + y0 + done):
-                if v:
-                    out.append(Term(GroupElement(group, (k,)), FieldElement(coeff, v)))
-            self.acc, self.done = self.acc >> 8 * nbytes * (top - done), top
+            self._emit(_unpack(self.acc, max(min(top, end) - done, 0), self.nbytes, p), x0 + y0 + done, out)
+            self.acc, self.done = self.acc >> 8 * self.nbytes * (top - done), top
         return stop
+
+    def invert(self, u: list, y: list, known: tuple, stop: tuple, fuel: Fuel, lead: int) -> tuple:
+        """Settle y = m + u*y below the key ``stop``, one unit of fuel per nonzero term, y
+        complete below ``known`` (or just y[0] = m) and u's exponents at least 1.  Returns
+        the key below which y is settled, short of ``stop`` with fuel left on a sparse prefix.
+
+        Window [n, n+s), s <= n, is A/(1-u) = lead*A*y[:s] mod t^s, A its slots of u*y[:n]."""
+        p, y0 = self.field.coeff.p, y[0].exponent.coords[0]
+        n, end = known[0] - y0 if known else 1, stop[0] - y0
+        if not self.sizes[0]:  # y is m up to u's first exponent: no window below it
+            n = max(n, min(u[0].exponent.coords[0] if u else end, end))
+        while n < end and fuel.steps:
+            s = min(n, end - n, fuel.steps)
+            k = bisect_left(u, (n + s,), self.sizes[0], key=_exponent_key)  # the u terms the window reads
+            # the rule of a product's strip, over the whole prefix: the windows are short
+            bx, by = u[k - 1].exponent.coords[0] + 1, y[-1].exponent.coords[0] - y0 + 1
+            if bx + by > _SPARSE * (k + len(y)):
+                break
+            # a slot of lead*A*y[:s] stays below (bx p^2)^2, as A has at most bx nonzero slots
+            reach = min(u[-1].exponent.coords[0] + 1, end) * (p - 1) ** 2  # bx p^2, any bx of this pull
+            self._grow(u, k, y, (0, y0), reach * reach)
+            bits = 8 * self.nbytes
+            self.acc, self.done, mask = self.acc >> bits * (n - self.done), n, (1 << bits * s) - 1
+            slots = _unpack((self.acc & mask) * lead * (self.ints[1] & mask), s, self.nbytes, p)
+            self._emit(slots, y0 + n, y)
+            fuel.spend(s - slots.count(0))  # per term: a pair of u*y meets each, so the pair loop spends as much
+            n += s
+        return (y0 + n,)
+
+
+def _block_for(field: SeriesField) -> Optional[_Block]:
+    """Block state for a product or inverse over Z and F_p; None elsewhere (the pair loop)."""
+    return _Block(field) if field.group.kind is GroupKind.INTEGER_LINE and field.coeff.kind == "Fp" else None
 
 
 class _Mul(Series):
@@ -577,8 +641,7 @@ class _Mul(Series):
         self.x = x
         self.y = y
         self._pairs = _Pairs(self.field)
-        dense = self.field.group.kind is GroupKind.INTEGER_LINE and self.field.coeff.kind == "Fp"
-        self._block = _Block(self.field) if dense else None  # Z and F_p: the Kronecker block path
+        self._block = _block_for(self.field)
 
     def _expand(self, bound, fuel, need):
         x, y = self.x, self.y
@@ -617,6 +680,8 @@ class _Invert(Series):
         self._back = self.floor + self.floor  # x below b + 2g gives u*y below b
         self._u: list[Term] = []
         self._pairs = _Pairs(self.field)
+        self._block = _block_for(self.field)
+        self._lead = lead.coefficient.rep
         self._cache.append(Term(self.floor, inverse))
 
     def _expand(self, bound, fuel, need):  # the lead is cached: any demand settles to the bound
@@ -632,7 +697,13 @@ class _Invert(Series):
             Term(t.exponent + self.floor, t.coefficient * self._scale)
             for t in x._cache[len(self._u) + 1:]
         )
-        self._known = self._pairs.settle(self._u, self._cache, self._cache, stop, fuel)
+        if self._block is not None:
+            self._known = self._block.invert(self._u, self._cache, self._known, stop, fuel, self._lead)
+            if self._known < stop and fuel.steps:  # a sparse prefix: the pair loop from here on
+                self._block = None
+                self._pairs.skip_below(self._u, self._cache, self._known)
+        if self._block is None:
+            self._known = self._pairs.settle(self._u, self._cache, self._cache, stop, fuel)
 
 
 def _scaled(x: Series, shift: GroupElement, scale: FieldElement) -> Series:

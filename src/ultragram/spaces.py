@@ -400,8 +400,9 @@ def nearest_point(b: Series, w_basis: VectorFamily, prec: Precision) -> NearestP
     evidence, approximants, steps = [], [], []
 
     def done(kind: NearestKind, value: Optional[GroupElement] = None) -> NearestPointResult:
+        zero = None if all(coeff_terms) else K.ambient.zero()  # shared by the members no step touched
         return NearestPointResult(
-            kind, best, [K.ambient.from_terms(ts) for ts in coeff_terms], value=value,
+            kind, best, [K.ambient.from_terms(ts) if ts else zero for ts in coeff_terms], value=value,
             evidence=evidence, initial_value=initial.value,
             approximants=approximants, steps=steps,
         )
@@ -417,7 +418,7 @@ def nearest_point(b: Series, w_basis: VectorFamily, prec: Precision) -> NearestP
             return done(NearestKind.VALUE, gamma)
         common = leads[cls[0]].exponent
         delta = gamma - common
-        K.monomial_section(delta)  # raises unless delta lies in vK
+        K.require_value(delta)
         solution = solve_over_subfield(
             leading_term(r, prec).coefficient, [leads[i].coefficient for i in cls],
             K.residue_field, K.ambient.coeff,

@@ -4,7 +4,7 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from ultragram import extensions, groups
+from ultragram import extensions, groups, series
 from ultragram.groups import OrderedGroup
 from ultragram.reports import nearest_json, series_json
 from ultragram.residues import ResidueField
@@ -270,6 +270,28 @@ def test_closure_ladder_adjoins_each_product_once(monkeypatch):
         assert result.ok and len(result.basis) == n and adjoins[0] == n
         work.append(reductions[0])
     assert all(b <= 2.3 * a for a, b in zip(work, work[1:])), work
+
+
+def test_closure_ladder_builds_series_nodes_linearly(monkeypatch):
+    """t^(1/n) over F5(t): a reduction step touches one class, and the members it leaves
+    untouched share one zero leaf, so the series nodes about double with n."""
+    nodes = [0]
+    plain_init = series.Series.__init__
+
+    def counted_init(self, *args):
+        nodes[0] += 1
+        plain_init(self, *args)
+
+    monkeypatch.setattr(series.Series, "__init__", counted_init)
+    L = SeriesField(Q, F5)
+    K = laurent_presentation(L, Q.element(1), name="F5(t)")
+    work = []
+    for n in (128, 256):
+        nodes[0] = 0
+        result = span_closure_basis([L.monomial(Fraction(1, n))], K, Precision(Q.element(32), degree_cap=n))
+        assert result.ok and len(result.basis) == n
+        work.append(nodes[0])
+    assert work[1] <= 2.3 * work[0], work
 
 
 def test_closure_cross_check_keys_each_class_once_per_span_row(monkeypatch):

@@ -490,19 +490,18 @@ def test_stepwise_product_pulls_cost_at_most_twice_one_pull(pushes):
 
 
 def test_block_quotient_pull_grows_linearly(pushes):
-    # geometric / sum t^(i^2) over F3: a block product over a pair-loop inverse.  The
-    # inverse forms about n^1.5 pairs (x2.8 per doubling), so its factors are pulled first
+    # geometric / sum t^(i^2) over F3: a block product over a block inverse, both settled
+    # in windows of packed ints, so the whole pull packs and reads about 2x per doubling
     work = {}
     for ceiling in (320, 640):
         bound = Z.element(ceiling)
         divisor = custom_powers(L3, lambda i: i * i)
         g, inverse = geometric(L3), invert(divisor, Precision(bound, max_terms=8))
-        assert g.ensure_below(bound, Fuel(10 * ceiling)) and inverse.ensure_below(bound, Fuel(10 * ceiling))
         quotient = multiply(g, inverse)
         pushes[0] = 0
         assert quotient.ensure_below(bound, Fuel(10 * ceiling))
         work[ceiling] = pushes[0]
-        assert quotient._block is not None
+        assert quotient._block is not None and inverse._block is not None
         # dense division: q * divisor = geometric, so q_k = 1 - sum_{i >= 1} q_(k - i^2)
         q = []
         for k in range(ceiling):
@@ -510,7 +509,66 @@ def test_block_quotient_pull_grows_linearly(pushes):
         assert [(t.exponent, t.coefficient) for t in quotient.terms_below(bound)] == [
             (Z.element(k), F3.element(c)) for k, c in enumerate(q) if c
         ]
-    assert work[640] <= 2.5 * work[320]
+    assert work[640] <= 2.5 * work[320], work
+
+
+def _squares_inverse_terms(ceiling):
+    """1 / sum t^(i^2) over F3 below t^ceiling, by long division: y_k = -sum_{i >= 1} y_(k - i^2)."""
+    y = [1]
+    for k in range(1, ceiling):
+        y.append(-sum(y[k - i * i] for i in range(1, math.isqrt(k) + 1)) % 3)
+    return [(Z.element(k), F3.element(c)) for k, c in enumerate(y) if c]
+
+
+def test_block_inverse_pull_grows_linearly(pushes):
+    # the pair loop formed about n^1.5 pairs here (907 / 2,526 / 7,041 / 19,468 pushes);
+    # the block windows double up to the pull, each packing and reading its own slots
+    work = {}
+    for ceiling in (160, 320, 640, 1280):
+        bound = Z.element(ceiling)
+        inverse = invert(custom_powers(L3, lambda i: i * i), Precision(bound, max_terms=8))
+        pushes[0] = 0
+        assert inverse.ensure_below(bound, Fuel(10 * ceiling))
+        work[ceiling] = pushes[0]
+        assert inverse._block is not None
+        assert [(t.exponent, t.coefficient) for t in inverse.terms_below(bound)] == _squares_inverse_terms(ceiling)
+    assert all(work[2 * c] <= 2.3 * work[c] for c in (160, 320, 640)), work
+
+
+def test_block_inverse_in_small_steps_costs_at_most_the_pair_loop(pushes):
+    # a window per pull: short pulls do not redo the settled prefix
+    ceiling = 1280
+    inverse = invert(custom_powers(L3, lambda i: i * i), Precision(Z.element(ceiling), max_terms=8))
+    pushes[0] = 0
+    for bound in range(16, ceiling + 1, 16):
+        assert inverse.ensure_below(Z.element(bound), Fuel(10_000))
+    assert pushes[0] <= 19_468  # the pair loop's pushes, in one pull or in these steps
+    assert inverse._block is not None
+    assert [(t.exponent, t.coefficient) for t in inverse.terms_below(Z.element(ceiling))] == (
+        _squares_inverse_terms(ceiling))
+
+
+@pytest.mark.parametrize("divisor, ceiling, path", [
+    ({0: 1, 1000: 1}, 1000, "block"),  # 1 below t^1000: no window, no fuel
+    ({0: 1, 1000: 1}, 2000, "pairs"),  # then sparse: the pair loop from t^1000 on
+    ({0: 1, 7: 2}, 1000, "block"),  # a term every 7 slots
+    ({0: 1, 1: 1, 2: 2}, 500, "block"),  # dense
+])
+def test_block_inverse_spends_no_more_fuel_than_the_pair_loop(divisor, ceiling, path):
+    # a unit per settled term, each met by a pair of u*y, so a pull that completes
+    # on the pair loop under a scenario's budget completes on the block path too
+    prec, bound = Precision(Z.element(ceiling), max_terms=8), Z.element(ceiling)
+    spent, terms = {}, {}
+    for kind in ("block", "pairs"):
+        inverse, fuel = invert(L3.from_terms(divisor.items()), prec), prec.fuel()
+        if kind == "pairs":
+            inverse._block = None
+        budget = fuel.steps
+        assert inverse.ensure_below(bound, fuel)
+        spent[kind], terms[kind] = budget - fuel.steps, inverse.terms_below(bound)
+        if kind == "block":
+            assert (inverse._block is not None) == (path == "block")
+    assert terms["block"] == terms["pairs"] and spent["block"] <= spent["pairs"], spent
 
 
 def _count_inits(monkeypatch, cls):
@@ -610,6 +668,64 @@ def test_block_product_in_small_steps_matches_schoolbook(data):
         seen = got
     if "tail" in (a_kind, b_kind):
         assert product._block is None  # the tail moved the product to the pair loop
+
+
+def _long_division(x, p, length):
+    """The first ``length`` coefficients of 1/x, x a finite series over F_p as {exponent: rep}
+    with lead c*t^e, in plain ints: y_0 = 1/c and y_k = -(1/c) * sum_{i >= 1} x_(e+i) * y_(k-i)."""
+    e = min(x)
+    inverse = pow(x[e], -1, p)
+    y = [inverse]
+    for k in range(1, length):
+        y.append(-inverse * sum(x.get(e + i, 0) * y[k - i] for i in range(1, k + 1)) % p)
+    return y
+
+
+@st.composite
+def divisors(draw, p):
+    """A finite F_p divisor over Z as {exponent: rep}, with the path its inverse takes.
+
+    Dense: 2 to 9 consecutive exponents.  1/x has no run of 8 zeros (it would end
+    there, and x*(1/x) = 1 has no polynomial solution), so no prefix turns sparse:
+    the block path.  Sparse: exponents 16 or more apart.  The first window that reads
+    a term of u is sparse already: the pair loop.  Dense with a sparse tail: either."""
+    kind = draw(st.sampled_from(("dense", "sparse", "tail")))
+    start = draw(st.integers(-4, 4))
+    if kind == "sparse":
+        gap = draw(st.integers(16, 24))
+        exponents = [start] + [start + gap * i for i in sorted(draw(st.sets(st.integers(1, 5), min_size=1)))]
+    else:
+        exponents = list(range(start, start + draw(st.integers(2, 9))))
+        if kind == "tail":
+            exponents += [exponents[-1] + 3**i for i in range(1, draw(st.integers(2, 5)))]
+    return {e: draw(st.integers(1, p - 1)) for e in exponents}, kind
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_inverse_in_small_steps_matches_long_division(data):
+    p = data.draw(st.sampled_from(BLOCK_PRIMES))
+    field = SeriesField(Z, ResidueField.prime(p))
+    x, kind = data.draw(divisors(p))
+    inverse = invert(_stream_of(field, x), Precision(Z.element(1000), max_terms=8))
+    floor, length = -min(x), 150
+    want = _long_division(x, p, length)
+    rng = data.draw(st.randoms(use_true_random=False))
+    offset, seen = 0, []
+    while offset < length:
+        offset = min(length, offset + rng.randint(1, 24))
+        bound = Z.element(floor + offset)
+        complete = False
+        while not complete:  # random small fuel: each pull may stop short and resume
+            complete = inverse.ensure_below(bound, Fuel(rng.randint(1, 6)))
+            got = [(t.exponent.coords[0] - floor, t.coefficient.rep) for t in inverse.witnessed_terms()]
+            assert got[: len(seen)] == seen  # the cache only ever grows
+            # every cached term is settled, and a complete pull holds every term below the bound
+            top = max(got[-1][0] + 1, offset if complete else 0)
+            assert got == [(k, c) for k, c in enumerate(want[:top]) if c]
+            seen = got
+    path = "block" if inverse._block is not None else "pairs"
+    assert path == {"dense": "block", "sparse": "pairs"}.get(kind, path)
 
 
 def _count_fractions(monkeypatch):

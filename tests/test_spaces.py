@@ -5,7 +5,13 @@ import pytest
 from ultragram.groups import OrderedGroup
 from ultragram.residues import ResidueField
 from ultragram.series import Precision, SeriesField, add, artin_schreier, leading_term, multiply, subtract, valuation
-from ultragram.presentations import completion_presentation, laurent_presentation, trivial_presentation
+from ultragram.presentations import (
+    SubfieldPresentation,
+    ValueNotInSubgroup,
+    completion_presentation,
+    laurent_presentation,
+    trivial_presentation,
+)
 from ultragram.reports import series_json
 from ultragram.spaces import (
     ImmediacyKind,
@@ -239,6 +245,31 @@ def test_nearest_point_unbounded_stream():
     for ev, approx in zip(result.evidence, result.approximants):
         val = valuation(subtract(L.monomial(1), approx), prec)
         assert val.is_value and val.value == ev
+
+
+def test_nearest_point_chase_builds_no_membership_monomial(monkeypatch):
+    L = SeriesField(Z, ResidueField.rationals())
+    K = trivial_presentation(L, name="Q")
+    prec = Precision(Z.element(40), max_terms=8)
+    W = _telescoping_family(L, K, prec, prec.max_terms + 2)
+    sections = [0]
+    plain_section = SubfieldPresentation.monomial_section
+
+    def counted_section(self, delta):
+        sections[0] += 1
+        return plain_section(self, delta)
+
+    monkeypatch.setattr(SubfieldPresentation, "monomial_section", counted_section)
+    result = nearest_point(L.monomial(1), W, prec)
+    assert result.kind is NearestKind.UNBOUNDED and sections[0] == 0
+    # the two members no step touched share one exhausted zero leaf
+    untouched = result.coefficients[-2:]
+    assert untouched[0] is untouched[1] and untouched[0].exhausted and not untouched[0].witnessed_terms()
+    # a step value outside vK raises through require_value, as in monomial_section
+    monkeypatch.setattr(SubfieldPresentation, "value_in_subgroup", lambda self, gamma: False)
+    with pytest.raises(ValueNotInSubgroup) as raised:
+        nearest_point(L.monomial(1), W, prec)
+    assert str(raised.value) == f"{Z.element(0)} is not in vQ"
 
 
 def test_nearest_point_artin_schreier_against_constants():

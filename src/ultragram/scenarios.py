@@ -620,7 +620,7 @@ def _independence_witnesses(task, outcome: dict, runtime: Runtime):
     if outcome["verdict"] == "dependent":
         yield "dependence", family, outcome["witness"]
     elif outcome["verdict"] == "independent":
-        yield "scalings", (runtime.named(task["over"]) if task.get("over") else [], family), outcome
+        yield "independence", (runtime.named(task["over"]) if task.get("over") else [], family), outcome
 
 
 def _normalize_canonical(task, refs, where, canonical) -> dict:
@@ -881,7 +881,7 @@ def _approximate_witnesses(task, outcome: dict, runtime: Runtime):
 # raw task and returns its fields, refs(key, single=False) reading checked
 # element names; run(task, runtime, seed) returns the structured outcome;
 # summary(outcome) is its one-line text form; witnesses(task, outcome,
-# runtime) yields (witness type, subject, document) for the verifier.
+# runtime) yields (check name, subject, document) for the verifier.
 TaskKind = namedtuple(
     "TaskKind", "name canonical run summary witnesses", defaults=(lambda task, outcome, runtime: (),)
 )

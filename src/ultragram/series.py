@@ -659,10 +659,10 @@ class _Mul(Series):
                     self._block = None
                     if self._known:
                         self._pairs.skip_below(x._cache, y._cache, self._known)
-                else:
-                    self._known = known
+                else:  # a whole pull to a lower bound keeps the settled one
+                    self._known = max(self._known, known)
             if w and self._block is None:
-                self._known = self._pairs.settle(x._cache, y._cache, self._cache, w)
+                self._known = max(self._known, self._pairs.settle(x._cache, y._cache, self._cache, w))
             if len(self._cache) >= need or self.complete_for(bound) or not (
                     (len(x._cache) >= nx or x.complete_for(bx)) and (len(y._cache) >= ny or y.complete_for(by))):
                 return
@@ -703,7 +703,7 @@ class _Invert(Series):
                 self._block = None
                 self._pairs.skip_below(self._u, self._cache, self._known)
         if self._block is None:
-            self._known = self._pairs.settle(self._u, self._cache, self._cache, stop, fuel)
+            self._known = max(self._known, self._pairs.settle(self._u, self._cache, self._cache, stop, fuel))
 
 
 def _scaled(x: Series, shift: GroupElement, scale: FieldElement) -> Series:

@@ -5,6 +5,12 @@ the structured task outcomes must match byte for byte) and per-witness
 re-evaluation, where serialized coefficients, approximants and truncations
 are parsed back out of the report and their claimed inequalities are
 recomputed against freshly resolved elements.
+
+A witness type, as a ``TaskKind`` yields it, is the name of its check in
+``_CHECKERS``: ``(subject, doc, runtime, prec)`` returns None when the witness
+holds, else the failure detail, and :func:`verify_report` builds each entry.
+A truncated serialization fails a check, but ``chain`` skips a truncated
+approximant and ``standard`` passes truncated products: determinism covers them.
 """
 
 from __future__ import annotations
@@ -25,180 +31,140 @@ def _series_from_json(doc: dict, runtime: Runtime) -> Optional[Series]:
     return runtime.ambient.from_terms(_parse_terms(doc["terms"], runtime.ambient))
 
 
-def _check(checks: list, check_id: str, ok: bool, detail: str = "") -> None:
-    entry = {"id": check_id, "ok": bool(ok)}
-    if detail and not ok:
-        entry["detail"] = detail
-    checks.append(entry)
+def _lead_sum(c: Series, b: Series, prec: Precision):
+    """v(c) + v(b) for a finite nonzero c: its lead is its first term, even above the ceiling."""
+    return c.witnessed_terms()[0].exponent + leading_term(b, prec).exponent
 
 
-def _verify_dependence(checks, tid, elements, witness_doc, runtime, prec):
-    check_id = f"{tid}:dependence"
+def _dependence(elements, witness_doc, runtime, prec) -> Optional[str]:
     coeffs = [_series_from_json(c, runtime) for c in witness_doc["coefficients"]]
     if any(c is None for c in coeffs):
-        _check(checks, check_id, False, "witness coefficients were serialized truncated")
-        return
+        return "witness coefficients were serialized truncated"
     min_value = _parse_exponent(witness_doc["min_value"], runtime.ambient.group)
     combined = _combination(runtime.base, coeffs, elements)
     if "shift" in witness_doc:
         shift = _series_from_json(witness_doc["shift"], runtime)
         if shift is None:
-            _check(checks, check_id, False, "witness shift was serialized truncated")
-            return
+            return "witness shift was serialized truncated"
         combined = add(combined, shift)
     achieved = valuation(combined, prec)
-    summand_min = None
-    for c, b in zip(coeffs, elements):
-        if not c.witnessed_terms():
-            continue
-        # c is a finite series: its lead is its first term, even above the ceiling
-        v = c.witnessed_terms()[0].exponent + leading_term(b, prec).exponent
-        summand_min = v if summand_min is None else min(summand_min, v)
-    ok = (
-        summand_min == min_value
-        and _strictly_above(achieved, min_value)
-    )
-    _check(checks, check_id, ok, f"achieved {achieved.describe()} vs min {min_value}")
+    sums = [_lead_sum(c, b, prec) for c, b in zip(coeffs, elements) if c.witnessed_terms()]
+    if min(sums, default=None) != min_value or not _strictly_above(achieved, min_value):
+        return f"achieved {achieved.describe()} vs min {min_value}"
 
 
-def _verify_independence(checks, tid, over_and_elements, outcome, runtime, prec):
+def _independence(over_and_elements, outcome, runtime, prec) -> Optional[str]:
     """Recompute each N1 scaling from the leads, then confirm minimum equality by sampling."""
-    check_id = f"{tid}:independence"
     over, elements = over_and_elements
     scalings = [_series_from_json(s, runtime) for s in outcome.get("scalings", [])]
     if len(scalings) != len(elements) or any(s is None for s in scalings):
-        _check(checks, check_id, False, "scaling witnesses were serialized truncated")
-        return
+        return "scaling witnesses were serialized truncated"
     base = runtime.base
     leads = [leading_term(b, prec) for b in list(over) + list(elements)]
     if any(t is None for t in leads):
-        _check(checks, check_id, False, "an element has no witnessed lead")
-        return
+        return "an element has no witnessed lead"
     # as is_valuation_independent: t^(v(b_ref) - v(b_i)), b_ref first in b_i's coset class (W's members first)
     refs: dict = {}
     for i, t in enumerate(leads):
         ref = refs.setdefault(base.value_subgroup.coset_key(t.exponent), t.exponent)
         k = i - len(over)
         if k >= 0 and scalings[k].witnessed_terms() != base.monomial_section(ref - t.exponent).witnessed_terms():
-            _check(checks, check_id, False, f"scaling {k} is not t^(v(b_ref) - v(b_{k}))")
-            return
+            return f"scaling {k} is not t^(v(b_ref) - v(b_{k}))"
     rng = random.Random(8128)
     for _ in range(20):
-        coefficients = [base.sample_element(rng, 2) for _ in elements]
-        # a sample is a finite series: its lead is its first term, even above the ceiling
-        expected = min(c.witnessed_terms()[0].exponent + leading_term(b, prec).exponent
-                       for c, b in zip(coefficients, elements))
+        coefficients = [base.sample_element(rng, 2) for _ in elements]  # finite samples
+        expected = min(_lead_sum(c, b, prec) for c, b in zip(coefficients, elements))
         val = valuation(_combination(base, coefficients, elements), prec)
         if expected < prec.ceiling:
             ok = val.is_value and val.value == expected
         else:  # the minimum lies at or above the ceiling: no term may lie below it
             ok = not val.is_value and val.up_to == prec.ceiling
         if not ok:
-            _check(checks, check_id, False, f"minimum equality failed: {val.describe()}")
-            return
-    _check(checks, check_id, True)
+            return f"minimum equality failed: {val.describe()}"
 
 
-def _verify_chain(checks, tid, target, outcome_doc, runtime, prec):
+def _chain(target, outcome_doc, runtime, prec) -> Optional[str]:
     """Each serialized approximant must realize its evidence entry."""
-    check_id = f"{tid}:chain"
     evidence = outcome_doc.get("evidence", [])
     approximants = outcome_doc.get("approximants", [])
     if len(approximants) < len(evidence):
-        _check(checks, check_id, False, "fewer approximants than evidence entries")
-        return
+        return "fewer approximants than evidence entries"
     previous = None
-    for k, ev in enumerate(evidence):
+    for k, (ev, doc) in enumerate(zip(evidence, approximants)):
         claimed = _parse_exponent(ev, runtime.ambient.group)
         if previous is not None and not previous < claimed:
-            _check(checks, check_id, False, f"evidence not strictly increasing at {k}")
-            return
+            return f"evidence not strictly increasing at {k}"
         previous = claimed
-        approximant = _series_from_json(approximants[k], runtime)
+        approximant = _series_from_json(doc, runtime)
         if approximant is None:
             continue  # truncated serialization: covered by the determinism check
         val = valuation(subtract(target, approximant), prec)
         if not (val.is_value and val.value == claimed):
-            _check(checks, check_id, False, f"approximant {k} realizes {val.describe()}, claimed {claimed}")
-            return
-    _check(checks, check_id, True)
+            return f"approximant {k} realizes {val.describe()}, claimed {claimed}"
 
 
-def _verify_value(checks, tid, target, outcome_doc, runtime, prec):
+def _max(target, outcome_doc, runtime, prec) -> Optional[str]:
     """The serialized best approximant must realize the claimed maximum."""
-    check_id = f"{tid}:max"
     best = _series_from_json(outcome_doc["best"], runtime)
     claimed = _parse_exponent(outcome_doc["value"], runtime.ambient.group)
     if best is None:
-        _check(checks, check_id, False, "best approximant was serialized truncated")
-        return
+        return "best approximant was serialized truncated"
     val = valuation(subtract(target, best), prec)
-    ok = val.is_value and val.value == claimed
-    _check(checks, check_id, ok, f"v(b-best) is {val.describe()}, claimed {claimed}")
+    if not (val.is_value and val.value == claimed):
+        return f"v(b-best) is {val.describe()}, claimed {claimed}"
 
 
-def _verify_standard(checks, tid, _, standard_doc, runtime, prec):
+def _standard(_, standard_doc, runtime, prec) -> Optional[str]:
     """The serialized standard-basis products must re-check as independent."""
     products = [_series_from_json(p, runtime) for p in standard_doc["products"]]
     if any(p is None for p in products):
-        _check(checks, f"{tid}:standard", True)  # truncated: determinism covers it
-        return
+        return None  # truncated: determinism covers it
     verdict = is_valuation_independent(make_family(runtime.base, products), prec)
-    _check(
-        checks, f"{tid}:standard",
-        verdict.kind is VerdictKind.INDEPENDENT,
-        f"standard products re-check as {verdict.kind.value}",
-    )
+    if verdict.kind is not VerdictKind.INDEPENDENT:
+        return f"standard products re-check as {verdict.kind.value}"
 
 
-def _verify_approximation(checks, tid, family_and_matrix, outcome, runtime, prec):
+def _approximation(family_and_matrix, outcome, runtime, prec) -> Optional[str]:
     """Each finite coefficient must sit strictly above its required value."""
-    check_id = f"{tid}:approximation"
     base_elements, matrix = family_and_matrix
     for pair in outcome["pairs"]:
         i, j = pair["row"], pair["col"]
         finite = _series_from_json(outcome["coefficients"][i][j], runtime)
         if finite is None:
-            _check(checks, check_id, False, "truncated coefficient serialization")
-            return
+            return "truncated coefficient serialization"
         required = _parse_exponent(pair["required_above"], runtime.ambient.group)
-        diff_val = valuation(
-            multiply(subtract(finite, matrix[i][j]), base_elements[j]), prec
-        )
+        diff_val = valuation(multiply(subtract(finite, matrix[i][j]), base_elements[j]), prec)
         if not _strictly_above(diff_val, required):
-            _check(checks, check_id, False, f"pair ({i},{j}) fails the strict inequality")
-            return
-    _check(checks, check_id, True)
+            return f"pair ({i},{j}) fails the strict inequality"
 
 
-# witness type (as yielded by a TaskKind's witnesses) -> checker
+# check name (the witness type a TaskKind's witnesses yield) -> check
 _CHECKERS = {
-    "dependence": _verify_dependence,
-    "scalings": _verify_independence,
-    "max": _verify_value,
-    "chain": _verify_chain,
-    "standard": _verify_standard,
-    "approximation": _verify_approximation,
+    "dependence": _dependence,
+    "independence": _independence,
+    "max": _max,
+    "chain": _chain,
+    "standard": _standard,
+    "approximation": _approximation,
 }
+
+
+def _entry(check_id: str, failure: Optional[str]) -> dict:
+    return {"id": check_id, "ok": True} if failure is None else {"id": check_id, "ok": False, "detail": failure}
 
 
 def verify_report(scenario: Scenario, report: Report, precision: Optional[Precision] = None,
                   seed: Optional[int] = None) -> list:
     """Re-run the scenario and re-evaluate each embedded witness."""
-    checks: list = []
-    fresh = run(scenario, precision, seed)
-    _check(
-        checks, "determinism",
-        emit(fresh, "structured") == emit(Report(report.scenario, report.tasks), "structured"),
-        "re-run produced a different structured report",
-    )
+    fresh = emit(run(scenario, precision, seed), "structured")
+    same = fresh == emit(Report(report.scenario, report.tasks), "structured")
+    checks = [_entry("determinism", None if same else "re-run produced a different structured report")]
     for task_outcome in report.tasks:
         if task_outcome.error is not None:
             continue
         runtime = resolve_runtime(scenario, precision)  # each task's witnesses on fresh elements, as run made them
-        prec = runtime.precision
         task = scenario.canonical["tasks"][task_outcome.index]
-        witnesses = TASKS[task_outcome.task].witnesses(task, task_outcome.outcome, runtime)
-        for witness, subject, doc in witnesses:
-            _CHECKERS[witness](checks, f"task{task_outcome.index}", subject, doc, runtime, prec)
+        for name, subject, doc in TASKS[task_outcome.task].witnesses(task, task_outcome.outcome, runtime):
+            failure = _CHECKERS[name](subject, doc, runtime, runtime.precision)
+            checks.append(_entry(f"task{task_outcome.index}:{name}", failure))
     return checks

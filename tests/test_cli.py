@@ -5,7 +5,7 @@ import pytest
 
 from ultragram.cli import build_parser, main
 from ultragram.reports import emit
-from ultragram import scenarios
+from ultragram import cli, scenarios
 from ultragram.scenarios import (
     BUILTINS,
     MAX_SIZE,
@@ -345,9 +345,42 @@ def test_verify_rejects_tampered_witness(case):
     scenario = scenario_from_dict(EXTRA_SCENARIOS[name]) if name in EXTRA_SCENARIOS else load_scenario(name)
     report = run(scenario)
     check_id = f"task{index}:{check}"
-    assert {"id": check_id, "ok": True} in verify_report(scenario, report)
+    checks = verify_report(scenario, report)
+    assert {"id": check_id, "ok": True} in checks
+    assert all(c == {"id": c["id"], "ok": True} for c in checks)  # a passing entry has no detail
     corrupt(report.tasks[index].outcome)
-    assert [c["ok"] for c in verify_report(scenario, report) if c["id"] == check_id] == [False]
+    checks = verify_report(scenario, report)
+    assert [c["ok"] for c in checks if c["id"] == check_id] == [False]
+    for c in checks:  # the failing entries, the determinism check among them, carry a detail
+        assert set(c) == {"id", "ok"} if c["ok"] else set(c) == {"id", "ok", "detail"}
+        assert c["ok"] or isinstance(c["detail"], str) and c["detail"]
+
+
+def _tamper_normalize_value(outcome):
+    outcome["values"][0] = ["1"]  # no witness check reads a normalize outcome
+
+
+def test_verify_determinism_check_fails_alone(tmp_path: Path, monkeypatch):
+    scenario = load_scenario("paper:standard-2x2")
+    report = run(scenario)
+    assert report.tasks[0].task == "normalize"
+    _tamper_normalize_value(report.tasks[0].outcome)
+    checks = verify_report(scenario, report)
+    assert [c for c in checks if not c["ok"]] == [
+        {"id": "determinism", "ok": False, "detail": "re-run produced a different structured report"}
+    ]
+    assert len(checks) > 1
+
+    def tampered_run(*args):
+        report = run(*args)
+        _tamper_normalize_value(report.tasks[0].outcome)
+        return report
+
+    monkeypatch.setattr(cli, "run", tampered_run)  # verify_report re-runs the untouched run
+    out_path = tmp_path / "r.json"
+    assert main(["run", "paper:standard-2x2", "--verify", "--format", "structured", "--output", str(out_path)]) == 2
+    verification = json.loads(out_path.read_text(encoding="utf-8"))["verification"]
+    assert [c["id"] for c in verification if not c["ok"]] == ["determinism"]
 
 
 def test_relative_scalings_are_checked_against_w():

@@ -903,3 +903,16 @@ def test_whole_pull_after_a_plain_pull_reaches_the_end():
     assert series_json(stream_sum, PREC) == {
         "terms": [[["1"], 1], [["40"], 1], [["100"], 1], [["200"], 1]], "exact": True,
     }
+
+
+@pytest.mark.parametrize("case", ["inverse over Q", "product over Q", "product over F3"])
+def test_whole_pull_to_a_lower_bound_keeps_the_settled_bound(case):
+    # the pair-loop inverse and both product paths: a later, lower pull must not forget t^20
+    field = SeriesField(Z, ResidueField.rationals() if case.endswith("Q") else F3)
+    if case.startswith("inverse"):
+        s = invert(field.from_terms([(0, 1), (1, -1)]), PREC)
+    else:
+        s = multiply(add(geometric(field), field.monomial(3)), add(geometric(field), field.monomial(2)))
+    assert s.ensure_below(Z.element(20), Fuel(10_000))
+    s.ensure_below(Z.element(5), Fuel(10_000), whole=True)
+    assert s.complete_for(Z.element(20))

@@ -23,6 +23,12 @@ their keys are equal, and g lies in H exactly when its key is zero.
 Membership, integer solving, coset tests, the basis, the index (a product
 of pivot ratios) and cofinality (the first pivot column) all read off that
 one basis.
+
+A subgroup keeps the coset key of each element of its ambient group object
+in a dict keyed by coordinate tuple, so a value is reduced once however
+often it is tested; an element of any other group object is reduced, and
+its group checked, every time.  A group holds one zero element.  Neither
+cache takes a lock: a race can only compute the same value twice.
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from math import lcm, prod
+from operator import add as _plus, sub as _minus
 from typing import Iterable, Optional, Sequence, Union
 
 
@@ -73,6 +80,8 @@ class OrderedGroup:
             raise ValueError("rank must be positive")
         if self.kind is not GroupKind.LEX_PRODUCT and self.rank != 1:
             raise ValueError(f"{self.kind.value} has rank 1")
+        # one zero per group object, not a dataclass field (equality, hashing and repr ignore it)
+        object.__setattr__(self, "_zero", GroupElement(self, (self._coordinate(0),) * self.rank))
 
     @staticmethod
     def integers() -> "OrderedGroup":
@@ -88,8 +97,11 @@ class OrderedGroup:
 
     def element(self, *coords: Coordinate) -> "GroupElement":
         """Build an element from rank-many coordinates (ints, Fractions or 'n' and 'p/q' strings)."""
-        if len(coords) == 1 and isinstance(coords[0], (tuple, list)):
-            coords = tuple(coords[0])
+        if len(coords) == 1:
+            if type(coords[0]) is int and self.rank == 1 and self.kind is not GroupKind.RATIONAL_LINE:
+                return GroupElement(self, coords)  # a rank-1 int on Z and Z^n: as given
+            if isinstance(coords[0], (tuple, list)):
+                coords = tuple(coords[0])
         if len(coords) != self.rank:
             raise ValueError(f"expected {self.rank} coordinates, got {len(coords)}")
         if self.kind is not GroupKind.RATIONAL_LINE and all(type(c) is int for c in coords):
@@ -108,7 +120,7 @@ class OrderedGroup:
         return Fraction(n) if self.kind is GroupKind.RATIONAL_LINE else n
 
     def zero(self) -> "GroupElement":
-        return GroupElement(self, (self._coordinate(0),) * self.rank)
+        return self._zero
 
     def unit(self, axis: int = -1) -> "GroupElement":
         """The standard generator along ``axis`` (least significant by default)."""
@@ -133,17 +145,20 @@ class GroupElement:
 
     def __add__(self, other: "GroupElement") -> "GroupElement":
         self._check(other)
-        return GroupElement(self.group, tuple(a + b for a, b in zip(self.coords, other.coords)))
+        a, b = self.coords, other.coords
+        return GroupElement(self.group, (a[0] + b[0],) if len(a) == 1 else tuple(map(_plus, a, b)))
 
     def __sub__(self, other: "GroupElement") -> "GroupElement":
         self._check(other)
-        return GroupElement(self.group, tuple(a - b for a, b in zip(self.coords, other.coords)))
+        a, b = self.coords, other.coords
+        return GroupElement(self.group, (a[0] - b[0],) if len(a) == 1 else tuple(map(_minus, a, b)))
 
     def __neg__(self) -> "GroupElement":
         return GroupElement(self.group, tuple(-a for a in self.coords))
 
     def scale(self, n: int) -> "GroupElement":
-        return GroupElement(self.group, tuple(a * n for a in self.coords))
+        a = self.coords
+        return GroupElement(self.group, (a[0] * n,) if len(a) == 1 else tuple(c * n for c in a))
 
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.coords)
@@ -219,6 +234,8 @@ class Subgroup:
             if g.coords in seen:
                 raise ValueError("duplicate generator")
             seen.add(g.coords)
+        # coordinate tuple -> coset key, for elements of the ambient group object itself
+        object.__setattr__(self, "_keys", {})
 
     @staticmethod
     def spanned_by(ambient: OrderedGroup, gens: Iterable[GroupElement]) -> "Subgroup":
@@ -267,8 +284,14 @@ class Subgroup:
         return rest, quotients
 
     def coset_key(self, g: GroupElement) -> tuple:
-        """A hashable key of g + H: equal for two elements iff they are congruent."""
-        return tuple(self._reduce(g)[0])
+        """A hashable key of g + H: equal for two elements iff they are congruent
+        (kept per coordinate tuple for elements of the ambient group object)."""
+        if g.group is not self.ambient:
+            return tuple(self._reduce(g)[0])
+        key = self._keys.get(g.coords)
+        if key is None:
+            key = self._keys[g.coords] = tuple(self._reduce(g)[0])
+        return key
 
     def solve(self, g: GroupElement) -> Optional[list[int]]:
         """Integer coefficients over the generators expressing ``g``, or None."""
@@ -282,7 +305,7 @@ class Subgroup:
         ]
 
     def contains(self, g: GroupElement) -> bool:
-        return not any(self._reduce(g)[0])
+        return not any(self.coset_key(g))
 
     def lattice_basis(self) -> list[GroupElement]:
         """The Hermite basis of the subgroup, most significant pivot first."""

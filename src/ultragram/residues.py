@@ -187,7 +187,7 @@ class ResidueField:
 
     def element(self, value) -> "FieldElement":
         if isinstance(value, FieldElement):
-            if value.field != self:
+            if value.field is not self and value.field != self:
                 raise MismatchedFields(f"{value.field.describe()} vs {self.describe()}")
             return value
         if isinstance(value, float):

@@ -259,7 +259,7 @@ class Series:
         return list(self._cache)
 
     def _check(self, other: "Series") -> None:
-        if self.field != other.field:
+        if self.field is not other.field and self.field != other.field:
             raise MismatchedAmbient(
                 f"{self.field.group.describe()}/{self.field.coeff.describe()} vs "
                 f"{other.field.group.describe()}/{other.field.coeff.describe()}"
@@ -286,8 +286,11 @@ class _Stream(Series):
         yield from ()  # no children to pull
         if self._iter is None:
             self._iter = self._factory()
-        cache, room = self._cache, need - len(self._cache)
-        while room > 0 and not (cache and cache[-1].exponent >= bound) and fuel.spend():
+        floor = self.floor
+        floor._check(bound)  # the group checks that comparing group elements made, kept for the keys below
+        cache, room, stop = self._cache, need - len(self._cache), bound.coords
+        last = cache[-1].exponent.coords if cache else ()  # the last key; () lies below every key
+        while room > 0 and last < stop and fuel.spend():
             try:
                 term = next(self._iter)
             except StopIteration:
@@ -295,14 +298,17 @@ class _Stream(Series):
                 return
             if term.coefficient.is_zero():
                 raise ValueError("stream produced a zero coefficient")
-            if cache and term.exponent <= cache[-1].exponent:
+            if term.exponent.group is not floor.group:
+                floor._check(term.exponent)
+            if term.exponent.coords <= last:
                 raise ValueError("stream exponents must strictly increase")
-            if not cache and term.exponent < self.floor:
+            if not last and term.exponent.coords < floor.coords:
                 raise ValueError("stream violated its declared floor")
             cache.append(term)
+            last = term.exponent.coords
             room -= 1
-        if cache:
-            self._known = cache[-1].exponent.coords
+        if last:
+            self._known = last
 
 
 class _Map(Series):
@@ -328,7 +334,7 @@ class _Map(Series):
         self._known = _shift(child._known, self.shift.coords)
 
 
-_exponent_key = attrgetter("exponent.coords")
+_coords, _exponent_key = attrgetter("coords"), attrgetter("exponent.coords")
 
 
 class _Sum(Series):
@@ -344,8 +350,8 @@ class _Sum(Series):
     def __init__(self, children: list):
         for c in children:
             children[0]._check(c)
-        floors = [c.floor for c in children if c.floor is not None]
-        super().__init__(children[0].field, min(floors) if floors else None)
+        floors = [c.floor for c in children if c.floor is not None]  # of one group: _check saw to it
+        super().__init__(children[0].field, min(floors, key=_coords) if floors else None)
         self.children = children
         self._cursors = [0] * len(children)
         self._heap: list = []  # (exponent key, child index)
@@ -709,7 +715,7 @@ class _Invert(Series):
 def _scaled(x: Series, shift: GroupElement, scale: FieldElement) -> Series:
     """x * scale * t^shift; a leaf is mapped at once, as a map pulls all of it anyway."""
     if type(x) is _Leaf:
-        return _Leaf(x.field, tuple(Term(t.exponent + shift, t.coefficient * scale) for t in x._cache))
+        return _Leaf(x.field, [Term(t.exponent + shift, t.coefficient * scale) for t in x._cache])
     return _Map(x, shift, scale)
 
 
@@ -725,7 +731,14 @@ def sum_series(field: SeriesField, terms: Iterable[Series]) -> Series:
 
 
 def negate(x: Series) -> Series:
-    return _scaled(x, x.field.group.zero(), -x.field.coeff.one())
+    group, coeff = x.field.group, x.field.coeff
+    if type(x) is not _Leaf:
+        return _Map(x, group.zero(), -coeff.one())
+    for t in x._cache:  # the checks that shifting by zero and scaling by -1 made
+        if t.exponent.group is not group or t.coefficient.field is not coeff:
+            group.zero()._check(t.exponent)
+            coeff.one()._check(t.coefficient)
+    return _Leaf(x.field, [Term(t.exponent, -t.coefficient) for t in x._cache])  # each exponent kept
 
 
 def subtract(x: Series, y: Series) -> Series:

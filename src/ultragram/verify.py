@@ -11,24 +11,39 @@ A witness type, as a ``TaskKind`` yields it, is the name of its check in
 holds, else the failure detail, and :func:`verify_report` builds each entry.
 A truncated serialization fails a check, but ``chain`` skips a truncated
 approximant and ``standard`` passes truncated products: determinism covers them.
+``chain`` parses each distinct serialized exponent and term once, as the evidence
+and approximants of one chase repeat them.  A detail prints exponents as the
+report does, ``["7"]``, and a zero valuation as ``Valuation.describe()`` does.
 """
 
 from __future__ import annotations
 
+import json
 import random
-from typing import Optional
+from typing import Callable, Optional
 
-from .reports import Report, emit
-from .series import Precision, Series, add, leading_term, multiply, subtract, valuation
+from .reports import Report, emit, exponent_json
+from .series import Precision, Series, Valuation, add, leading_term, multiply, subtract, valuation
 from .spaces import VerdictKind, _combination, _strictly_above, is_valuation_independent, make_family
-from .scenarios import TASKS, Runtime, Scenario, _parse_exponent, _parse_terms, resolve_runtime, run
+from .scenarios import (TASKS, ParseError, Runtime, Scenario, _parse_coefficient, _parse_exponent, _parse_terms,
+                        resolve_runtime, run)
 
 
-def _series_from_json(doc: dict, runtime: Runtime) -> Optional[Series]:
-    """Rebuild a serialized series; None when only a truncation was stored."""
+def _series_from_json(doc: dict, runtime: Runtime, term: Optional[Callable] = None) -> Optional[Series]:
+    """Rebuild a serialized series; None when only a truncation was stored.
+
+    ``term`` parses one serialized [exponent, coefficient] pair; by default each is parsed afresh."""
     if not doc.get("exact") and not doc.get("complete_below"):
         return None
-    return runtime.ambient.from_terms(_parse_terms(doc["terms"], runtime.ambient))
+    pairs = _parse_terms(doc["terms"], runtime.ambient) if term is None else map(term, doc["terms"])
+    return runtime.ambient.from_terms(pairs)
+
+
+def _shown(x) -> str:
+    """A group element, or a realized valuation, as the report prints it: ["7"], or {"zero_up_to": ["40"]}."""
+    if isinstance(x, Valuation):
+        return json.dumps(exponent_json(x.value) if x.is_value else x.describe())
+    return json.dumps(exponent_json(x))
 
 
 def _lead_sum(c: Series, b: Series, prec: Precision):
@@ -50,14 +65,16 @@ def _dependence(elements, witness_doc, runtime, prec) -> Optional[str]:
     achieved = valuation(combined, prec)
     sums = [_lead_sum(c, b, prec) for c, b in zip(coeffs, elements) if c.witnessed_terms()]
     if min(sums, default=None) != min_value or not _strictly_above(achieved, min_value):
-        return f"achieved {achieved.describe()} vs min {min_value}"
+        return f"achieved {_shown(achieved)} vs min {_shown(min_value)}"
 
 
 def _independence(over_and_elements, outcome, runtime, prec) -> Optional[str]:
     """Recompute each N1 scaling from the leads, then confirm minimum equality by sampling."""
     over, elements = over_and_elements
     scalings = [_series_from_json(s, runtime) for s in outcome.get("scalings", [])]
-    if len(scalings) != len(elements) or any(s is None for s in scalings):
+    if len(scalings) != len(elements):
+        return f"{len(scalings)} scaling witnesses for {len(elements)} elements"
+    if any(s is None for s in scalings):
         return "scaling witnesses were serialized truncated"
     base = runtime.base
     leads = [leading_term(b, prec) for b in list(over) + list(elements)]
@@ -80,7 +97,7 @@ def _independence(over_and_elements, outcome, runtime, prec) -> Optional[str]:
         else:  # the minimum lies at or above the ceiling: no term may lie below it
             ok = not val.is_value and val.up_to == prec.ceiling
         if not ok:
-            return f"minimum equality failed: {val.describe()}"
+            return f"minimum equality failed: {_shown(val)}"
 
 
 def _chain(target, outcome_doc, runtime, prec) -> Optional[str]:
@@ -89,18 +106,36 @@ def _chain(target, outcome_doc, runtime, prec) -> Optional[str]:
     approximants = outcome_doc.get("approximants", [])
     if len(approximants) < len(evidence):
         return "fewer approximants than evidence entries"
+    group, coeff = runtime.ambient.group, runtime.ambient.coeff
+    exponents: dict = {}  # repr of a serialized exponent or term -> it parsed, for this check only
+    terms: dict = {}
+
+    def exponent(doc):
+        key = repr(doc)
+        if key not in exponents:
+            exponents[key] = _parse_exponent(doc, group)
+        return exponents[key]
+
+    def term(pair):
+        key = repr(pair)
+        if key not in terms:
+            if not isinstance(pair, list) or len(pair) != 2:
+                raise ParseError(f"series term must be [exponent, coefficient], got {pair!r}")
+            terms[key] = exponent(pair[0]), _parse_coefficient(pair[1], coeff)
+        return terms[key]
+
     previous = None
     for k, (ev, doc) in enumerate(zip(evidence, approximants)):
-        claimed = _parse_exponent(ev, runtime.ambient.group)
+        claimed = exponent(ev)
         if previous is not None and not previous < claimed:
             return f"evidence not strictly increasing at {k}"
         previous = claimed
-        approximant = _series_from_json(doc, runtime)
+        approximant = _series_from_json(doc, runtime, term)
         if approximant is None:
             continue  # truncated serialization: covered by the determinism check
         val = valuation(subtract(target, approximant), prec)
         if not (val.is_value and val.value == claimed):
-            return f"approximant {k} realizes {val.describe()}, claimed {claimed}"
+            return f"approximant {k} realizes {_shown(val)}, claimed {_shown(claimed)}"
 
 
 def _max(target, outcome_doc, runtime, prec) -> Optional[str]:
@@ -111,7 +146,7 @@ def _max(target, outcome_doc, runtime, prec) -> Optional[str]:
         return "best approximant was serialized truncated"
     val = valuation(subtract(target, best), prec)
     if not (val.is_value and val.value == claimed):
-        return f"v(b-best) is {val.describe()}, claimed {claimed}"
+        return f"v(b-best) is {_shown(val)}, claimed {_shown(claimed)}"
 
 
 def _standard(_, standard_doc, runtime, prec) -> Optional[str]:

@@ -4,13 +4,16 @@ from pathlib import Path
 import pytest
 
 from ultragram.cli import build_parser, main
+from ultragram.groups import Subgroup
 from ultragram.reports import emit
-from ultragram import cli, scenarios
+from ultragram import cli, scenarios, verify
 from ultragram.scenarios import (
     BUILTINS,
     MAX_SIZE,
+    TASKS,
     ParseError,
     UnknownName,
+    apply_precision_overrides,
     load_scenario,
     parse_scenario,
     resolve_runtime,
@@ -282,21 +285,25 @@ def test_deep_chase_probe_has_no_task_error(tmp_path: Path):
     assert len(report["tasks"][1]["outcome"]["evidence"]) == 600
 
 
-def test_chase_at_1024_terms_verifies(tmp_path: Path):
-    max_terms = 1024
-    doc = {
-        "name": "chase-s5-m1024",
+def _chase_doc(start: int, max_terms: int) -> dict:
+    """t^start against the telescoping family over Q, max_terms steps deep."""
+    return {
+        "name": f"chase-s{start}-m{max_terms}",
         "ambient": {"group": {"group": "Z"}, "coefficients": {"field": "Q"}},
         "base_field": {"kind": "trivial", "name": "Q"},
-        "elements": {"target": [[5, 1]]},
+        "elements": {"target": [[start, 1]]},
         "tasks": [{
             "task": "nearest_point", "target": "target",
-            "family": {"family_builder": "telescoping", "start": 5, "count": "auto"},
+            "family": {"family_builder": "telescoping", "start": start, "count": "auto"},
         }],
         "precision": {"ceiling": 2 * max_terms + 40, "max_terms": max_terms, "degree_cap": 16},
     }
+
+
+def test_chase_at_1024_terms_verifies(tmp_path: Path):
+    max_terms = 1024
     path = tmp_path / "chase.json"
-    path.write_text(json.dumps(doc), encoding="utf-8")
+    path.write_text(json.dumps(_chase_doc(5, max_terms)), encoding="utf-8")
     out_path = tmp_path / "r.json"
     assert main(["run", str(path), "--verify", "--format", "structured", "--output", str(out_path)]) == 0
     report = json.loads(out_path.read_text(encoding="utf-8"))
@@ -337,6 +344,11 @@ TAMPERED = {
     "truncated-coefficient-truncated": ("paper:cofinal-approx", 0, lambda o: _truncate_json(o["coefficients"][0][0]),
                                         "approximation"),
 }
+# the detail of the failing check, where a case pins it
+TAMPERED_DETAILS = {
+    "scaling-dropped": "1 scaling witnesses for 2 elements",
+    "claimed-value": 'v(b-best) is ["5"], claimed ["7"]',
+}
 
 
 @pytest.mark.parametrize("case", sorted(TAMPERED))
@@ -351,9 +363,57 @@ def test_verify_rejects_tampered_witness(case):
     corrupt(report.tasks[index].outcome)
     checks = verify_report(scenario, report)
     assert [c["ok"] for c in checks if c["id"] == check_id] == [False]
+    if case in TAMPERED_DETAILS:
+        assert [c["detail"] for c in checks if c["id"] == check_id] == [TAMPERED_DETAILS[case]]
     for c in checks:  # the failing entries, the determinism check among them, carry a detail
         assert set(c) == {"id", "ok"} if c["ok"] else set(c) == {"id", "ok", "detail"}
         assert c["ok"] or isinstance(c["detail"], str) and c["detail"]
+
+
+def test_verified_chase_reduces_each_value_once(monkeypatch):
+    """A subgroup keeps the coset key of each value: one Hermite reduction per distinct value."""
+    reduced = []
+    reduce = Subgroup._reduce
+
+    def counted(self, g):
+        reduced.append(g.coords)
+        return reduce(self, g)
+
+    monkeypatch.setattr(Subgroup, "_reduce", counted)
+    scenario = scenario_from_dict(_chase_doc(1, 128))
+    report = run(scenario)
+    assert all(c["ok"] for c in verify_report(scenario, report))
+    assert len(report.tasks[0].outcome["evidence"]) == 128
+    assert len(set(reduced)) > 128 and len(reduced) == len(set(reduced))
+
+
+@pytest.mark.parametrize("name, max_terms", [("paper:notCA", 12), ("paper:ti-minus-ti1", 8), ("chase", 32)])
+def test_chain_check_parses_each_exponent_once(monkeypatch, name, max_terms):
+    scenario = scenario_from_dict(_chase_doc(1, max_terms)) if name == "chase" else load_scenario(name)
+    precision = apply_precision_overrides(scenario, max_terms=max_terms)
+    report = run(scenario, precision)
+    chains = 0
+    for task_outcome in report.tasks:
+        runtime = resolve_runtime(scenario, precision)
+        task = scenario.canonical["tasks"][task_outcome.index]
+        for check, subject, doc in TASKS[task_outcome.task].witnesses(task, task_outcome.outcome, runtime):
+            if check != "chain":
+                continue
+            parsed = []
+            parse = verify._parse_exponent
+
+            def counted(spec, group):
+                parsed.append(json.dumps(spec))
+                return parse(spec, group)
+
+            with monkeypatch.context() as patched:
+                patched.setattr(verify, "_parse_exponent", counted)
+                assert verify._chain(subject, doc, runtime, runtime.precision) is None
+            serialized = {json.dumps(e) for e in doc["evidence"]}
+            serialized |= {json.dumps(e) for a in doc["approximants"] for e, _ in a["terms"]}
+            assert sorted(parsed) == sorted(serialized)
+            chains += 1
+    assert chains
 
 
 def _tamper_normalize_value(outcome):

@@ -260,6 +260,52 @@ def test_coset_key_translation_invariant(case):
     assert total == s
 
 
+@st.composite
+def memo_cases(draw):
+    """A subgroup of Z, Q or Z^2_lex and a walk through its ambient group that revisits values."""
+    group = draw(st.sampled_from([Z, Q, L2]))
+    coords = st.tuples(*[rationals if group is Q else st.integers(-12, 12)] * group.rank)
+    gens = draw(st.lists(coords, max_size=3, unique=True))
+    values = draw(st.lists(coords, min_size=1, max_size=6))
+    walk = [group.element(*draw(st.sampled_from(values))) for _ in range(12)]
+    return Subgroup.spanned_by(group, [group.element(*g) for g in gens]), walk
+
+
+@settings(max_examples=150, deadline=None)
+@given(memo_cases())
+def test_memoized_coset_keys_match_a_fresh_reduction(case):
+    H, walk = case
+    for g in walk + [gen.scale(2) - gen for gen in H.generators]:
+        fresh = tuple(H._reduce(g)[0])
+        assert H.coset_key(g) == fresh
+        assert H.contains(g) == (not any(fresh))
+    assert set(H._keys) <= {g.coords for g in walk} | {gen.coords for gen in H.generators}
+
+
+def test_memoized_coset_key_still_checks_the_group():
+    H = Subgroup.spanned_by(Z, [Z.element(2)])
+    assert H.coset_key(Z.element(3)) == (1,)
+    # (3,) is memoized, but these elements carry those coordinates in other groups
+    for stranger in (OrderedGroup.lex(1).element(3), Q.element(3)):
+        with pytest.raises(MismatchedGroups):
+            H.coset_key(stranger)
+        with pytest.raises(MismatchedGroups):
+            H.contains(stranger)
+    # an equal group object that is not the ambient one is reduced afresh, to the same key
+    twin = OrderedGroup.integers()
+    assert twin == Z and twin is not Z
+    assert H.coset_key(twin.element(3)) == (1,) and not H.contains(twin.element(3))
+    assert list(H._keys) == [(3,)]
+
+
+def test_group_zero_is_one_shared_element():
+    for group in (Z, Q, L2):
+        assert group.zero() is group.zero() and group.zero().is_zero()
+        assert group.zero().group is group
+    assert OrderedGroup.integers().zero() == Z.zero()
+    assert Z.element(7).coords == (7,) and type(OrderedGroup.lex(1).element(7).coords[0]) is int
+
+
 # differential checks against sympy's normal forms on integer lattices
 LEX3 = OrderedGroup.lex(3)
 

@@ -1,15 +1,18 @@
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 
-from ultragram.groups import GroupElement, OrderedGroup
-from ultragram.residues import ResidueField
+from ultragram.groups import GroupElement, MismatchedGroups, OrderedGroup
+from ultragram.residues import MismatchedFields, ResidueField
 from ultragram.series import (
     LeadingTermUnknown,
     MismatchedAmbient,
     Precision,
     SeriesField,
+    Term,
+    _Leaf,
     add,
     artin_schreier,
     custom_powers,
@@ -160,6 +163,49 @@ def test_custom_powers_builder():
 def test_mismatched_ambient():
     with pytest.raises(MismatchedAmbient):
         add(L5.one(), L3.one())
+
+
+def test_negate_and_subtract_keep_their_field_and_group_checks():
+    x = L5.from_terms([(1, 2), (4, 1)])
+    for other in (L3.from_terms([(1, 1)]), geometric(L3), geometric(SeriesField(OrderedGroup.rationals(), F5))):
+        with pytest.raises(MismatchedAmbient):
+            subtract(x, other)
+        with pytest.raises(MismatchedAmbient):
+            subtract(other, x)
+    # a leaf whose term lies outside its field: negating it runs the checks that scaling it ran
+    with pytest.raises(MismatchedFields):
+        negate(_Leaf(L5, (Term(Z.element(1), F3.one()),)))
+    with pytest.raises(MismatchedGroups):
+        negate(_Leaf(L5, (Term(OrderedGroup.rationals().element(1), F5.one()),)))
+    # equal field objects that are not identical still combine
+    twin = SeriesField(OrderedGroup.integers(), ResidueField.prime(5))
+    assert twin == L5 and twin is not L5
+    y = negate(twin.from_terms([(1, 2), (4, 1)]))
+    assert [t.exponent for t in y.witnessed_terms()] == [t.exponent for t in x.witnessed_terms()]
+    assert valuation(add(x, y), PREC).exhausted
+
+
+def test_stream_checks_each_term():
+    def stream(*exponents, group=Z, coefficient=F5.one()):
+        terms = [Term(group.element(e), coefficient) for e in exponents]
+        return L5.stream(Z.element(0), lambda: iter(terms))
+
+    cases = [
+        (stream(1, 1), ValueError, "strictly increase"),
+        (stream(2, 1), ValueError, "strictly increase"),
+        (stream(-1, 2), ValueError, "declared floor"),
+        (stream(1, 2, group=OrderedGroup.rationals()), MismatchedGroups, None),
+        (stream(1, 2, group=OrderedGroup.lex(1)), MismatchedGroups, None),
+        (L5.stream(Z.element(0), lambda: iter([SimpleNamespace(exponent=Z.element(1), coefficient=F5.zero())])),
+         ValueError, "zero coefficient"),
+    ]
+    for bad, error, message in cases:
+        with pytest.raises(error, match=message):
+            bad.ensure_below(Z.element(10), PREC.fuel())
+    with pytest.raises(MismatchedGroups):  # a bound of another group
+        stream(1, 2).ensure_below(OrderedGroup.rationals().element(10), PREC.fuel())
+    good = stream(1, 3, group=OrderedGroup.integers())
+    assert good.ensure_below(Z.element(10), PREC.fuel()) and good.exhausted
 
 
 def test_determinism_of_enumeration():

@@ -15,14 +15,13 @@ denominators of its generators.  Each ``Subgroup`` brings D*H to Hermite
 normal form once and caches it (H. Cohen, *A Course in Computational
 Algebraic Number Theory*, GTM 138, section 2.4): an echelon basis, pivot
 columns increasing from the most significant coordinate, positive pivots,
-entries above a pivot reduced modulo it, together with the unimodular
-transform that writes each basis row in the generators.  Reducing D*g
-top-down against the rows, leaving each pivot entry in [0, pivot), gives
-the coset key of g: two elements lie in the same coset of H exactly when
-their keys are equal, and g lies in H exactly when its key is zero.
-Membership, integer solving, coset tests, the basis, the index (a product
-of pivot ratios) and cofinality (the first pivot column) all read off that
-one basis.
+entries above a pivot reduced modulo it.  Reducing D*g top-down against
+the rows, leaving each pivot entry in [0, pivot), gives the coset key of g:
+two elements lie in the same coset of H exactly when their keys are equal,
+and g lies in H exactly when its key is zero.  Membership, coset tests, the
+basis, the index (a product of pivot ratios) and cofinality (the first pivot
+column) all read off that one basis; integer solving builds the transform to
+the generators when it is called.
 
 A subgroup keeps the coset key of each element of its ambient group object
 in a dict keyed by coordinate tuple, so a value is reduced once however
@@ -183,17 +182,15 @@ class GroupElement:
         return "g(" + ", ".join(str(c) for c in self.coords) + ")"
 
 
-def _hermite(vectors: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[list[int]]]:
+def _hermite(vectors: Sequence[Sequence[int]]) -> list[list[int]]:
     """Row Hermite normal form of the integer matrix A whose rows are ``vectors``.
 
-    Returns the nonzero rows of H = U A, with pivot columns strictly
-    increasing, positive pivots and entries above each pivot in [0, pivot),
-    and the matching rows of the unimodular U: ``transform[i] . vectors``
-    equals ``rows[i]``.
+    Returns the nonzero rows of H = U A for a unimodular U, with pivot columns
+    strictly increasing, positive pivots and entries above each pivot in [0, pivot).
     """
     m = len(vectors)
     width = len(vectors[0]) if m else 0
-    work = [list(v) + [int(i == j) for j in range(m)] for i, v in enumerate(vectors)]
+    work = [list(v) for v in vectors]
     top = 0
     for col in range(width):
         # Euclid down the column until at most one row from ``top`` on is nonzero in it
@@ -216,7 +213,7 @@ def _hermite(vectors: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[li
             q = work[i][col] // pivot[col]
             work[i] = [a - q * b for a, b in zip(work[i], pivot)]
         top += 1
-    return [r[:width] for r in work[:top]], [r[width:] for r in work[:top]]
+    return work[:top]
 
 
 @dataclass(frozen=True)
@@ -252,64 +249,64 @@ class Subgroup:
         return Subgroup(ambient, ())
 
     @cached_property
-    def _basis(self) -> tuple[int, list[list[int]], list[int], list[list[int]]]:
-        """(D, Hermite rows of D*H, their pivot columns, their transform rows)."""
+    def _basis(self) -> tuple[int, list[list[int]], list[int]]:
+        """(D, Hermite rows of D*H, their pivot columns)."""
         scale = lcm(*(c.denominator for g in self.generators for c in g.coords))
-        rows, transform = _hermite([[int(c * scale) for c in g.coords] for g in self.generators])
+        rows = _hermite([[int(c * scale) for c in g.coords] for g in self.generators])
         pivots = [next(j for j, c in enumerate(row) if c) for row in rows]
-        return scale, rows, pivots, transform
+        return scale, rows, pivots
 
-    def _reduce(self, g: GroupElement) -> tuple[list, list[int]]:
-        """Reduce D*g top-down against the basis rows.
-
-        Returns the remainder, whose pivot entries lie in [0, pivot), and the
-        multiple of each row that was subtracted.
-        """
+    def _reduce(self, g: GroupElement) -> list:
+        """The remainder of D*g reduced top-down against the basis rows: its pivot entries lie in [0, pivot)."""
         if g.group != self.ambient:
             raise MismatchedGroups("element outside ambient group")
-        scale, rows, pivots, _ = self._basis
+        scale, rows, pivots = self._basis
         if not rows:  # the trivial subgroup: every coordinate is its own key
-            return list(g.coords), []
+            return list(g.coords)
         # D*c is an integer unless c's denominator does not divide D (then g is not in H)
         rest = [
             c.numerator * (scale // c.denominator) if scale % c.denominator == 0 else c * scale
             for c in g.coords
         ]
-        quotients = []
         for row, p in zip(rows, pivots):
             q = rest[p] // row[p]
             if q:
                 rest = [a - q * b for a, b in zip(rest, row)]
-            quotients.append(q)
-        return rest, quotients
+        return rest
 
     def coset_key(self, g: GroupElement) -> tuple:
         """A hashable key of g + H: equal for two elements iff they are congruent
         (kept per coordinate tuple for elements of the ambient group object)."""
         if g.group is not self.ambient:
-            return tuple(self._reduce(g)[0])
+            return tuple(self._reduce(g))
         key = self._keys.get(g.coords)
         if key is None:
-            key = self._keys[g.coords] = tuple(self._reduce(g)[0])
+            key = self._keys[g.coords] = tuple(self._reduce(g))
         return key
 
     def solve(self, g: GroupElement) -> Optional[list[int]]:
-        """Integer coefficients over the generators expressing ``g``, or None."""
-        rest, quotients = self._reduce(g)
-        if any(rest):
+        """Integer coefficients over the generators expressing ``g``, or None.
+
+        The Hermite rows of [D*generators | I] start with the basis rows, each followed by
+        its coefficients; reducing [D*g | 0] against them leaves minus the coefficients of g."""
+        if any(self._reduce(g)):
             return None
-        transform = self._basis[3]
-        return [
-            sum(q * t[k] for q, t in zip(quotients, transform))
-            for k in range(len(self.generators))
-        ]
+        scale, _, pivots = self._basis
+        m = len(self.generators)
+        rest = [int(c * scale) for c in g.coords] + [0] * m
+        augmented = _hermite([[int(c * scale) for c in h.coords] + [int(i == j) for j in range(m)]
+                              for i, h in enumerate(self.generators)])
+        for row, p in zip(augmented, pivots):
+            q = rest[p] // row[p]
+            rest = [a - q * b for a, b in zip(rest, row)]
+        return [-c for c in rest[self.ambient.rank:]]
 
     def contains(self, g: GroupElement) -> bool:
         return not any(self.coset_key(g))
 
     def lattice_basis(self) -> list[GroupElement]:
         """The Hermite basis of the subgroup, most significant pivot first."""
-        scale, rows, _, _ = self._basis
+        scale, rows, _ = self._basis
         return [self.ambient.element([Fraction(c, scale) for c in row]) for row in rows]
 
 
@@ -330,8 +327,8 @@ def subgroup_index(sub: Subgroup, group: Subgroup) -> Optional[int]:
     rank gives an infinite index.
     """
     _require_inside(sub, group)
-    sub_scale, sub_rows, pivots, _ = sub._basis
-    group_scale, group_rows, _, _ = group._basis
+    sub_scale, sub_rows, pivots = sub._basis
+    group_scale, group_rows, _ = group._basis
     if len(sub_rows) != len(group_rows):
         return INFINITE
     index = prod(

@@ -1,10 +1,11 @@
 """Witness re-checking for emitted reports.
 
-Two layers: a determinism check (the scenario is re-run from scratch and
-the structured task outcomes must match byte for byte) and per-witness
-re-evaluation, where serialized coefficients, approximants and truncations
-are parsed back out of the report and their claimed inequalities are
-recomputed against freshly resolved elements.
+Two layers: a determinism check (the scenario is re-run from scratch and the
+structured task outcomes must match byte for byte) and per-witness re-evaluation,
+where serialized coefficients, approximants and truncations are parsed back out of
+the report and their claimed inequalities recomputed against freshly resolved
+elements.  An ``independent`` verdict and a standard basis are checked by the
+paper's residue criterion on their leading terms; nothing is sampled.
 
 A witness type, as a ``TaskKind`` yields it, is the name of its check in
 ``_CHECKERS``: ``(subject, doc, runtime, prec)`` returns None when the witness
@@ -19,12 +20,12 @@ report does, ``["7"]``, and a zero valuation as ``Valuation.describe()`` does.
 from __future__ import annotations
 
 import json
-import random
 from typing import Callable, Optional
 
 from .reports import Report, emit, exponent_json
+from .residues import rank_over_subfield
 from .series import Precision, Series, Valuation, add, leading_term, multiply, subtract, valuation
-from .spaces import VerdictKind, _combination, _strictly_above, is_valuation_independent, make_family
+from .spaces import _combination, _strictly_above
 from .scenarios import (TASKS, ParseError, Runtime, Scenario, _parse_coefficient, _parse_exponent, _parse_terms,
                         resolve_runtime, run)
 
@@ -46,9 +47,17 @@ def _shown(x) -> str:
     return json.dumps(exponent_json(x))
 
 
-def _lead_sum(c: Series, b: Series, prec: Precision):
-    """v(c) + v(b) for a finite nonzero c: its lead is its first term, even above the ceiling."""
-    return c.witnessed_terms()[0].exponent + leading_term(b, prec).exponent
+def _residue_ranks(leads, base) -> Optional[str]:
+    """Independence over ``base``: per class of values modulo vK, res(lead_i / lead_first) are Kv-independent."""
+    classes: dict = {}
+    for t in leads:
+        classes.setdefault(base.value_subgroup.coset_key(t.exponent), []).append(t)
+    for cls in classes.values():
+        if len(cls) > 1:
+            profile = [t.coefficient / cls[0].coefficient for t in cls]
+            rank = rank_over_subfield(profile, base.residue_field, base.ambient.coeff)[0]
+            if rank < len(cls):
+                return f"the class of {_shown(cls[0].exponent)} has residue rank {rank} for {len(cls)} elements"
 
 
 def _dependence(elements, witness_doc, runtime, prec) -> Optional[str]:
@@ -63,13 +72,15 @@ def _dependence(elements, witness_doc, runtime, prec) -> Optional[str]:
             return "witness shift was serialized truncated"
         combined = add(combined, shift)
     achieved = valuation(combined, prec)
-    sums = [_lead_sum(c, b, prec) for c, b in zip(coeffs, elements) if c.witnessed_terms()]
+    # v(c) + v(b) for each finite nonzero c: its lead is its first term, even above the ceiling
+    sums = [c.witnessed_terms()[0].exponent + leading_term(b, prec).exponent
+            for c, b in zip(coeffs, elements) if c.witnessed_terms()]
     if min(sums, default=None) != min_value or not _strictly_above(achieved, min_value):
         return f"achieved {_shown(achieved)} vs min {_shown(min_value)}"
 
 
 def _independence(over_and_elements, outcome, runtime, prec) -> Optional[str]:
-    """Recompute each N1 scaling from the leads, then confirm minimum equality by sampling."""
+    """Recompute each N1 scaling from the leads, then check the residue criterion on W's members and the family."""
     over, elements = over_and_elements
     scalings = [_series_from_json(s, runtime) for s in outcome.get("scalings", [])]
     if len(scalings) != len(elements):
@@ -87,17 +98,7 @@ def _independence(over_and_elements, outcome, runtime, prec) -> Optional[str]:
         k = i - len(over)
         if k >= 0 and scalings[k].witnessed_terms() != base.monomial_section(ref - t.exponent).witnessed_terms():
             return f"scaling {k} is not t^(v(b_ref) - v(b_{k}))"
-    rng = random.Random(8128)
-    for _ in range(20):
-        coefficients = [base.sample_element(rng, 2) for _ in elements]  # finite samples
-        expected = min(_lead_sum(c, b, prec) for c, b in zip(coefficients, elements))
-        val = valuation(_combination(base, coefficients, elements), prec)
-        if expected < prec.ceiling:
-            ok = val.is_value and val.value == expected
-        else:  # the minimum lies at or above the ceiling: no term may lie below it
-            ok = not val.is_value and val.up_to == prec.ceiling
-        if not ok:
-            return f"minimum equality failed: {_shown(val)}"
+    return _residue_ranks(leads, base)
 
 
 def _chain(target, outcome_doc, runtime, prec) -> Optional[str]:
@@ -150,13 +151,12 @@ def _max(target, outcome_doc, runtime, prec) -> Optional[str]:
 
 
 def _standard(_, standard_doc, runtime, prec) -> Optional[str]:
-    """The serialized standard-basis products must re-check as independent."""
+    """The serialized standard-basis products must meet the residue criterion."""
     products = [_series_from_json(p, runtime) for p in standard_doc["products"]]
     if any(p is None for p in products):
         return None  # truncated: determinism covers it
-    verdict = is_valuation_independent(make_family(runtime.base, products), prec)
-    if verdict.kind is not VerdictKind.INDEPENDENT:
-        return f"standard products re-check as {verdict.kind.value}"
+    leads = [leading_term(p, prec) for p in products]
+    return "a product has no witnessed lead" if any(t is None for t in leads) else _residue_ranks(leads, runtime.base)
 
 
 def _approximation(family_and_matrix, outcome, runtime, prec) -> Optional[str]:

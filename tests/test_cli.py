@@ -321,6 +321,14 @@ def _duplicate_first(docs):
     docs[1] = docs[0]
 
 
+def _claim_independent(*exponents):
+    """Flip a dependent verdict to independent, with the scalings t^(v(b_ref) - v(b_i)) its leads give."""
+    def corrupt(outcome):
+        del outcome["witness"]
+        outcome.update(verdict="independent", scalings=[{"exact": True, "terms": [[e, 1]]} for e in exponents])
+    return corrupt
+
+
 # (scenario, task index, corruption of that task's structured outcome, the check it fails)
 TAMPERED = {
     "dependence-min-value": ("golden:independence-over", 1, lambda o: o["witness"].update(min_value=["1"]),
@@ -329,6 +337,9 @@ TAMPERED = {
                                          lambda o: _truncate_json(o["witness"]["coefficients"][0]), "dependence"),
     "dependence-shift-truncated": ("golden:independence-over", 1, lambda o: _truncate_json(o["witness"]["shift"]),
                                    "dependence"),
+    "dependent-over-claimed-independent": ("golden:independence-over", 1, _claim_independent(["0"]), "independence"),
+    "dependent-notCA-claimed-independent": ("paper:notCA", 1, _claim_independent(["0", "0"], ["0", "-1"]),
+                                            "independence"),
     "scaling-dropped": ("paper:fpt-y", 0, lambda o: o["scalings"].pop(), "independence"),
     "scaling-replaced": ("paper:fpt-y", 0, lambda o: o.update(scalings=[
         {"exact": True, "terms": [[["7"], {"num": [2], "den": [1]}]]}] * 2), "independence"),
@@ -339,6 +350,8 @@ TAMPERED = {
     "approximant-duplicated": ("paper:ti-minus-ti1", 1, lambda o: _duplicate_first(o["approximants"]), "chain"),
     "standard-product-duplicated": ("paper:sqrt-t", 0, lambda o: _duplicate_first(o["standard_basis"]["products"]),
                                     "standard"),
+    "standard-product-zeroed": ("paper:sqrt-t", 0, lambda o: o["standard_basis"]["products"][0].update(terms=[]),
+                                "standard"),
     "truncated-coefficient-emptied": ("paper:cofinal-approx", 0, lambda o: o["coefficients"][0][0].update(terms=[]),
                                       "approximation"),
     "truncated-coefficient-truncated": ("paper:cofinal-approx", 0, lambda o: _truncate_json(o["coefficients"][0][0]),
@@ -346,6 +359,10 @@ TAMPERED = {
 }
 # the detail of the failing check, where a case pins it
 TAMPERED_DETAILS = {
+    "dependent-over-claimed-independent": 'the class of ["0"] has residue rank 1 for 2 elements',
+    "dependent-notCA-claimed-independent": 'the class of ["0", "0"] has residue rank 1 for 2 elements',
+    "standard-product-duplicated": 'the class of ["0"] has residue rank 1 for 2 elements',
+    "standard-product-zeroed": "a product has no witnessed lead",
     "scaling-dropped": "1 scaling witnesses for 2 elements",
     "claimed-value": 'v(b-best) is ["5"], claimed ["7"]',
 }
@@ -358,7 +375,7 @@ def test_verify_rejects_tampered_witness(case):
     report = run(scenario)
     check_id = f"task{index}:{check}"
     checks = verify_report(scenario, report)
-    assert {"id": check_id, "ok": True} in checks
+    assert any(c["id"].startswith(f"task{index}:") for c in checks)  # a flipped verdict changes the check
     assert all(c == {"id": c["id"], "ok": True} for c in checks)  # a passing entry has no detail
     corrupt(report.tasks[index].outcome)
     checks = verify_report(scenario, report)

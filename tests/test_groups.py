@@ -276,10 +276,19 @@ def memo_cases(draw):
 def test_memoized_coset_keys_match_a_fresh_reduction(case):
     H, walk = case
     for g in walk + [gen.scale(2) - gen for gen in H.generators]:
-        fresh = tuple(H._reduce(g)[0])
+        fresh = tuple(H._reduce(g))
         assert H.coset_key(g) == fresh
         assert H.contains(g) == (not any(fresh))
     assert set(H._keys) <= {g.coords for g in walk} | {gen.coords for gen in H.generators}
+
+
+@given(memo_cases())
+def test_basis_rows_are_as_wide_as_the_group(case):
+    """The cached Hermite rows carry no transform columns, whatever the number of generators."""
+    H, _ = case
+    _, rows, pivots = H._basis
+    assert all(len(row) == H.ambient.rank for row in rows)
+    assert len(pivots) == len(rows) <= H.ambient.rank
 
 
 def test_memoized_coset_key_still_checks_the_group():

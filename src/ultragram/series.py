@@ -30,7 +30,13 @@ holds up the next exponent, and merges only below the bound.  Once every
 child but one is exhausted and merged, the sum forwards its demand to that
 child and copies its new terms, skipping to the child's own source when the
 child forwards too (tail sharing): a chase r_k = r_{k-1} - c*t^d costs O(1)
-per new term, however deep the chain.  A whole pull (the need ``_WHOLE``)
+per new term, however deep the chain.  Short finite sums are not lazy:
+:func:`add`, :func:`subtract` and :func:`sum_series` merge adjacent leaves
+with at most ``_FOLD`` terms between them into one leaf when they are built,
+adding equal exponents and dropping zeros.  The merged leaf keeps the floor
+the lazy sum would have had, the least of its parts' floors (None when all
+are None), so no pull bound of a product or inverse moves; longer sums stay
+lazy and keep their shared tails.  A whole pull (the need ``_WHOLE``)
 expands each node it reaches once even when complete below the bound, so a
 node whose parts end, when built or at run time, is pulled to its end and a
 report prints an exact series exactly.  A product keeps one cursor per left
@@ -267,9 +273,10 @@ class Series:
 
 
 class _Leaf(Series):
-    def __init__(self, field: SeriesField, terms: tuple):
-        first = terms[0].exponent if terms else None
-        super().__init__(field, first)
+    """A finite series, exhausted when built; its floor is its first exponent unless given."""
+
+    def __init__(self, field: SeriesField, terms, floor: Optional[GroupElement] = None):
+        super().__init__(field, floor if floor is not None or not terms else terms[0].exponent)
         self._cache = list(terms)
         self._known = _TOP
 
@@ -337,6 +344,12 @@ class _Map(Series):
 _coords, _exponent_key = attrgetter("coords"), attrgetter("exponent.coords")
 
 
+def _min_floor(nodes) -> Optional[GroupElement]:
+    """The floor of a sum of ``nodes``: the least of theirs, None when all are None."""
+    floors = [c.floor for c in nodes if c.floor is not None]  # of one group: _check saw to it
+    return min(floors, key=_coords) if floors else None
+
+
 class _Sum(Series):
     """n-ary sum: a heap merge with one cursor per child cache, kept between pulls.
 
@@ -347,11 +360,8 @@ class _Sum(Series):
     when the child forwards too (tail sharing).
     """
 
-    def __init__(self, children: list):
-        for c in children:
-            children[0]._check(c)
-        floors = [c.floor for c in children if c.floor is not None]  # of one group: _check saw to it
-        super().__init__(children[0].field, min(floors, key=_coords) if floors else None)
+    def __init__(self, children: list):  # checked by _sum
+        super().__init__(children[0].field, _min_floor(children))
         self.children = children
         self._cursors = [0] * len(children)
         self._heap: list = []  # (exponent key, child index)
@@ -715,19 +725,53 @@ class _Invert(Series):
 def _scaled(x: Series, shift: GroupElement, scale: FieldElement) -> Series:
     """x * scale * t^shift; a leaf is mapped at once, as a map pulls all of it anyway."""
     if type(x) is _Leaf:
-        return _Leaf(x.field, [Term(t.exponent + shift, t.coefficient * scale) for t in x._cache])
+        floor = None if x.floor is None else x.floor + shift
+        return _Leaf(x.field, [Term(t.exponent + shift, t.coefficient * scale) for t in x._cache], floor)
     return _Map(x, shift, scale)
 
 
+_FOLD = 16  # adjacent leaves with at most this many terms between them are added when built
+
+
+def _merged(x: _Leaf, y: _Leaf) -> _Leaf:
+    """x + y as one leaf: a two-pointer merge on coordinate keys, with the lazy sum's floor."""
+    a, b, out, i, j = x._cache, y._cache, [], 0, 0
+    while i < len(a) and j < len(b):
+        ka, kb = a[i].exponent.coords, b[j].exponent.coords
+        if ka < kb:
+            out.append(a[i])
+            i += 1
+        elif kb < ka:
+            out.append(b[j])
+            j += 1
+        else:  # equal exponents: add the coefficients, drop a zero
+            total = a[i].coefficient + b[j].coefficient
+            if not total.is_zero():
+                out.append(Term(a[i].exponent, total))
+            i, j = i + 1, j + 1
+    return _Leaf(x.field, out + a[i:] + b[j:], _min_floor((x, y)))
+
+
+def _sum(parts: list) -> Series:
+    """The sum of ``parts`` (at least one): runs of short leaves merged, the rest a lazy _Sum."""
+    out = parts[:1]
+    for c in parts[1:]:
+        parts[0]._check(c)
+        last = out[-1]
+        if type(last) is _Leaf and type(c) is _Leaf and len(last._cache) + len(c._cache) <= _FOLD:
+            out[-1] = _merged(last, c)
+        else:
+            out.append(c)
+    return out[0] if len(out) == 1 else _Sum(out)
+
+
 def add(x: Series, y: Series) -> Series:
-    return _Sum([x, y])
+    return _sum([x, y])
 
 
 def sum_series(field: SeriesField, terms: Iterable[Series]) -> Series:
     parts = list(terms)
-    if len(parts) < 2:
-        return parts[0] if parts else field.zero()
-    return _Sum(parts)
+    return _sum(parts) if parts else field.zero()
 
 
 def negate(x: Series) -> Series:
@@ -738,11 +782,11 @@ def negate(x: Series) -> Series:
         if t.exponent.group is not group or t.coefficient.field is not coeff:
             group.zero()._check(t.exponent)
             coeff.one()._check(t.coefficient)
-    return _Leaf(x.field, [Term(t.exponent, -t.coefficient) for t in x._cache])  # each exponent kept
+    return _Leaf(x.field, [Term(t.exponent, -t.coefficient) for t in x._cache], x.floor)  # each exponent kept
 
 
 def subtract(x: Series, y: Series) -> Series:
-    return _Sum([x, negate(y)])
+    return _sum([x, negate(y)])
 
 
 def multiply(x: Series, y: Series) -> Series:

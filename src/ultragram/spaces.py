@@ -396,13 +396,15 @@ def nearest_point(b: Series, w_basis: VectorFamily, prec: Precision) -> NearestP
         return NearestPointResult(NearestKind.EXACT_MEMBER, b, coefficients, initial_value=initial.value)
 
     r, best = b, K.ambient.zero()
-    coeff_terms: list[list] = [[] for _ in range(n)]
+    coeff_terms: dict = {}  # member index -> its terms, for the members a step touched
     evidence, approximants, steps = [], [], []
 
     def done(kind: NearestKind, value: Optional[GroupElement] = None) -> NearestPointResult:
-        zero = None if all(coeff_terms) else K.ambient.zero()  # shared by the members no step touched
+        coefficients = [K.ambient.zero()] * n  # one zero, shared by the members no step touched
+        for i, ts in coeff_terms.items():
+            coefficients[i] = K.ambient.from_terms(ts)
         return NearestPointResult(
-            kind, best, [K.ambient.from_terms(ts) if ts else zero for ts in coeff_terms], value=value,
+            kind, best, coefficients, value=value,
             evidence=evidence, initial_value=initial.value,
             approximants=approximants, steps=steps,
         )
@@ -428,7 +430,7 @@ def nearest_point(b: Series, w_basis: VectorFamily, prec: Precision) -> NearestP
         kappa_used = [(i, c) for i, c in zip(cls, solution) if not c.is_zero()]
         lifts = [(i, K.embed_residue(c)) for i, c in kappa_used]
         for i, c in lifts:
-            coeff_terms[i].append((delta, c))
+            coeff_terms.setdefault(i, []).append((delta, c))
         subtracted = _combination(
             K, [K.ambient.monomial(delta, c) for _, c in lifts], [w_basis.elements[i] for i, _ in lifts]
         )

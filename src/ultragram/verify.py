@@ -13,14 +13,17 @@ holds, else the failure detail, and :func:`verify_report` builds each entry.
 A truncated serialization fails a check, but ``chain`` skips a truncated
 approximant and ``standard`` passes truncated products: determinism covers them.
 ``chain`` parses each distinct serialized exponent and term once, as the evidence
-and approximants of one chase repeat them.  A detail prints exponents as the
-report does, ``["7"]``, and a zero valuation as ``Valuation.describe()`` does.
+and approximants of one chase repeat them, and keeps b - a_k as a chain of
+differences: an approximant subtracts the terms it gained on the last one read
+and adds back those it lost, so no approximant is rebuilt in full.  A detail
+prints exponents as the report does, ``["7"]``, and a zero valuation as
+``Valuation.describe()`` does.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Callable, Optional
+from typing import Optional
 
 from .reports import Report, emit, exponent_json
 from .residues import rank_over_subfield
@@ -30,14 +33,11 @@ from .scenarios import (TASKS, ParseError, Runtime, Scenario, _parse_coefficient
                         resolve_runtime, run)
 
 
-def _series_from_json(doc: dict, runtime: Runtime, term: Optional[Callable] = None) -> Optional[Series]:
-    """Rebuild a serialized series; None when only a truncation was stored.
-
-    ``term`` parses one serialized [exponent, coefficient] pair; by default each is parsed afresh."""
+def _series_from_json(doc: dict, runtime: Runtime) -> Optional[Series]:
+    """Rebuild a serialized series; None when only a truncation was stored."""
     if not doc.get("exact") and not doc.get("complete_below"):
         return None
-    pairs = _parse_terms(doc["terms"], runtime.ambient) if term is None else map(term, doc["terms"])
-    return runtime.ambient.from_terms(pairs)
+    return runtime.ambient.from_terms(_parse_terms(doc["terms"], runtime.ambient))
 
 
 def _shown(x) -> str:
@@ -118,23 +118,28 @@ def _chain(target, outcome_doc, runtime, prec) -> Optional[str]:
         return exponents[key]
 
     def term(pair):
-        key = repr(pair)
-        if key not in terms:
-            if not isinstance(pair, list) or len(pair) != 2:
-                raise ParseError(f"series term must be [exponent, coefficient], got {pair!r}")
-            terms[key] = exponent(pair[0]), _parse_coefficient(pair[1], coeff)
-        return terms[key]
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise ParseError(f"series term must be [exponent, coefficient], got {pair!r}")
+        return exponent(pair[0]), _parse_coefficient(pair[1], coeff)
 
-    previous = None
+    # b - the last approximant read, and the reprs of that approximant's serialized terms
+    residual, held, previous = target, set(), None
     for k, (ev, doc) in enumerate(zip(evidence, approximants)):
         claimed = exponent(ev)
         if previous is not None and not previous < claimed:
             return f"evidence not strictly increasing at {k}"
         previous = claimed
-        approximant = _series_from_json(doc, runtime, term)
-        if approximant is None:
+        if not doc.get("exact") and not doc.get("complete_below"):
             continue  # truncated serialization: covered by the determinism check
-        val = valuation(subtract(target, approximant), prec)
+        now = dict(zip(map(repr, doc["terms"]), doc["terms"]))
+        if len(now) < len(doc["terms"]):
+            return f"approximant {k} repeats a term"
+        # b - a_k = (b - a_j) - (a_k - a_j): subtract the terms a_k gained, add back those it lost
+        gained, lost = now.keys() - held, held - now.keys()
+        terms.update((t, term(now[t])) for t in gained if t not in terms)
+        change = [terms[t] for t in gained] + [(e, -c) for e, c in map(terms.get, lost)]
+        residual, held = subtract(residual, runtime.ambient.from_terms(change)), now.keys()
+        val = valuation(residual, prec)
         if not (val.is_value and val.value == claimed):
             return f"approximant {k} realizes {_shown(val)}, claimed {_shown(claimed)}"
 

@@ -348,6 +348,10 @@ TAMPERED = {
     "evidence-not-increasing": ("paper:ti-minus-ti1", 1, lambda o: _duplicate_first(o["evidence"]), "chain"),
     "approximant-dropped": ("paper:ti-minus-ti1", 1, lambda o: o["approximants"].pop(), "chain"),
     "approximant-duplicated": ("paper:ti-minus-ti1", 1, lambda o: _duplicate_first(o["approximants"]), "chain"),
+    "approximant-term-repeated": ("paper:ti-minus-ti1", 1, lambda o: _duplicate_first(o["approximants"][0]["terms"]),
+                                  "chain"),
+    "approximant-gains-a-term": ("paper:ti-minus-ti1", 1,
+                                 lambda o: o["approximants"][2]["terms"].insert(1, [["3"], "1"]), "chain"),
     "standard-product-duplicated": ("paper:sqrt-t", 0, lambda o: _duplicate_first(o["standard_basis"]["products"]),
                                     "standard"),
     "standard-product-zeroed": ("paper:sqrt-t", 0, lambda o: o["standard_basis"]["products"][0].update(terms=[]),
@@ -365,6 +369,9 @@ TAMPERED_DETAILS = {
     "standard-product-zeroed": "a product has no witnessed lead",
     "scaling-dropped": "1 scaling witnesses for 2 elements",
     "claimed-value": 'v(b-best) is ["5"], claimed ["7"]',
+    "approximant-term-repeated": "approximant 0 repeats a term",
+    # the chain check keeps b - a_k as differences: a term gained in the middle shows at once
+    "approximant-gains-a-term": 'approximant 2 realizes ["3"], claimed ["4"]',
 }
 
 

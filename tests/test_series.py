@@ -405,6 +405,59 @@ def test_stepwise_small_fuel_pulls_match_one_pull(case):
 
 
 @st.composite
+def fold_cases(draw):
+    """Two to four random finite term lists over one ambient, and the operation summing them."""
+    group, coords, bound = AMBIENTS[draw(st.sampled_from(sorted(AMBIENTS)))]
+    coeff, values = COEFFICIENTS[draw(st.sampled_from(sorted(COEFFICIENTS)))]
+    parts = draw(st.lists(st.lists(st.tuples(coords, values), max_size=10), min_size=2, max_size=4))
+    return SeriesField(group, coeff), parts, draw(st.sampled_from(["add", "subtract", "sum_series"])), bound
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=fold_cases())
+def test_short_leaf_sums_merge_as_dict_sums(case):
+    field, parts, op, bound = case
+    group, coeff = field.group, field.coeff
+    if op != "sum_series":
+        parts = parts[:2]
+    signs = [1, -1] if op == "subtract" else [1] * len(parts)
+    expected: dict = {}  # coordinate key -> coefficient, over plain dicts
+    for sign, raw in zip(signs, parts):
+        for coords, value in raw:
+            key, c = group.element(coords).coords, coeff.element(value)
+            expected[key] = expected.get(key, coeff.zero()) + (c if sign == 1 else -c)
+    expected = sorted(((k, c) for k, c in expected.items() if not c.is_zero()), key=lambda kc: kc[0])
+    leaves = [field.from_terms(raw) for raw in parts]
+    if op == "add":
+        result = add(*leaves)
+    elif op == "subtract":
+        result = subtract(*leaves)
+    else:
+        result = sum_series(field, leaves)
+    operands = [leaves[0], negate(leaves[1])] if op == "subtract" else leaves
+    lazy = series._Sum(list(operands))
+    assert result.floor == lazy.floor
+    sizes = [len(x.witnessed_terms()) for x in leaves]
+    if sum(sizes) <= series._FOLD:
+        assert type(result) is _Leaf and result.exhausted
+    elif op != "sum_series":  # two operands over the bound stay a lazy sum
+        assert type(result) is series._Sum
+    for s in (result, lazy):
+        assert s.ensure_below(bound, Fuel(10_000), whole=True) and s.exhausted
+        assert [(t.exponent.coords, t.coefficient) for t in s.witnessed_terms()] == expected
+    if not expected:  # a sum that cancels completely is an exact zero
+        assert valuation(result, Precision(bound)).exhausted
+    x = leaves[0]
+    assert valuation(subtract(x, x), Precision(bound)).exhausted
+    if 2 * len(x.witnessed_terms()) <= series._FOLD:  # x - x is an empty leaf, so its products are exact zeros
+        assert valuation(multiply(subtract(x, x), geometric(field)), Precision(bound)).exhausted
+    other = SeriesField(OrderedGroup.lex(3), coeff).one()
+    for build in (lambda: add(x, other), lambda: subtract(x, other), lambda: sum_series(field, leaves + [other])):
+        with pytest.raises(MismatchedAmbient):
+            build()
+
+
+@st.composite
 def chase_chains(draw):
     """A stream, then add/subtract links of random monomials and of the chain's own lead."""
     name = draw(st.sampled_from(["Z", "Q", "Z^2_lex"]))
@@ -930,6 +983,40 @@ def test_not_ca_decision_work_grows_linearly(pushes, monkeypatch):
         assert result["kind"] == "unbounded" and len(result["evidence"]) == max_terms
         work[max_terms] = pushes[0]
     assert work[128] <= 2.3 * work[64] and work[256] <= 2.3 * work[128], work
+
+
+def test_verified_telescoping_chase_builds_no_sum_nodes(monkeypatch):
+    """t against t^i - t^(i+1) over Q: each step's differences hold two terms, so the
+    chase and its verification merge them when built, and the nodes grow with max_terms."""
+    from ultragram.scenarios import run, scenario_from_dict
+    from ultragram.verify import verify_report
+
+    nodes: dict = {}
+    plain_init = series.Series.__init__
+
+    def counted_init(self, *args):
+        nodes[type(self).__name__] = nodes.get(type(self).__name__, 0) + 1
+        plain_init(self, *args)
+
+    monkeypatch.setattr(series.Series, "__init__", counted_init)
+    work = []
+    for max_terms in (64, 128):
+        nodes.clear()
+        scenario = scenario_from_dict({
+            "name": f"chase-{max_terms}",
+            "ambient": {"group": {"group": "Z"}, "coefficients": {"field": "Q"}},
+            "base_field": {"kind": "trivial", "name": "Q"},
+            "elements": {"target": [[1, 1]]},
+            "tasks": [{"task": "nearest_point", "target": "target",
+                       "family": {"family_builder": "telescoping", "start": 1, "count": "auto"}}],
+            "precision": {"ceiling": 2 * max_terms + 40, "max_terms": max_terms, "degree_cap": 16},
+        })
+        report = run(scenario)
+        assert report.tasks[0].outcome["kind"] == "unbounded"
+        assert all(c["ok"] for c in verify_report(scenario, report))
+        assert "_Sum" not in nodes, nodes
+        work.append(sum(nodes.values()))
+    assert work[1] <= 2.1 * work[0], work
 
 
 def test_whole_pull_after_a_plain_pull_reaches_the_end():

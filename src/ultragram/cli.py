@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -63,20 +64,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0
 
     try:
-        scenario = _load(args.scenario)
-        precision = None
         overrides = (args.precision_exp, args.max_terms, args.degree_cap)
-        if any(o is not None for o in overrides):
-            precision = apply_precision_overrides(scenario, *overrides)
+        scenario = replace(apply_precision_overrides(_load(args.scenario), *overrides), seed=args.seed)
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
     try:
-        report = run(scenario, precision, args.seed)
+        report = run(scenario)
         verification_failed = False
         if args.verify:
-            checks = verify_report(scenario, report, precision, args.seed)
+            checks = verify_report(scenario, report)
             report.verification = checks
             verification_failed = any(not c["ok"] for c in checks)
         payload = emit(report, args.format)

@@ -99,6 +99,9 @@ class OrderedGroup:
         if len(coords) == 1:
             if type(coords[0]) is int and self.rank == 1 and self.kind is not GroupKind.RATIONAL_LINE:
                 return GroupElement(self, coords)  # a rank-1 int on Z and Z^n: as given
+            if isinstance(coords[0], GroupElement):  # as given; one of another group raises MismatchedGroups
+                self._zero._check(coords[0])
+                return coords[0]
             if isinstance(coords[0], (tuple, list)):
                 coords = tuple(coords[0])
         if len(coords) != self.rank:

@@ -17,7 +17,8 @@ finite term list its exhausted leaf once and compiles each exponent formula
 once, then renders the canonical form from what it parsed.  Every ``run``
 builds fresh streams, sums and telescoping families, which keep state as they
 expand, so repeated runs of the same scenario produce byte-identical
-structured reports.
+structured reports.  A run reads only its ``Scenario``: an override of the
+precision or of the sampling seed is a new ``Scenario``.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import operator
 import random
 import time
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 from .groups import GroupElement, OrderedGroup
@@ -299,18 +300,6 @@ def _compile_formula(expr: str) -> Callable[[int], int]:
 
 
 @dataclass
-class Runtime:
-    ambient: SeriesField
-    base: SubfieldPresentation
-    presentations: dict
-    elements: dict
-    precision: Precision
-
-    def named(self, names: list) -> list:
-        return [self.elements[name] for name in names]
-
-
-@dataclass
 class Scenario:
     """A validated scenario: ``canonical`` is its normal form, and the other
     fields are the objects parsed from it.  ``builders`` maps each element
@@ -321,10 +310,20 @@ class Scenario:
     base: SubfieldPresentation
     presentations: dict
     builders: dict
-    precision: Precision
+    precision: Precision  # what a run uses: the declared precision unless overridden
+    seed: Optional[int]  # for every sampling task; None: each task's own seed
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Scenario) and self.canonical == other.canonical
+        return isinstance(other, Scenario) and (self.canonical, self.precision, self.seed) == (
+            other.canonical, other.precision, other.seed)
+
+
+@dataclass(eq=False)
+class Runtime(Scenario):
+    elements: dict
+
+    def named(self, names: list) -> list:
+        return [self.elements[name] for name in names]
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -377,7 +376,7 @@ def scenario_from_dict(raw: dict) -> Scenario:
 
     for pos, task in enumerate(raw["tasks"]):
         canonical["tasks"].append(_canonical_task(task, pos, canonical))
-    return Scenario(canonical, ambient, base, presentations, builders, precision)
+    return Scenario(canonical, ambient, base, presentations, builders, precision, None)
 
 
 def _parse_presentation(spec, ambient: SeriesField) -> tuple:
@@ -512,13 +511,12 @@ def _canonical_task(task, pos: int, canonical: dict) -> dict:
     return {"task": kind, **fields}
 
 
-def resolve_runtime(scenario: Scenario, precision: Optional[Precision] = None) -> Runtime:
+def resolve_runtime(scenario: Scenario) -> Runtime:
     """A runtime for one task: each element made by its builder, in order."""
     elements: dict = {}
     for name, build in scenario.builders.items():
         elements[name] = build(elements)
-    precision = scenario.precision if precision is None else precision
-    return Runtime(scenario.ambient, scenario.base, scenario.presentations, elements, precision)
+    return Runtime(**vars(scenario), elements=elements)
 
 
 def apply_precision_overrides(
@@ -526,16 +524,17 @@ def apply_precision_overrides(
     ceiling: Optional[str] = None,
     max_terms: Optional[int] = None,
     degree_cap: Optional[int] = None,
-) -> Precision:
+) -> Scenario:
+    """The scenario under the given bounds; ``canonical`` keeps the declared precision."""
     p = scenario.precision
     try:
         if ceiling is not None and ceiling.strip().startswith("["):
             ceiling = json.loads(ceiling)
-        return Precision(
+        return replace(scenario, precision=Precision(
             p.ceiling if ceiling is None else _parse_exponent(ceiling, scenario.ambient.group),
             p.max_terms if max_terms is None else _size(max_terms, "max_terms"),
             p.degree_cap if degree_cap is None else _size(degree_cap, "degree_cap"),
-        )
+        ))
     except ValueError as exc:
         raise ScenarioError(f"invalid precision override: {exc}") from exc
 
@@ -543,17 +542,17 @@ def apply_precision_overrides(
 # task execution
 
 
-def run(scenario: Scenario, precision: Optional[Precision] = None, seed: Optional[int] = None) -> Report:
+def run(scenario: Scenario) -> Report:
     """Execute each task against a fresh runtime: its outcome depends on no other task."""
     report, tasks = Report(scenario=scenario.canonical), scenario.canonical["tasks"]
     if not tasks:  # a builder that fails is a scenario error with no task to run too
-        resolve_runtime(scenario, precision)
+        resolve_runtime(scenario)
     for index, task in enumerate(tasks):
-        runtime = resolve_runtime(scenario, precision)  # outside the try: a failing builder is no task error
+        runtime = resolve_runtime(scenario)  # outside the try: a failing builder is no task error
         started = time.monotonic()
         kind = TASKS[task["task"]]
         try:
-            outcome = kind.run(task, runtime, seed)
+            outcome = kind.run(task, runtime)
             done = TaskOutcome(index, kind.name, outcome, summary=kind.summary(outcome))
         except Exception as exc:  # captured per spec: task errors land in the report
             error = {"type": type(exc).__name__, "message": str(exc)}
@@ -563,9 +562,9 @@ def run(scenario: Scenario, precision: Optional[Precision] = None, seed: Optiona
     return report
 
 
-def _certified_family(runtime: Runtime, elements: list, prec: Precision, over=None):
+def _certified_family(runtime: Runtime, elements: list, over=None):
     fam = make_family(runtime.base, elements, relative_to=over)
-    return fam, is_valuation_independent(fam, prec)
+    return fam, is_valuation_independent(fam, runtime.precision)
 
 
 def _fmt_exp(coords: list) -> str:
@@ -582,14 +581,14 @@ def _independence_canonical(task, refs, where, canonical) -> dict:
     return out
 
 
-def _independence_run(task, runtime: Runtime, seed) -> dict:
+def _independence_run(task, runtime: Runtime) -> dict:
     prec = runtime.precision
     over_fam = None
     if task.get("over"):
-        over_fam, over_verdict = _certified_family(runtime, runtime.named(task["over"]), prec)
+        over_fam, over_verdict = _certified_family(runtime, runtime.named(task["over"]))
         if over_verdict.kind is not VerdictKind.INDEPENDENT:
             raise NotIndependent("the 'over' family failed its certificate")
-    fam, verdict = _certified_family(runtime, runtime.named(task["family"]), prec, over=over_fam)
+    fam, verdict = _certified_family(runtime, runtime.named(task["family"]), over=over_fam)
     out = {"verdict": verdict.kind.value}
     if verdict.kind is VerdictKind.INDEPENDENT:
         out["scalings"] = [series_json(s, prec) for s in verdict.scalings]
@@ -627,9 +626,9 @@ def _normalize_canonical(task, refs, where, canonical) -> dict:
     return {"family": refs("family")}
 
 
-def _normalize_run(task, runtime: Runtime, seed) -> dict:
+def _normalize_run(task, runtime: Runtime) -> dict:
     prec = runtime.precision
-    fam, verdict = _certified_family(runtime, runtime.named(task["family"]), prec)
+    fam, verdict = _certified_family(runtime, runtime.named(task["family"]))
     normalized = normalize(fam, prec)
     check = check_normalized(normalized, prec)
     leads = [leading_term(e, prec) for e in normalized.elements]
@@ -652,11 +651,11 @@ def _nearest_canonical(task, refs, where, canonical) -> dict:
     }
 
 
-def _nearest_run(task, runtime: Runtime, seed) -> dict:
+def _nearest_run(task, runtime: Runtime) -> dict:
     prec = runtime.precision
     target = runtime.elements[task["target"]]
     elements = _resolve_family_elements(task["family"], runtime)
-    fam, verdict = _certified_family(runtime, elements, prec)
+    fam, verdict = _certified_family(runtime, elements)
     if verdict.kind is not VerdictKind.INDEPENDENT:
         raise NotIndependent("nearest_point family failed its certificate")
     normalized = normalize(fam, prec)
@@ -701,7 +700,7 @@ def _orthogonalize_canonical(task, refs, where, canonical) -> dict:
     }}
 
 
-def _orthogonalize_run(task, runtime: Runtime, seed) -> dict:
+def _orthogonalize_run(task, runtime: Runtime) -> dict:
     prec = runtime.precision
     if "sample" not in task:
         result = orthogonalize(runtime.named(task["generators"]), runtime.base, prec)
@@ -717,7 +716,7 @@ def _orthogonalize_run(task, runtime: Runtime, seed) -> dict:
             "result": nearest_json(result.obstruction, prec),
         }
     sample = task["sample"]
-    rng = random.Random(seed if seed is not None else sample["seed"])
+    rng = random.Random(sample["seed"] if runtime.seed is None else runtime.seed)
     out = {"kind": "sampled", "count": sample["count"]}
     sizes: dict[int, int] = {}
     for case in range(sample["count"]):
@@ -755,7 +754,7 @@ def _extension_canonical(task, refs, where, canonical) -> dict:
     return {"generators": generators, "mode": mode}
 
 
-def _extension_run(task, runtime: Runtime, seed) -> dict:
+def _extension_run(task, runtime: Runtime) -> dict:
     prec = runtime.precision
     report = analyze_extension(
         runtime.named(task["generators"]), runtime.base, prec, span_mode=task["mode"]
@@ -799,7 +798,7 @@ def _immediacy_canonical(task, refs, where, canonical) -> dict:
     return {"probe": refs("probe", single=True)}
 
 
-def _immediacy_run(task, runtime: Runtime, seed) -> dict:
+def _immediacy_run(task, runtime: Runtime) -> dict:
     prec = runtime.precision
     probe = runtime.elements[task["probe"]]
     result = immediacy_evidence(runtime.base, probe, prec)
@@ -841,9 +840,9 @@ def _approximate_canonical(task, refs, where, canonical) -> dict:
     }
 
 
-def _approximate_run(task, runtime: Runtime, seed) -> dict:
+def _approximate_run(task, runtime: Runtime) -> dict:
     prec = runtime.precision
-    fam, verdict = _certified_family(runtime, runtime.named(task["family"]), prec)
+    fam, verdict = _certified_family(runtime, runtime.named(task["family"]))
     if verdict.kind is not VerdictKind.INDEPENDENT:
         raise NotIndependent("approximate needs an independent base family")
     matrix = [runtime.named(row) for row in task["matrix"]]
@@ -879,9 +878,10 @@ def _approximate_witnesses(task, outcome: dict, runtime: Runtime):
 
 # One record per task kind.  canonical(task, refs, where, scenario) checks a
 # raw task and returns its fields, refs(key, single=False) reading checked
-# element names; run(task, runtime, seed) returns the structured outcome;
-# summary(outcome) is its one-line text form; witnesses(task, outcome,
-# runtime) yields (check name, subject, document) for the verifier.
+# element names; run(task, runtime) returns the structured outcome, under the
+# runtime's precision and seed; summary(outcome) is its one-line text form;
+# witnesses(task, outcome, runtime) yields (check name, subject, document) for
+# the verifier.
 TaskKind = namedtuple(
     "TaskKind", "name canonical run summary witnesses", defaults=(lambda task, outcome, runtime: (),)
 )

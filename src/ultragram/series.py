@@ -128,8 +128,8 @@ class SeriesField:
             coeff = self.coeff.element(c)
             if coeff.is_zero():
                 continue
-            exp = exp if isinstance(exp, GroupElement) else self.group.element(exp)
-            terms.append(Term(exp, coeff))
+            same = isinstance(exp, GroupElement) and exp.group is self.group  # else group.element checks exp
+            terms.append(Term(exp if same else self.group.element(exp), coeff))
         terms.sort(key=lambda t: t.exponent.coords)
         merged: list[Term] = []
         for t in terms:
@@ -148,8 +148,8 @@ class SeriesField:
         return self.monomial(self.group.zero(), 1)
 
     def monomial(self, exponent, coefficient=1) -> "Series":
-        if not isinstance(exponent, GroupElement):
-            exponent = self.group.element(exponent)
+        if not (isinstance(exponent, GroupElement) and exponent.group is self.group):
+            exponent = self.group.element(exponent)  # coordinates, or an element of a group it checks
         c = self.coeff.element(coefficient)
         if c.is_zero():
             return self.zero()

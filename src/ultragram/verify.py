@@ -27,7 +27,7 @@ from typing import Optional
 
 from .reports import Report, emit, exponent_json
 from .residues import rank_over_subfield
-from .series import Precision, Series, Valuation, add, leading_term, multiply, subtract, valuation
+from .series import Series, Valuation, add, leading_term, multiply, subtract, valuation
 from .spaces import _combination, _strictly_above
 from .scenarios import (TASKS, ParseError, Runtime, Scenario, _parse_coefficient, _parse_exponent, _parse_terms,
                         resolve_runtime, run)
@@ -193,16 +193,15 @@ def _entry(check_id: str, failure: Optional[str]) -> dict:
     return {"id": check_id, "ok": True} if failure is None else {"id": check_id, "ok": False, "detail": failure}
 
 
-def verify_report(scenario: Scenario, report: Report, precision: Optional[Precision] = None,
-                  seed: Optional[int] = None) -> list:
-    """Re-run the scenario and re-evaluate each embedded witness."""
-    fresh = emit(run(scenario, precision, seed), "structured")
+def verify_report(scenario: Scenario, report: Report) -> list:
+    """Re-run the scenario, under its precision and seed, and re-evaluate each embedded witness."""
+    fresh = emit(run(scenario), "structured")
     same = fresh == emit(Report(report.scenario, report.tasks), "structured")
     checks = [_entry("determinism", None if same else "re-run produced a different structured report")]
     for task_outcome in report.tasks:
         if task_outcome.error is not None:
             continue
-        runtime = resolve_runtime(scenario, precision)  # each task's witnesses on fresh elements, as run made them
+        runtime = resolve_runtime(scenario)  # each task's witnesses on fresh elements, as run made them
         task = scenario.canonical["tasks"][task_outcome.index]
         for name, subject, doc in TASKS[task_outcome.task].witnesses(task, task_outcome.outcome, runtime):
             failure = _CHECKERS[name](subject, doc, runtime, runtime.precision)

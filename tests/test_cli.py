@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -414,11 +415,11 @@ def test_verified_chase_reduces_each_value_once(monkeypatch):
 @pytest.mark.parametrize("name, max_terms", [("paper:notCA", 12), ("paper:ti-minus-ti1", 8), ("chase", 32)])
 def test_chain_check_parses_each_exponent_once(monkeypatch, name, max_terms):
     scenario = scenario_from_dict(_chase_doc(1, max_terms)) if name == "chase" else load_scenario(name)
-    precision = apply_precision_overrides(scenario, max_terms=max_terms)
-    report = run(scenario, precision)
+    scenario = apply_precision_overrides(scenario, max_terms=max_terms)
+    report = run(scenario)
     chains = 0
     for task_outcome in report.tasks:
-        runtime = resolve_runtime(scenario, precision)
+        runtime = resolve_runtime(scenario)
         task = scenario.canonical["tasks"][task_outcome.index]
         for check, subject, doc in TASKS[task_outcome.task].witnesses(task, task_outcome.outcome, runtime):
             if check != "chain":
@@ -496,6 +497,53 @@ def test_seed_override_changes_sampling_but_stays_green(tmp_path: Path):
     for p in (p1, p2):
         doc = json.loads(p.read_text(encoding="utf-8"))
         assert doc["tasks"][0]["outcome"]["all_basis"] is True
+
+
+def test_overridden_scenario_differs_from_its_source():
+    source = load_scenario("paper:notCA")
+    assert apply_precision_overrides(source) == source
+    for changed in (apply_precision_overrides(source, max_terms=12), apply_precision_overrides(source, "[1, 30]"),
+                    apply_precision_overrides(source, degree_cap=4), replace(source, seed=7)):
+        assert changed != source and changed.canonical is source.canonical
+
+
+def test_verify_report_runs_under_the_overridden_precision():
+    scenario = apply_precision_overrides(load_scenario("paper:notCA"), max_terms=12)
+    report = run(scenario)
+    assert len(report.tasks[0].outcome["result"]["evidence"]) == 12
+    checks = verify_report(scenario, report)  # the determinism re-run reads the 12 from the scenario
+    assert [c["id"] for c in checks] == ["determinism", "task0:chain", "task1:dependence"]
+    assert all(c["ok"] for c in checks)
+
+
+def test_scenario_seed_matches_the_cli_seed(tmp_path: Path, monkeypatch):
+    seeds, plain = [], scenarios.random.Random
+    monkeypatch.setattr(scenarios.random, "Random", lambda seed: seeds.append(seed) or plain(seed))
+    out = tmp_path / "seed7.json"
+    assert main(["run", "paper:baur-sampling", "--seed", "7", "--format", "structured", "--output", str(out)]) == 0
+    source = load_scenario("paper:baur-sampling")
+    assert out.read_bytes() == emit(run(replace(source, seed=7)), "structured")
+    run(source)
+    # every draw over the full F3((t)) gives a basis of size 1, so only the sampler sees the seed
+    assert seeds == [7, 7, 271828]
+
+
+@pytest.mark.parametrize("coefficients, base", [
+    ({"field": "Q"}, {"kind": "trivial", "name": "Q"}),  # vK = 0: each sample is one residue section
+    ({"field": "Fp(s)", "p": 3}, {"kind": "completion", "t_value": 1, "name": "F3(s)((t))"}),
+], ids=["trivial-Q", "Fp(s)-residues"])
+def test_sampled_orthogonalize_over_q_and_function_field_residues(coefficients, base):
+    scenario = scenario_from_dict({
+        "ambient": {"group": {"group": "Z"}, "coefficients": coefficients},
+        "base_field": base,
+        "tasks": [{"task": "orthogonalize", "sample": {"count": 20, "support": 3, "max_size": 3, "seed": 5}}],
+        "precision": {"ceiling": 16},
+    })
+    first, second = run(scenario), run(scenario)
+    outcome = first.tasks[0].outcome
+    assert outcome["kind"] == "sampled" and outcome["all_basis"] is True, outcome
+    assert emit(first, "structured") == emit(second, "structured")
+    assert all(c["ok"] for c in verify_report(scenario, first))
 
 
 def test_options_of_one_main_call_do_not_reach_the_next(tmp_path: Path):

@@ -185,6 +185,22 @@ def test_negate_and_subtract_keep_their_field_and_group_checks():
     assert valuation(add(x, y), PREC).exhausted
 
 
+def test_constructors_reject_an_exponent_of_another_group():
+    Q = OrderedGroup.rationals()
+    # the Q exponent 3 once merged with Z's t^3 into one term 2*t^3 that only a later valuation rejected
+    with pytest.raises(MismatchedGroups):
+        add(L5.from_terms([(Q.element(3), 1)]), L5.monomial(3))
+    for bad in (Q.element(3), OrderedGroup.lex(1).element(3)):
+        with pytest.raises(MismatchedGroups):
+            L5.from_terms([(Z.element(1), 1), (bad, 1)])
+        with pytest.raises(MismatchedGroups):
+            L5.monomial(bad)
+    # an element of an equal group object passes through as given
+    three = OrderedGroup.integers().element(3)
+    assert L5.monomial(three).witnessed_terms()[0].exponent is three
+    assert L5.from_terms([(three, 2)]).witnessed_terms() == L5.monomial(3, 2).witnessed_terms()
+
+
 def test_stream_checks_each_term():
     def stream(*exponents, group=Z, coefficient=F5.one()):
         terms = [Term(group.element(e), coefficient) for e in exponents]
@@ -978,7 +994,7 @@ def test_not_ca_decision_work_grows_linearly(pushes, monkeypatch):
     work = {}
     for max_terms in (64, 128, 256):
         pushes[0] = 0
-        report = run(scenario, apply_precision_overrides(scenario, None, max_terms, None))
+        report = run(apply_precision_overrides(scenario, None, max_terms, None))
         result = report.tasks[0].outcome["result"]
         assert result["kind"] == "unbounded" and len(result["evidence"]) == max_terms
         work[max_terms] = pushes[0]

@@ -66,11 +66,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         overrides = (args.precision_exp, args.max_terms, args.degree_cap)
         scenario = replace(apply_precision_overrides(_load(args.scenario), *overrides), seed=args.seed)
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
-    try:
         report = run(scenario)
         verification_failed = False
         if args.verify:

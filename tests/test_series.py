@@ -715,6 +715,14 @@ def test_product_pull_builds_one_element_per_settled_exponent(monkeypatch):
     assert settled <= coefficients[0] <= settled + 16
 
 
+def test_block_product_with_an_empty_factor_prefix_is_complete_and_empty():
+    # g - g is a lazy sum with no terms: the block product settles strips whose left factor
+    # prefix is empty, and bounds the product's first exponent by what g - g has certified
+    product = multiply(subtract(geometric(L3), geometric(L3)), artin_schreier(L3, 3))
+    assert product.ensure_below(Z.element(10), PREC.fuel())
+    assert product.terms_below(Z.element(10)) == [] and product.witnessed_terms() == []
+
+
 def test_lex_product_with_rational_coefficients_matches_schoolbook():
     # exponent keys of rank 2 and Q coefficients, against the schoolbook product of the term lists
     field = SeriesField(LEX, ResidueField.rationals())

@@ -596,6 +596,23 @@ def test_stale_certificate_is_recomputed_under_a_new_precision(fq5, monkeypatch)
     assert basis.certificate.precision == basis.classification.precision == other
 
 
+def test_normalize_certifies_what_it_builds_without_a_second_decision(fq5, monkeypatch):
+    L, K, prec = fq5
+    w = make_family(K, [L.one()])
+    is_valuation_independent(w, prec)
+    fam = make_family(K, [L.monomial("1/2", 2), L.monomial("5/3", 3), L.monomial("1/3", 4)], relative_to=w)
+    assert is_valuation_independent(fam, prec).kind is VerdictKind.INDEPENDENT
+    calls = []
+    plain = spaces.is_valuation_independent
+    monkeypatch.setattr(spaces, "is_valuation_independent", lambda f, p: calls.append(f) or plain(f, p))
+    out = normalize(fam, prec)
+    assert calls == []  # the input's certificate is reused, and the output is certified by its scaling
+    # a plain family: N1 to N4 are conditions on the family alone
+    assert out.relative_to is None and out.is_certified and out.certificate.precision == prec
+    assert [s.witnessed_terms() for s in out.certificate.scalings] == [L.one().witnessed_terms()] * 3
+    assert plain(_copy(out), prec).kind is VerdictKind.INDEPENDENT
+
+
 @pytest.fixture
 def ranks(monkeypatch):
     """The residue profiles handed to rank_over_subfield by spaces."""

@@ -361,6 +361,10 @@ TAMPERED = {
                                       "approximation"),
     "truncated-coefficient-truncated": ("paper:cofinal-approx", 0, lambda o: _truncate_json(o["coefficients"][0][0]),
                                         "approximation"),
+    "immediacy-value-claimed": ("paper:fpt-y", 1, lambda o: o["reduction"].update(value=["2"]), "max"),
+    "immediacy-evidence-repeated": ("paper:artin-schreier", 0,
+                                    lambda o: o["reduction"]["evidence"].insert(0, o["reduction"]["evidence"][0]),
+                                    "chain"),
 }
 # the detail of the failing check, where a case pins it
 TAMPERED_DETAILS = {
@@ -370,6 +374,8 @@ TAMPERED_DETAILS = {
     "standard-product-zeroed": "a product has no witnessed lead",
     "scaling-dropped": "1 scaling witnesses for 2 elements",
     "claimed-value": 'v(b-best) is ["5"], claimed ["7"]',
+    "immediacy-value-claimed": 'v(b-best) is ["1"], claimed ["2"]',
+    "immediacy-evidence-repeated": "fewer approximants than evidence entries",
     "approximant-term-repeated": "approximant 0 repeats a term",
     # the chain check keeps b - a_k as differences: a term gained in the middle shows at once
     "approximant-gains-a-term": 'approximant 2 realizes ["3"], claimed ["4"]',
@@ -639,11 +645,17 @@ def test_sampled_orthogonalize_that_fails():
      {"type": "ZeroElementInFamily", "message": "generator 2 has no witnessed term"}),
     ({"w": {"builder": "custom_powers", "exponents": "i//2"}}, {"task": "normalize", "family": ["w"]},
      {"type": "ValueError", "message": "stream exponents must strictly increase"}),
-], ids=["zero-generator", "non-increasing-formula"])
+    ({"one": [[0, 1]], "two": [[0, 2]], "t": [[1, 1]]}, {"task": "independence", "family": ["t"], "over": ["one", "two"]},
+     {"type": "NotIndependent", "message": "the 'over' family failed its certificate"}),
+    ({"one": [[0, 1]], "two": [[0, 2]]},
+     {"task": "approximate", "family": ["one", "two"], "matrix": [["one", "two"]], "completion": "Khat"},
+     {"type": "NotIndependent", "message": "approximate needs an independent base family"}),
+], ids=["zero-generator", "non-increasing-formula", "dependent-over", "approximate-dependent-family"])
 def test_task_errors_of_the_family_elements(elements, task, error):
     report = run(scenario_from_dict({
         "ambient": {"group": {"group": "Z"}, "coefficients": {"field": "Fp", "p": 3}},
         "base_field": {"kind": "laurent", "t_value": 1},
+        "presentations": {"Khat": {"kind": "completion", "t_value": 1}},  # the completion approximate names
         "elements": elements,
         "tasks": [task],
         "precision": {"ceiling": 16},

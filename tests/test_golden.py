@@ -1,4 +1,4 @@
-"""Golden reports: byte-exact CLI output for every built-in and five extra scenarios.
+"""Golden reports: byte-exact CLI output for every built-in and six extra scenarios.
 
 Each case is run through ``ultragram run --verify`` once in the structured
 format and once in the text format.  Text lines that carry wall-clock task
@@ -11,7 +11,9 @@ errors captured in the report, a full-field ``nearest_point`` whose
 report forces the lazy quotient ``b * invert(w)`` to the ceiling, and
 outcomes no built-in reports: an ``orthogonalize`` basis, both kinds of
 inconclusive ``analyze_extension`` and a ``precision_exhausted`` nearest point,
-and a series cut by the fuel (``truncated``), printed alike by two identical tasks.
+a series cut by the fuel (``truncated``), printed alike by two identical tasks,
+and ``immediate_evidence`` that the ceiling does not limit, whose printed
+evidence is cut to ``max_terms`` entries of a longer chase.
 
 Re-record after an intended output change with
 ``PYTHONPATH=src python tests/test_golden.py``.
@@ -97,6 +99,17 @@ EXTRA_SCENARIOS = {
             {"task": "normalize", "family": ["geometric"]},
         ],
         "precision": {"ceiling": 1000, "max_terms": 1, "degree_cap": 8},
+    },
+    "golden:unbounded-immediacy": {
+        "name": "golden:unbounded-immediacy",
+        "ambient": {"group": {"group": "Z"}, "coefficients": {"field": "Fp", "p": 3}},
+        "base_field": {"kind": "laurent", "t_value": 1, "name": "F3(t)"},
+        "elements": {
+            "root": {"builder": "artin_schreier", "p": 3},
+            "shifted": {"builder": "custom_powers", "exponents": "-1 + 2*i"},
+        },
+        "tasks": [{"task": "immediacy", "probe": "root"}, {"task": "immediacy", "probe": "shifted"}],
+        "precision": {"ceiling": 1000000, "max_terms": 6, "degree_cap": 8},
     },
 }
 

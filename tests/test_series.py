@@ -12,6 +12,7 @@ from ultragram.series import (
     Precision,
     SeriesField,
     Term,
+    Valuation,
     _Leaf,
     add,
     artin_schreier,
@@ -67,6 +68,14 @@ def test_valuation_examples():
     assert v.is_value and v.value == Z.element(1)
     v0 = valuation(L5.zero(), PREC)
     assert not v0.is_value and v0.exhausted
+
+
+def test_a_first_term_at_the_ceiling_is_not_a_value():
+    # the value is the leading exponent below the ceiling; one at it leaves x zero up to the ceiling
+    prec = Precision(Z.element(32), max_terms=8)
+    for x in (L5.monomial(32), custom_powers(L5, lambda i: 32 + i)):
+        assert valuation(x, prec) == Valuation(None, Z.element(32), False)
+        assert leading_term(x, prec) is None
 
 
 @pytest.mark.parametrize("group, ceiling, up_to", [

@@ -113,6 +113,8 @@ def test_uncertified_subspace_rejected(fq5):
     w = make_family(K, [L.one()])  # no certificate attached
     with pytest.raises(UncertifiedSubspace, match="no independence certificate"):
         is_valuation_independent(make_family(K, [L.monomial("1/2")], relative_to=w), prec)
+    with pytest.raises(UncertifiedSubspace, match="nearest_point needs a certified basis"):
+        nearest_point(L.monomial("1/2"), w, prec)
     # certified, but over another presentation of the same ambient
     w = make_family(trivial_presentation(L, name="F5"), [L.one()])
     assert is_valuation_independent(w, prec).kind is VerdictKind.INDEPENDENT

@@ -41,8 +41,6 @@ from .presentations import (
     trivial_presentation,
 )
 from .spaces import (
-    ImmediacyKind,
-    ImmediacyResult,
     IndependenceVerdict,
     NearestKind,
     NearestPointResult,

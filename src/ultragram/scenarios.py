@@ -50,7 +50,7 @@ from .series import (
     sum_series,
 )
 from .spaces import (
-    ImmediacyKind,
+    NearestKind,
     NotIndependent,
     VerdictKind,
     check_normalized,
@@ -799,17 +799,15 @@ def _immediacy_canonical(task, refs, where, canonical) -> dict:
 def _immediacy_run(task, runtime: Runtime) -> dict:
     prec = runtime.precision
     probe = runtime.elements[task["probe"]]
-    result = immediacy_evidence(runtime.base, probe, prec)
-    out = {
-        "kind": result.kind.value,
-        "evidence": [exponent_json(e) for e in result.evidence],
-    }
-    if result.kind is ImmediacyKind.NOT_IMMEDIATE:
-        out["max_value"] = exponent_json(result.max_value)
-        out["witness"] = series_json(result.witness, prec)
+    reduction = immediacy_evidence(runtime.base, probe, prec)
+    # a chase that ends at a value stops before it has max_terms evidence entries
+    out = {"evidence": [exponent_json(e) for e in reduction.full_evidence[: prec.max_terms]]}
+    if reduction.kind is NearestKind.VALUE:
+        out.update(kind="not_immediate", max_value=exponent_json(reduction.value))
+        out["witness"] = series_json(reduction.best, prec)
     else:
-        out["precision_limited"] = result.precision_limited
-    out["reduction"] = nearest_json(result.reduction, prec)
+        out.update(kind="immediate_evidence", precision_limited=reduction.kind is NearestKind.PRECISION_EXHAUSTED)
+    out["reduction"] = nearest_json(reduction, prec)
     return out
 
 

@@ -525,47 +525,18 @@ def orthogonalize(
 # immediacy evidence
 
 
-class ImmediacyKind(Enum):
-    NOT_IMMEDIATE = "not_immediate"
-    IMMEDIATE_EVIDENCE = "immediate_evidence"
-
-
-@dataclass
-class ImmediacyResult:
-    kind: ImmediacyKind
-    witness: Optional[Series] = None           # maximizing a for NotImmediate
-    max_value: Optional[GroupElement] = None
-    evidence: list = dataclass_field(default_factory=list)
-    precision_limited: bool = False
-    reduction: Optional[NearestPointResult] = None
-
-
 def immediacy_evidence(
     K: SubfieldPresentation, probe: Series, prec: Precision
-) -> ImmediacyResult:
-    """Chase v(probe - K) through the closure filtration of K.
+) -> NearestPointResult:
+    """Chase v(probe - K) by reducing the probe against the basis {1} of K.
 
-    A failed coset or residue solve at a finite stage yields a witness that
-    the extension step is not immediate; otherwise the strictly increasing
-    achieved values are reported as immediacy evidence.
+    K(probe)/K is immediate exactly when v(probe - K) has no maximum: a chase
+    that ends at a value shows it is not, and its ``best`` is the maximizing
+    a; any other chase's strictly increasing values are immediacy evidence.
     """
     unit = make_family(K, [K.ambient.one()])
     is_valuation_independent(unit, prec)
     reduction = nearest_point(probe, unit, prec)
     if reduction.kind is NearestKind.EXACT_MEMBER:
         raise ProbeInK("the probe reduces exactly into K")
-    if reduction.kind is NearestKind.VALUE:
-        return ImmediacyResult(
-            ImmediacyKind.NOT_IMMEDIATE,
-            witness=reduction.best,
-            max_value=reduction.value,
-            evidence=reduction.full_evidence,
-            reduction=reduction,
-        )
-    evidence = reduction.full_evidence[: prec.max_terms]
-    return ImmediacyResult(
-        ImmediacyKind.IMMEDIATE_EVIDENCE,
-        evidence=evidence,
-        precision_limited=reduction.kind is NearestKind.PRECISION_EXHAUSTED,
-        reduction=reduction,
-    )
+    return reduction

@@ -14,7 +14,6 @@ from ultragram.presentations import (
 )
 from ultragram.reports import series_json
 from ultragram.spaces import (
-    ImmediacyKind,
     NearestKind,
     NotNormalized,
     ProbeInK,
@@ -347,23 +346,23 @@ def test_immediacy_artin_schreier():
     K = laurent_presentation(L, Z.element(1), name="F3(t)")
     prec = Precision(Z.element(100), max_terms=6)
     result = immediacy_evidence(K, artin_schreier(L, 3), prec)
-    assert result.kind is ImmediacyKind.IMMEDIATE_EVIDENCE
-    assert [int(e.coords[0]) for e in result.evidence] == [1, 3, 9, 27, 81]
+    assert result.kind is NearestKind.PRECISION_EXHAUSTED
+    assert [int(e.coords[0]) for e in result.full_evidence] == [1, 3, 9, 27, 81]
 
 
 def test_immediacy_not_immediate_cases(fps_ambient):
     L, K, prec = fps_ambient
     ty = L.from_terms([(1, L.coeff.generator())])
     result = immediacy_evidence(K, ty, prec)
-    assert result.kind is ImmediacyKind.NOT_IMMEDIATE
-    assert result.max_value == Z.element(1)
+    assert result.kind is NearestKind.VALUE
+    assert result.value == Z.element(1)
 
     LQ = SeriesField(Q, F5)
     KQ = laurent_presentation(LQ, Q.element(1), name="F5(t)")
     precQ = Precision(Q.element(32), max_terms=8)
     result2 = immediacy_evidence(KQ, LQ.monomial("1/2"), precQ)
-    assert result2.kind is ImmediacyKind.NOT_IMMEDIATE
-    assert result2.max_value == Q.element("1/2")
+    assert result2.kind is NearestKind.VALUE
+    assert result2.value == Q.element("1/2")
 
 
 def test_immediacy_probe_in_k():

@@ -166,7 +166,7 @@ def _parse_group(spec) -> OrderedGroup:
     if kind == "Q":
         return OrderedGroup.rationals()
     if kind == "Z^n_lex":
-        return OrderedGroup.lex(_integer(spec.get("n"), "lex product 'n'", 1))
+        return OrderedGroup.lex(_size(spec.get("n"), "lex product 'n'"))
     raise ParseError(f"unknown group kind {kind!r}")
 
 
@@ -626,8 +626,7 @@ def _normalize_canonical(task, refs, where, canonical) -> dict:
 
 def _normalize_run(task, runtime: Runtime) -> dict:
     prec = runtime.precision
-    fam, verdict = _certified_family(runtime, runtime.named(task["family"]))
-    normalized = normalize(fam, prec)
+    normalized = normalize(make_family(runtime.base, runtime.named(task["family"])), prec)
     check = check_normalized(normalized, prec)
     leads = [leading_term(e, prec) for e in normalized.elements]
     return {
@@ -653,10 +652,10 @@ def _nearest_run(task, runtime: Runtime) -> dict:
     prec = runtime.precision
     target = runtime.elements[task["target"]]
     elements = _resolve_family_elements(task["family"], runtime)
-    fam, verdict = _certified_family(runtime, elements)
-    if verdict.kind is not VerdictKind.INDEPENDENT:
-        raise NotIndependent("nearest_point family failed its certificate")
-    normalized = normalize(fam, prec)
+    try:
+        normalized = normalize(make_family(runtime.base, elements), prec)
+    except NotIndependent:
+        raise NotIndependent("nearest_point family failed its certificate") from None
     result = nearest_point(target, normalized, prec)
     out = nearest_json(result, prec)
     out["family_size"] = len(normalized)
@@ -664,7 +663,9 @@ def _nearest_run(task, runtime: Runtime) -> dict:
 
 
 def _chase_summary(o: dict) -> str:
-    """A nearest-point chase: kind, reached value and evidence chain."""
+    """A nearest-point chase: kind, reached value and evidence chain, after a failed sample's case."""
+    if o.get("all_basis") is False:
+        return f"sampled, case {o['failed_case']} failed: {_chase_summary(o['obstruction'])}"
     line = o["kind"]
     detail = o.get("result", o)
     if detail.get("value") is not None:

@@ -7,12 +7,13 @@ profile.  The same class/residue machinery drives the greedy nearest-point
 reduction, whose residuals feed the orthogonalization loop.
 
 A family keeps its class pass (``classify``: witnessed leads, coset-keyed
-classes, classes known Kv-independent, the N1 to N4 check once made) and
-certificate for reuse on the same object under an equal Precision.  One-member
-classes need no elimination, ``normalize`` keeps unit-scaled elements, and
-``adjoin`` scales only the residual and ranks and checks only its class: a
-scaling keeps each coset and class rank, and N1 to N4 are per class or member.
-Both certify what they build with unit scalings: the scaling is the proof.
+classes, classes known Kv-independent, the N1 to N4 check once made) for reuse
+on the same object under an equal Precision.  Independence is read off that
+record: a family is independent exactly when no class has a Kv-kernel, and N1
+and N2 imply it.  One-member classes need no elimination, ``normalize`` keeps
+unit-scaled elements, and ``adjoin`` scales only the residual and ranks and
+checks only its class: a scaling keeps each coset and class rank, and N1 to N4
+are per class or member.
 
 Verdicts are three-valued.  Statements quantified over an infinite
 subspace can only be refuted or evidenced at finite precision, so
@@ -79,20 +80,15 @@ class Classification:
 class VectorFamily:
     """A finite ordered family of nonzero series over a presentation.
 
-    ``relative_to`` names the subspace W the family is considered over; it
-    must be independence-certified before it is used that way.
+    ``relative_to`` names an independent subspace W to consider it over.  The
+    ``classify`` record holds the only precision a family keeps.
     """
 
     elements: tuple
     over: SubfieldPresentation
     relative_to: Optional["VectorFamily"] = None
-    certificate: Optional["IndependenceVerdict"] = None
     scalings: Optional[tuple] = None
     classification: Optional[Classification] = dataclass_field(default=None, repr=False, compare=False)
-
-    @property
-    def is_certified(self) -> bool:
-        return self.certificate is not None and self.certificate.kind is VerdictKind.INDEPENDENT
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -128,7 +124,6 @@ class IndependenceVerdict:
     scalings: Optional[list] = None    # the N1 K-scalars, for Independent verdicts
     witness: Optional[DependenceWitness] = None
     precision_note: Optional[str] = None
-    precision: Optional[Precision] = None  # what an Independent certificate was made under
 
 
 def classify(family: VectorFamily, prec: Precision) -> Classification:
@@ -156,10 +151,12 @@ def _lead(x: Series, index: int, prec: Precision) -> Term:
     return t
 
 
-def _certificate(family: VectorFamily, prec: Precision) -> IndependenceVerdict:
-    """The family's certificate when it was made under ``prec``, else a fresh verdict."""
-    cert = family.certificate
-    return cert if cert is not None and cert.precision == prec else is_valuation_independent(family, prec)
+def _independent(family: VectorFamily, prec: Precision) -> bool:
+    """Whether the family is independent: for a plain one, no class of its record has a Kv-kernel."""
+    if family.relative_to is not None:
+        return is_valuation_independent(family, prec).kind is VerdictKind.INDEPENDENT
+    record = classify(family, prec)
+    return all(_class_kernel(family.over, record, key) is None for key in record.classes)
 
 
 def _class_kernel(K: SubfieldPresentation, record: Classification, key: tuple) -> Optional[list]:
@@ -214,9 +211,7 @@ def is_valuation_independent(family: VectorFamily, prec: Precision) -> Independe
             return IndependenceVerdict(VerdictKind.INCONCLUSIVE, precision_note=note)
         witness = DependenceWitness(coefficients, gamma_ref, achieved)
         return IndependenceVerdict(VerdictKind.DEPENDENT, witness=witness)
-    verdict = IndependenceVerdict(VerdictKind.INDEPENDENT, scalings=scalings, precision=prec)
-    family.certificate = verdict
-    return verdict
+    return IndependenceVerdict(VerdictKind.INDEPENDENT, scalings=scalings)
 
 
 def _strictly_above(achieved: Valuation, floor_value: GroupElement) -> bool:
@@ -232,18 +227,17 @@ def _is_zero_coefficient(c: Series) -> bool:
 
 
 def _independent_over(family: VectorFamily, prec: Precision) -> IndependenceVerdict:
-    """Independence over the certified W = ``family.relative_to``: the plain check of W, then the family."""
+    """Independence over the independent W = ``family.relative_to``: the plain check of W, then the family."""
     w_basis = family.relative_to
     if w_basis.over != family.over:
         raise UncertifiedSubspace("family and subspace use different presentations")
-    if not w_basis.is_certified:
-        raise UncertifiedSubspace("the subspace family carries no independence certificate")
+    if not _independent(w_basis, prec):
+        raise UncertifiedSubspace("the subspace family is not valuation independent")
     m = len(w_basis.elements)
     combined = make_family(family.over, tuple(w_basis.elements) + tuple(family.elements))
     verdict = is_valuation_independent(combined, prec)
     if verdict.kind is VerdictKind.INDEPENDENT:
-        family.certificate = IndependenceVerdict(VerdictKind.INDEPENDENT, verdict.scalings[m:], precision=prec)
-        return family.certificate
+        return IndependenceVerdict(VerdictKind.INDEPENDENT, verdict.scalings[m:])
     if verdict.kind is VerdictKind.DEPENDENT:
         w = verdict.witness
         body = w.coefficients[m:]
@@ -306,13 +300,12 @@ def normalize(family: VectorFamily, prec: Precision) -> VectorFamily:
 
     Follows the constructive recipe: one common value per coset class (the
     trivial class is pulled to value 0), then residues lying in Kv are
-    divided away.  Raises NotIndependent when the family is not certified
-    independent.  Returns a plain family (N1 to N4 are conditions on the
-    family alone) certified, as ``adjoin`` certifies, with unit scalings.
+    divided away.  Raises NotIndependent when the family is not valuation
+    independent, read off its record.  Returns a plain family: N1 to N4 are
+    conditions on the family alone.
     """
-    verdict = _certificate(family, prec)
-    if verdict.kind is not VerdictKind.INDEPENDENT:
-        raise NotIndependent(f"cannot normalize a {verdict.kind.value} family")
+    if not _independent(family, prec):
+        raise NotIndependent(f"cannot normalize a {is_valuation_independent(family, prec).kind.value} family")
     K = family.over
     record = classify(family, prec)
     leads = record.leads
@@ -325,8 +318,6 @@ def normalize(family: VectorFamily, prec: Precision) -> VectorFamily:
     fresh = classify(normalized, prec)  # witnesses the scaled leads
     # scaling by K-monomials and Kv-scalars keeps each value coset and the Kv-rank of its residues
     fresh.independent |= record.independent
-    normalized.certificate = IndependenceVerdict(
-        VerdictKind.INDEPENDENT, scalings=[K.ambient.one()] * len(out), precision=prec)
     return normalized
 
 
@@ -381,11 +372,9 @@ def nearest_point(b: Series, w_basis: VectorFamily, prec: Precision) -> NearestP
     solve certifies the current value as max v(b - W).  Caps: a strictly
     increasing trace of max_terms values is reported as unboundedness
     evidence, while running out of witnessed terms below the ceiling is a
-    precision verdict.
+    precision verdict.  N1 and N2 make the basis independent.
     """
     K = w_basis.over
-    if not w_basis.is_certified or _certificate(w_basis, prec).kind is not VerdictKind.INDEPENDENT:
-        raise UncertifiedSubspace("nearest_point needs a certified basis")
     check = check_normalized(w_basis, prec)
     if not check.ok:
         raise NotNormalized(f"basis violates {check.condition}")
@@ -466,14 +455,14 @@ class OrthogonalizeResult:
 def adjoin(
     basis: VectorFamily, g: Series, prec: Precision
 ) -> tuple[VectorFamily, Optional[NearestPointResult]]:
-    """Reduce g against a normalized certified basis and adjoin the residual.
+    """Reduce g against a normalized basis and adjoin the residual.
 
     Returns the basis grown by the residual, scaled into its class as
     ``normalize`` scales a member, when the reduction ends at a value;
     unchanged when g is an exact member; and an Unbounded or
     PrecisionExhausted reduction as the obstruction.  The grown family's
-    record, normalization check, certificate and scalings extend the
-    basis's: only the residual's class is ranked and only its member checked.
+    record and normalization check extend the basis's: only the residual's
+    class is ranked and only its member checked.
     """
     reduction = nearest_point(g, basis, prec)
     if reduction.kind is NearestKind.EXACT_MEMBER:
@@ -486,8 +475,8 @@ def adjoin(
     lead = _lead(residual, n, prec)
     key = K.value_subgroup.coset_key(lead.exponent)
     cls = record.classes.get(key, [])
-    scaling, scaled = _scale_member(K, residual, lead, record.leads[cls[0]].exponent if cls else lead.exponent)
-    grown = VectorFamily(basis.elements + (scaled,), K, scalings=(K.ambient.one(),) * n + (scaling,))
+    _, scaled = _scale_member(K, residual, lead, record.leads[cls[0]].exponent if cls else lead.exponent)
+    grown = VectorFamily(basis.elements + (scaled,), K)
     grown.classification = grown_record = Classification(
         prec, record.leads + [_lead(scaled, n, prec)], {**record.classes, key: cls + [n]},
         record.independent - {key},
@@ -495,10 +484,6 @@ def adjoin(
     if _class_kernel(K, grown_record, key) is not None:
         raise NotIndependent("residual failed the independence check; reduction was incomplete")
     grown_record.normalized = _normalization(K, grown_record, [key], [n])
-    # a normalized basis certifies with unit scalings
-    grown.certificate = IndependenceVerdict(
-        VerdictKind.INDEPENDENT, scalings=basis.certificate.scalings + [K.ambient.one()], precision=prec
-    )
     return grown, None
 
 
@@ -507,12 +492,11 @@ def orthogonalize(
 ) -> OrthogonalizeResult:
     """Build a normalized valuation basis of the span, generator by generator.
 
-    Starting from the certified empty basis, each generator is adjoined
-    through ``adjoin``; an Unbounded or PrecisionExhausted reduction is
-    returned as an obstruction for that generator.
+    Starting from the empty basis, each generator is adjoined through
+    ``adjoin``; an Unbounded or PrecisionExhausted reduction is returned as
+    an obstruction for that generator.
     """
     basis = make_family(K, [])
-    is_valuation_independent(basis, prec)
     for index, g in enumerate(generators, start=1):
         if leading_term(g, prec) is None:
             raise ZeroElementInFamily(f"generator {index} has no witnessed term")
@@ -534,9 +518,7 @@ def immediacy_evidence(
     that ends at a value shows it is not, and its ``best`` is the maximizing
     a; any other chase's strictly increasing values are immediacy evidence.
     """
-    unit = make_family(K, [K.ambient.one()])
-    is_valuation_independent(unit, prec)
-    reduction = nearest_point(probe, unit, prec)
+    reduction = nearest_point(probe, make_family(K, [K.ambient.one()]), prec)
     if reduction.kind is NearestKind.EXACT_MEMBER:
         raise ProbeInK("the probe reduces exactly into K")
     return reduction

@@ -191,7 +191,7 @@ def test_failed_family_certificate_is_a_task_error(tmp_path: Path):
     report = json.loads(out_path.read_text(encoding="utf-8"))
     first, second = report["tasks"]
     assert first["outcome"]["verdict"] == "independent"
-    assert second["error"]["type"] == "NotIndependent"
+    assert second["error"] == {"type": "NotIndependent", "message": "nearest_point family failed its certificate"}
     assert report["verification"] and all(c["ok"] for c in report["verification"])
 
 
@@ -638,6 +638,30 @@ def test_sampled_orthogonalize_that_fails():
     assert (outcome["all_basis"], outcome["failed_case"]) == (False, 3)
     assert outcome["obstruction"]["kind"] == "unbounded"
     assert all(c["ok"] for c in verify_report(scenario, report))
+
+
+def test_text_line_of_a_failed_sample_names_its_case_and_chase(tmp_path: Path, capsys):
+    doc = BUILTINS["paper:baur-sampling"]()
+    doc["base_field"] = {"kind": "laurent", "t_value": 1}
+    path = tmp_path / "failed-sample.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["run", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "[0] orthogonalize: sampled, case 3 failed: unbounded evidence [-4, -3, -2, -1, 0, 1, 2, 3, 4]" in lines
+    assert main(["run", "paper:baur-sampling"]) == 0  # a sample without failure keeps its line
+    assert "[0] orthogonalize: sampled" in capsys.readouterr().out.splitlines()
+
+
+def test_lex_rank_past_max_size_exits_1_with_one_error_line(tmp_path: Path, capsys):
+    doc = BUILTINS["paper:sqrt-t"]()
+    doc["ambient"]["group"] = {"group": "Z^n_lex", "n": MAX_SIZE + 1}
+    path = tmp_path / "wide-lex.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["run", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0] == f"error: lex product 'n' must be at most {MAX_SIZE}, got {MAX_SIZE + 1}"
 
 
 @pytest.mark.parametrize("elements, task, error", [

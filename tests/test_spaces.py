@@ -94,12 +94,11 @@ def test_zero_element_rejected(fq5):
 
 def test_independence_over_subspace(fq5):
     L, K, prec = fq5
-    w = make_family(K, [L.one()])
-    is_valuation_independent(w, prec)
+    w = make_family(K, [L.one()])  # never asked: W's independence is read off its record
     fam = make_family(K, [L.monomial("1/2")], relative_to=w)
     verdict = is_valuation_independent(fam, prec)
-    assert verdict.kind is VerdictKind.INDEPENDENT
-    assert fam.certificate is verdict and len(verdict.scalings) == 1
+    assert verdict.kind is VerdictKind.INDEPENDENT and len(verdict.scalings) == 1
+    assert w.classification.precision == prec
     # dependent over W: the shift lands in the witness
     fam2 = make_family(K, [add(L.one(), L.monomial(1))], relative_to=w)
     verdict2 = is_valuation_independent(fam2, prec)
@@ -109,12 +108,12 @@ def test_independence_over_subspace(fq5):
 
 def test_uncertified_subspace_rejected(fq5):
     L, K, prec = fq5
-    w = make_family(K, [L.one()])  # no certificate attached
-    with pytest.raises(UncertifiedSubspace, match="no independence certificate"):
+    w = make_family(K, [L.one(), add(L.one(), L.monomial(1))])  # 1 - (1 + t) = -t: dependent
+    with pytest.raises(UncertifiedSubspace, match="not valuation independent"):
         is_valuation_independent(make_family(K, [L.monomial("1/2")], relative_to=w), prec)
-    with pytest.raises(UncertifiedSubspace, match="nearest_point needs a certified basis"):
+    with pytest.raises(NotNormalized, match="basis violates N2"):
         nearest_point(L.monomial("1/2"), w, prec)
-    # certified, but over another presentation of the same ambient
+    # independent, but over another presentation of the same ambient
     w = make_family(trivial_presentation(L, name="F5"), [L.one()])
     assert is_valuation_independent(w, prec).kind is VerdictKind.INDEPENDENT
     with pytest.raises(UncertifiedSubspace, match="different presentations"):
@@ -308,23 +307,17 @@ def test_orthogonalize_examples(fq5):
 def test_orthogonalize_singleton_matches_normalize(fq5, terms):
     L, K, prec = fq5
     g = L.from_terms(terms)
-    single = make_family(K, [g])
-    is_valuation_independent(single, prec)
-    expected = normalize(single, prec)
+    expected = normalize(make_family(K, [g]), prec)
     r = orthogonalize([g], K, prec)
-    assert r.ok and r.basis.is_certified
-
-    def dump(family):
-        return [series_json(x, prec) for x in family.elements + family.scalings]
-
-    assert dump(r.basis) == dump(expected)
+    assert r.ok and check_normalized(r.basis, prec).ok
+    assert [series_json(x, prec) for x in r.basis.elements] == [series_json(x, prec) for x in expected.elements]
 
 
-def test_orthogonalize_empty_is_certified(fq5):
+def test_orthogonalize_empty_is_independent(fq5):
     L, K, prec = fq5
     r = orthogonalize([], K, prec)
-    assert r.ok and len(r.basis) == 0 and r.basis.is_certified
-    assert r.basis.certificate.scalings == []
+    assert r.ok and len(r.basis) == 0 and check_normalized(r.basis, prec).ok
+    assert is_valuation_independent(r.basis, prec).scalings == []
 
 
 def test_orthogonalize_obstruction_notca():
@@ -450,11 +443,11 @@ def test_reduction_against_infinite_division_stays_honest(fq5):
 
 # the classification record: reuse rule, equivalence with fresh families, work counts
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ultragram import spaces
 from ultragram.reports import nearest_json
-from ultragram.spaces import adjoin
+from ultragram.spaces import NotIndependent, adjoin, classify
 
 LEX = OrderedGroup.lex(2)
 F3S = ResidueField.rational_functions(3)
@@ -494,7 +487,7 @@ def family_cases(draw):
 
 
 def _copy(family):
-    """The same elements in a new family object, without certificate or record."""
+    """The same elements in a new family object, without record or scalings."""
     return make_family(family.over, family.elements, family.relative_to)
 
 
@@ -516,6 +509,7 @@ def _verdict_json(v, prec):
 
 
 def _family_json(family, prec):
+    """The elements and, for a family ``normalize`` built, its scalings."""
     if isinstance(family, tuple):
         return family
     return [series_json(x, prec) for x in list(family.elements) + list(family.scalings or [])]
@@ -527,19 +521,17 @@ def _nearest(target, basis, prec):
 
 
 def _orthogonalize_fresh(generators, K, prec):
-    """``orthogonalize`` on a new, uncertified copy of the basis at every step."""
+    """``orthogonalize`` on a new copy of the basis, without a record, at every step."""
     basis = make_family(K, [])
     for index, g in enumerate(generators, start=1):
-        fresh = _copy(basis)
-        is_valuation_independent(fresh, prec)
-        reduction = nearest_point(g, fresh, prec)
+        reduction = nearest_point(g, _copy(basis), prec)
         if reduction.kind is NearestKind.EXACT_MEMBER:
             continue
         if reduction.kind is not NearestKind.VALUE:
             return index, nearest_json(reduction, prec)
         residual = subtract(g, reduction.best) if reduction.steps else g
         basis = normalize(make_family(K, list(basis.elements) + [residual]), prec)
-    return _family_json(basis, prec)
+    return _family_json(_copy(basis), prec)  # adjoin keeps no scalings
 
 
 def _orthogonalize(generators, K, prec):
@@ -552,66 +544,90 @@ def _orthogonalize(generators, K, prec):
     return _family_json(r.basis, prec)
 
 
+LZ3 = SeriesField(Z, F3)
+# 1 and 1 + t share value 0 and residue 1, so the family fails N2 (N1 holds);
+# {1, t} is normalized over the trivial F3
+N2_CASE = (trivial_presentation(LZ3), Precision(Z.element(16), max_terms=6),
+           [LZ3.one(), LZ3.from_terms([(0, 1), (1, 1)])], LZ3.from_terms([(0, 1), (1, 1), (2, 1)]))
+NORMALIZED_CASE = (*N2_CASE[:2], [LZ3.one(), LZ3.monomial(1)], N2_CASE[3])
+
+
 @settings(max_examples=80, deadline=None)
 @given(case=family_cases())
+@example(case=N2_CASE)
+@example(case=NORMALIZED_CASE)
 def test_records_give_the_results_of_fresh_families(case):
     K, prec, elements, target = case
     carried = make_family(K, elements)
     verdict = _outcome(is_valuation_independent, carried, prec)
     fresh_verdict = _outcome(is_valuation_independent, make_family(K, elements), prec)
     assert _verdict_json(verdict, prec) == _verdict_json(fresh_verdict, prec)
-    if carried.is_certified:
+    # N1 and N2 imply independence, so nearest_point asks only for the N1 to N4 check
+    check = _outcome(check_normalized, make_family(K, elements), prec)
+    if not isinstance(check, tuple) and check.ok:
+        assert is_valuation_independent(make_family(K, elements), prec).kind is VerdictKind.INDEPENDENT
+    elif not isinstance(check, tuple):
+        failed = ("NotNormalized", f"basis violates {check.condition}")
+        assert _nearest(target, make_family(K, elements), prec) == failed
+    if not isinstance(verdict, tuple) and verdict.kind is VerdictKind.INDEPENDENT:
         normalized = _outcome(normalize, carried, prec)
         fresh = _outcome(normalize, make_family(K, elements), prec)
         assert _family_json(normalized, prec) == _family_json(fresh, prec)
         if not isinstance(normalized, tuple):
             assert check_normalized(normalized, prec) == check_normalized(_copy(normalized), prec)
-            basis = _copy(normalized)
-            is_valuation_independent(basis, prec)
-            assert _nearest(target, normalized, prec) == _nearest(target, basis, prec)
+            # a basis never asked for a verdict chases as a copy that was asked
+            never_asked, asked = _copy(normalized), _copy(normalized)
+            is_valuation_independent(asked, prec)
+            chase = _nearest(target, normalized, prec)
+            assert chase == _nearest(target, never_asked, prec) == _nearest(target, asked, prec)
     assert _outcome(_orthogonalize, elements, K, prec) == _outcome(_orthogonalize_fresh, elements, K, prec)
 
 
-def test_stale_certificate_is_recomputed_under_a_new_precision(fq5, monkeypatch):
+def test_a_new_precision_replaces_the_record(fq5):
     L, K, prec = fq5
     other = Precision(Q.element(24), max_terms=6)
     family = make_family(K, [L.monomial("1/2", 2), L.monomial(0, 3)])
-    is_valuation_independent(family, prec)
     basis = normalize(family, prec)
-    assert basis.certificate.precision == basis.classification.precision == prec
-    calls = []
-    plain = spaces.is_valuation_independent
-
-    def spy(fam, p):
-        calls.append((fam, p))
-        return plain(fam, p)
-
-    monkeypatch.setattr(spaces, "is_valuation_independent", spy)
+    record = basis.classification
+    assert record.precision == family.classification.precision == prec
+    # an equal Precision, not only the same object, reuses the record and its check
+    check = check_normalized(basis, prec)
+    assert classify(basis, Precision(Q.element(32), max_terms=8)) is record and record.normalized is check
     renormalized = normalize(family, other)
-    assert any(fam is family and p == other for fam, p in calls)
-    assert family.certificate.precision == family.classification.precision == other
-    assert renormalized.classification.precision == other
-    calls.clear()
+    assert family.classification.precision == renormalized.classification.precision == other
     nearest_point(L.monomial("1/4"), basis, other)
-    assert any(fam is basis and p == other for fam, p in calls)
-    assert basis.certificate.precision == basis.classification.precision == other
+    assert basis.classification is not record and basis.classification.precision == other
+    assert basis.classification.normalized.ok and record.normalized is check
 
 
-def test_normalize_certifies_what_it_builds_without_a_second_decision(fq5, monkeypatch):
-    L, K, prec = fq5
-    w = make_family(K, [L.one()])
-    is_valuation_independent(w, prec)
-    fam = make_family(K, [L.monomial("1/2", 2), L.monomial("5/3", 3), L.monomial("1/3", 4)], relative_to=w)
-    assert is_valuation_independent(fam, prec).kind is VerdictKind.INDEPENDENT
+def test_normalize_reads_independence_off_the_record(monkeypatch, ranks):
+    L = SeriesField(Q, F3S)
+    K = laurent_presentation(L, Q.element(1), residue_field=F3, name="F3(t)")
+    prec = Precision(Q.element(16), max_terms=8)
+    s = F3S.generator()
+    family = make_family(K, [L.from_terms([("1/2", c)]) for c in (F3S.one(), s, s * s)])
+    assert is_valuation_independent(family, prec).kind is VerdictKind.INDEPENDENT
+    assert len(ranks) == 1
     calls = []
     plain = spaces.is_valuation_independent
     monkeypatch.setattr(spaces, "is_valuation_independent", lambda f, p: calls.append(f) or plain(f, p))
-    out = normalize(fam, prec)
-    assert calls == []  # the input's certificate is reused, and the output is certified by its scaling
+    out = normalize(family, prec)
+    nearest_point(L.from_terms([("1/2", s + F3S.one())]), out, prec)
+    # the record answers for the input, and what normalize built inherits its independent classes
+    assert calls == [] and len(ranks) == 1
     # a plain family: N1 to N4 are conditions on the family alone
-    assert out.relative_to is None and out.is_certified and out.certificate.precision == prec
-    assert [s.witnessed_terms() for s in out.certificate.scalings] == [L.one().witnessed_terms()] * 3
+    assert out.relative_to is None and check_normalized(out, prec).ok
     assert plain(_copy(out), prec).kind is VerdictKind.INDEPENDENT
+
+
+def test_normalize_decides_a_relative_family_over_its_subspace(fq5):
+    L, K, prec = fq5
+    w = make_family(K, [L.one()])
+    out = normalize(make_family(K, [L.monomial("1/2", 2), L.monomial("1/3", 4)], relative_to=w), prec)
+    assert out.relative_to is None and check_normalized(out, prec).ok
+    # independent as a plain family, but 1 + t lies in W up to a higher term
+    with pytest.raises(NotIndependent, match="cannot normalize a dependent family"):
+        normalize(make_family(K, [add(L.one(), L.monomial(1))], relative_to=w), prec)
 
 
 @pytest.fixture

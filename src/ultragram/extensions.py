@@ -37,7 +37,9 @@ from .spaces import (
     OrthogonalizeResult,
     VectorFamily,
     VerdictKind,
+    ZeroElementInFamily,
     _combination,
+    _independent,
     _strictly_above,
     adjoin,
     check_normalized,
@@ -59,8 +61,7 @@ class NotCofinal(ValueError):
 
 @dataclass
 class ClosureResult(OrthogonalizeResult):
-    cap_reached: bool = False
-    partial_dimension: Optional[int] = None
+    partial_dimension: Optional[int] = None  # set when the span outgrew prec.degree_cap
 
 
 def span_closure_basis(
@@ -70,18 +71,20 @@ def span_closure_basis(
 ) -> ClosureResult:
     """Orthogonalize power products of the generators until the span closes.
 
-    Seeds with 1, then repeatedly adjoins basis*generator products; the
-    span is closed when a full pass adjoins nothing.  Each basis element is
-    multiplied by each generator once: a product already adjoined lies in
-    the span, so a pass takes, per generator, only the elements added since
-    that generator's last pass.  Exceeding ``prec.degree_cap`` reports the
-    partial dimension instead of a basis.
+    Seeds with 1 (obstruction indices count it first), then repeatedly
+    adjoins basis*generator products; the span is closed when a full pass
+    adjoins nothing.  Each basis element is multiplied by each generator
+    once: a product already adjoined lies in the span, so a pass takes, per
+    generator, only the elements added since that generator's last pass.
+    Exceeding ``prec.degree_cap`` reports the partial dimension instead of a basis.
     """
-    seed = orthogonalize([K.ambient.one()] + list(generators), K, prec)
+    try:
+        seed = orthogonalize([K.ambient.one()] + list(generators), K, prec)
+    except ZeroElementInFamily:  # its index counts the seed 1: name the generator among the generators
+        index = next(i for i, g in enumerate(generators, start=1) if leading_term(g, prec) is None)
+        raise ZeroElementInFamily(f"generator {index} has no witnessed term") from None
     if not seed.ok:
-        return ClosureResult(
-            obstruction_index=seed.obstruction_index, obstruction=seed.obstruction
-        )
+        return ClosureResult(obstruction_index=seed.obstruction_index, obstruction=seed.obstruction)
     basis = seed.basis
     multiplied = [0] * len(generators)  # per generator, the basis prefix it has multiplied
     while len(basis) <= prec.degree_cap:
@@ -91,14 +94,12 @@ def span_closure_basis(
             for b in fresh:
                 basis, obstruction = adjoin(basis, multiply(b, g), prec)
                 if obstruction is not None:
-                    return ClosureResult(
-                        obstruction_index=len(basis) + 1, obstruction=obstruction
-                    )
+                    return ClosureResult(obstruction_index=len(basis) + 1, obstruction=obstruction)
                 if len(basis) > prec.degree_cap:
-                    return ClosureResult(cap_reached=True, partial_dimension=len(basis))
+                    return ClosureResult(partial_dimension=len(basis))
         if len(basis) == size:
             return ClosureResult(basis=basis)
-    return ClosureResult(cap_reached=True, partial_dimension=len(basis))
+    return ClosureResult(partial_dimension=len(basis))
 
 
 @dataclass
@@ -109,16 +110,22 @@ class RamificationData:
     y_part: list          # residue-basis lifts of the value-zero class
 
 
-def ramification_and_residue(
-    basis: VectorFamily, K: SubfieldPresentation, prec: Precision
-) -> RamificationData:
-    """Read e and f off a normalized certified basis.
+def _value_span(K: SubfieldPresentation, values: Sequence[GroupElement]) -> Subgroup:
+    """The subgroup generated by vK and the nonzero values."""
+    return Subgroup.spanned_by(
+        K.ambient.group, list(K.value_subgroup.generators) + [v for v in values if not v.is_zero()]
+    )
+
+
+def ramification_and_residue(basis: VectorFamily, prec: Precision) -> RamificationData:
+    """Read e and f off a normalized basis over its presentation ``basis.over``.
 
     X takes one element per value coset; Y takes the value-zero class,
     whose residues are a witnessed Kv-basis of the residue extension.  The
     coset count is cross-checked against the exact subgroup index of vK in
     the group generated by vK and the basis values.
     """
+    K = basis.over
     check = check_normalized(basis, prec)
     if not check.ok:
         raise NotNormalized(f"ramification data needs a normalized basis ({check.condition})")
@@ -144,23 +151,16 @@ def ramification_and_residue(
     # cross-check against the exact index of vK in the generated value group:
     # always an upper bound for the witnessed coset count, an equality when
     # the value cosets are closed under addition (field-closed spans)
-    span_all = Subgroup.spanned_by(
-        K.ambient.group,
-        list(K.value_subgroup.generators) + [v for v in values if not v.is_zero()],
-    )
+    span_all = _value_span(K, values)
     index = subgroup_index(K.value_subgroup, span_all)
     if index is not None and e > index:
-        raise ArithmeticError(
-            f"coset count {e} exceeds the exact subgroup index {index}"
-        )
+        raise ArithmeticError(f"coset count {e} exceeds the exact subgroup index {index}")
     # finitely many cosets are closed under addition iff each span row maps them into themselves
     reps = [values[cls[0]] for cls in classes.values()]
     rows = span_all.lattice_basis()
     coset_closed = all(K.value_subgroup.coset_key(a + b) in classes for a in reps for b in rows)
     if coset_closed and index != e:
-        raise ArithmeticError(
-            f"coset count {e} disagrees with the exact subgroup index {index}"
-        )
+        raise ArithmeticError(f"coset count {e} disagrees with the exact subgroup index {index}")
     return RamificationData(
         e=e,
         f=len(y_indices),
@@ -173,14 +173,11 @@ def ramification_and_residue(
 class StandardBasis:
     x_part: list
     y_part: list
-    products: list
-    family: VectorFamily
+    products: list                # the x*y, valuation independent over the basis's presentation
 
 
-def standard_basis(
-    basis: VectorFamily, K: SubfieldPresentation, prec: Precision, data: RamificationData
-) -> StandardBasis:
-    """The product family {x*y} as a certified standard valuation basis.
+def standard_basis(basis: VectorFamily, prec: Precision, data: RamificationData) -> StandardBasis:
+    """The product family {x*y} as a standard valuation basis over ``basis.over``.
 
     Requires the span to be field-closed for these products: every product
     must reduce back into the span and the product count must equal the
@@ -202,11 +199,9 @@ def standard_basis(
         raise NotFieldClosed(
             f"product count {len(products)} differs from the dimension {len(basis)}"
         )
-    family = make_family(K, products)
-    verdict = is_valuation_independent(family, prec)
-    if verdict.kind is not VerdictKind.INDEPENDENT:
+    if not _independent(make_family(basis.over, products), prec):
         raise NotFieldClosed("products failed the independence certificate")
-    return StandardBasis(data.x_part, data.y_part, products, family)
+    return StandardBasis(data.x_part, data.y_part, products)
 
 
 @dataclass
@@ -216,7 +211,6 @@ class ExtensionReport:
     f: Optional[int]
     defect_index: Optional[Fraction]
     verdict: str                      # vs_defectless | obstructed | inconclusive
-    basis: Optional[VectorFamily] = None
     standard: Optional[StandardBasis] = None
     obstruction: Optional[NearestPointResult] = None
     obstruction_index: Optional[int] = None
@@ -237,7 +231,7 @@ def analyze_extension(
     """
     if span_mode == "closure":
         result = span_closure_basis(generators, K, prec)
-        if result.cap_reached:
+        if result.partial_dimension is not None:
             return ExtensionReport(
                 result.partial_dimension, None, None, None, "inconclusive",
                 note=f"degree cap reached at dimension {result.partial_dimension}",
@@ -254,17 +248,16 @@ def analyze_extension(
             note="nearest-point reduction found no maximal value",
         )
     basis = result.basis
-    data = ramification_and_residue(basis, K, prec)
+    data = ramification_and_residue(basis, prec)
     n = len(basis)
     ef = data.e * data.f
     defect = Fraction(n, ef) if ef else None
     if ef and n == ef:
-        standard = standard_basis(basis, K, prec, data)
         return ExtensionReport(
-            n, data.e, data.f, defect, "vs_defectless", basis=basis, standard=standard
+            n, data.e, data.f, defect, "vs_defectless", standard=standard_basis(basis, prec, data)
         )
     return ExtensionReport(
-        n, data.e, data.f, defect, "inconclusive", basis=basis,
+        n, data.e, data.f, defect, "inconclusive",
         note=(
             "the span has a valuation basis but is not standard-decomposable; "
             "it is not multiplicatively closed"
@@ -301,7 +294,7 @@ def complete_and_approximate(
     For b_i' = sum_j c_ij u_j certified independent over the completion,
     each c_ij is truncated strictly above v(b_i') - v(u_j), so that
     min_j v((c_ij^trunc - c_ij) u_j) > v(b_i').  The truncated family is
-    certified independent over K and keeps the value multiset.
+    independent over K (read off its class record) and keeps the value multiset.
     """
     K = u_family.over
     if K.ambient != khat.ambient:
@@ -317,20 +310,14 @@ def complete_and_approximate(
         raise NotIndependent("family elements need witnessed valuations")
 
     hat_rows = [_combination(K, row, u) for row in rows]
-    hat_family = make_family(khat, hat_rows)
-    hat_verdict = is_valuation_independent(hat_family, prec)
+    hat_verdict = is_valuation_independent(make_family(khat, hat_rows), prec)
     if hat_verdict.kind is not VerdictKind.INDEPENDENT:
         raise NotIndependent(
             f"completion-side family is {hat_verdict.kind.value}, not independent"
         )
     hat_vals = [leading_term(row, prec).exponent for row in hat_rows]
 
-    witnessed = Subgroup.spanned_by(
-        K.ambient.group,
-        list(K.value_subgroup.generators)
-        + [v for v in hat_vals if not v.is_zero()]
-        + [t.exponent for t in u_leads if not t.exponent.is_zero()],
-    )
+    witnessed = _value_span(K, hat_vals + [t.exponent for t in u_leads])
     if not is_cofinal(K.value_subgroup, witnessed):
         raise NotCofinal("vK is not cofinal in the witnessed value span")
 
@@ -363,8 +350,7 @@ def complete_and_approximate(
 
     out_elements = [_combination(K, row, u) for row in truncated_rows]
     out_family = make_family(K, out_elements)
-    out_verdict = is_valuation_independent(out_family, prec)
-    if out_verdict.kind is not VerdictKind.INDEPENDENT:
+    if not _independent(out_family, prec):
         raise NotIndependent("truncated family lost independence")
     out_vals = [leading_term(x, prec).exponent for x in out_elements]
     if sorted(v.coords for v in out_vals) != sorted(v.coords for v in hat_vals):

@@ -52,7 +52,9 @@ from .series import (
 from .spaces import (
     NearestKind,
     NotIndependent,
+    UncertifiedSubspace,
     VerdictKind,
+    _independent,
     check_normalized,
     immediacy_evidence,
     is_valuation_independent,
@@ -560,11 +562,6 @@ def run(scenario: Scenario) -> Report:
     return report
 
 
-def _certified_family(runtime: Runtime, elements: list, over=None):
-    fam = make_family(runtime.base, elements, relative_to=over)
-    return fam, is_valuation_independent(fam, runtime.precision)
-
-
 def _fmt_exp(coords: list) -> str:
     return coords[0] if len(coords) == 1 else "(" + ",".join(coords) + ")"
 
@@ -581,12 +578,12 @@ def _independence_canonical(task, refs, where, canonical) -> dict:
 
 def _independence_run(task, runtime: Runtime) -> dict:
     prec = runtime.precision
-    over_fam = None
-    if task.get("over"):
-        over_fam, over_verdict = _certified_family(runtime, runtime.named(task["over"]))
-        if over_verdict.kind is not VerdictKind.INDEPENDENT:
-            raise NotIndependent("the 'over' family failed its certificate")
-    fam, verdict = _certified_family(runtime, runtime.named(task["family"]), over=over_fam)
+    over = make_family(runtime.base, runtime.named(task["over"])) if task.get("over") else None
+    family = make_family(runtime.base, runtime.named(task["family"]), relative_to=over)
+    try:
+        verdict = is_valuation_independent(family, prec)  # over W, it decides W first
+    except UncertifiedSubspace:
+        raise NotIndependent("the 'over' family failed its certificate") from None
     out = {"verdict": verdict.kind.value}
     if verdict.kind is VerdictKind.INDEPENDENT:
         out["scalings"] = [series_json(s, prec) for s in verdict.scalings]
@@ -839,8 +836,8 @@ def _approximate_canonical(task, refs, where, canonical) -> dict:
 
 def _approximate_run(task, runtime: Runtime) -> dict:
     prec = runtime.precision
-    fam, verdict = _certified_family(runtime, runtime.named(task["family"]))
-    if verdict.kind is not VerdictKind.INDEPENDENT:
+    fam = make_family(runtime.base, runtime.named(task["family"]))
+    if not _independent(fam, prec):
         raise NotIndependent("approximate needs an independent base family")
     matrix = [runtime.named(row) for row in task["matrix"]]
     khat = runtime.presentations[task["completion"]]

@@ -1,4 +1,5 @@
 import json
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -7,7 +8,8 @@ import pytest
 from ultragram.cli import build_parser, main
 from ultragram.groups import Subgroup
 from ultragram.reports import emit
-from ultragram import cli, scenarios, verify
+from ultragram import cli, scenarios, spaces, verify
+from ultragram.presentations import SubfieldPresentation
 from ultragram.scenarios import (
     BUILTINS,
     MAX_SIZE,
@@ -418,6 +420,35 @@ def test_verified_chase_reduces_each_value_once(monkeypatch):
     assert len(set(reduced)) > 128 and len(reduced) == len(set(reduced))
 
 
+@pytest.mark.parametrize("name, verdicts, sections", [
+    ("paper:standard-2x2", 0, 8), ("paper:cofinal-approx", 1, 2), ("paper:sqrt-t", 0, 2),
+    ("golden:independence-over", 4, 5),
+])
+def test_run_asks_for_a_verdict_only_where_it_reports_one(monkeypatch, name, verdicts, sections):
+    """A yes-or-no independence check is read off the class record.  The verdicts left are an
+    independence task's (over W, the family's and that of W with the family) and approximate's
+    completion-side check, whose error text prints the verdict's kind."""
+    counts = {"verdicts": 0, "sections": 0}
+    plain, plain_section = spaces.is_valuation_independent, SubfieldPresentation.monomial_section
+
+    def counted(family, prec):
+        counts["verdicts"] += 1
+        return plain(family, prec)
+
+    def counted_section(self, delta):
+        counts["sections"] += 1
+        return plain_section(self, delta)
+
+    for module in [m for n, m in sys.modules.items() if n == "ultragram" or n.startswith("ultragram.")]:
+        if getattr(module, "is_valuation_independent", None) is plain:
+            monkeypatch.setattr(module, "is_valuation_independent", counted)
+    monkeypatch.setattr(SubfieldPresentation, "monomial_section", counted_section)
+    scenario = scenario_from_dict(EXTRA_SCENARIOS[name]) if name in EXTRA_SCENARIOS else load_scenario(name)
+    report = run(scenario)
+    assert all(t.error is None for t in report.tasks)
+    assert counts == {"verdicts": verdicts, "sections": sections}
+
+
 @pytest.mark.parametrize("name, max_terms", [("paper:notCA", 12), ("paper:ti-minus-ti1", 8), ("chase", 32)])
 def test_chain_check_parses_each_exponent_once(monkeypatch, name, max_terms):
     scenario = scenario_from_dict(_chase_doc(1, max_terms)) if name == "chase" else load_scenario(name)
@@ -667,6 +698,11 @@ def test_lex_rank_past_max_size_exits_1_with_one_error_line(tmp_path: Path, caps
 @pytest.mark.parametrize("elements, task, error", [
     ({"one": [[0, 1]], "zero": []}, {"task": "orthogonalize", "generators": ["one", "zero"]},
      {"type": "ZeroElementInFamily", "message": "generator 2 has no witnessed term"}),
+    # closure mode seeds with 1, which names no generator
+    ({"zero": []}, {"task": "analyze_extension", "generators": ["zero"], "mode": "closure"},
+     {"type": "ZeroElementInFamily", "message": "generator 1 has no witnessed term"}),
+    ({"r": [[1, 2]], "zero": []}, {"task": "analyze_extension", "generators": ["r", "zero"], "mode": "closure"},
+     {"type": "ZeroElementInFamily", "message": "generator 2 has no witnessed term"}),
     ({"w": {"builder": "custom_powers", "exponents": "i//2"}}, {"task": "normalize", "family": ["w"]},
      {"type": "ValueError", "message": "stream exponents must strictly increase"}),
     ({"one": [[0, 1]], "two": [[0, 2]], "t": [[1, 1]]}, {"task": "independence", "family": ["t"], "over": ["one", "two"]},
@@ -674,7 +710,8 @@ def test_lex_rank_past_max_size_exits_1_with_one_error_line(tmp_path: Path, caps
     ({"one": [[0, 1]], "two": [[0, 2]]},
      {"task": "approximate", "family": ["one", "two"], "matrix": [["one", "two"]], "completion": "Khat"},
      {"type": "NotIndependent", "message": "approximate needs an independent base family"}),
-], ids=["zero-generator", "non-increasing-formula", "dependent-over", "approximate-dependent-family"])
+], ids=["zero-generator", "zero-closure-generator", "zero-closure-second-generator", "non-increasing-formula",
+        "dependent-over", "approximate-dependent-family"])
 def test_task_errors_of_the_family_elements(elements, task, error):
     report = run(scenario_from_dict({
         "ambient": {"group": {"group": "Z"}, "coefficients": {"field": "Fp", "p": 3}},

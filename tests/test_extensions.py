@@ -76,7 +76,7 @@ def test_span_closure_cap(mixed_setting):
     for degree_cap in (3, 5):
         result = span_closure_basis([y], K, Precision(Q.element(32), 8, degree_cap=degree_cap))
         # the closure stops at the first adjoin past the cap
-        assert result.cap_reached and result.partial_dimension == degree_cap + 1
+        assert result.partial_dimension == degree_cap + 1
         assert not result.ok and result.basis is None
 
 
@@ -84,7 +84,7 @@ def test_ramification_examples(sqrt_setting):
     L, K, prec = sqrt_setting
     fam = make_family(K, [L.one(), L.monomial("1/2")])
     is_valuation_independent(fam, prec)
-    data = ramification_and_residue(normalize(fam, prec), K, prec)
+    data = ramification_and_residue(normalize(fam, prec), prec)
     assert (data.e, data.f) == (2, 1)
     assert len(data.x_part) == 2 and len(data.y_part) == 1
 
@@ -94,11 +94,11 @@ def test_ramification_residue_direction(mixed_setting):
     y = L.from_terms([(0, L.coeff.generator())])
     fam = make_family(K, [L.one(), y])
     is_valuation_independent(fam, prec)
-    data = ramification_and_residue(normalize(fam, prec), K, prec)
+    data = ramification_and_residue(normalize(fam, prec), prec)
     assert (data.e, data.f) == (1, 2)
     fam1 = make_family(K, [L.one()])
     is_valuation_independent(fam1, prec)
-    data1 = ramification_and_residue(normalize(fam1, prec), K, prec)
+    data1 = ramification_and_residue(normalize(fam1, prec), prec)
     assert (data1.e, data1.f) == (1, 1)
 
 
@@ -111,9 +111,8 @@ def test_standard_basis_2x2(mixed_setting):
     )
     is_valuation_independent(fam, prec)
     basis = normalize(fam, prec)
-    sb = standard_basis(basis, K, prec, ramification_and_residue(basis, K, prec))
+    sb = standard_basis(basis, prec, ramification_and_residue(basis, prec))
     assert len(sb.products) == 4
-    assert is_valuation_independent(sb.family, prec).kind is VerdictKind.INDEPENDENT
     verdict = is_valuation_independent(make_family(K, sb.products), prec)
     assert verdict.kind is VerdictKind.INDEPENDENT
 
@@ -125,7 +124,7 @@ def test_standard_basis_rejects_open_span(mixed_setting):
     is_valuation_independent(fam, prec)
     basis = normalize(fam, prec)
     with pytest.raises(NotFieldClosed):
-        standard_basis(basis, K, prec, ramification_and_residue(basis, K, prec))
+        standard_basis(basis, prec, ramification_and_residue(basis, prec))
 
 
 def test_analyze_extension_sqrt(sqrt_setting):
@@ -273,8 +272,8 @@ def test_closure_ladder_adjoins_each_product_once(monkeypatch):
 
 
 def test_closure_ladder_builds_series_nodes_linearly(monkeypatch):
-    """t^(1/n) over F5(t): a reduction step touches one class, and the members it leaves
-    untouched share one zero leaf, so the series nodes about double with n."""
+    """t^(1/n) over F5(t), n = 128 to 2048: a reduction step touches one class, and the members
+    it leaves untouched share one zero leaf, so the series nodes about double with n."""
     nodes = [0]
     plain_init = series.Series.__init__
 
@@ -286,12 +285,12 @@ def test_closure_ladder_builds_series_nodes_linearly(monkeypatch):
     L = SeriesField(Q, F5)
     K = laurent_presentation(L, Q.element(1), name="F5(t)")
     work = []
-    for n in (128, 256):
+    for n in (128, 256, 512, 1024, 2048):
         nodes[0] = 0
         result = span_closure_basis([L.monomial(Fraction(1, n))], K, Precision(Q.element(32), degree_cap=n))
         assert result.ok and len(result.basis) == n
         work.append(nodes[0])
-    assert work[1] <= 2.3 * work[0], work
+    assert all(b <= 2.3 * a for a, b in zip(work, work[1:])), work
 
 
 def test_closure_cross_check_keys_each_class_once_per_span_row(monkeypatch):
@@ -309,7 +308,7 @@ def test_closure_cross_check_keys_each_class_once_per_span_row(monkeypatch):
         return plain_key(*args)
 
     monkeypatch.setattr(groups.Subgroup, "coset_key", counted_key)
-    data = ramification_and_residue(result.basis, K, prec)
+    data = ramification_and_residue(result.basis, prec)
     assert (data.e, data.f) == (128, 1) and keys[0] <= 2 * data.e
 
 
@@ -320,7 +319,7 @@ def test_closure_cross_check_still_catches_a_wrong_index(monkeypatch):
     result = span_closure_basis([L.monomial(Fraction(1, 4))], K, prec)
     monkeypatch.setattr(extensions, "subgroup_index", lambda sub, group: 8)
     with pytest.raises(ArithmeticError, match="disagrees with the exact subgroup index 8"):
-        ramification_and_residue(result.basis, K, prec)
+        ramification_and_residue(result.basis, prec)
 
 
 def _closure_readjoining(generators, K, prec):
@@ -337,14 +336,14 @@ def _closure_readjoining(generators, K, prec):
                 if obstruction is not None:
                     return ClosureResult(obstruction_index=len(basis) + 1, obstruction=obstruction)
                 if len(basis) > prec.degree_cap:
-                    return ClosureResult(cap_reached=True, partial_dimension=len(basis))
+                    return ClosureResult(partial_dimension=len(basis))
         if len(basis) == size:
             return ClosureResult(basis=basis)
-    return ClosureResult(cap_reached=True, partial_dimension=len(basis))
+    return ClosureResult(partial_dimension=len(basis))
 
 
 def _closure_json(result, prec):
-    out = [result.cap_reached, result.partial_dimension, result.obstruction_index]
+    out = [result.partial_dimension, result.obstruction_index]
     if result.obstruction is not None:
         out.append(nearest_json(result.obstruction, prec))
     if result.basis is not None:

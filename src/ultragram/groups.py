@@ -33,12 +33,12 @@ cache takes a lock: a race can only compute the same value twice.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from math import lcm, prod
-from operator import add as _plus, sub as _minus
+from operator import add as _plus, attrgetter, sub as _minus
 from typing import Iterable, Optional, Sequence, Union
 
 
@@ -136,10 +136,47 @@ class OrderedGroup:
         return {"group": self.kind.value}
 
 
-@dataclass(frozen=True, slots=True)  # slots: every sum and key builds one
-class GroupElement:
-    group: OrderedGroup
-    coords: tuple
+class Frozen:
+    """An immutable value of the hot loops: a subclass names its fields in ``__slots__`` and
+    sets them in ``__init__`` through :func:`frozen_setters`, at half the cost of a frozen
+    dataclass.  Assigning or deleting a field raises ``FrozenInstanceError``; equality,
+    hashing, repr and pickling run over the fields in order, as a frozen dataclass's do."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = attrgetter(*cls.__slots__)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        return self._fields(self) == self._fields(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields(self))
+
+    def __reduce__(self):
+        return self.__class__, self._fields(self)
+
+    def __repr__(self) -> str:
+        return f"{self.__class__.__qualname__}({', '.join(f'{n}={getattr(self, n)!r}' for n in self.__slots__)})"
+
+
+def frozen_setters(cls: type) -> list:
+    """The ``__set__`` of each slot of a :class:`Frozen` subclass, in order."""
+    return [vars(cls)[name].__set__ for name in cls.__slots__]
+
+
+class GroupElement(Frozen):
+    __slots__ = ("group", "coords")  # set once through frozen_setters: every sum and coset key builds one
+
+    def __init__(self, group: OrderedGroup, coords: tuple):
+        _set_group(self, group)
+        _set_coords(self, coords)
 
     def _check(self, other: "GroupElement") -> None:
         if self.group is not other.group and self.group != other.group:
@@ -183,6 +220,9 @@ class GroupElement:
         if self.group.rank == 1:
             return f"g({self.coords[0]})"
         return "g(" + ", ".join(str(c) for c in self.coords) + ")"
+
+
+_set_group, _set_coords = frozen_setters(GroupElement)
 
 
 def _hermite(vectors: Sequence[Sequence[int]]) -> list[list[int]]:

@@ -29,7 +29,7 @@ def exponent_json(g: GroupElement) -> list:
 def series_json(x: Series, prec: Precision) -> dict:
     """Every term of an exhausted series, else the witnessed prefix below
     the ceiling, flagged when provably complete."""
-    complete = x.ensure_below(prec.ceiling, prec.fuel(), whole=True)
+    complete = x.exhausted or x.ensure_below(prec.ceiling, prec.fuel(), whole=True)
     kept = x.witnessed_terms() if x.exhausted else x.terms_below(prec.ceiling)
     terms = [[exponent_json(t.exponent), t.coefficient.describe()] for t in kept]
     out = {"terms": terms}

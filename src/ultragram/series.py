@@ -33,7 +33,8 @@ child forwards too (tail sharing): a chase r_k = r_{k-1} - c*t^d costs O(1)
 per new term, however deep the chain.  Short finite sums are not lazy:
 :func:`add`, :func:`subtract` and :func:`sum_series` merge adjacent leaves
 with at most ``_FOLD`` terms between them into one leaf when they are built,
-adding equal exponents and dropping zeros.  The merged leaf keeps the floor
+adding equal exponents and dropping zeros; a leaf subtraction merges the
+negated terms, and builds no negated leaf.  The merged leaf keeps the floor
 the lazy sum would have had, the least of its parts' floors (None when all
 are None), so no pull bound of a product or inverse moves; longer sums stay
 lazy and keep their shared tails.  A whole pull (the need ``_WHOLE``)
@@ -89,7 +90,7 @@ from itertools import count
 from operator import add as _coord_add, attrgetter
 from typing import Callable, Iterable, Iterator, Optional
 
-from .groups import GroupElement, GroupKind, OrderedGroup
+from .groups import Frozen, GroupElement, GroupKind, OrderedGroup, frozen_setters
 from .residues import FieldElement, ResidueField
 
 
@@ -105,14 +106,17 @@ class PrecisionExhausted(RuntimeError):
     """A comparison could not be decided within the precision budget."""
 
 
-@dataclass(frozen=True, slots=True)
-class Term:
-    exponent: GroupElement
-    coefficient: FieldElement
+class Term(Frozen):
+    __slots__ = ("exponent", "coefficient")
 
-    def __post_init__(self) -> None:
-        if self.coefficient.is_zero():
+    def __init__(self, exponent: GroupElement, coefficient: FieldElement):
+        if coefficient.is_zero():
             raise ValueError("terms carry nonzero coefficients")
+        _set_exponent(self, exponent)
+        _set_coefficient(self, coefficient)
+
+
+_set_exponent, _set_coefficient = frozen_setters(Term)
 
 
 @dataclass(frozen=True)
@@ -130,16 +134,18 @@ class SeriesField:
                 continue
             same = isinstance(exp, GroupElement) and exp.group is self.group  # else group.element checks exp
             terms.append(Term(exp if same else self.group.element(exp), coeff))
-        terms.sort(key=lambda t: t.exponent.coords)
+        if len(terms) < 2:
+            return _Leaf(self, terms)
+        terms.sort(key=_exponent_key)
         merged: list[Term] = []
         for t in terms:
-            if merged and merged[-1].exponent == t.exponent:
+            if merged and merged[-1].exponent.coords == t.exponent.coords:
                 s = merged.pop().coefficient + t.coefficient
                 if not s.is_zero():
                     merged.append(Term(t.exponent, s))
             else:
                 merged.append(t)
-        return _Leaf(self, tuple(merged))
+        return _Leaf(self, merged)
 
     def zero(self) -> "Series":
         return _Leaf(self, ())
@@ -344,12 +350,6 @@ class _Map(Series):
 _coords, _exponent_key = attrgetter("coords"), attrgetter("exponent.coords")
 
 
-def _min_floor(nodes) -> Optional[GroupElement]:
-    """The floor of a sum of ``nodes``: the least of theirs, None when all are None."""
-    floors = [c.floor for c in nodes if c.floor is not None]  # of one group: _check saw to it
-    return min(floors, key=_coords) if floors else None
-
-
 class _Sum(Series):
     """n-ary sum: a heap merge with one cursor per child cache, kept between pulls.
 
@@ -361,7 +361,8 @@ class _Sum(Series):
     """
 
     def __init__(self, children: list):  # checked by _sum
-        super().__init__(children[0].field, _min_floor(children))
+        floors = [c.floor for c in children if c.floor is not None]  # of one group: _check saw to it
+        super().__init__(children[0].field, min(floors, key=_coords) if floors else None)  # None when all are
         self.children = children
         self._cursors = [0] * len(children)
         self._heap: list = []  # (exponent key, child index)
@@ -733,9 +734,11 @@ def _scaled(x: Series, shift: GroupElement, scale: FieldElement) -> Series:
 _FOLD = 16  # adjacent leaves with at most this many terms between them are added when built
 
 
-def _merged(x: _Leaf, y: _Leaf) -> _Leaf:
-    """x + y as one leaf: a two-pointer merge on coordinate keys, with the lazy sum's floor."""
+def _merged(x: _Leaf, y: _Leaf, sign: int = 1) -> _Leaf:
+    """x + sign*y as one leaf: a two-pointer merge on coordinate keys, with the lazy sum's floor."""
     a, b, out, i, j = x._cache, y._cache, [], 0, 0
+    if sign < 0:
+        b = [Term(t.exponent, -t.coefficient) for t in b]
     while i < len(a) and j < len(b):
         ka, kb = a[i].exponent.coords, b[j].exponent.coords
         if ka < kb:
@@ -749,7 +752,8 @@ def _merged(x: _Leaf, y: _Leaf) -> _Leaf:
             if not total.is_zero():
                 out.append(Term(a[i].exponent, total))
             i, j = i + 1, j + 1
-    return _Leaf(x.field, out + a[i:] + b[j:], _min_floor((x, y)))
+    fx, fy = x.floor, y.floor  # the least floor, None when both are None
+    return _Leaf(x.field, out + a[i:] + b[j:], fy if fx is None or fy is not None and fy.coords < fx.coords else fx)
 
 
 def _sum(parts: list) -> Series:
@@ -774,18 +778,27 @@ def sum_series(field: SeriesField, terms: Iterable[Series]) -> Series:
     return _sum(parts) if parts else field.zero()
 
 
-def negate(x: Series) -> Series:
+def _check_terms(x: _Leaf) -> None:
+    """The checks that shifting a leaf by zero and scaling it by -1 made."""
     group, coeff = x.field.group, x.field.coeff
-    if type(x) is not _Leaf:
-        return _Map(x, group.zero(), -coeff.one())
-    for t in x._cache:  # the checks that shifting by zero and scaling by -1 made
+    for t in x._cache:
         if t.exponent.group is not group or t.coefficient.field is not coeff:
             group.zero()._check(t.exponent)
             coeff.one()._check(t.coefficient)
+
+
+def negate(x: Series) -> Series:
+    if type(x) is not _Leaf:
+        return _Map(x, x.field.group.zero(), -x.field.coeff.one())
+    _check_terms(x)
     return _Leaf(x.field, [Term(t.exponent, -t.coefficient) for t in x._cache], x.floor)  # each exponent kept
 
 
 def subtract(x: Series, y: Series) -> Series:
+    if type(x) is _Leaf and type(y) is _Leaf and len(x._cache) + len(y._cache) <= _FOLD:
+        _check_terms(y)  # the checks negating y runs, then the one of a sum
+        x._check(y)
+        return _merged(x, y, -1)  # no negated leaf
     return _sum([x, negate(y)])
 
 
@@ -800,13 +813,15 @@ def multiply(x: Series, y: Series) -> Series:
     return _Mul(x, y)
 
 
-@dataclass(frozen=True)
-class Valuation:
+class Valuation(Frozen):
     """Witnessed valuation: either Value(gamma) or ZeroUpTo(bound)."""
 
-    value: Optional[GroupElement]
-    up_to: Optional[GroupElement]
-    exhausted: bool
+    __slots__ = ("value", "up_to", "exhausted")
+
+    def __init__(self, value: Optional[GroupElement], up_to: Optional[GroupElement], exhausted: bool):
+        _set_value(self, value)
+        _set_up_to(self, up_to)
+        _set_exhausted(self, exhausted)
 
     @property
     def is_value(self) -> bool:
@@ -819,6 +834,9 @@ class Valuation:
         if self.exhausted:
             out["exact_zero"] = True
         return out
+
+
+_set_value, _set_up_to, _set_exhausted = frozen_setters(Valuation)
 
 
 def valuation(x: Series, prec: Precision) -> Valuation:
@@ -844,15 +862,11 @@ def valuation(x: Series, prec: Precision) -> Valuation:
 
 
 def leading_term(x: Series, prec: Precision) -> Optional[Term]:
-    v = valuation(x, prec)
-    if not v.is_value:
-        return None
-    return x._cache[0]
+    return x._cache[0] if valuation(x, prec).is_value else None
 
 
 def invert(x: Series, prec: Precision) -> Series:
-    lead = leading_term(x, prec)
-    if lead is None:
+    if leading_term(x, prec) is None:
         raise LeadingTermUnknown(f"no leading term witnessed below the ceiling {prec.ceiling}")
     return _Invert(x)
 

@@ -1,6 +1,7 @@
 import pickle
 import random
 import time
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from math import prod
 
@@ -17,8 +18,8 @@ from ultragram.groups import (
     parse_rational,
     subgroup_index,
 )
-from ultragram.residues import ResidueField
-from ultragram.series import Term
+from ultragram.residues import FieldElement, ResidueField
+from ultragram.series import Term, Valuation
 
 Z = OrderedGroup.integers()
 Q = OrderedGroup.rationals()
@@ -412,16 +413,39 @@ def test_subtraction_adds_the_negative(case):
     assert (a - b) + b == a
 
 
-@given(coordinate_cases(), st.fractions(max_denominator=20).filter(bool))
-def test_slotted_elements_and_terms_pickle(case, c):
-    group, (a, _, _), _, _ = case
-    term = Term(a, ResidueField.rationals().element(c))
-    for value in (a, term):
+@given(coordinate_cases(), st.fractions(max_denominator=20).filter(bool), st.integers(-50, 50).filter(bool))
+def test_slotted_elements_and_terms_pickle(case, c, n):
+    group, (a, b, _), _, _ = case
+    Qf, F5s = ResidueField.rationals(), ResidueField.rational_functions(5)
+    term = Term(a, Qf.element(c))
+    values = (a, Qf.element(c), F5s.fraction([1, n], [n, 0, 1]), term,
+              Valuation(a, None, False), Valuation(None, b, True))
+    for value in values:
         assert not hasattr(value, "__dict__")
         back = pickle.loads(pickle.dumps(value))
         assert back == value and hash(back) == hash(value)
+        for name in type(value).__slots__:  # the fields stay as built
+            with pytest.raises(FrozenInstanceError):
+                setattr(value, name, getattr(value, name))
+            with pytest.raises(FrozenInstanceError):
+                delattr(value, name)
+        with pytest.raises(FrozenInstanceError):
+            value.extra = 1
+    assert values[-1] != values[-2] and term != a and term.__eq__(a) is NotImplemented
     with pytest.raises(ValueError):
-        Term(a, ResidueField.rationals().zero())
+        Term(a, Qf.zero())
+    # an integral Fraction is its int twin, on each field that can hold one
+    if group is not Q:
+        twin = GroupElement(group, tuple(map(Fraction, a.coords)))
+        pairs = [(twin, a), (Term(twin, Qf.element(c)), term), (Valuation(twin, None, False), values[4])]
+    else:
+        pairs = []
+    pairs.append((FieldElement(Qf, Fraction(n)), Qf.element(n)))
+    for x, y in pairs:
+        assert x == y and hash(x) == hash(y)
+    assert repr(term) == f"Term(exponent={a!r}, coefficient={c})"
+    assert repr(Term(Z.element(3), Qf.element(-2))) == "Term(exponent=g(3), coefficient=-2)"
+    assert repr(values[5]) == f"Valuation(value=None, up_to={b!r}, exhausted=True)"
 
 
 @pytest.mark.parametrize("text, value", [

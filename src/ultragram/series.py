@@ -33,8 +33,7 @@ child forwards too (tail sharing): a chase r_k = r_{k-1} - c*t^d costs O(1)
 per new term, however deep the chain.  Short finite sums are not lazy:
 :func:`add`, :func:`subtract` and :func:`sum_series` merge adjacent leaves
 with at most ``_FOLD`` terms between them into one leaf when they are built,
-adding equal exponents and dropping zeros; a leaf subtraction merges the
-negated terms, and builds no negated leaf.  The merged leaf keeps the floor
+adding equal exponents and dropping zeros.  The merged leaf keeps the floor
 the lazy sum would have had, the least of its parts' floors (None when all
 are None), so no pull bound of a product or inverse moves; longer sums stay
 lazy and keep their shared tails.  A whole pull (the need ``_WHOLE``)
@@ -734,11 +733,9 @@ def _scaled(x: Series, shift: GroupElement, scale: FieldElement) -> Series:
 _FOLD = 16  # adjacent leaves with at most this many terms between them are added when built
 
 
-def _merged(x: _Leaf, y: _Leaf, sign: int = 1) -> _Leaf:
-    """x + sign*y as one leaf: a two-pointer merge on coordinate keys, with the lazy sum's floor."""
+def _merged(x: _Leaf, y: _Leaf) -> _Leaf:
+    """x + y as one leaf: a two-pointer merge on coordinate keys, with the lazy sum's floor."""
     a, b, out, i, j = x._cache, y._cache, [], 0, 0
-    if sign < 0:
-        b = [Term(t.exponent, -t.coefficient) for t in b]
     while i < len(a) and j < len(b):
         ka, kb = a[i].exponent.coords, b[j].exponent.coords
         if ka < kb:
@@ -778,27 +775,18 @@ def sum_series(field: SeriesField, terms: Iterable[Series]) -> Series:
     return _sum(parts) if parts else field.zero()
 
 
-def _check_terms(x: _Leaf) -> None:
-    """The checks that shifting a leaf by zero and scaling it by -1 made."""
+def negate(x: Series) -> Series:
     group, coeff = x.field.group, x.field.coeff
-    for t in x._cache:
+    if type(x) is not _Leaf:
+        return _Map(x, group.zero(), -coeff.one())
+    for t in x._cache:  # the checks that shifting by zero and scaling by -1 made
         if t.exponent.group is not group or t.coefficient.field is not coeff:
             group.zero()._check(t.exponent)
             coeff.one()._check(t.coefficient)
-
-
-def negate(x: Series) -> Series:
-    if type(x) is not _Leaf:
-        return _Map(x, x.field.group.zero(), -x.field.coeff.one())
-    _check_terms(x)
     return _Leaf(x.field, [Term(t.exponent, -t.coefficient) for t in x._cache], x.floor)  # each exponent kept
 
 
 def subtract(x: Series, y: Series) -> Series:
-    if type(x) is _Leaf and type(y) is _Leaf and len(x._cache) + len(y._cache) <= _FOLD:
-        _check_terms(y)  # the checks negating y runs, then the one of a sum
-        x._check(y)
-        return _merged(x, y, -1)  # no negated leaf
     return _sum([x, negate(y)])
 
 

@@ -403,21 +403,18 @@ def nearest_point(b: Series, w_basis: VectorFamily, prec: Precision) -> NearestP
     vk = K.value_subgroup
     record = classify(w_basis, prec)
     leads, table = record.leads, record.classes
-    touched: dict = {}  # coset key -> (members, common value, lead coefficients), read once per call
     while current.is_value:
         gamma = current.value
-        key = vk.coset_key(gamma)
-        entry = touched.get(key)
-        if entry is None:
-            cls = table.get(key)
-            if cls is None:
-                return done(NearestKind.VALUE, gamma)
-            entry = touched[key] = cls, leads[cls[0]].exponent, [leads[i].coefficient for i in cls]
-        cls, common, coefficients = entry
+        cls = table.get(vk.coset_key(gamma))
+        if cls is None:
+            return done(NearestKind.VALUE, gamma)
+        common = leads[cls[0]].exponent
         delta = gamma - common
         K.require_value(delta)
-        lead = r.witnessed_terms()[0]  # current is a value: r's first cached term is its lead
-        solution = solve_over_subfield(lead.coefficient, coefficients, K.residue_field, K.ambient.coeff)
+        solution = solve_over_subfield(
+            r._cache[0].coefficient, [leads[i].coefficient for i in cls],  # current is a value: r's lead
+            K.residue_field, K.ambient.coeff,
+        )
         if solution is None:
             return done(NearestKind.VALUE, gamma)
         kappa_used = [(i, c) for i, c in zip(cls, solution) if not c.is_zero()]

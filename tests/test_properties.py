@@ -413,3 +413,49 @@ def test_orthogonalize_preserves_span_and_dimension():
             reduction = nearest_point(g, basis, PREC)
             assert reduction.kind is NearestKind.EXACT_MEMBER
         accepted += 1
+
+
+# the first 20 samples of each base from random.Random(seed), seeds 1..4; no digest
+# or golden sees a changed draw (every baur-sampling outcome is the same)
+SAMPLE_DRAWS = {
+    "F3(t)": ['1:1', '-3:2 0:2', '-3:2 -2:1 0:2', '-3:2 1:2', '-2:1 1:2 3:1', '-3:1', '-2:2 2:1',
+              '-2:1 0:2 2:1', '-2:1 -1:2 0:1', '2:2', '2:2', '0:1 1:2 2:2', '0:1 1:2 3:1', '0:1 2:2 3:2',
+              '0:1', '1:2', '0:1 2:2', '-1:2', '-2:1 1:1 3:1', '-2:2 1:2 3:2'],
+    "F3((t))": ['-3:1', '-2:2 3:2', '-3:1 -2:2 1:2', '-1:2 1:2 3:1', '-1:2', '0:1 3:1', '-2:1', '-1:1', '1:2',
+                '-2:2 1:2 2:2', '-1:1 0:2 3:2', '-2:2 0:2 1:2', '-1:2 0:2 3:1', '2:1 3:2', '-1:2 3:2',
+                '-2:2 0:1 1:2', '-3:1 -2:1 3:2', '-3:1 -2:2 2:1', '-3:2', '-3:2 2:2 3:1'],
+    "Q": ['0:1/2', '0:2', '0:3', '0:2/3', '0:-1', '0:1', '0:2/3', '0:-2', '0:1/2', '0:1/2', '0:2/3', '0:2/3',
+          '0:-1/2', '0:2', '0:1/2', '0:2', '0:-1/2', '0:1', '0:-1', '0:2'],
+    "F3(t^(1/2))": ['-1/2:[1]/[1]', '-1:[1]/[1] 0:[1]/[1] 3/2:[1]/[1]', '-1/2:[1]/[1] 1/2:[1]/[1]',
+                    '-1/2:[1]/[1] 1/2:[1]/[1] 1:[2]/[1]', '-3/2:[2]/[1]', '-1:[2]/[1] 3/2:[2]/[1]',
+                    '-1/2:[1]/[1] 1:[2]/[1] 3/2:[2]/[1]', '-1:[2]/[1] 1:[2]/[1] 3/2:[1]/[1]',
+                    '-3/2:[2]/[1] -1/2:[2]/[1] 3/2:[1]/[1]', '0:[2]/[1] 1/2:[2]/[1]', '-1:[2]/[1] 3/2:[2]/[1]',
+                    '-3/2:[1]/[1]', '-1/2:[2]/[1] 1:[2]/[1]', '1:[1]/[1]', '0:[1]/[1]',
+                    '-1/2:[1]/[1] 0:[2]/[1] 1:[2]/[1]', '-1/2:[1]/[1] 1/2:[2]/[1] 3/2:[1]/[1]', '1:[1]/[1]',
+                    '1/2:[1]/[1] 3/2:[1]/[1]', '-1:[2]/[1] -1/2:[1]/[1]'],
+}
+
+
+def _term_text(series) -> str:
+    out = []
+    for t in series.witnessed_terms():
+        c = t.coefficient.describe()
+        if isinstance(c, dict):  # Fp(s): numerator and denominator coefficient lists
+            c = f"{c['num']}/{c['den']}"
+        out.append(f"{','.join(map(str, t.exponent.coords))}:{c}")
+    return " ".join(out)
+
+
+def test_sample_element_draws_are_pinned():
+    F3s = ResidueField.rational_functions(3)
+    bases = [
+        laurent_presentation(SeriesField(Z, F3), Z.element(1), name="F3(t)"),
+        completion_presentation(SeriesField(Z, F3), Z.element(1), name="F3((t))"),
+        trivial_presentation(SeriesField(Z, ResidueField.rationals()), name="Q"),
+        laurent_presentation(SeriesField(Q, F3s), Q.element(Fraction(1, 2)), residue_field=F3, name="F3(t^(1/2))"),
+    ]
+    for seed, K in enumerate(bases, 1):
+        rng = random.Random(seed)
+        samples = [K.sample_element(rng, 3) for _ in range(20)]
+        assert all(s.exhausted for s in samples)
+        assert [_term_text(s) for s in samples] == SAMPLE_DRAWS[K.name], K.name

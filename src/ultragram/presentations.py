@@ -28,7 +28,7 @@ from .residues import (
     embed_from_subfield,
     restrict_to_subfield,
 )
-from .series import Series, SeriesField, Term, _Leaf
+from .series import Series, SeriesField, Term
 
 
 class ValueNotInSubgroup(ValueError):
@@ -107,10 +107,9 @@ class SubfieldPresentation:
             return self.residue_section(self._nonzero_residue(rng))
         count = rng.randint(1, min(3, len(window)))
         exponents = rng.sample(range(len(window)), count)
-        # distinct window positions in increasing order, nonzero residues: a sorted term list
-        return _Leaf(self.ambient, tuple(
-            Term(window[i], self.embed_residue(self._nonzero_residue(rng))) for i in sorted(exponents)
-        ))
+        return self.ambient.from_terms(
+            (window[i], self.embed_residue(self._nonzero_residue(rng))) for i in sorted(exponents)
+        )
 
     def _nonzero_residue(self, rng: random.Random) -> FieldElement:
         """A uniform draw from the nonzero pool residues, constants 1..n-1 then extra."""

@@ -30,23 +30,24 @@ holds up the next exponent, and merges only below the bound.  Once every
 child but one is exhausted and merged, the sum forwards its demand to that
 child and copies its new terms, skipping to the child's own source when the
 child forwards too (tail sharing): a chase r_k = r_{k-1} - c*t^d costs O(1)
-per new term, however deep the chain.  Short finite sums are not lazy:
-:func:`add`, :func:`subtract` and :func:`sum_series` merge adjacent leaves
-with at most ``_FOLD`` terms between them into one leaf when they are built,
-adding equal exponents and dropping zeros.  The merged leaf keeps the floor
-the lazy sum would have had, the least of its parts' floors (None when all
-are None), so no pull bound of a product or inverse moves; longer sums stay
-lazy and keep their shared tails.  A whole pull (the need ``_WHOLE``)
-expands each node it reaches once even when complete below the bound, so a
-node whose parts end, when built or at run time, is pulled to its end and a
-report prints an exact series exactly.  A product keeps one cursor per left
-term into the right cache and forms only pairs below the bound; a lead pull
-asks its factors for one more term per round.  Its pair loop works on raw
-exponent keys (coordinates summed as numbers) and coefficient reps (the
-field's op table) and builds one element per settled exponent.  The
-inverse of x with lead c*t^g is the fixed point y = m + u*y, m = c^-1 t^-g,
-u = -m*(x - c*t^g): v(u) > 0, so each term of u*y lies above the terms of y
-it uses and the product's right cursors run over y's own prefix.
+per new term, however deep the chain.  A finite series is a leaf, its terms
+sorted on coordinate keys, equal exponents added and zeros dropped by one
+normalizer, and its floor is its first exponent, the tightest lower bound
+it has.  Short finite sums are not lazy: :func:`add`, :func:`subtract` and
+:func:`sum_series` hand adjacent leaves with at most ``_FOLD`` terms between
+them to the normalizer when they are built, as :meth:`SeriesField.from_terms`
+hands it its terms; longer sums stay lazy and keep their shared tails.  A
+whole pull (the need ``_WHOLE``) expands each node it reaches once even when
+complete below the bound, so a node whose parts end, when built or at run
+time, is pulled to its end and a report prints an exact series exactly.  A
+product keeps one cursor per left term into the right cache and forms only
+pairs below the bound; a lead pull asks its factors for one more term per
+round.  Its pair loop works on raw exponent keys (coordinates summed as
+numbers) and coefficient reps (the field's op table) and builds one element
+per settled exponent.  The inverse of x with lead c*t^g is the fixed point
+y = m + u*y, m = c^-1 t^-g, u = -m*(x - c*t^g): v(u) > 0, so each term of
+u*y lies above the terms of y it uses and the product's right cursors run
+over y's own prefix.
 
 A product over Z and F_p uses Kronecker substitution instead (D. Harvey,
 J. Symbolic Comput. 44, 2009): each factor's prefix is one int, a byte slot
@@ -133,21 +134,10 @@ class SeriesField:
                 continue
             same = isinstance(exp, GroupElement) and exp.group is self.group  # else group.element checks exp
             terms.append(Term(exp if same else self.group.element(exp), coeff))
-        if len(terms) < 2:
-            return _Leaf(self, terms)
-        terms.sort(key=_exponent_key)
-        merged: list[Term] = []
-        for t in terms:
-            if merged and merged[-1].exponent.coords == t.exponent.coords:
-                s = merged.pop().coefficient + t.coefficient
-                if not s.is_zero():
-                    merged.append(Term(t.exponent, s))
-            else:
-                merged.append(t)
-        return _Leaf(self, merged)
+        return _normalized(self, terms)
 
     def zero(self) -> "Series":
-        return _Leaf(self, ())
+        return _Leaf(self, [])
 
     def one(self) -> "Series":
         return self.monomial(self.group.zero(), 1)
@@ -158,7 +148,7 @@ class SeriesField:
         c = self.coeff.element(coefficient)
         if c.is_zero():
             return self.zero()
-        return _Leaf(self, (Term(exponent, c),))
+        return _Leaf(self, [Term(exponent, c)])
 
     def stream(self, floor: GroupElement, factory: Callable[[], Iterator[Term]]) -> "Series":
         return _Stream(self, floor, factory)
@@ -278,12 +268,29 @@ class Series:
 
 
 class _Leaf(Series):
-    """A finite series, exhausted when built; its floor is its first exponent unless given."""
+    """A finite series, exhausted when built: terms of its field sorted on coordinate
+    keys, no two exponents equal.  Its floor is its first exponent, None when empty."""
 
-    def __init__(self, field: SeriesField, terms, floor: Optional[GroupElement] = None):
-        super().__init__(field, floor if floor is not None or not terms else terms[0].exponent)
-        self._cache = list(terms)
+    def __init__(self, field: SeriesField, terms: list):
+        super().__init__(field, terms[0].exponent if terms else None)
+        self._cache = terms
         self._known = _TOP
+
+
+def _normalized(field: SeriesField, terms: list) -> _Leaf:
+    """The leaf of the nonzero ``terms``: sorted on coordinate keys, equal exponents added, zeros dropped."""
+    if len(terms) < 2:
+        return _Leaf(field, terms)
+    terms.sort(key=_exponent_key)  # two sorted runs, as a fold passes them, merge in one pass
+    merged: list[Term] = []
+    for t in terms:
+        if merged and merged[-1].exponent.coords == t.exponent.coords:
+            s = merged.pop().coefficient + t.coefficient
+            if not s.is_zero():
+                merged.append(Term(t.exponent, s))
+        else:
+            merged.append(t)
+    return _Leaf(field, merged)
 
 
 class _Stream(Series):
@@ -725,32 +732,11 @@ class _Invert(Series):
 def _scaled(x: Series, shift: GroupElement, scale: FieldElement) -> Series:
     """x * scale * t^shift; a leaf is mapped at once, as a map pulls all of it anyway."""
     if type(x) is _Leaf:
-        floor = None if x.floor is None else x.floor + shift
-        return _Leaf(x.field, [Term(t.exponent + shift, t.coefficient * scale) for t in x._cache], floor)
+        return _Leaf(x.field, [Term(t.exponent + shift, t.coefficient * scale) for t in x._cache])
     return _Map(x, shift, scale)
 
 
 _FOLD = 16  # adjacent leaves with at most this many terms between them are added when built
-
-
-def _merged(x: _Leaf, y: _Leaf) -> _Leaf:
-    """x + y as one leaf: a two-pointer merge on coordinate keys, with the lazy sum's floor."""
-    a, b, out, i, j = x._cache, y._cache, [], 0, 0
-    while i < len(a) and j < len(b):
-        ka, kb = a[i].exponent.coords, b[j].exponent.coords
-        if ka < kb:
-            out.append(a[i])
-            i += 1
-        elif kb < ka:
-            out.append(b[j])
-            j += 1
-        else:  # equal exponents: add the coefficients, drop a zero
-            total = a[i].coefficient + b[j].coefficient
-            if not total.is_zero():
-                out.append(Term(a[i].exponent, total))
-            i, j = i + 1, j + 1
-    fx, fy = x.floor, y.floor  # the least floor, None when both are None
-    return _Leaf(x.field, out + a[i:] + b[j:], fy if fx is None or fy is not None and fy.coords < fx.coords else fx)
 
 
 def _sum(parts: list) -> Series:
@@ -760,7 +746,7 @@ def _sum(parts: list) -> Series:
         parts[0]._check(c)
         last = out[-1]
         if type(last) is _Leaf and type(c) is _Leaf and len(last._cache) + len(c._cache) <= _FOLD:
-            out[-1] = _merged(last, c)
+            out[-1] = _normalized(last.field, last._cache + c._cache)
         else:
             out.append(c)
     return out[0] if len(out) == 1 else _Sum(out)
@@ -776,14 +762,9 @@ def sum_series(field: SeriesField, terms: Iterable[Series]) -> Series:
 
 
 def negate(x: Series) -> Series:
-    group, coeff = x.field.group, x.field.coeff
     if type(x) is not _Leaf:
-        return _Map(x, group.zero(), -coeff.one())
-    for t in x._cache:  # the checks that shifting by zero and scaling by -1 made
-        if t.exponent.group is not group or t.coefficient.field is not coeff:
-            group.zero()._check(t.exponent)
-            coeff.one()._check(t.coefficient)
-    return _Leaf(x.field, [Term(t.exponent, -t.coefficient) for t in x._cache], x.floor)  # each exponent kept
+        return _Map(x, x.field.group.zero(), -x.field.coeff.one())
+    return _Leaf(x.field, [Term(t.exponent, -t.coefficient) for t in x._cache])  # each exponent kept
 
 
 def subtract(x: Series, y: Series) -> Series:

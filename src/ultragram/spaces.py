@@ -23,6 +23,7 @@ never as proof.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field as dataclass_field
 from enum import Enum
 from typing import Optional, Sequence
@@ -207,7 +208,8 @@ def is_valuation_independent(family: VectorFamily, prec: Precision) -> Independe
                 coefficients[i] = K.ambient.monomial(gamma_ref - leads[i].exponent, K.embed_residue(kappa[pos]))
         achieved = valuation(_combination(K, coefficients, family.elements), prec)
         if not _strictly_above(achieved, gamma_ref):
-            note = f"kernel witness could not be re-evaluated above {gamma_ref} within the precision budget"
+            above, fuel = json.dumps([str(c) for c in gamma_ref.coords], separators=(",", ":")), prec.fuel().steps
+            note = f"kernel witness not re-evaluated above {above}: the fuel of one valuation, {fuel} units, ran out"
             return IndependenceVerdict(VerdictKind.INCONCLUSIVE, precision_note=note)
         witness = DependenceWitness(coefficients, gamma_ref, achieved)
         return IndependenceVerdict(VerdictKind.DEPENDENT, witness=witness)

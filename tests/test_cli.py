@@ -231,6 +231,32 @@ def test_verify_samples_leading_at_or_above_a_low_ceiling(ceiling, tmp_path: Pat
     assert all(c["ok"] for c in checks)
 
 
+def test_inconclusive_independence_names_the_fuel_that_bound_it(tmp_path: Path):
+    # a - b is zero, but certifying it above value 0 pulls 400 streams once each,
+    # past the 256 + 64 * max_terms = 320 units of fuel one valuation has
+    names = [f"g{i}" for i in range(400)]
+    doc = {
+        "ambient": {"group": {"group": "Z"}, "coefficients": {"field": "Fp", "p": 3}},
+        "base_field": {"kind": "laurent", "t_value": 1, "name": "F3(t)"},
+        "elements": {**{n: {"builder": "custom_powers", "exponents": "5*i"} for n in names},
+                     "a": {"sum": names[:200]}, "b": {"sum": names[200:]}},
+        "tasks": [{"task": "independence", "family": ["a", "b"]}],
+        "precision": {"ceiling": 40, "max_terms": 1},
+    }
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    out_path = tmp_path / "report.json"
+    assert main([
+        "run", str(path), "--verify", "--format", "structured", "--output", str(out_path),
+    ]) == 0
+    report = json.loads(out_path.read_text(encoding="utf-8"))
+    assert report["tasks"][0]["outcome"] == {
+        "verdict": "inconclusive",
+        "note": 'kernel witness not re-evaluated above ["0"]: the fuel of one valuation, 320 units, ran out',
+    }
+    assert report["verification"] == [{"id": "determinism", "ok": True}]
+
+
 def test_cli_precision_overrides(tmp_path: Path):
     out_path = tmp_path / "r.json"
     assert main([

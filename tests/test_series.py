@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import pytest
 
 from ultragram.groups import GroupElement, MismatchedGroups, OrderedGroup
-from ultragram.residues import MismatchedFields, ResidueField
+from ultragram.residues import ResidueField
 from ultragram.series import (
     LeadingTermUnknown,
     MismatchedAmbient,
@@ -24,6 +24,7 @@ from ultragram.series import (
     multiply,
     negate,
     subtract,
+    sum_series,
     valuation,
 )
 
@@ -181,17 +182,27 @@ def test_negate_and_subtract_keep_their_field_and_group_checks():
             subtract(x, other)
         with pytest.raises(MismatchedAmbient):
             subtract(other, x)
-    # a leaf whose term lies outside its field: negating it runs the checks that scaling it ran
-    with pytest.raises(MismatchedFields):
-        negate(_Leaf(L5, (Term(Z.element(1), F3.one()),)))
-    with pytest.raises(MismatchedGroups):
-        negate(_Leaf(L5, (Term(OrderedGroup.rationals().element(1), F5.one()),)))
     # equal field objects that are not identical still combine
     twin = SeriesField(OrderedGroup.integers(), ResidueField.prime(5))
     assert twin == L5 and twin is not L5
     y = negate(twin.from_terms([(1, 2), (4, 1)]))
     assert [t.exponent for t in y.witnessed_terms()] == [t.exponent for t in x.witnessed_terms()]
     assert valuation(add(x, y), PREC).exhausted
+
+
+def test_constructors_drop_zero_coefficients_and_a_cancelled_fold_is_an_exact_zero():
+    x = L5.from_terms([(1, 0), (4, 1), (2, 5), (3, 2)])  # 5 is zero in F5
+    assert [(t.exponent, t.coefficient) for t in x.witnessed_terms()] == [
+        (Z.element(3), F5.element(2)), (Z.element(4), F5.one())]
+    assert x.floor == Z.element(3)
+    for zero in (L5.monomial(2, 0), L5.monomial(2, 10), L5.from_terms([(1, 0)])):
+        assert zero.exhausted and not zero.witnessed_terms() and zero.floor is None
+        assert valuation(zero, PREC).exhausted
+    # a short fold that cancels completely: an empty leaf, floor None, an exact zero
+    y = L5.from_terms([(4, 4), (3, 3)])
+    for folded in (add(x, y), subtract(x, negate(y)), sum_series(L5, [x, L5.one(), y, L5.monomial(0, 4)])):
+        assert type(folded) is _Leaf and not folded.witnessed_terms() and folded.floor is None
+        assert valuation(folded, PREC).exhausted
 
 
 def test_constructors_reject_an_exponent_of_another_group():
@@ -461,7 +472,10 @@ def test_short_leaf_sums_merge_as_dict_sums(case):
         result = sum_series(field, leaves)
     operands = [leaves[0], negate(leaves[1])] if op == "subtract" else leaves
     lazy = series._Sum(list(operands))
-    assert result.floor == lazy.floor
+    if type(result) is _Leaf:  # its floor is its first exponent (None when empty), never below the lazy sum's
+        first = result.witnessed_terms()[:1]
+        assert result.floor == (first[0].exponent if first else None)
+        assert result.floor is None or lazy.floor <= result.floor
     sizes = [len(x.witnessed_terms()) for x in leaves]
     if sum(sizes) <= series._FOLD:
         assert type(result) is _Leaf and result.exhausted

@@ -15,7 +15,7 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .reports import emit
+from .reports import emit, encode
 from .scenarios import BUILTINS, ScenarioError, apply_precision_overrides, load_scenario, parse_scenario, run
 from .verify import verify_report
 
@@ -67,12 +67,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         overrides = (args.precision_exp, args.max_terms, args.degree_cap)
         scenario = replace(apply_precision_overrides(_load(args.scenario), *overrides), seed=args.seed)
         report = run(scenario)
-        verification_failed = False
-        if args.verify:
-            checks = verify_report(scenario, report)
-            report.verification = checks
-            verification_failed = any(not c["ok"] for c in checks)
-        payload = emit(report, args.format)
+        body = None
+        if args.verify:  # the determinism check and the payload share one encoding of the body
+            body = encode(report)
+            report.verification = verify_report(scenario, report, body)
+        payload = emit(report, args.format, body)
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -88,7 +87,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return 1
     else:
         sys.stdout.buffer.write(payload)
-    return 2 if verification_failed else 0
+    return 2 if args.verify and not all(c["ok"] for c in report.verification) else 0
 
 
 if __name__ == "__main__":

@@ -5,7 +5,9 @@ strings, group elements as coordinate arrays.  They contain no wall-clock
 data, so two runs of the same scenario are byte-identical; timings and the
 one-line task summaries appear only in the text format.  Every dependence, nearest-point and
 approximation outcome embeds enough witness material to be re-evaluated
-from scratch by the verifier.
+from scratch by the verifier.  A verified report's body, all but ``verification``, is encoded
+once (:func:`encode`): the determinism check compares it with the re-run's, and the payload
+appends the array to it, as its key sorts last.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from .spaces import NearestPointResult
 
 
 SCHEMA = "ultragram/1"
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))  # ASCII, sorted keys, no spaces
 
 
 def exponent_json(g: GroupElement) -> list:
@@ -30,7 +33,7 @@ def series_json(x: Series, prec: Precision) -> dict:
     """Every term of an exhausted series, else the witnessed prefix below
     the ceiling, flagged when provably complete."""
     complete = x.exhausted or x.ensure_below(prec.ceiling, prec.fuel(), whole=True)
-    kept = x.witnessed_terms() if x.exhausted else x.terms_below(prec.ceiling)
+    kept = x._cache if x.exhausted else x.terms_below(prec.ceiling)  # read, not copied
     terms = [[exponent_json(t.exponent), t.coefficient.describe()] for t in kept]
     out = {"terms": terms}
     if x.exhausted:
@@ -89,21 +92,24 @@ class Report:
     verification: Optional[list] = None
 
     def to_json(self) -> dict:
-        body = {
-            "schema": SCHEMA,
-            "scenario": self.scenario,
-            "tasks": [t.to_json() for t in self.tasks],
-        }
+        body = {"schema": SCHEMA, "scenario": self.scenario, "tasks": [t.to_json() for t in self.tasks]}
         if self.verification is not None:
             body["verification"] = self.verification
         return body
 
 
-def emit(report: Report, fmt: str) -> bytes:
-    """Render the report: canonical machine JSON or stable readable text."""
+def encode(report: Report) -> bytes:
+    """The canonical JSON of the report's body, all but its ``verification``, with no newline."""
+    return _CANONICAL.encode(Report(report.scenario, report.tasks).to_json()).encode("utf-8")
+
+
+def emit(report: Report, fmt: str, body: Optional[bytes] = None) -> bytes:
+    """Render the report: canonical machine JSON or stable readable text; ``body`` is ``encode(report)`` if made."""
     if fmt == "structured":
-        doc = json.dumps(report.to_json(), sort_keys=True, separators=(",", ":"))
-        return doc.encode("utf-8") + b"\n"
+        body = encode(report) if body is None else body
+        if report.verification is not None:  # its key sorts after the body's: it goes last
+            body = body[:-1] + b',"verification":' + _CANONICAL.encode(report.verification).encode("utf-8") + b"}"
+        return body + b"\n"
     if fmt == "text":
         return _emit_text(report).encode("utf-8")
     raise ValueError(f"unknown format {fmt!r}")

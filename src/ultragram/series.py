@@ -127,13 +127,11 @@ class SeriesField:
     coeff: ResidueField
 
     def from_terms(self, pairs: Iterable[tuple]) -> "Series":
-        terms = []
-        for exp, c in pairs:
-            coeff = self.coeff.element(c)
-            if coeff.is_zero():
-                continue
-            same = isinstance(exp, GroupElement) and exp.group is self.group  # else group.element checks exp
-            terms.append(Term(exp if same else self.group.element(exp), coeff))
+        terms, group, coeff = [], self.group, self.coeff
+        for exp, c in pairs:  # an element of this field or group is kept as it is, anything else checked
+            c = c if type(c) is FieldElement and c.field is coeff else coeff.element(c)
+            if not c.is_zero():
+                terms.append(Term(exp if type(exp) is GroupElement and exp.group is group else group.element(exp), c))
         return _normalized(self, terms)
 
     def zero(self) -> "Series":
@@ -729,7 +727,7 @@ class _Invert(Series):
             self._known = max(self._known, self._pairs.settle(self._u, self._cache, self._cache, stop, fuel))
 
 
-def _scaled(x: Series, shift: GroupElement, scale: FieldElement) -> Series:
+def scaled(x: Series, shift: GroupElement, scale: FieldElement) -> Series:
     """x * scale * t^shift; a leaf is mapped at once, as a map pulls all of it anyway."""
     if type(x) is _Leaf:
         return _Leaf(x.field, [Term(t.exponent + shift, t.coefficient * scale) for t in x._cache])
@@ -776,7 +774,7 @@ def multiply(x: Series, y: Series) -> Series:
     for a, b in ((x, y), (y, x)):
         if isinstance(a, _Leaf) and len(a._cache) == 1:
             t = a._cache[0]
-            return _scaled(b, t.exponent, t.coefficient)
+            return scaled(b, t.exponent, t.coefficient)
         if isinstance(a, _Leaf) and not a._cache:
             return a.field.zero()
     return _Mul(x, y)

@@ -40,6 +40,7 @@ from .series import (
     invert,
     leading_term,
     multiply,
+    scaled,
     subtract,
     sum_series,
     valuation,
@@ -423,9 +424,8 @@ def nearest_point(b: Series, w_basis: VectorFamily, prec: Precision) -> NearestP
         lifts = [(i, K.embed_residue(c)) for i, c in kappa_used]
         for i, c in lifts:
             coeff_terms.setdefault(i, []).append((delta, c))
-        subtracted = _combination(
-            K, [K.ambient.monomial(delta, c) for _, c in lifts], [w_basis.elements[i] for i, _ in lifts]
-        )
+        # sum c * t^delta * b_i over the lifts: each b_i scaled as multiply scales by a monomial
+        subtracted = sum_series(K.ambient, [scaled(w_basis.elements[i], delta, c) for i, c in lifts])
         best = add(best, subtracted)
         r = subtract(r, subtracted)
         steps.append({"value_killed": gamma, "class_value": common, "kappa": kappa_used})

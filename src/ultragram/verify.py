@@ -1,11 +1,12 @@
 """Witness re-checking for emitted reports.
 
-Two layers: a determinism check (the scenario is re-run from scratch and the
-structured task outcomes must match byte for byte) and per-witness re-evaluation,
-where serialized coefficients, approximants and truncations are parsed back out of
-the report and their claimed inequalities recomputed against freshly resolved
-elements.  An ``independent`` verdict and a standard basis are checked by the
-paper's residue criterion on their leading terms; nothing is sampled.
+Two layers: a determinism check (the scenario is re-run from scratch, and its body, as
+:func:`reports.encode` encodes it, must match the report's byte for byte; the CLI passes
+in the encoding its payload is made of) and per-witness re-evaluation, where serialized
+coefficients, approximants and truncations are parsed back out of the report and their
+claimed inequalities recomputed against freshly resolved elements.  An ``independent``
+verdict and a standard basis are checked by the paper's residue criterion on their
+leading terms; nothing is sampled.
 
 A witness type, as a ``TaskKind`` yields it, is the name of its check in
 ``_CHECKERS``: ``(subject, doc, runtime)`` returns None when the witness holds
@@ -15,8 +16,8 @@ A truncated serialization fails a check, but ``chain`` skips a truncated
 approximant and ``standard`` passes truncated products: determinism covers them.
 ``chain`` parses each distinct serialized exponent and term once, as the evidence
 and approximants of one chase repeat them, and keeps b - a_k as a chain of
-differences: an approximant subtracts the terms it gained on the last one read
-and adds back those it lost, so no approximant is rebuilt in full.  A detail
+differences: an approximant adds, in one leaf, the negated terms it gained on the
+last one read and those it lost, so no approximant is rebuilt in full.  A detail
 prints exponents as the report does, ``["7"]``, and a zero valuation as
 ``Valuation.describe()`` does.
 """
@@ -26,7 +27,7 @@ from __future__ import annotations
 import json
 from typing import Optional
 
-from .reports import Report, emit, exponent_json
+from .reports import Report, encode, exponent_json
 from .residues import rank_over_subfield
 from .series import Series, Valuation, add, leading_term, multiply, subtract, valuation
 from .spaces import _combination, _strictly_above
@@ -135,11 +136,11 @@ def _chain(target, outcome_doc, runtime) -> Optional[str]:
         now = dict(zip(map(repr, doc["terms"]), doc["terms"]))
         if len(now) < len(doc["terms"]):
             return f"approximant {k} repeats a term"
-        # b - a_k = (b - a_j) - (a_k - a_j): subtract the terms a_k gained, add back those it lost
+        # b - a_k = (b - a_j) - (a_k - a_j): add the negated terms a_k gained and those it lost
         gained, lost = now.keys() - held, held - now.keys()
         terms.update((t, term(now[t])) for t in gained if t not in terms)
-        change = [terms[t] for t in gained] + [(e, -c) for e, c in map(terms.get, lost)]
-        residual, held = subtract(residual, runtime.ambient.from_terms(change)), now.keys()
+        change = [(e, -c) for e, c in map(terms.get, gained)] + [terms[t] for t in lost]
+        residual, held = add(residual, runtime.ambient.from_terms(change)), now.keys()
         val = valuation(residual, runtime.precision)
         if not (val.is_value and val.value == claimed):
             return f"approximant {k} realizes {_shown(val)}, claimed {_shown(claimed)}"
@@ -194,10 +195,9 @@ def _entry(check_id: str, failure: Optional[str]) -> dict:
     return {"id": check_id, "ok": True} if failure is None else {"id": check_id, "ok": False, "detail": failure}
 
 
-def verify_report(scenario: Scenario, report: Report) -> list:
-    """Re-run the scenario, under its precision and seed, and re-evaluate each embedded witness."""
-    fresh = emit(run(scenario), "structured")
-    same = fresh == emit(Report(report.scenario, report.tasks), "structured")
+def verify_report(scenario: Scenario, report: Report, body: Optional[bytes] = None) -> list:
+    """Re-run the scenario under its precision and seed and re-check each witness; ``body`` is encode(report)."""
+    same = encode(run(scenario)) == (encode(report) if body is None else body)
     checks = [_entry("determinism", None if same else "re-run produced a different structured report")]
     for task_outcome in report.tasks:
         if task_outcome.error is not None:

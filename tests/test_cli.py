@@ -658,6 +658,62 @@ def test_text_report_names_a_failed_check_and_exits_2(monkeypatch, capsys):
     assert "    FAILED determinism: re-run produced a different structured report" in out
 
 
+def test_verified_structured_run_encodes_the_report_body_twice(monkeypatch, tmp_path: Path):
+    """Once for the determinism re-run and once for the report, whose bytes the payload reuses."""
+    bodies = []
+    plain = json.JSONEncoder.encode  # what json.dumps calls, given any option
+
+    def counted(self, obj):
+        if isinstance(obj, dict) and "tasks" in obj:
+            bodies.append(obj)
+        return plain(self, obj)
+
+    monkeypatch.setattr(json.JSONEncoder, "encode", counted)
+    out = tmp_path / "r.json"
+    assert main(["run", "paper:ti-minus-ti1", "--verify", "--format", "structured", "--output", str(out)]) == 0
+    assert len(bodies) == 2 and all("verification" not in b for b in bodies)
+
+
+@pytest.mark.parametrize("case", sorted(BUILTINS) + ["golden:task-error", "claimed-value"])
+def test_verified_payload_is_the_whole_report_encoded_once(case, monkeypatch, tmp_path: Path, capsys):
+    """The structured payload is the report, its verification array included, as one
+    canonical json.dumps encodes it; the text format renders the same report."""
+    name, index, corrupt, check = TAMPERED.get(case, (case, None, None, None))
+    if name in EXTRA_SCENARIOS:
+        source = tmp_path / "scenario.json"
+        source.write_text(json.dumps(EXTRA_SCENARIOS[name]), encoding="utf-8")
+        name = str(source)
+    reports = []
+
+    def recorded_run(scenario):
+        report = run(scenario)
+        if corrupt is not None:
+            corrupt(report.tasks[index].outcome)
+        reports.append(report)
+        return report
+
+    monkeypatch.setattr(cli, "run", recorded_run)  # verify_report re-runs the untouched run
+    out = tmp_path / "r.json"
+    code = main(["run", name, "--verify", "--format", "structured", "--output", str(out)])
+    expected = json.dumps(reports[0].to_json(), sort_keys=True, separators=(",", ":")) + "\n"
+    assert out.read_bytes() == expected.encode("utf-8")
+    verification = reports[0].verification
+    failed = [c for c in verification if not c["ok"]]
+    assert code == (2 if failed else 0)
+    if corrupt is not None:
+        assert {c["id"] for c in failed} == {"determinism", f"task{index}:{check}"}
+        assert all(c["detail"] for c in failed) and '"' in failed[-1]["detail"]  # escaped in the payload
+    if case == "golden:task-error":
+        assert any(t.error is not None for t in reports[0].tasks)
+    capsys.readouterr()
+    assert main(["run", name, "--verify"]) == code
+    text = capsys.readouterr().out
+    assert text == emit(reports[1], "text").decode("utf-8")
+    ok = len(verification) - len(failed)
+    assert f"verification: {ok}/{len(verification)} witnesses confirmed\n" in text
+    assert text.count("    FAILED ") == len(failed) and "{" not in text
+
+
 def _f5_closure(ceiling: int) -> dict:
     return {
         "ambient": {"group": {"group": "Q"}, "coefficients": {"field": "Fp", "p": 5}},

@@ -361,7 +361,7 @@ def test_lex_inversion_roundtrip():
 
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from ultragram import series
 from ultragram.groups import GroupElement
@@ -449,7 +449,9 @@ def fold_cases(draw):
     return SeriesField(group, coeff), parts, draw(st.sampled_from(["add", "subtract", "sum_series"])), bound
 
 
-@settings(max_examples=120, deadline=None)
+# no shrink or explain phase: a failing run that shrank the four term lists and then
+# explained them took over 3 minutes; one that prints the case as drawn ends in 2 to 3 s
+@settings(max_examples=120, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
 @given(case=fold_cases())
 def test_short_leaf_sums_merge_as_dict_sums(case):
     field, parts, op, bound = case
@@ -1035,7 +1037,8 @@ def test_not_ca_decision_work_grows_linearly(pushes, monkeypatch):
 def test_verified_telescoping_chase_builds_no_sum_nodes(monkeypatch):
     """t against t^i - t^(i+1) over Q: each step's differences hold two terms, so the
     chase and its verification merge them when built, and the nodes grow with max_terms:
-    2,445 at max_terms 128, a negated leaf and a merged one per subtraction."""
+    2,061 at max_terms 128.  A chase step builds the scaled member, its negation and two
+    merged leaves; the chain check, per approximant, a leaf of the change and a merged one."""
     from ultragram.scenarios import run, scenario_from_dict
     from ultragram.verify import verify_report
 
@@ -1065,7 +1068,7 @@ def test_verified_telescoping_chase_builds_no_sum_nodes(monkeypatch):
         assert "_Sum" not in nodes, nodes
         work.append(sum(nodes.values()))
     assert work[1] <= 2.1 * work[0], work
-    assert work[1] <= 2445, work
+    assert work[1] <= 2061, work
 
 
 def test_whole_pull_after_a_plain_pull_reaches_the_end():

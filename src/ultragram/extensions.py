@@ -92,7 +92,7 @@ def span_closure_basis(
         for k, g in enumerate(generators):
             fresh, multiplied[k] = basis.elements[multiplied[k]:], len(basis)
             for b in fresh:
-                basis, obstruction = adjoin(basis, multiply(b, g), prec)
+                obstruction = adjoin(basis, multiply(b, g), prec)
                 if obstruction is not None:
                     return ClosureResult(obstruction_index=len(basis) + 1, obstruction=obstruction)
                 if len(basis) > prec.degree_cap:

@@ -424,15 +424,16 @@ def _parse_precision(spec, group: OrderedGroup) -> Precision:
     )
 
 
+def _parse_term(pair, exponent, field: ResidueField) -> tuple:
+    """One [exponent, coefficient] pair, its exponent read by ``exponent(spec)``."""
+    if not isinstance(pair, list) or len(pair) != 2:
+        raise ParseError(f"series term must be [exponent, coefficient], got {pair!r}")
+    return exponent(pair[0]), _parse_coefficient(pair[1], field)
+
+
 def _parse_terms(spec: list, ambient: SeriesField) -> list:
     """A term list as (exponent, coefficient) pairs, in input order, zeros kept."""
-    for pair in spec:
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise ParseError(f"series term must be [exponent, coefficient], got {pair!r}")
-    return [
-        (_parse_exponent(exp, ambient.group), _parse_coefficient(c, ambient.coeff))
-        for exp, c in spec
-    ]
+    return [_parse_term(pair, lambda exp: _parse_exponent(exp, ambient.group), ambient.coeff) for pair in spec]
 
 
 def _parse_element(name: str, spec, ambient: SeriesField, known: dict) -> tuple:

@@ -11,8 +11,9 @@ classes, classes known Kv-independent, the N1 to N4 check once made) for reuse
 on the same object under an equal Precision.  Independence is read off that
 record: a family is independent exactly when no class has a Kv-kernel, and N1
 and N2 imply it.  One-member classes need no elimination, ``normalize`` keeps
-unit-scaled elements, and ``adjoin`` scales only the residual and ranks and
-checks only its class: a scaling keeps each coset and class rank, and N1 to N4
+unit-scaled elements, and ``adjoin`` grows a basis in place: it appends the
+scaled residual to the elements and to the class record, and ranks and checks
+only its class, since a scaling keeps each coset and class rank, and N1 to N4
 are per class or member.
 
 Verdicts are three-valued.  Statements quantified over an infinite
@@ -86,7 +87,7 @@ class VectorFamily:
     ``classify`` record holds the only precision a family keeps.
     """
 
-    elements: tuple
+    elements: list
     over: SubfieldPresentation
     relative_to: Optional["VectorFamily"] = None
     scalings: Optional[tuple] = None
@@ -97,7 +98,7 @@ class VectorFamily:
 
 
 def make_family(over: SubfieldPresentation, elements: Sequence[Series], relative_to=None) -> VectorFamily:
-    return VectorFamily(tuple(elements), over, relative_to)
+    return VectorFamily(list(elements), over, relative_to)
 
 
 class VerdictKind(Enum):
@@ -237,7 +238,7 @@ def _independent_over(family: VectorFamily, prec: Precision) -> IndependenceVerd
     if not _independent(w_basis, prec):
         raise UncertifiedSubspace("the subspace family is not valuation independent")
     m = len(w_basis.elements)
-    combined = make_family(family.over, tuple(w_basis.elements) + tuple(family.elements))
+    combined = make_family(family.over, w_basis.elements + family.elements)
     verdict = is_valuation_independent(combined, prec)
     if verdict.kind is VerdictKind.INDEPENDENT:
         return IndependenceVerdict(VerdictKind.INDEPENDENT, verdict.scalings[m:])
@@ -317,7 +318,7 @@ def normalize(family: VectorFamily, prec: Precision) -> VectorFamily:
     for cls in record.classes.values():
         for i in cls:
             scalings[i], out[i] = _scale_member(K, out[i], leads[i], leads[cls[0]].exponent)
-    normalized = VectorFamily(tuple(out), K, scalings=tuple(scalings))
+    normalized = VectorFamily(out, K, scalings=tuple(scalings))
     fresh = classify(normalized, prec)  # witnesses the scaled leads
     # scaling by K-monomials and Kv-scalars keeps each value coset and the Kv-rank of its residues
     fresh.independent |= record.independent
@@ -454,23 +455,21 @@ class OrthogonalizeResult:
         return self.basis is not None
 
 
-def adjoin(
-    basis: VectorFamily, g: Series, prec: Precision
-) -> tuple[VectorFamily, Optional[NearestPointResult]]:
-    """Reduce g against a normalized basis and adjoin the residual.
+def adjoin(basis: VectorFamily, g: Series, prec: Precision) -> Optional[NearestPointResult]:
+    """Reduce g against a normalized basis and adjoin the residual, in place.
 
-    Returns the basis grown by the residual, scaled into its class as
-    ``normalize`` scales a member, when the reduction ends at a value;
-    unchanged when g is an exact member; and an Unbounded or
-    PrecisionExhausted reduction as the obstruction.  The grown family's
-    record and normalization check extend the basis's: only the residual's
-    class is ranked and only its member checked.
+    When the reduction ends at a value, the residual, scaled into its class
+    as ``normalize`` scales a member, is appended to the basis's elements and
+    to its class record; only the residual's class is ranked again and only
+    its member checked for N1 to N4.  An exact member leaves the basis as it
+    is, and an Unbounded or PrecisionExhausted reduction is returned as the
+    obstruction.  A NotIndependent (an incomplete reduction) leaves the basis
+    grown, with its record naming the N2 failure.  The ``scalings`` of a
+    family ``normalize`` built still name only the members it scaled.
     """
     reduction = nearest_point(g, basis, prec)
-    if reduction.kind is NearestKind.EXACT_MEMBER:
-        return basis, None
     if reduction.kind is not NearestKind.VALUE:
-        return basis, reduction
+        return None if reduction.kind is NearestKind.EXACT_MEMBER else reduction
     # a reduction that took no step leaves g itself; subtracting zero adds nodes
     residual = subtract(g, reduction.best) if reduction.steps else g
     K, n, record = basis.over, len(basis), classify(basis, prec)
@@ -478,15 +477,14 @@ def adjoin(
     key = K.value_subgroup.coset_key(lead.exponent)
     cls = record.classes.get(key, [])
     _, scaled = _scale_member(K, residual, lead, record.leads[cls[0]].exponent if cls else lead.exponent)
-    grown = VectorFamily(basis.elements + (scaled,), K)
-    grown.classification = grown_record = Classification(
-        prec, record.leads + [_lead(scaled, n, prec)], {**record.classes, key: cls + [n]},
-        record.independent - {key},
-    )
-    if _class_kernel(K, grown_record, key) is not None:
+    record.leads.append(_lead(scaled, n, prec))  # the last step that can raise before the basis grows
+    basis.elements.append(scaled)
+    record.classes.setdefault(key, cls).append(n)
+    record.independent.discard(key)
+    record.normalized = _normalization(K, record, [key], [n])
+    if record.normalized.condition == "N2":
         raise NotIndependent("residual failed the independence check; reduction was incomplete")
-    grown_record.normalized = _normalization(K, grown_record, [key], [n])
-    return grown, None
+    return None
 
 
 def orthogonalize(
@@ -495,14 +493,14 @@ def orthogonalize(
     """Build a normalized valuation basis of the span, generator by generator.
 
     Starting from the empty basis, each generator is adjoined through
-    ``adjoin``; an Unbounded or PrecisionExhausted reduction is returned as
-    an obstruction for that generator.
+    ``adjoin``, which grows that one basis; an Unbounded or PrecisionExhausted
+    reduction is returned as an obstruction for that generator.
     """
     basis = make_family(K, [])
     for index, g in enumerate(generators, start=1):
         if leading_term(g, prec) is None:
             raise ZeroElementInFamily(f"generator {index} has no witnessed term")
-        basis, obstruction = adjoin(basis, g, prec)
+        obstruction = adjoin(basis, g, prec)
         if obstruction is not None:
             return OrthogonalizeResult(obstruction_index=index, obstruction=obstruction)
     return OrthogonalizeResult(basis=basis)

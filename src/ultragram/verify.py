@@ -31,8 +31,8 @@ from .reports import Report, encode, exponent_json
 from .residues import rank_over_subfield
 from .series import Series, Valuation, add, leading_term, multiply, subtract, valuation
 from .spaces import _combination, _strictly_above
-from .scenarios import (TASKS, ParseError, Runtime, Scenario, _parse_coefficient, _parse_exponent, _parse_terms,
-                        resolve_runtime, run)
+from .scenarios import (TASKS, Runtime, Scenario, _parse_exponent, _parse_term, _parse_terms, resolve_runtime,
+                        run)
 
 
 def _series_from_json(doc: dict, runtime: Runtime) -> Optional[Series]:
@@ -119,11 +119,6 @@ def _chain(target, outcome_doc, runtime) -> Optional[str]:
             exponents[key] = _parse_exponent(doc, group)
         return exponents[key]
 
-    def term(pair):
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise ParseError(f"series term must be [exponent, coefficient], got {pair!r}")
-        return exponent(pair[0]), _parse_coefficient(pair[1], coeff)
-
     # b - the last approximant read, and the reprs of that approximant's serialized terms
     residual, held, previous = target, set(), None
     for k, (ev, doc) in enumerate(zip(evidence, approximants)):
@@ -138,7 +133,7 @@ def _chain(target, outcome_doc, runtime) -> Optional[str]:
             return f"approximant {k} repeats a term"
         # b - a_k = (b - a_j) - (a_k - a_j): add the negated terms a_k gained and those it lost
         gained, lost = now.keys() - held, held - now.keys()
-        terms.update((t, term(now[t])) for t in gained if t not in terms)
+        terms.update((t, _parse_term(now[t], exponent, coeff)) for t in gained if t not in terms)
         change = [(e, -c) for e, c in map(terms.get, gained)] + [terms[t] for t in lost]
         residual, held = add(residual, runtime.ambient.from_terms(change)), now.keys()
         val = valuation(residual, runtime.precision)

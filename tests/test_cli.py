@@ -429,6 +429,18 @@ def test_verify_rejects_tampered_witness(case):
         assert c["ok"] or isinstance(c["detail"], str) and c["detail"]
 
 
+def test_a_malformed_approximant_term_raises_the_parse_error_of_any_series():
+    scenario = load_scenario("paper:ti-minus-ti1")
+    report = run(scenario)
+    approximant = report.tasks[1].outcome["approximants"][0]
+    approximant["terms"][0] = [5]
+    with pytest.raises(ParseError) as read:
+        verify._series_from_json(approximant, resolve_runtime(scenario))
+    with pytest.raises(ParseError) as verified:
+        verify_report(scenario, report)
+    assert str(verified.value) == str(read.value) == "series term must be [exponent, coefficient], got [5]"
+
+
 def test_verified_chase_reduces_each_value_once(monkeypatch):
     """A subgroup keeps the coset key of each value: one Hermite reduction per distinct value."""
     reduced = []
@@ -777,6 +789,69 @@ def test_lex_rank_past_max_size_exits_1_with_one_error_line(tmp_path: Path, caps
     assert len(lines) == 1 and lines[0] == f"error: lex product 'n' must be at most {MAX_SIZE}, got {MAX_SIZE + 1}"
 
 
+MALFORMED_BASE = {
+    "ambient": {"group": {"group": "Z"}, "coefficients": {"field": "Fp", "p": 5}},
+    "base_field": {"kind": "trivial"},
+    "elements": {"x": [[1, 1]]},
+    "tasks": [],
+    "precision": {"ceiling": 8},
+}
+
+
+def _formula(expr):
+    return {"elements": {"w": {"builder": "custom_powers", "exponents": expr}}}
+
+
+# case -> (the keys replaced in MALFORMED_BASE, or a whole non-object scenario; the start of the error)
+MALFORMED = {
+    "unknown-group": ({"ambient": {"group": {"group": "R"}, "coefficients": {"field": "Fp", "p": 5}}},
+                      "unknown group kind 'R'"),
+    "unknown-field": ({"ambient": {"group": {"group": "Z"}, "coefficients": {"field": "C"}}},
+                      "unknown field kind 'C'"),
+    "float-Q-coefficient": ({"ambient": {"group": {"group": "Z"}, "coefficients": {"field": "Q"}},
+                             "elements": {"x": [[0, 1.5]]}}, "coefficients over Q are ints or 'p/q' strings, got 1.5"),
+    "formula-syntax": (_formula("i +"), "bad exponent formula 'i +': "),  # the rest is Python's SyntaxError text
+    "formula-attribute": (_formula("i.real"), "unsupported syntax in exponent formula 'i.real'"),
+    "formula-name": (_formula("j + 1"), "exponent formula may only use 'i', got 'j'"),
+    "formula-float": (_formula("i + 0.5"), "exponent formula constants must be integers"),
+    "non-object": ([], "scenario must be an object"),
+    "zero-uniformizer": ({"base_field": {"kind": "laurent", "t_value": 0}}, "uniformizer value must be positive"),
+    "residue-not-embedding": ({"base_field": {"kind": "laurent", "t_value": 1, "residue": {"field": "Fp", "p": 3}}},
+                              "residue field {'field': 'Fp', 'p': 3} does not embed in {'field': 'Fp', 'p': 5}"),
+    "empty-sum": ({"elements": {"s": {"sum": []}}}, "'sum' takes a nonempty list of element names"),
+    "builder-axis": ({"elements": {"g": {"builder": "geometric", "axis": 1}}}, "builder axis 1 out of range"),
+    "custom-powers-without-exponents": ({"elements": {"w": {"builder": "custom_powers"}}},
+                                        "custom_powers builder needs an 'exponents' formula"),
+    "telescoping-over-lex": ({
+        "ambient": {"group": {"group": "Z^n_lex", "n": 2}, "coefficients": {"field": "Fp", "p": 5}},
+        "elements": {"x": [[[0, 1], 1]]},
+        "tasks": [{"task": "nearest_point", "target": "x", "family": {"family_builder": "telescoping"}}],
+        "precision": {"ceiling": [1, 0]},
+    }, "telescoping families need a rank-1 exponent group"),
+    "sample-without-count": ({"tasks": [{"task": "orthogonalize", "sample": {}}]},
+                             "task 0 (orthogonalize): sample spec needs a 'count'"),
+    "unknown-span-mode": ({"tasks": [{"task": "analyze_extension", "generators": ["x"], "mode": "sideways"}]},
+                          "task 0 (analyze_extension): unknown span mode 'sideways'"),
+    "approximate-without-matrix": ({"tasks": [{"task": "approximate", "family": ["x"]}]},
+                                   "task 0 (approximate) needs a coefficient 'matrix'"),
+    "approximate-without-completion": ({"tasks": [{"task": "approximate", "family": ["x"], "matrix": [["x"]]}]},
+                                       "task 0 (approximate) needs a 'completion' presentation name"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_scenario_exits_1_with_its_parse_error(tmp_path: Path, capsys, case):
+    changes, message = MALFORMED[case]
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps({**MALFORMED_BASE, **changes} if isinstance(changes, dict) else changes),
+                    encoding="utf-8")
+    assert main(["run", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {message}")
+
+
 @pytest.mark.parametrize("elements, task, error", [
     ({"one": [[0, 1]], "zero": []}, {"task": "orthogonalize", "generators": ["one", "zero"]},
      {"type": "ZeroElementInFamily", "message": "generator 2 has no witnessed term"}),
@@ -803,4 +878,17 @@ def test_task_errors_of_the_family_elements(elements, task, error):
         "tasks": [task],
         "precision": {"ceiling": 16},
     }))
+    assert report.tasks[0].error == error
+
+
+@pytest.mark.parametrize("matrix, error", [
+    ([["one", "zero"]], {"type": "ValueError", "message": "coefficient matrix must be square of the family size"}),
+    # both rows are 1 + y
+    ([["one", "one"], ["one", "one"]],
+     {"type": "NotIndependent", "message": "completion-side family is dependent, not independent"}),
+], ids=["non-square", "dependent-rows"])
+def test_approximate_task_errors_of_the_completion_matrix(matrix, error):
+    doc = BUILTINS["paper:cofinal-approx"]()
+    doc["tasks"][0]["matrix"] = matrix
+    report = run(scenario_from_dict(doc))
     assert report.tasks[0].error == error

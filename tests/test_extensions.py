@@ -234,6 +234,16 @@ def test_complete_and_approximate_requires_cofinality():
         complete_and_approximate(u, [[L.one()]], Khat, prec)
 
 
+def test_complete_and_approximate_needs_one_ambient():
+    from ultragram.extensions import NotCofinal
+
+    L = SeriesField(Z, F3)
+    K = laurent_presentation(L, Z.element(1), name="F3(t)")
+    Khat = completion_presentation(SeriesField(Z, F5), Z.element(1), name="F5((t))")
+    with pytest.raises(NotCofinal, match="presentations live in different ambient fields"):
+        complete_and_approximate(make_family(K, [L.one()]), [[L.one()]], Khat, Precision(Z.element(8)))
+
+
 def test_direct_span_coset_count_vs_group_index(sqrt_setting):
     # {1, t^(1/3)} spans two value cosets although they generate an index-3
     # group; the witnessed coset count is what the report carries
@@ -332,7 +342,7 @@ def _closure_readjoining(generators, K, prec):
         size = len(basis)
         for g in generators:
             for b in list(basis.elements):
-                basis, obstruction = adjoin(basis, multiply(b, g), prec)
+                obstruction = adjoin(basis, multiply(b, g), prec)
                 if obstruction is not None:
                     return ClosureResult(obstruction_index=len(basis) + 1, obstruction=obstruction)
                 if len(basis) > prec.degree_cap:

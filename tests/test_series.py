@@ -361,7 +361,7 @@ def test_lex_inversion_roundtrip():
 
 from fractions import Fraction
 
-from hypothesis import Phase, given, settings, strategies as st
+from hypothesis import Phase, example, given, settings, strategies as st
 
 from ultragram import series
 from ultragram.groups import GroupElement
@@ -449,10 +449,17 @@ def fold_cases(draw):
     return SeriesField(group, coeff), parts, draw(st.sampled_from(["add", "subtract", "sum_series"])), bound
 
 
+# random draws seldom total over _FOLD terms: the explicit cases below build a lazy sum in every run,
+# from two 10-term leaves over Q sharing the exponents 0 to 3 (cancelling there under subtract)
+LONG_PARTS = [[((Fraction(k, 3),), 1) for k in range(10)], [((Fraction(k, 2),), 1) for k in range(10)]]
+
+
 # no shrink or explain phase: a failing run that shrank the four term lists and then
 # explained them took over 3 minutes; one that prints the case as drawn ends in 2 to 3 s
 @settings(max_examples=120, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
 @given(case=fold_cases())
+@example(case=(SeriesField(Q, F5), LONG_PARTS, "subtract", Q.element(4)))
+@example(case=(SeriesField(Q, F5), LONG_PARTS + [[((Fraction(1, 5),), 2)]], "sum_series", Q.element(4)))
 def test_short_leaf_sums_merge_as_dict_sums(case):
     field, parts, op, bound = case
     group, coeff = field.group, field.coeff

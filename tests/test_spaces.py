@@ -673,6 +673,19 @@ def test_adjoin_ranks_only_the_class_the_residual_joins(ranks, joins):
         # t^3/2 s^2 is scaled by t^-1 into the class, and the class is ranked once, on the
         # scaled leads: a scaling keeps its Kv-rank
         g, profile = L.from_terms([("3/2", s * s)]), [F3S.one(), s, s * s]
-    grown, obstruction = adjoin(basis, g, prec)
-    assert obstruction is None and len(grown) == 7 and check_normalized(grown, prec).ok
+    assert adjoin(basis, g, prec) is None
+    assert len(basis) == 7 and check_normalized(basis, prec).ok
     assert ranks == [profile]
+
+
+def test_adjoin_grows_the_basis_in_place():
+    L = SeriesField(Q, F3S)
+    K = laurent_presentation(L, Q.element(1), residue_field=F3, name="F3(t)")
+    prec = Precision(Q.element(16), max_terms=8)
+    basis = normalize(make_family(K, [L.one(), L.monomial("1/2")]), prec)
+    elements, record = basis.elements, classify(basis, prec)
+    leads, classes = record.leads, record.classes
+    assert adjoin(basis, L.from_terms([("3/2", F3S.generator()), (2, F3S.one())]), prec) is None
+    assert basis.elements is elements and basis.classification is record
+    assert record.leads is leads and record.classes is classes and record.precision == prec
+    assert len(basis) == 3 and check_normalized(basis, prec).ok

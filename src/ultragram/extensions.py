@@ -76,6 +76,8 @@ def span_closure_basis(
     adjoins nothing.  Each basis element is multiplied by each generator
     once: a product already adjoined lies in the span, so a pass takes, per
     generator, only the elements added since that generator's last pass.
+    The seed's first member, 1 itself, is skipped: 1*g is g, which the seed
+    adjoined, and reducing it again need not end when g is infinite.
     Exceeding ``prec.degree_cap`` reports the partial dimension instead of a basis.
     """
     try:
@@ -86,7 +88,7 @@ def span_closure_basis(
     if not seed.ok:
         return ClosureResult(obstruction_index=seed.obstruction_index, obstruction=seed.obstruction)
     basis = seed.basis
-    multiplied = [0] * len(generators)  # per generator, the basis prefix it has multiplied
+    multiplied = [1] * len(generators)  # per generator, the basis prefix it has multiplied
     while len(basis) <= prec.degree_cap:
         size = len(basis)
         for k, g in enumerate(generators):

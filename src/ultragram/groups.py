@@ -202,6 +202,10 @@ class GroupElement(Frozen):
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.coords)
 
+    def describe(self) -> list:
+        """The report form of an exponent: one "n" or "p/q" string per coordinate."""
+        return [str(c) for c in self.coords]
+
     def __lt__(self, other: "GroupElement") -> bool:
         self._check(other)
         return self.coords < other.coords

@@ -1,12 +1,12 @@
 """Report assembly, canonical serialization and text rendering.
 
-Structured reports are canonical JSON: sorted keys, exact rationals as
-strings, group elements as coordinate arrays.  They contain no wall-clock
-data, so two runs of the same scenario are byte-identical; timings and the
-one-line task summaries appear only in the text format.  Every dependence, nearest-point and
-approximation outcome embeds enough witness material to be re-evaluated
-from scratch by the verifier.  A verified report's body, all but ``verification``, is encoded
-once (:func:`encode`): the determinism check compares it with the re-run's, and the payload
+Structured reports are canonical JSON: sorted keys, exact rationals as strings, group
+elements as the coordinate arrays of ``GroupElement.describe()``.  They contain no
+wall-clock data, so two runs of the same scenario are byte-identical; timings and the
+one-line task summaries appear only in the text format.  Every dependence, nearest-point
+and approximation outcome embeds enough witness material to be re-evaluated from scratch
+by the verifier.  A verified report's body, all but ``verification``, is encoded once
+(:func:`encode`): the determinism check compares it with the re-run's, and the payload
 appends the array to it, as its key sorts last.
 """
 
@@ -16,7 +16,6 @@ import json
 from dataclasses import dataclass, field as dataclass_field
 from typing import Optional
 
-from .groups import GroupElement
 from .series import Precision, Series
 from .spaces import NearestPointResult
 
@@ -25,21 +24,17 @@ SCHEMA = "ultragram/1"
 _CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))  # ASCII, sorted keys, no spaces
 
 
-def exponent_json(g: GroupElement) -> list:
-    return [str(c) for c in g.coords]
-
-
 def series_json(x: Series, prec: Precision) -> dict:
     """Every term of an exhausted series, else the witnessed prefix below
     the ceiling, flagged when provably complete."""
     complete = x.exhausted or x.ensure_below(prec.ceiling, prec.fuel(), whole=True)
     kept = x._cache if x.exhausted else x.terms_below(prec.ceiling)  # read, not copied
-    terms = [[exponent_json(t.exponent), t.coefficient.describe()] for t in kept]
+    terms = [[t.exponent.describe(), t.coefficient.describe()] for t in kept]
     out = {"terms": terms}
     if x.exhausted:
         out["exact"] = True
     elif complete:
-        out["complete_below"] = exponent_json(prec.ceiling)
+        out["complete_below"] = prec.ceiling.describe()
     else:
         out["truncated"] = True
     return out
@@ -48,18 +43,18 @@ def series_json(x: Series, prec: Precision) -> dict:
 def nearest_json(result: NearestPointResult, prec: Precision) -> dict:
     out: dict = {"kind": result.kind.value}
     if result.value is not None:
-        out["value"] = exponent_json(result.value)
+        out["value"] = result.value.describe()
     if result.initial_value is not None:
-        out["initial_value"] = exponent_json(result.initial_value)
-    out["evidence"] = [exponent_json(e) for e in result.evidence]
-    out["full_evidence"] = [exponent_json(e) for e in result.full_evidence]
+        out["initial_value"] = result.initial_value.describe()
+    out["evidence"] = [e.describe() for e in result.evidence]
+    out["full_evidence"] = [e.describe() for e in result.full_evidence]
     out["best"] = series_json(result.best, prec)
     out["coefficients"] = [series_json(c, prec) for c in result.coefficients]
     out["approximants"] = [series_json(a, prec) for a in result.approximants]
     out["steps"] = [
         {
-            "value_killed": exponent_json(s["value_killed"]),
-            "class_value": exponent_json(s["class_value"]),
+            "value_killed": s["value_killed"].describe(),
+            "class_value": s["class_value"].describe(),
             "kappa": [[i, k.describe()] for i, k in s["kappa"]],
         }
         for s in result.steps

@@ -67,7 +67,6 @@ from .extensions import analyze_extension, complete_and_approximate
 from .reports import (
     Report,
     TaskOutcome,
-    exponent_json,
     nearest_json,
     series_json,
 )
@@ -401,7 +400,7 @@ def _parse_presentation(spec, ambient: SeriesField) -> tuple:
     t_value = _parse_exponent(spec["t_value"], ambient.group)
     if t_value.is_zero() or not ambient.group.zero() < t_value:
         raise UnsupportedCombination("uniformizer value must be positive")
-    out["t_value"] = exponent_json(t_value)
+    out["t_value"] = t_value.describe()
     residue = None
     if "residue" in spec:
         residue = _parse_field(spec["residue"])
@@ -442,7 +441,7 @@ def _parse_element(name: str, spec, ambient: SeriesField, known: dict) -> tuple:
     if isinstance(spec, list):
         terms = _parse_terms(spec, ambient)
         leaf = ambient.from_terms(terms)  # exhausted when made, so every run shares it
-        return [[exponent_json(e), c.describe()] for e, c in terms], lambda made: leaf
+        return [[e.describe(), c.describe()] for e, c in terms], lambda made: leaf
     if isinstance(spec, dict) and "sum" in spec:
         _only_keys(spec, ("sum",), where)
         if not spec["sum"]:
@@ -592,7 +591,7 @@ def _independence_run(task, runtime: Runtime) -> dict:
         w = verdict.witness
         witness = {
             "coefficients": [series_json(c, prec) for c in w.coefficients],
-            "min_value": exponent_json(w.min_value),
+            "min_value": w.min_value.describe(),
             "achieved": w.achieved.describe(),
         }
         if w.shift is not None:
@@ -630,7 +629,7 @@ def _normalize_run(task, runtime: Runtime) -> dict:
     return {
         "elements": [series_json(e, prec) for e in normalized.elements],
         "scalings": [series_json(s, prec) for s in normalized.scalings],
-        "values": [exponent_json(t.exponent) for t in leads],
+        "values": [t.exponent.describe() for t in leads],
         "check": "pass" if check.ok else f"fail:{check.condition}",
     }
 
@@ -800,9 +799,9 @@ def _immediacy_run(task, runtime: Runtime) -> dict:
     probe = runtime.elements[task["probe"]]
     reduction = immediacy_evidence(runtime.base, probe, prec)
     # a chase that ends at a value stops before it has max_terms evidence entries
-    out = {"evidence": [exponent_json(e) for e in reduction.full_evidence[: prec.max_terms]]}
+    out = {"evidence": [e.describe() for e in reduction.full_evidence[: prec.max_terms]]}
     if reduction.kind is NearestKind.VALUE:
-        out.update(kind="not_immediate", max_value=exponent_json(reduction.value))
+        out.update(kind="not_immediate", max_value=reduction.value.describe())
         out["witness"] = series_json(reduction.best, prec)
     else:
         out.update(kind="immediate_evidence", precision_limited=reduction.kind is NearestKind.PRECISION_EXHAUSTED)
@@ -851,14 +850,14 @@ def _approximate_run(task, runtime: Runtime) -> dict:
             {
                 "row": p.row,
                 "col": p.col,
-                "cutoff": exponent_json(p.cutoff),
-                "required_above": exponent_json(p.required_above),
+                "cutoff": p.cutoff.describe(),
+                "required_above": p.required_above.describe(),
                 "difference_value": p.difference_value.describe(),
             }
             for p in result.pairs
         ],
-        "completion_values": [exponent_json(v) for v in result.completion_values],
-        "output_values": [exponent_json(v) for v in result.output_values],
+        "completion_values": [v.describe() for v in result.completion_values],
+        "output_values": [v.describe() for v in result.output_values],
     }
 
 

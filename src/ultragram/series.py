@@ -129,9 +129,10 @@ class SeriesField:
     def from_terms(self, pairs: Iterable[tuple]) -> "Series":
         terms, group, coeff = [], self.group, self.coeff
         for exp, c in pairs:  # an element of this field or group is kept as it is, anything else checked
+            exp = exp if type(exp) is GroupElement and exp.group is group else group.element(exp)
             c = c if type(c) is FieldElement and c.field is coeff else coeff.element(c)
             if not c.is_zero():
-                terms.append(Term(exp if type(exp) is GroupElement and exp.group is group else group.element(exp), c))
+                terms.append(Term(exp, c))
         return _normalized(self, terms)
 
     def zero(self) -> "Series":
@@ -141,12 +142,7 @@ class SeriesField:
         return self.monomial(self.group.zero(), 1)
 
     def monomial(self, exponent, coefficient=1) -> "Series":
-        if not (isinstance(exponent, GroupElement) and exponent.group is self.group):
-            exponent = self.group.element(exponent)  # coordinates, or an element of a group it checks
-        c = self.coeff.element(coefficient)
-        if c.is_zero():
-            return self.zero()
-        return _Leaf(self, [Term(exponent, c)])
+        return self.from_terms([(exponent, coefficient)])
 
     def stream(self, floor: GroupElement, factory: Callable[[], Iterator[Term]]) -> "Series":
         return _Stream(self, floor, factory)
@@ -195,8 +191,7 @@ class Precision:
         return Fuel(256 + 64 * self.max_terms)
 
     def describe(self) -> dict:
-        ceiling = [str(c) for c in self.ceiling.coords]
-        return {"ceiling": ceiling, "max_terms": self.max_terms, "degree_cap": self.degree_cap}
+        return {"ceiling": self.ceiling.describe(), "max_terms": self.max_terms, "degree_cap": self.degree_cap}
 
 
 class Series:
@@ -796,8 +791,8 @@ class Valuation(Frozen):
 
     def describe(self) -> dict:
         if self.is_value:
-            return {"value": [str(c) for c in self.value.coords]}
-        out: dict = {"zero_up_to": None if self.up_to is None else [str(c) for c in self.up_to.coords]}
+            return {"value": self.value.describe()}
+        out: dict = {"zero_up_to": None if self.up_to is None else self.up_to.describe()}
         if self.exhausted:
             out["exact_zero"] = True
         return out

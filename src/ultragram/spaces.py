@@ -210,7 +210,7 @@ def is_valuation_independent(family: VectorFamily, prec: Precision) -> Independe
                 coefficients[i] = K.ambient.monomial(gamma_ref - leads[i].exponent, K.embed_residue(kappa[pos]))
         achieved = valuation(_combination(K, coefficients, family.elements), prec)
         if not _strictly_above(achieved, gamma_ref):
-            above, fuel = json.dumps([str(c) for c in gamma_ref.coords], separators=(",", ":")), prec.fuel().steps
+            above, fuel = json.dumps(gamma_ref.describe(), separators=(",", ":")), prec.fuel().steps
             note = f"kernel witness not re-evaluated above {above}: the fuel of one valuation, {fuel} units, ran out"
             return IndependenceVerdict(VerdictKind.INCONCLUSIVE, precision_note=note)
         witness = DependenceWitness(coefficients, gamma_ref, achieved)

@@ -18,8 +18,8 @@ approximant and ``standard`` passes truncated products: determinism covers them.
 and approximants of one chase repeat them, and keeps b - a_k as a chain of
 differences: an approximant adds, in one leaf, the negated terms it gained on the
 last one read and those it lost, so no approximant is rebuilt in full.  A detail
-prints exponents as the report does, ``["7"]``, and a zero valuation as
-``Valuation.describe()`` does.
+prints an exponent, and a valuation that is a value, as ``GroupElement.describe()``
+does, ``["7"]``, and any other valuation as ``Valuation.describe()`` does.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 from typing import Optional
 
-from .reports import Report, encode, exponent_json
+from .reports import Report, encode
 from .residues import rank_over_subfield
 from .series import Series, Valuation, add, leading_term, multiply, subtract, valuation
 from .spaces import _combination, _strictly_above
@@ -35,18 +35,19 @@ from .scenarios import (TASKS, Runtime, Scenario, _parse_exponent, _parse_term, 
                         run)
 
 
+def _rebuildable(doc: dict) -> bool:
+    """A serialized series holds all its terms: it is exact, or complete below the ceiling."""
+    return bool(doc.get("exact") or doc.get("complete_below"))
+
+
 def _series_from_json(doc: dict, runtime: Runtime) -> Optional[Series]:
     """Rebuild a serialized series; None when only a truncation was stored."""
-    if not doc.get("exact") and not doc.get("complete_below"):
-        return None
-    return runtime.ambient.from_terms(_parse_terms(doc["terms"], runtime.ambient))
+    return runtime.ambient.from_terms(_parse_terms(doc["terms"], runtime.ambient)) if _rebuildable(doc) else None
 
 
 def _shown(x) -> str:
     """A group element, or a realized valuation, as the report prints it: ["7"], or {"zero_up_to": ["40"]}."""
-    if isinstance(x, Valuation):
-        return json.dumps(exponent_json(x.value) if x.is_value else x.describe())
-    return json.dumps(exponent_json(x))
+    return json.dumps((x.value if isinstance(x, Valuation) and x.is_value else x).describe())
 
 
 def _residue_ranks(leads, base) -> Optional[str]:
@@ -126,7 +127,7 @@ def _chain(target, outcome_doc, runtime) -> Optional[str]:
         if previous is not None and not previous < claimed:
             return f"evidence not strictly increasing at {k}"
         previous = claimed
-        if not doc.get("exact") and not doc.get("complete_below"):
+        if not _rebuildable(doc):
             continue  # truncated serialization: covered by the determinism check
         now = dict(zip(map(repr, doc["terms"]), doc["terms"]))
         if len(now) < len(doc["terms"]):

@@ -51,6 +51,23 @@ def test_unknown_element_reference():
         scenario_from_dict(doc)
 
 
+def test_closure_of_an_infinite_generator_reaches_the_degree_cap_verified():
+    # the seed adjoins g = s + sum t^i; reducing 1*g again once made this closure obstructed at index 3
+    doc = {
+        "ambient": {"group": {"group": "Z"}, "coefficients": {"field": "Fp(s)", "p": 3}},
+        "base_field": {"kind": "laurent", "t_value": 1, "name": "F3(t)", "residue": {"field": "Fp", "p": 3}},
+        "elements": {"y": [[0, "s"]], "geo": {"builder": "geometric"}, "g": {"sum": ["y", "geo"]}},
+        "tasks": [{"task": "analyze_extension", "generators": ["g"], "mode": "closure"}],
+        "precision": {"ceiling": 32, "max_terms": 8, "degree_cap": 6},
+    }
+    scenario = scenario_from_dict(doc)
+    report = run(scenario)
+    outcome = report.tasks[0].outcome
+    assert (outcome["verdict"], outcome["n"]) == ("inconclusive", 7)
+    assert outcome["note"] == "degree cap reached at dimension 7"
+    assert all(c["ok"] for c in verify_report(scenario, report))
+
+
 def test_empty_tasks_valid():
     doc = {
         "ambient": {"group": {"group": "Z"}, "coefficients": {"field": "Fp", "p": 3}},

@@ -19,6 +19,7 @@ from ultragram.groups import (
     subgroup_index,
 )
 from ultragram.residues import FieldElement, ResidueField
+from ultragram.scenarios import _parse_exponent
 from ultragram.series import Term, Valuation
 
 Z = OrderedGroup.integers()
@@ -414,6 +415,15 @@ def test_subtraction_adds_the_negative(case):
     _, (a, b, _), _, _ = case
     assert a - b == a + (-b) and hash(a - b) == hash(a + (-b))
     assert (a - b) + b == a
+
+
+@given(coordinate_cases(), small_ints)
+def test_describe_prints_an_exponent_as_the_scenario_parser_reads_it(case, n):
+    group, points, _, k = case
+    for g in points + [group.zero(), points[0].scale(k), Q.element(n), OrderedGroup.lex(3).element(n, -n, k)]:
+        assert g.describe() == [str(c) for c in g.coords]  # "n" or "p/q" per coordinate, as reports print it
+        back = _parse_exponent(g.describe(), g.group)
+        assert back == g and [type(c) for c in back.coords] == [type(c) for c in g.coords]
 
 
 @given(coordinate_cases(), rationals.filter(bool), st.integers(-50, 50).filter(bool))

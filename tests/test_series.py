@@ -213,12 +213,19 @@ def test_constructors_reject_an_exponent_of_another_group():
     for bad in (Q.element(3), OrderedGroup.lex(1).element(3)):
         with pytest.raises(MismatchedGroups):
             L5.from_terms([(Z.element(1), 1), (bad, 1)])
-        with pytest.raises(MismatchedGroups):
-            L5.monomial(bad)
+        for coefficient in (1, 0, 5):  # a zero coefficient does not excuse the exponent
+            with pytest.raises(MismatchedGroups):
+                L5.monomial(bad, coefficient)
+            with pytest.raises(MismatchedGroups):
+                L5.from_terms([(bad, coefficient)])
     # an element of an equal group object passes through as given
     three = OrderedGroup.integers().element(3)
     assert L5.monomial(three).witnessed_terms()[0].exponent is three
     assert L5.from_terms([(three, 2)]).witnessed_terms() == L5.monomial(3, 2).witnessed_terms()
+    # coordinates as a list, as a scenario spells them, and on a lex group
+    assert L5.monomial([3], 2).witnessed_terms() == L5.monomial(three, 2).witnessed_terms()
+    LL = SeriesField(OrderedGroup.lex(2), F5)
+    assert LL.monomial([1, "-2"], 3).witnessed_terms() == [Term(OrderedGroup.lex(2).element(1, -2), F5.element(3))]
 
 
 def test_stream_checks_each_term():

@@ -19,6 +19,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 from .groups import GroupElement, GroupKind, Subgroup
@@ -42,8 +43,10 @@ class SubfieldPresentation:
     value_subgroup: Subgroup
     residue_field: ResidueField
     full_field: bool = False
-    # support -> its exponent window, built once per presentation object
+    # support -> its exponent window; the residue memo: pool index -> (that residue of Kv,
+    # its embedding in the ambient coefficients).  Both filled on demand, per object
     _windows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _residues: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     # sections
 
@@ -79,9 +82,11 @@ class SubfieldPresentation:
 
     # coefficient closure: finite K-elements for sampling
 
+    @cached_property
     def _residue_pool(self) -> tuple[int, list[FieldElement]]:
         """The residues sampled from: the constants 0, 1, ..., n - 1 of Kv, then
-        the nonzero ``extra``.  Sampling indexes the constants, so any p is cheap."""
+        the nonzero ``extra``, built once.  Sampling indexes the constants and the
+        residue memo keeps only the indices drawn, so any p is cheap."""
         kv = self.residue_field
         if kv.kind == "Q":
             values = [1, -1, 2, Fraction(1, 2), -2, 3, Fraction(-1, 2), Fraction(2, 3)]
@@ -104,18 +109,20 @@ class SubfieldPresentation:
         """A random nonzero closure element with bounded support."""
         window = self._exponent_window(support)
         if len(window) == 1:
-            return self.residue_section(self._nonzero_residue(rng))
+            return self.residue_section(self._nonzero_residue(rng)[0])
         count = rng.randint(1, min(3, len(window)))
         exponents = rng.sample(range(len(window)), count)
-        return self.ambient.from_terms(
-            (window[i], self.embed_residue(self._nonzero_residue(rng))) for i in sorted(exponents)
-        )
+        return self.ambient.from_terms((window[i], self._nonzero_residue(rng)[1]) for i in sorted(exponents))
 
-    def _nonzero_residue(self, rng: random.Random) -> FieldElement:
-        """A uniform draw from the nonzero pool residues, constants 1..n-1 then extra."""
-        n, extra = self._residue_pool()
+    def _nonzero_residue(self, rng: random.Random) -> tuple[FieldElement, FieldElement]:
+        """A uniform draw from the nonzero pool residues, constants 1..n-1 then extra:
+        the residue of Kv and its embedding, from the residue memo after its first draw."""
+        n, extra = self._residue_pool
         k = rng.randrange(n - 1 + len(extra))
-        return self.residue_field.element(k + 1) if k < n - 1 else extra[k - n + 1]
+        if k not in self._residues:
+            r = self.residue_field.element(k + 1) if k < n - 1 else extra[k - n + 1]
+            self._residues[k] = (r, self.embed_residue(r))
+        return self._residues[k]
 
 
 def laurent_presentation(

@@ -27,7 +27,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field as dataclass_field
 from enum import Enum
-from typing import Optional, Sequence
+from functools import cached_property
+from typing import Callable, Optional, Sequence
 
 from .groups import GroupElement
 from .presentations import SubfieldPresentation
@@ -332,12 +333,14 @@ def _scale_member(K: SubfieldPresentation, x: Series, lead: Term, first: GroupEl
     zero = K.ambient.group.zero()
     common = zero if K.value_in_subgroup(first) else first
     delta = common - lead.exponent
-    scaling = K.monomial_section(delta)
     res = K.restrict_residue(lead.coefficient) if common == zero else None
-    if res is not None and res != K.residue_field.one():
+    if res is None or res == K.residue_field.one():
+        scaling = K.monomial_section(delta)
+        if delta == zero:
+            return scaling, x
+    else:  # the check monomial_section makes, and one monomial with the residue divided away
+        K.require_value(delta)
         scaling = K.ambient.monomial(delta, K.embed_residue(res.invert()))
-    elif delta == zero:
-        return scaling, x
     return scaling, multiply(scaling, x)
 
 
@@ -353,14 +356,21 @@ class NearestKind(Enum):
 
 @dataclass
 class NearestPointResult:
+    """A reduction's outcome.  Its ``coefficients``, K-elements c_i with sum c_i b_i = ``best``,
+    are built by ``build_coefficients`` on their first read, once; ``adjoin`` reads none."""
+
     kind: NearestKind
     best: Series
-    coefficients: list
+    build_coefficients: Callable[[], list] = dataclass_field(repr=False, compare=False)
     value: Optional[GroupElement] = None
     evidence: list = dataclass_field(default_factory=list)
     initial_value: Optional[GroupElement] = None
     approximants: list = dataclass_field(default_factory=list)
     steps: list = dataclass_field(default_factory=list)
+
+    @cached_property
+    def coefficients(self) -> list:
+        return self.build_coefficients()
 
     @property
     def full_evidence(self) -> list:
@@ -376,7 +386,8 @@ def nearest_point(b: Series, w_basis: VectorFamily, prec: Precision) -> NearestP
     solve certifies the current value as max v(b - W).  Caps: a strictly
     increasing trace of max_terms values is reported as unboundedness
     evidence, while running out of witnessed terms below the ceiling is a
-    precision verdict.  N1 and N2 make the basis independent.
+    precision verdict.  N1 and N2 make the basis independent.  The coefficients
+    (b/b_1 for an exact member of a full field) are built when the result's are read.
     """
     K = w_basis.over
     check = check_normalized(w_basis, prec)
@@ -385,18 +396,23 @@ def nearest_point(b: Series, w_basis: VectorFamily, prec: Precision) -> NearestP
     n = len(w_basis.elements)
     initial = current = valuation(b, prec)
     if K.full_field and n >= 1 and initial.is_value:
-        quotient = multiply(b, invert(w_basis.elements[0], prec))
-        coefficients = [quotient] + [K.ambient.zero()] * (n - 1)
-        return NearestPointResult(NearestKind.EXACT_MEMBER, b, coefficients, initial_value=initial.value)
+        w = w_basis.elements[0]
+        return NearestPointResult(
+            NearestKind.EXACT_MEMBER, b, lambda: [multiply(b, invert(w, prec))] + [K.ambient.zero()] * (n - 1),
+            initial_value=initial.value,
+        )
 
     r, best = b, K.ambient.zero()
     coeff_terms: dict = {}  # member index -> its terms, for the members a step touched
     evidence, approximants, steps = [], [], []
 
-    def done(kind: NearestKind, value: Optional[GroupElement] = None) -> NearestPointResult:
-        coefficients = [K.ambient.zero()] * n  # one zero, shared by the members no step touched
+    def coefficients() -> list:
+        out = [K.ambient.zero()] * n  # one zero, shared by the members no step touched
         for i, ts in coeff_terms.items():
-            coefficients[i] = K.ambient.from_terms(ts)
+            out[i] = K.ambient.from_terms(ts)
+        return out
+
+    def done(kind: NearestKind, value: Optional[GroupElement] = None) -> NearestPointResult:
         return NearestPointResult(
             kind, best, coefficients, value=value,
             evidence=evidence, initial_value=initial.value,

@@ -31,6 +31,10 @@ def test_compare_examples():
     assert L2.element(1, 2) == L2.element(1, 2)
     assert L2.element(0, 100) < L2.element(1, -5)
     assert Q.element("1/3") < Q.element("1/2")
+    # > and >= reflect to < and <= on the other operand
+    assert Z.element(2) > Z.element(1) and not Z.element(1) > Z.element(1)
+    assert Z.element(1) >= Z.element(1) and not Z.element(0) >= Z.element(1)
+    assert L2.element(1, -5) > L2.element(0, 100) and L2.element(1, 2) >= L2.element(1, 2)
 
 
 def test_add_examples():
@@ -45,6 +49,10 @@ def test_mismatched_groups():
         Z.element(1) + Q.element(1)
     with pytest.raises(MismatchedGroups):
         Z.element(0) < L2.element(0, 0)
+    with pytest.raises(MismatchedGroups):
+        Z.element(0) > Q.element(0)
+    with pytest.raises(MismatchedGroups):
+        Z.element(0) >= Q.element(0)
 
 
 def test_integer_line_rejects_fractions():

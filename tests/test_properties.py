@@ -8,7 +8,7 @@ coefficients are drawn from the presentation's closure sampler.
 import random
 from fractions import Fraction
 
-from ultragram.groups import OrderedGroup
+from ultragram.groups import OrderedGroup, Subgroup
 from ultragram.residues import ResidueField
 from ultragram.series import (
     Precision,
@@ -21,6 +21,7 @@ from ultragram.series import (
     valuation,
 )
 from ultragram.presentations import (
+    SubfieldPresentation,
     completion_presentation,
     laurent_presentation,
     trivial_presentation,
@@ -459,3 +460,41 @@ def test_sample_element_draws_are_pinned():
         samples = [K.sample_element(rng, 3) for _ in range(20)]
         assert all(s.exhausted for s in samples)
         assert [_term_text(s) for s in samples] == SAMPLE_DRAWS[K.name], K.name
+
+
+def test_the_residue_memo_keeps_only_the_residues_drawn(monkeypatch):
+    """A drawn pool residue is embedded once, on its first draw: the memo is never a table of p - 1,
+    and the pool itself is built once."""
+    Fp = ResidueField.prime(2**61 - 1)
+    K = laurent_presentation(SeriesField(Z, Fp), Z.element(1), name="Fp(t)")
+    rng = random.Random(5)
+    draws = [K._nonzero_residue(rng) for _ in range(1000)]
+    assert len(K._residues) <= len({r.rep for r, _ in draws})
+    assert all(e.field is K.ambient.coeff for _, e in draws)
+    small = laurent_presentation(SeriesField(Z, F3), Z.element(1), name="F3(t)")
+    again = [small._nonzero_residue(rng) for _ in range(20)]
+    assert len(small._residues) == 2 and len({id(d) for d in again}) == 2
+    rationals = trivial_presentation(SeriesField(Z, ResidueField.rationals()), name="Q")
+    coerced, plain = [], ResidueField.element
+    monkeypatch.setattr(ResidueField, "element", lambda self, value: coerced.append(value) or plain(self, value))
+    for _ in range(50):
+        rationals._nonzero_residue(rng)
+    assert len(coerced) <= 16  # the 8 extras of the pool, once, and each one's embedding on its first draw
+
+
+def test_a_trivially_valued_subfield_samples_through_residue_section(monkeypatch):
+    """Kv = F3 inside F3(s) with vK = {0}: every window is {0}, so each sample is a residue
+    section, which takes a residue of Kv; an embedded one would raise MismatchedFields."""
+    F3s = ResidueField.rational_functions(3)
+    K = SubfieldPresentation(SeriesField(Z, F3s), "F3", Subgroup.trivial(Z), F3)
+    fields, plain = [], SubfieldPresentation.residue_section
+
+    def recorded(self, residue):
+        fields.append(residue.field)
+        return plain(self, residue)
+
+    monkeypatch.setattr(SubfieldPresentation, "residue_section", recorded)
+    rng = random.Random(3)
+    samples = [K.sample_element(rng, 4) for _ in range(20)]
+    assert len(fields) == 20 and all(f is F3 for f in fields)
+    assert {_term_text(s) for s in samples} == {"0:[1]/[1]", "0:[2]/[1]"}

@@ -10,6 +10,7 @@ from ultragram.series import (
     LeadingTermUnknown,
     MismatchedAmbient,
     Precision,
+    PrecisionExhausted,
     SeriesField,
     Term,
     Valuation,
@@ -161,6 +162,11 @@ def test_truncate_and_equal_up_to():
     assert equal_up_to(x, fin, Z.element(9), prec)
     assert not equal_up_to(x, fin, Z.element(10), prec)
     assert equal_up_to(x, x, Z.element(40), prec)
+    # x - x cancels everywhere, so no term decides it; the fuel of one comparison
+    # (256 + 64 units at max_terms 1) runs out far below the cut
+    y = geometric(L3)
+    with pytest.raises(PrecisionExhausted, match="undecided within the precision budget"):
+        equal_up_to(y, y, Z.element(10_000), Precision(Z.element(40), max_terms=1))
 
 
 def test_custom_powers_builder():

@@ -2,9 +2,12 @@ from fractions import Fraction
 
 import pytest
 
+from ultragram import series
 from ultragram.groups import OrderedGroup
 from ultragram.residues import ResidueField
-from ultragram.series import Precision, SeriesField, add, artin_schreier, leading_term, multiply, subtract, valuation
+from ultragram.series import (
+    Precision, SeriesField, add, artin_schreier, equal_up_to, leading_term, multiply, subtract, valuation,
+)
 from ultragram.presentations import (
     SubfieldPresentation,
     ValueNotInSubgroup,
@@ -373,6 +376,29 @@ def test_full_field_presentation_short_circuits():
     prec = Precision(Z.element(32), max_terms=8)
     r = orthogonalize([L.from_terms([(0, 1), (1, 2)]), L.from_terms([(2, 1), (5, 1)])], K, prec)
     assert r.ok and len(r.basis) == 1
+
+
+def test_a_full_field_quotient_is_built_on_its_first_read(monkeypatch):
+    """Over F3((t)) each generator after the first is an exact member, whose quotient
+    b/b_1 adjoin never reads: none is built until a result's coefficients are read."""
+    L = SeriesField(Z, F3)
+    K = completion_presentation(L, Z.element(1), name="F3((t))")
+    prec = Precision(Z.element(32), max_terms=8)
+    inverted, plain = [], series._Invert.__init__
+
+    def counted(self, x):
+        inverted.append(x)
+        plain(self, x)
+
+    monkeypatch.setattr(series._Invert, "__init__", counted)
+    g1, g2, g3 = L.from_terms([(0, 1), (1, 2)]), L.from_terms([(2, 1), (5, 1)]), L.from_terms([(-1, 2), (3, 1)])
+    r = orthogonalize([g1, g2, g3], K, prec)
+    assert r.ok and len(r.basis) == 1 and inverted == []
+    result = nearest_point(g2, r.basis, prec)
+    assert result.kind is NearestKind.EXACT_MEMBER and inverted == []
+    coefficients = result.coefficients
+    assert result.coefficients is coefficients and inverted == [r.basis.elements[0]]
+    assert equal_up_to(multiply(coefficients[0], r.basis.elements[0]), g2, prec.ceiling, prec)
 
 
 LEX2 = OrderedGroup.lex(2)

@@ -157,10 +157,10 @@ def ramification_and_residue(basis: VectorFamily, prec: Precision) -> Ramificati
     index = subgroup_index(K.value_subgroup, span_all)
     if index is not None and e > index:
         raise ArithmeticError(f"coset count {e} exceeds the exact subgroup index {index}")
-    # finitely many cosets are closed under addition iff each span row maps them into themselves
+    # a nonempty finite set of cosets is closed under addition iff each span row maps it into itself
     reps = [values[cls[0]] for cls in classes.values()]
     rows = span_all.lattice_basis()
-    coset_closed = all(K.value_subgroup.coset_key(a + b) in classes for a in reps for b in rows)
+    coset_closed = bool(classes) and all(K.value_subgroup.coset_key(a + b) in classes for a in reps for b in rows)
     if coset_closed and index != e:
         raise ArithmeticError(f"coset count {e} disagrees with the exact subgroup index {index}")
     return RamificationData(

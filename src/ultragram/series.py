@@ -203,10 +203,6 @@ class Series:
         self._cache: list[Term] = []
         self._known = () if floor is not None else _TOP
 
-    # node-specific production: yields (child, bound, need) triples, then extends the cache
-    def _expand(self, bound: GroupElement, fuel: Fuel, need) -> Iterator[tuple]:
-        raise NotImplementedError
-
     def ensure_below(self, bound: GroupElement, fuel: Fuel, whole: bool = False) -> bool:
         """Try to certify the cache complete below ``bound``; report success.
 
@@ -327,8 +323,6 @@ class _Map(Series):
     """Coefficient scaling combined with an exponent shift."""
 
     def __init__(self, child: Series, shift: GroupElement, scale: FieldElement):
-        if scale.is_zero():
-            raise ValueError("scale must be nonzero")
         floor = None if child.floor is None else child.floor + shift
         super().__init__(child.field, floor)
         self.child = child
@@ -707,8 +701,6 @@ class _Invert(Series):
             self._known = _TOP  # x is exactly its leading monomial
             return
         stop = min(bound.coords, _shift(x._known, self._back.coords))
-        if not stop:
-            return
         self._u.extend(
             Term(t.exponent + self.floor, t.coefficient * self._scale)
             for t in x._cache[len(self._u) + 1:]

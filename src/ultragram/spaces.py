@@ -246,8 +246,6 @@ def _independent_over(family: VectorFamily, prec: Precision) -> IndependenceVerd
     if verdict.kind is VerdictKind.DEPENDENT:
         w = verdict.witness
         body = w.coefficients[m:]
-        if all(_is_zero_coefficient(c) for c in body):
-            raise UncertifiedSubspace("dependence witness lives entirely inside the certified subspace")
         shift = _combination(family.over, w.coefficients[:m], w_basis.elements)
         witness = DependenceWitness(body, w.min_value, w.achieved, shift)
         return IndependenceVerdict(VerdictKind.DEPENDENT, witness=witness)

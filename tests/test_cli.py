@@ -82,6 +82,8 @@ def test_empty_tasks_valid():
     doc2 = json.loads(payload)
     assert doc2["schema"] == "ultragram/1"
     assert doc2["tasks"] == []
+    with pytest.raises(ValueError, match="unknown format 'xml'"):
+        emit(report, "xml")
 
 
 def test_builtins_parse_and_roundtrip():
@@ -89,7 +91,7 @@ def test_builtins_parse_and_roundtrip():
         scenario = load_scenario(name)
         # the canonical scenario echoes through parse unchanged
         echo = json.dumps(scenario.canonical)
-        assert parse_scenario(echo) == scenario
+        assert parse_scenario(echo) == scenario == load_scenario(echo)
 
 
 def test_resolve_runtime_parses_nothing(monkeypatch):
@@ -257,7 +259,8 @@ def test_inconclusive_independence_names_the_fuel_that_bound_it(tmp_path: Path):
         "base_field": {"kind": "laurent", "t_value": 1, "name": "F3(t)"},
         "elements": {**{n: {"builder": "custom_powers", "exponents": "5*i"} for n in names},
                      "a": {"sum": names[:200]}, "b": {"sum": names[200:]}},
-        "tasks": [{"task": "independence", "family": ["a", "b"]}],
+        "tasks": [{"task": "independence", "family": ["a", "b"]},
+                  {"task": "independence", "family": ["b"], "over": ["a"]}],
         "precision": {"ceiling": 40, "max_terms": 1},
     }
     path = tmp_path / "scenario.json"
@@ -267,10 +270,28 @@ def test_inconclusive_independence_names_the_fuel_that_bound_it(tmp_path: Path):
         "run", str(path), "--verify", "--format", "structured", "--output", str(out_path),
     ]) == 0
     report = json.loads(out_path.read_text(encoding="utf-8"))
-    assert report["tasks"][0]["outcome"] == {
+    assert [t["outcome"] for t in report["tasks"]] == [{
         "verdict": "inconclusive",
         "note": 'kernel witness not re-evaluated above ["0"]: the fuel of one valuation, 320 units, ran out',
+    }] * 2
+    assert report["verification"] == [{"id": "determinism", "ok": True}]
+
+
+def test_an_empty_direct_span_is_inconclusive_and_verifies(tmp_path: Path):
+    # no generator, no value coset: n = e = f = 0, not the coset cross-check's task error
+    doc = {
+        "ambient": {"group": {"group": "Q"}, "coefficients": {"field": "Fp", "p": 5}},
+        "base_field": {"kind": "laurent", "t_value": 1, "name": "F5(t)"},
+        "tasks": [{"task": "analyze_extension", "generators": [], "mode": "direct"}],
+        "precision": {"ceiling": 32},
     }
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    out_path = tmp_path / "report.json"
+    assert main(["run", str(path), "--verify", "--format", "structured", "--output", str(out_path)]) == 0
+    report = json.loads(out_path.read_text(encoding="utf-8"))
+    outcome = report["tasks"][0]["outcome"]
+    assert (outcome["n"], outcome["e"], outcome["f"], outcome["verdict"]) == (0, 0, 0, "inconclusive")
     assert report["verification"] == [{"id": "determinism", "ok": True}]
 
 
@@ -387,6 +408,7 @@ TAMPERED = {
     "dependent-notCA-claimed-independent": ("paper:notCA", 1, _claim_independent(["0", "0"], ["0", "-1"]),
                                             "independence"),
     "scaling-dropped": ("paper:fpt-y", 0, lambda o: o["scalings"].pop(), "independence"),
+    "scaling-truncated": ("paper:fpt-y", 0, lambda o: _truncate_json(o["scalings"][0]), "independence"),
     "scaling-replaced": ("paper:fpt-y", 0, lambda o: o.update(scalings=[
         {"exact": True, "terms": [[["7"], {"num": [2], "den": [1]}]]}] * 2), "independence"),
     "claimed-value": ("paper:ti-minus-ti1", 0, lambda o: o.update(value=["7"]), "max"),
@@ -418,6 +440,7 @@ TAMPERED_DETAILS = {
     "standard-product-duplicated": 'the class of ["0"] has residue rank 1 for 2 elements',
     "standard-product-zeroed": "a product has no witnessed lead",
     "scaling-dropped": "1 scaling witnesses for 2 elements",
+    "scaling-truncated": "scaling witnesses were serialized truncated",
     "claimed-value": 'v(b-best) is ["5"], claimed ["7"]',
     "immediacy-value-claimed": 'v(b-best) is ["1"], claimed ["2"]',
     "immediacy-evidence-repeated": "fewer approximants than evidence entries",
@@ -444,6 +467,27 @@ def test_verify_rejects_tampered_witness(case):
     for c in checks:  # the failing entries, the determinism check among them, carry a detail
         assert set(c) == {"id", "ok"} if c["ok"] else set(c) == {"id", "ok", "detail"}
         assert c["ok"] or isinstance(c["detail"], str) and c["detail"]
+
+
+def test_verify_names_a_claimed_element_with_no_witnessed_lead():
+    # the zero element makes task 0 a task error; a report claiming the pair independent fails the check
+    scenario = scenario_from_dict(EXTRA_SCENARIOS["golden:task-error"])
+    report = run(scenario)
+    scalings = [{"exact": True, "terms": [[["0"], 1]]}] * 2
+    report.tasks[0] = replace(report.tasks[0], error=None, outcome={"verdict": "independent", "scalings": scalings})
+    checks = verify_report(scenario, report)
+    assert [c for c in checks if c["id"] == "task0:independence"] == [
+        {"id": "task0:independence", "ok": False, "detail": "an element has no witnessed lead"}]
+
+
+def test_verify_leaves_a_truncated_standard_product_to_the_determinism_check():
+    # the README's "standard passes truncated products": only the re-run comparison sees the change
+    scenario = load_scenario("paper:standard-2x2")
+    report = run(scenario)
+    _truncate_json(report.tasks[1].outcome["standard_basis"]["products"][0])
+    checks = verify_report(scenario, report)
+    assert {"id": "task1:standard", "ok": True} in checks
+    assert [c["id"] for c in checks if not c["ok"]] == ["determinism"]
 
 
 def test_a_malformed_approximant_term_raises_the_parse_error_of_any_series():

@@ -20,6 +20,8 @@ from ultragram.extensions import (
     standard_basis,
 )
 from ultragram.spaces import (
+    NotIndependent,
+    NotNormalized,
     VerdictKind,
     adjoin,
     check_normalized,
@@ -163,17 +165,21 @@ def test_analyze_extension_inconclusive_cap(mixed_setting):
     assert report.verdict == "inconclusive"
 
 
-def test_complete_and_approximate_worked_instance():
+def _worked_instance():
+    """u = {1, y} over F3(t), y of value 0 and residue s, and the completion-side rows [[1, 0], [1/(1-t), 1]]."""
     F3s = ResidueField.rational_functions(3)
     L = SeriesField(Z, F3s)
     K = laurent_presentation(L, Z.element(1), residue_field=F3, name="F3(t)")
     Khat = completion_presentation(L, Z.element(1), residue_field=F3, name="F3((t))")
     prec = Precision(Z.element(32), max_terms=8)
-    y = L.from_terms([(0, F3s.generator())])
-    u = make_family(K, [L.one(), y])
-    is_valuation_independent(u, prec)
+    u = make_family(K, [L.one(), L.from_terms([(0, F3s.generator())])])
     c = invert(subtract(L.one(), L.monomial(1)), prec)  # 1/(1-t) in Khat
-    result = complete_and_approximate(u, [[L.one(), L.zero()], [c, L.one()]], Khat, prec)
+    return L, u, [[L.one(), L.zero()], [c, L.one()]], Khat, prec
+
+
+def test_complete_and_approximate_worked_instance():
+    L, u, rows, Khat, prec = _worked_instance()
+    result = complete_and_approximate(u, rows, Khat, prec)
     assert is_valuation_independent(result.family, prec).kind is VerdictKind.INDEPENDENT
     # first row had K-coefficients already: unchanged
     lead = leading_term(result.family.elements[0], prec)
@@ -196,20 +202,11 @@ def test_complete_and_approximate_worked_instance():
 
 
 def test_complete_and_approximate_perturbation_consistency():
-    F3s = ResidueField.rational_functions(3)
-    L = SeriesField(Z, F3s)
-    K = laurent_presentation(L, Z.element(1), residue_field=F3, name="F3(t)")
-    Khat = completion_presentation(L, Z.element(1), residue_field=F3, name="F3((t))")
-    prec = Precision(Z.element(32), max_terms=8)
-    y = L.from_terms([(0, F3s.generator())])
-    u = make_family(K, [L.one(), y])
-    is_valuation_independent(u, prec)
-    c = invert(subtract(L.one(), L.monomial(1)), prec)
-    result = complete_and_approximate(u, [[L.one(), L.zero()], [c, L.one()]], Khat, prec)
+    L, u, rows, Khat, prec = _worked_instance()
+    result = complete_and_approximate(u, rows, Khat, prec)
     # v(b' - b*) > v(b') for each row: the perturbation-stability hypothesis
-    from ultragram.series import multiply, sum_series, valuation
+    from ultragram.series import sum_series, valuation
 
-    rows = [[L.one(), L.zero()], [c, L.one()]]
     for i, out in enumerate(result.family.elements):
         hat = sum_series(L, [multiply(cc, x) for cc, x in zip(rows[i], u.elements)])
         diff = subtract(hat, out)
@@ -242,6 +239,47 @@ def test_complete_and_approximate_needs_one_ambient():
     Khat = completion_presentation(SeriesField(Z, F5), Z.element(1), name="F5((t))")
     with pytest.raises(NotCofinal, match="presentations live in different ambient fields"):
         complete_and_approximate(make_family(K, [L.one()]), [[L.one()]], Khat, Precision(Z.element(8)))
+
+
+def test_complete_and_approximate_needs_witnessed_family_values():
+    L, u, _, Khat, prec = _worked_instance()
+    with pytest.raises(NotIndependent, match="family elements need witnessed valuations"):
+        complete_and_approximate(make_family(u.over, [L.zero()]), [[L.one()]], Khat, prec)
+
+
+def test_complete_and_approximate_names_a_coefficient_it_cannot_enumerate():
+    # t^(i/1000): a thousand terms below the cutoff 1, against 256 + 64 fuel units
+    L = SeriesField(Q, F5)
+    K = laurent_presentation(L, Q.element(1), name="F5(t)")
+    Khat = completion_presentation(L, Q.element(1), name="F5((t))")
+    dense = series.custom_powers(L, lambda i: Fraction(i, 1000))
+    with pytest.raises(series.PrecisionExhausted, match=r"could not enumerate coefficient \(0,0\) below g\(1\)"):
+        complete_and_approximate(make_family(K, [L.one()]), [[dense]], Khat, Precision(Q.element(8), max_terms=1))
+
+
+def test_complete_and_approximate_checks_each_truncation(monkeypatch):
+    L, u, rows, Khat, prec = _worked_instance()
+    monkeypatch.setattr(rows[1][0], "terms_below", lambda bound: [])  # a truncation that keeps no term
+    with pytest.raises(series.PrecisionExhausted, match=r"truncation at \(1,0\) misses the strict inequality"):
+        complete_and_approximate(u, rows, Khat, prec)
+
+
+def test_complete_and_approximate_checks_the_truncated_family(monkeypatch):
+    L, u, rows, Khat, prec = _worked_instance()
+    monkeypatch.setattr(extensions, "_independent", lambda family, prec: False)
+    with pytest.raises(NotIndependent, match="truncated family lost independence"):
+        complete_and_approximate(u, rows, Khat, prec)
+    monkeypatch.undo()
+    plain, t, calls = extensions._combination, L.monomial(1), []
+
+    def combination(K, row, elements):  # the output rows, combined after the completion side's, come out times t
+        calls.append(row)
+        x = plain(K, row, elements)
+        return multiply(t, x) if len(calls) > len(rows) else x
+
+    monkeypatch.setattr(extensions, "_combination", combination)
+    with pytest.raises(ArithmeticError, match="value multiset changed under truncation"):
+        complete_and_approximate(u, rows, Khat, prec)
 
 
 def test_direct_span_coset_count_vs_group_index(sqrt_setting):
@@ -328,9 +366,49 @@ def test_closure_cross_check_still_catches_a_wrong_index(monkeypatch):
     K = laurent_presentation(L, Q.element(1), name="F5(t)")
     prec = Precision(Q.element(32), degree_cap=4)
     result = span_closure_basis([L.monomial(Fraction(1, 4))], K, prec)
-    monkeypatch.setattr(extensions, "subgroup_index", lambda sub, group: 8)
-    with pytest.raises(ArithmeticError, match="disagrees with the exact subgroup index 8"):
-        ramification_and_residue(result.basis, prec)
+    for index, message in ((8, "disagrees with the exact subgroup index 8"), (1, "exceeds the exact subgroup index 1")):
+        monkeypatch.setattr(extensions, "subgroup_index", lambda sub, group: index)
+        with pytest.raises(ArithmeticError, match=f"coset count 4 {message}"):
+            ramification_and_residue(result.basis, prec)
+
+
+def test_empty_direct_span_has_no_cosets_and_is_inconclusive(sqrt_setting):
+    # no class at all: the coset cross-check's closure premise holds only vacuously
+    L, K, prec = sqrt_setting
+    report = analyze_extension([], K, prec, span_mode="direct")
+    assert (report.n, report.e, report.f, report.defect_index) == (0, 0, 0, None)
+    assert report.verdict == "inconclusive" and report.standard is None
+
+
+def test_extension_input_guards(sqrt_setting, mixed_setting):
+    L, K, prec = sqrt_setting
+    with pytest.raises(ValueError, match="unknown span mode 'sideways'"):
+        analyze_extension([L.monomial("1/2")], K, prec, span_mode="sideways")
+    LZ = SeriesField(Z, F5)
+    KZ = laurent_presentation(LZ, Z.element(1), name="F5(t)")
+    with pytest.raises(NotNormalized, match=r"normalized basis \(N3\)"):  # t has a value in vK other than 0
+        ramification_and_residue(make_family(KZ, [LZ.monomial(1)]), Precision(Z.element(32)))
+    # t^(1/2) alone is a normalized basis with no value-zero class
+    root = make_family(K, [L.monomial("1/2")])
+    assert check_normalized(root, prec).ok
+    with pytest.raises(NotFieldClosed, match="no value-zero class"):
+        standard_basis(root, prec, ramification_and_residue(root, prec))
+    # 1, t^(1/2) and s*t^(1/2): every x*y lies in the span, but e*f = 2 products for dimension 3
+    L, K, prec = mixed_setting
+    s = L.coeff.generator()
+    basis = normalize(make_family(K, [L.one(), L.monomial("1/2"), L.from_terms([("1/2", s)])]), prec)
+    with pytest.raises(NotFieldClosed, match="product count 2 differs from the dimension 3"):
+        standard_basis(basis, prec, ramification_and_residue(basis, prec))
+
+
+def test_standard_basis_checks_its_products_are_independent(mixed_setting, monkeypatch):
+    L, K, prec = mixed_setting
+    basis = normalize(make_family(K, [L.one(), L.monomial("1/2")]), prec)
+    data = ramification_and_residue(basis, prec)
+    assert len(standard_basis(basis, prec, data).products) == 2
+    monkeypatch.setattr(extensions, "_independent", lambda family, prec: False)
+    with pytest.raises(NotFieldClosed, match="products failed the independence certificate"):
+        standard_basis(basis, prec, data)
 
 
 def _closure_readjoining(generators, K, prec):

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from ultragram.groups import (
     GroupElement,
+    GroupKind,
     MismatchedGroups,
     NotASubgroup,
     OrderedGroup,
@@ -53,6 +54,19 @@ def test_mismatched_groups():
         Z.element(0) > Q.element(0)
     with pytest.raises(MismatchedGroups):
         Z.element(0) >= Q.element(0)
+
+
+def test_constructors_reject_malformed_groups_and_generators():
+    with pytest.raises(ValueError, match="rank must be positive"):
+        OrderedGroup.lex(0)
+    with pytest.raises(ValueError, match="Q has rank 1"):
+        OrderedGroup(GroupKind.RATIONAL_LINE, 2)
+    with pytest.raises(ValueError, match="expected 2 coordinates, got 3"):
+        L2.element(1, 2, 3)
+    with pytest.raises(MismatchedGroups, match="generator outside ambient group"):
+        Subgroup(Q, (Z.element(1),))
+    with pytest.raises(ValueError, match="duplicate generator"):
+        Subgroup(Q, (Q.element(1), Q.element("2/2")))
 
 
 def test_integer_line_rejects_fractions():
@@ -271,6 +285,12 @@ def test_coset_key_translation_invariant(case):
     for k, gen in zip(coefficients, H.generators):
         total = total + gen.scale(k)
     assert total == s
+
+
+def test_solve_finds_no_coefficients_off_the_subgroup():
+    H = Subgroup.spanned_by(L2, [L2.element(0, 2)])
+    assert H.solve(L2.element(0, 4)) == [2]
+    assert H.solve(L2.element(0, 1)) is None and H.solve(L2.element(1, 0)) is None
 
 
 @st.composite

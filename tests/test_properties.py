@@ -8,6 +8,8 @@ coefficients are drawn from the presentation's closure sampler.
 import random
 from fractions import Fraction
 
+import pytest
+
 from ultragram.groups import OrderedGroup, Subgroup
 from ultragram.residues import ResidueField
 from ultragram.series import (
@@ -498,3 +500,5 @@ def test_a_trivially_valued_subfield_samples_through_residue_section(monkeypatch
     samples = [K.sample_element(rng, 4) for _ in range(20)]
     assert len(fields) == 20 and all(f is F3 for f in fields)
     assert {_term_text(s) for s in samples} == {"0:[1]/[1]", "0:[2]/[1]"}
+    with pytest.raises(ValueError, match="residue sections are for nonzero residues"):
+        K.residue_section(F3.zero())

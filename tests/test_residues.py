@@ -49,6 +49,26 @@ def test_function_field_canonical_form():
     assert F5s.fraction(num, den) == F5s.fraction([1, 1], [1])
     # 2/(2s) reduces with a monic denominator
     assert F5s.fraction([2], [0, 2]) == F5s.fraction([1], [0, 1])
+    assert repr(F5s.zero()) == "0" and repr(F5s.fraction([1], [0, 1])) == "(1)/(s)"
+
+
+def test_field_input_guards():
+    with pytest.raises(ValueError, match="unsupported field kind 'R'"):
+        ResidueField("R")
+    with pytest.raises(MismatchedFields):
+        F5.element(F3.one())
+    with pytest.raises(MismatchedFields):
+        F5.one() + F3.one()
+    with pytest.raises(DivisionByZero, match="denominator vanishes mod p"):
+        F5.element(Fraction(1, 10))
+    with pytest.raises(DivisionByZero, match="zero denominator"):
+        F5s.fraction([1], [0, 5])  # 5 s is zero over F5
+    with pytest.raises(TypeError, match="cannot coerce"):
+        F5s.element(([1], [1], [1]))
+    with pytest.raises(MismatchedFields, match=r"fraction\(\) is for Fp\(s\)"):
+        F5.fraction([1], [1])
+    with pytest.raises(MismatchedFields, match=r"generator\(\) is for Fp\(s\)"):
+        Q.generator()
 
 
 @pytest.mark.parametrize("field", [F3, Q, F5s], ids=["F3", "Q", "F5(s)"])
@@ -100,6 +120,8 @@ def test_linear_rank_examples():
     for col in range(2):
         acc = k[0] * rows[0][col] + k[1] * rows[1][col]
         assert acc.is_zero()
+    with pytest.raises(ValueError, match="ragged row system"):
+        linear_rank([[F3.one()], [F3.one(), F3.one()]], F3)
 
 
 def test_rank_over_subfield_one_and_s():
@@ -152,6 +174,8 @@ def test_solve_in_span_examples():
     assert solve_in_span([F3.zero(), F3.zero()], basis, F3) == [F3.zero()]
     # over F3 with basis {(1,1)}: (1,2) is not a multiple (oracle: 3 multiples)
     assert solve_in_span([F3.one(), F3.element(2)], [[F3.one(), F3.one()]], F3) is None
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        solve_in_span([F3.one()], basis, F3)
 
 
 def test_solve_over_subfield():

@@ -50,6 +50,10 @@ PROBES = {
     # function-field coefficients are exact integers, not floats or booleans
     "fp-s-float-numerator": ("paper:fpt-y", _set(["elements", "y", 0, 1], {"num": [1.5], "den": [1]})),
     "fp-s-boolean-numerator": ("paper:fpt-y", _set(["elements", "y", 0, 1], {"num": [True, 2]})),
+    "fp-s-coefficient-a-name": ("paper:fpt-y", _set(["elements", "y", 0, 1], "x")),
+    "fp-coefficient-a-fraction": ("paper:sqrt-t", _set(["elements", "sqrt_t", 0, 1], "1/2")),
+    "unknown-builder": ("paper:artin-schreier", _set(["elements", "root", "builder"], "frobenius")),
+    "undeclared-completion": ("paper:cofinal-approx", _set(["tasks", 0, "completion"], "Kbar")),
     # sizes that set how much work a run does are bounded by MAX_SIZE
     "max-terms-above-max-size": ("paper:fpt-y", _set(["precision", "max_terms"], MAX_SIZE + 1)),
     "degree-cap-above-max-size": ("paper:fpt-y", _set(["precision", "degree_cap"], MAX_SIZE + 1)),

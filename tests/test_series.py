@@ -169,6 +169,13 @@ def test_truncate_and_equal_up_to():
         equal_up_to(y, y, Z.element(10_000), Precision(Z.element(40), max_terms=1))
 
 
+def test_precision_bounds_are_positive():
+    with pytest.raises(ValueError, match="max_terms must be at least 1"):
+        Precision(Z.element(8), max_terms=0)
+    with pytest.raises(ValueError, match="degree_cap must be at least 1"):
+        Precision(Z.element(8), degree_cap=0)
+
+
 def test_custom_powers_builder():
     sq = custom_powers(L5, lambda i: i * i + 1)
     fuel = PREC.fuel()

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -715,3 +716,16 @@ def test_adjoin_grows_the_basis_in_place():
     assert basis.elements is elements and basis.classification is record
     assert record.leads is leads and record.classes is classes and record.precision == prec
     assert len(basis) == 3 and check_normalized(basis, prec).ok
+
+
+def test_adjoin_raises_on_an_incomplete_reduction(monkeypatch):
+    # a reduction that claims its value but kept no step leaves 1 + t^(1/2) itself, whose lead repeats 1's residue
+    L = SeriesField(Q, F3S)
+    K = laurent_presentation(L, Q.element(1), residue_field=F3, name="F3(t)")
+    prec = Precision(Q.element(16), max_terms=8)
+    basis = normalize(make_family(K, [L.one()]), prec)
+    plain = spaces.nearest_point
+    monkeypatch.setattr(spaces, "nearest_point", lambda g, basis, prec: replace(plain(g, basis, prec), steps=[]))
+    with pytest.raises(NotIndependent, match="residual failed the independence check"):
+        adjoin(basis, L.from_terms([(0, 1), ("1/2", 1)]), prec)
+    assert len(basis) == 2 and classify(basis, prec).normalized.condition == "N2"

@@ -454,6 +454,30 @@ def test_describe_prints_an_exponent_as_the_scenario_parser_reads_it(case, n):
         assert back == g and [type(c) for c in back.coords] == [type(c) for c in g.coords]
 
 
+def test_slotted_values_are_frozen_and_print_their_fields():
+    Qf, F5s = ResidueField.rationals(), ResidueField.rational_functions(5)
+    a, b = L2.element(1, -2), Q.element(Fraction(1, 2))
+    term = Term(a, Qf.element(Fraction(-3, 4)))
+    values = (a, Qf.element(Fraction(-3, 4)), F5s.fraction([1, 2], [2, 0, 1]), term,
+              Valuation(a, None, False), Valuation(None, b, True))
+    for value in values:
+        assert not hasattr(value, "__dict__")
+        for name in type(value).__slots__:  # the fields stay as built
+            with pytest.raises(FrozenInstanceError):
+                setattr(value, name, getattr(value, name))
+            with pytest.raises(FrozenInstanceError):
+                delattr(value, name)
+        with pytest.raises(FrozenInstanceError):
+            value.extra = 1
+    assert hash(Term(a, Qf.element(Fraction(-3, 4)))) == hash(term)
+    assert hash(Valuation(None, b, True)) == hash(values[5])
+    with pytest.raises(ValueError):
+        Term(a, Qf.zero())
+    assert repr(term) == "Term(exponent=g(1, -2), coefficient=-3/4)"
+    assert repr(Term(Z.element(3), Qf.element(-2))) == "Term(exponent=g(3), coefficient=-2)"
+    assert repr(values[5]) == "Valuation(value=None, up_to=g(1/2), exhausted=True)"
+
+
 @given(coordinate_cases(), rationals.filter(bool), st.integers(-50, 50).filter(bool))
 def test_slotted_elements_and_terms_pickle(case, c, n):
     group, (a, b, _), _, _ = case
@@ -462,19 +486,9 @@ def test_slotted_elements_and_terms_pickle(case, c, n):
     values = (a, Qf.element(c), F5s.fraction([1, n], [n, 0, 1]), term,
               Valuation(a, None, False), Valuation(None, b, True))
     for value in values:
-        assert not hasattr(value, "__dict__")
         back = pickle.loads(pickle.dumps(value))
         assert back == value and hash(back) == hash(value)
-        for name in type(value).__slots__:  # the fields stay as built
-            with pytest.raises(FrozenInstanceError):
-                setattr(value, name, getattr(value, name))
-            with pytest.raises(FrozenInstanceError):
-                delattr(value, name)
-        with pytest.raises(FrozenInstanceError):
-            value.extra = 1
     assert values[-1] != values[-2] and term != a and term.__eq__(a) is NotImplemented
-    with pytest.raises(ValueError):
-        Term(a, Qf.zero())
     # an integral Fraction is its int twin, on each field that can hold one
     if group is not Q:
         twin = GroupElement(group, tuple(map(Fraction, a.coords)))
@@ -485,7 +499,6 @@ def test_slotted_elements_and_terms_pickle(case, c, n):
     for x, y in pairs:
         assert x == y and hash(x) == hash(y)
     assert repr(term) == f"Term(exponent={a!r}, coefficient={c})"
-    assert repr(Term(Z.element(3), Qf.element(-2))) == "Term(exponent=g(3), coefficient=-2)"
     assert repr(values[5]) == f"Valuation(value=None, up_to={b!r}, exhausted=True)"
 
 

@@ -50,6 +50,10 @@ def test_function_field_canonical_form():
     # 2/(2s) reduces with a monic denominator
     assert F5s.fraction([2], [0, 2]) == F5s.fraction([1], [0, 1])
     assert repr(F5s.zero()) == "0" and repr(F5s.fraction([1], [0, 1])) == "(1)/(s)"
+    assert repr(F5s.fraction([3, 2, 4], [1])) == "3+2*s+4*s^2" and repr(F5.element(7)) == "2"
+    assert repr(Q.element(Fraction(-3, 4))) == "-3/4"
+    # a (numerator, denominator) pair coerces as fraction() reads it
+    assert F5s.element(([2], [0, 1])) == F5s.fraction([2], [0, 1])
 
 
 def test_field_input_guards():
@@ -113,6 +117,7 @@ def test_prime_check_matches_trial_division():
 def test_linear_rank_examples():
     rank, kernel = linear_rank([[F3.one(), F3.zero()], [F3.zero(), F3.one()]], F3)
     assert rank == 2 and kernel == []
+    assert linear_rank([], F3) == (0, [])
     rows = [[F5.element(1), F5.element(2)], [F5.element(2), F5.element(4)]]
     rank, kernel = linear_rank(rows, F5)
     assert rank == 1 and len(kernel) == 1

@@ -54,6 +54,18 @@ PROBES = {
     "fp-coefficient-a-fraction": ("paper:sqrt-t", _set(["elements", "sqrt_t", 0, 1], "1/2")),
     "unknown-builder": ("paper:artin-schreier", _set(["elements", "root", "builder"], "frobenius")),
     "undeclared-completion": ("paper:cofinal-approx", _set(["tasks", 0, "completion"], "Kbar")),
+    # each descriptor of the wrong shape or kind, so that no parser guard waits on a fuzzer
+    "group-not-an-object": ("paper:fpt-y", _set(["ambient", "group"], "Z")),
+    "field-not-an-object": ("paper:fpt-y", _set(["ambient", "coefficients"], "Q")),
+    "exponent-of-the-wrong-rank": ("paper:fpt-y", _set(["elements", "ty", 0, 0], [1, 2])),
+    "tasks-not-a-list": ("paper:fpt-y", _set(["tasks"], {})),
+    "presentation-without-a-kind": ("paper:fpt-y", _set(["base_field"], {"name": "K"})),
+    "unknown-presentation-kind": ("paper:fpt-y", _set(["base_field", "kind"], "henselian")),
+    "laurent-without-t-value": ("paper:fpt-y", _set(["base_field"], {"kind": "laurent"})),
+    "precision-without-a-ceiling": ("paper:fpt-y", _set(["precision"], {"max_terms": 8})),
+    "element-a-number": ("paper:fpt-y", _set(["elements", "y"], 5)),
+    "task-a-string": ("paper:fpt-y", _set(["tasks", 0], "independence")),
+    "unknown-task-kind": ("paper:fpt-y", _set(["tasks", 0, "task"], "factor")),
     # sizes that set how much work a run does are bounded by MAX_SIZE
     "max-terms-above-max-size": ("paper:fpt-y", _set(["precision", "max_terms"], MAX_SIZE + 1)),
     "degree-cap-above-max-size": ("paper:fpt-y", _set(["precision", "degree_cap"], MAX_SIZE + 1)),

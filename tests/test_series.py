@@ -821,28 +821,40 @@ def _stream_of(field, reps):
     return field.stream(terms[0].exponent, lambda: iter(terms))
 
 
-@settings(max_examples=60, deadline=None)
-@given(data=st.data())
-def test_block_product_in_small_steps_matches_schoolbook(data):
-    p = data.draw(st.sampled_from(BLOCK_PRIMES))
+def _product_in_steps(p, a, b, step):
+    """a*b over F_p, pulled to bounds ``step()`` apart, checked against the schoolbook product."""
     field = SeriesField(Z, ResidueField.prime(p))
-    (a, a_kind), (b, b_kind) = data.draw(block_factors(p)), data.draw(block_factors(p))
     product = multiply(_stream_of(field, a), _stream_of(field, b))
     want: dict = {}
     for i, c in a.items():
         for j, d in b.items():
             want[i + j] = (want.get(i + j, 0) + c * d) % p
-    rng = data.draw(st.randoms(use_true_random=False))
     bound, seen = min(a) + min(b), []
     while not product.exhausted:
-        bound += rng.randint(1, 12)
+        bound += step()
         assert product.ensure_below(Z.element(bound), Fuel(10_000))
         got = [(t.exponent.coords[0], t.coefficient.rep) for t in product.witnessed_terms()]
         assert got[: len(seen)] == seen  # earlier prefixes stay as they were
         assert got == [(e, c) for e, c in sorted(want.items()) if c and (e < bound or product.exhausted)]
         seen = got
+    return product
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_block_product_in_small_steps_matches_schoolbook(data):
+    p = data.draw(st.sampled_from(BLOCK_PRIMES))
+    (a, a_kind), (b, b_kind) = data.draw(block_factors(p)), data.draw(block_factors(p))
+    rng = data.draw(st.randoms(use_true_random=False))
+    product = _product_in_steps(p, a, b, lambda: rng.randint(1, 12))
     if "tail" in (a_kind, b_kind):
         assert product._block is None  # the tail moved the product to the pair loop
+
+
+def test_a_sparse_strip_hands_the_settled_prefix_to_the_pair_loop():
+    # unit steps: the block settles 1 * (1 + 2t^3) first, then t^9, t^27, ... is too sparse for it
+    product = _product_in_steps(5, {0: 1}, {0: 1, **{3**i: 2 for i in range(1, 6)}}, lambda: 1)
+    assert product._block is None
 
 
 def _long_division(x, p, length):

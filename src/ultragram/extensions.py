@@ -258,13 +258,10 @@ def analyze_extension(
         return ExtensionReport(
             n, data.e, data.f, defect, "vs_defectless", standard=standard_basis(basis, prec, data)
         )
-    return ExtensionReport(
-        n, data.e, data.f, defect, "inconclusive",
-        note=(
-            "the span has a valuation basis but is not standard-decomposable; "
-            "it is not multiplicatively closed"
-        ),
-    )
+    return ExtensionReport(n, data.e, data.f, defect, "inconclusive", note=(
+        "the span is zero: it has no basis element, and {0} lacks 1" if not n else
+        "the span has a valuation basis but is not standard-decomposable; it is not multiplicatively closed"
+    ))
 
 
 @dataclass

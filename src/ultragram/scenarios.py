@@ -423,16 +423,18 @@ def _parse_precision(spec, group: OrderedGroup) -> Precision:
     )
 
 
-def _parse_term(pair, exponent, field: ResidueField) -> tuple:
-    """One [exponent, coefficient] pair, its exponent read by ``exponent(spec)``."""
+def _parse_term(pair, exponent, coefficient) -> tuple:
+    """One [exponent, coefficient] pair, read by ``exponent(spec)`` and ``coefficient(spec)``."""
     if not isinstance(pair, list) or len(pair) != 2:
         raise ParseError(f"series term must be [exponent, coefficient], got {pair!r}")
-    return exponent(pair[0]), _parse_coefficient(pair[1], field)
+    return exponent(pair[0]), coefficient(pair[1])
 
 
 def _parse_terms(spec: list, ambient: SeriesField) -> list:
     """A term list as (exponent, coefficient) pairs, in input order, zeros kept."""
-    return [_parse_term(pair, lambda exp: _parse_exponent(exp, ambient.group), ambient.coeff) for pair in spec]
+    group, field = ambient.group, ambient.coeff
+    exponent, coefficient = (lambda e: _parse_exponent(e, group)), (lambda c: _parse_coefficient(c, field))
+    return [_parse_term(pair, exponent, coefficient) for pair in spec]
 
 
 def _parse_element(name: str, spec, ambient: SeriesField, known: dict) -> tuple:
@@ -495,7 +497,9 @@ def _resolve_family_elements(spec, runtime: Runtime) -> list:
         return runtime.named(spec)
     start = spec["start"]
     count = runtime.precision.max_terms + 2 if spec["count"] == "auto" else spec["count"]
-    return [runtime.ambient.from_terms([(i, 1), (i + 1, -1)]) for i in range(start, start + count)]
+    F = runtime.ambient  # t^i - t^(i+1): each exponent and both coefficients coerced once
+    one, minus, exps = F.coeff.one(), -F.coeff.one(), [F.group.element(i) for i in range(start, start + count + 1)]
+    return [F.from_terms([(a, one), (b, minus)]) for a, b in zip(exps, exps[1:])]
 
 
 def _canonical_task(task, pos: int, canonical: dict) -> dict:

@@ -2,10 +2,11 @@
 
 A :class:`Series` is a mathematical value, not a consumable stream: every
 node memoizes the strictly increasing prefix of terms it has produced, and
-re-enumeration reproduces the identical prefix.  Enumeration is bounded in
-two ways, by an exponent ceiling and by a work budget (:class:`Fuel`),
-because equality of lazy series is undecidable in general; all verdicts
-built on top of this module carry the bound they were computed under.
+re-enumeration reproduces the identical prefix, so sharing a node is safe
+and scaling by the unit returns its argument.  Enumeration is bounded in two
+ways, by an exponent ceiling and by a work budget (:class:`Fuel`), because
+equality of lazy series is undecidable in general; all verdicts built on top
+of this module carry the bound they were computed under.
 
 Completeness bookkeeping: each node has one field ``_known``, an exponent
 key (the coordinate tuple the heaps compare) below which the cache is
@@ -715,7 +716,10 @@ class _Invert(Series):
 
 
 def scaled(x: Series, shift: GroupElement, scale: FieldElement) -> Series:
-    """x * scale * t^shift; a leaf is mapped at once, as a map pulls all of it anyway."""
+    """x * scale * t^shift: x itself for the unit; a leaf is mapped at once, as a map pulls all of it anyway."""
+    F = x.field  # t^0 * 1 of F's own group and field; any other group or field is checked below
+    if not any(shift.coords) and scale.rep == F.coeff.one().rep and shift.group is F.group and scale.field is F.coeff:
+        return x
     if type(x) is _Leaf:
         return _Leaf(x.field, [Term(t.exponent + shift, t.coefficient * scale) for t in x._cache])
     return _Map(x, shift, scale)
@@ -757,13 +761,9 @@ def subtract(x: Series, y: Series) -> Series:
 
 
 def multiply(x: Series, y: Series) -> Series:
-    # single-term factors become cheap shift nodes
-    for a, b in ((x, y), (y, x)):
-        if isinstance(a, _Leaf) and len(a._cache) == 1:
-            t = a._cache[0]
-            return scaled(b, t.exponent, t.coefficient)
-        if isinstance(a, _Leaf) and not a._cache:
-            return a.field.zero()
+    for a, b in ((x, y), (y, x)):  # a single-term factor scales the other, a zero one is the product
+        if type(a) is _Leaf and len(a._cache) < 2:
+            return scaled(b, a._cache[0].exponent, a._cache[0].coefficient) if a._cache else a.field.zero()
     return _Mul(x, y)
 
 

@@ -313,10 +313,10 @@ def normalize(family: VectorFamily, prec: Precision) -> VectorFamily:
     record = classify(family, prec)
     leads = record.leads
     scalings: list = [None] * len(leads)
-    out = list(family.elements)
+    out, unit = list(family.elements), K.ambient.one()  # one unit, shared by the members left as they are
     for cls in record.classes.values():
         for i in cls:
-            scalings[i], out[i] = _scale_member(K, out[i], leads[i], leads[cls[0]].exponent)
+            scalings[i], out[i] = _scale_member(K, out[i], leads[i], leads[cls[0]].exponent, unit)
     normalized = VectorFamily(out, K, scalings=tuple(scalings))
     fresh = classify(normalized, prec)  # witnesses the scaled leads
     # scaling by K-monomials and Kv-scalars keeps each value coset and the Kv-rank of its residues
@@ -324,18 +324,18 @@ def normalize(family: VectorFamily, prec: Precision) -> VectorFamily:
     return normalized
 
 
-def _scale_member(K: SubfieldPresentation, x: Series, lead: Term, first: GroupElement) -> tuple:
+def _scale_member(K: SubfieldPresentation, x: Series, lead: Term, first: GroupElement, unit=None) -> tuple:
     """(s, s*x) for the K-scalar s scaling x into a class whose first value is ``first``:
     one monomial section to that value, or to 0 with the Kv residue divided away when
-    it lies in vK.  x itself when s is the unit."""
+    it lies in vK.  (``unit`` or a new unit, x) when s is the unit."""
     zero = K.ambient.group.zero()
     common = zero if K.value_in_subgroup(first) else first
     delta = common - lead.exponent
     res = K.restrict_residue(lead.coefficient) if common == zero else None
     if res is None or res == K.residue_field.one():
-        scaling = K.monomial_section(delta)
         if delta == zero:
-            return scaling, x
+            return unit or K.ambient.one(), x
+        scaling = K.monomial_section(delta)
     else:  # the check monomial_section makes, and one monomial with the residue divided away
         K.require_value(delta)
         scaling = K.ambient.monomial(delta, K.embed_residue(res.invert()))

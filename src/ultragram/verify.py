@@ -9,17 +9,16 @@ verdict and a standard basis are checked by the paper's residue criterion on the
 leading terms; nothing is sampled.
 
 A witness type, as a ``TaskKind`` yields it, is the name of its check in
-``_CHECKERS``: ``(subject, doc, runtime)`` returns None when the witness holds
-under ``runtime.precision``, else the failure detail, and :func:`verify_report`
-builds each entry.
-A truncated serialization fails a check, but ``chain`` skips a truncated
+``_CHECKERS``: ``(subject, doc, runtime)`` returns None when the witness holds under
+``runtime.precision``, else the failure detail, and :func:`verify_report` builds each
+entry.  A truncated serialization fails a check, but ``chain`` skips a truncated
 approximant and ``standard`` passes truncated products: determinism covers them.
-``chain`` parses each distinct serialized exponent and term once, as the evidence
-and approximants of one chase repeat them, and keeps b - a_k as a chain of
-differences: an approximant adds, in one leaf, the negated terms it gained on the
-last one read and those it lost, so no approximant is rebuilt in full.  A detail
-prints an exponent, and a valuation that is a value, as ``GroupElement.describe()``
-does, ``["7"]``, and any other valuation as ``Valuation.describe()`` does.
+``chain`` parses each distinct serialized exponent, coefficient and term once, as the
+evidence and approximants of one chase repeat them, and keeps b - a_k as a chain of
+differences: an approximant adds, in one leaf, the negated terms it gained on the last
+one read and those it lost, so no approximant is rebuilt in full.  A detail prints an
+exponent, and a valuation that is a value, as ``GroupElement.describe()`` does,
+``["7"]``, and any other valuation as ``Valuation.describe()`` does.
 """
 
 from __future__ import annotations
@@ -31,8 +30,8 @@ from .reports import Report, encode
 from .residues import rank_over_subfield
 from .series import Series, Valuation, add, leading_term, multiply, subtract, valuation
 from .spaces import _combination, _strictly_above
-from .scenarios import (TASKS, Runtime, Scenario, _parse_exponent, _parse_term, _parse_terms, resolve_runtime,
-                        run)
+from .scenarios import (TASKS, Runtime, Scenario, _parse_coefficient, _parse_exponent, _parse_term, _parse_terms,
+                        resolve_runtime, run)
 
 
 def _rebuildable(doc: dict) -> bool:
@@ -104,21 +103,21 @@ def _independence(over_and_elements, outcome, runtime) -> Optional[str]:
     return _residue_ranks(leads, base)
 
 
+def _memo(parse, context):
+    """``parse`` of one check: each distinct serialized doc (by its repr) is parsed once."""
+    parsed: dict = {}
+    return lambda doc: parsed[key] if (key := repr(doc)) in parsed else parsed.setdefault(key, parse(doc, context))
+
+
 def _chain(target, outcome_doc, runtime) -> Optional[str]:
     """Each serialized approximant must realize its evidence entry."""
     evidence = outcome_doc.get("evidence", [])
     approximants = outcome_doc.get("approximants", [])
     if len(approximants) < len(evidence):
         return "fewer approximants than evidence entries"
-    group, coeff = runtime.ambient.group, runtime.ambient.coeff
-    exponents: dict = {}  # repr of a serialized exponent or term -> it parsed, for this check only
-    terms: dict = {}
-
-    def exponent(doc):
-        key = repr(doc)
-        if key not in exponents:
-            exponents[key] = _parse_exponent(doc, group)
-        return exponents[key]
+    exponent = _memo(_parse_exponent, runtime.ambient.group)
+    coefficient = _memo(_parse_coefficient, runtime.ambient.coeff)
+    terms: dict = {}  # repr of a serialized term -> it parsed, for this check only
 
     # b - the last approximant read, and the reprs of that approximant's serialized terms
     residual, held, previous = target, set(), None
@@ -134,7 +133,7 @@ def _chain(target, outcome_doc, runtime) -> Optional[str]:
             return f"approximant {k} repeats a term"
         # b - a_k = (b - a_j) - (a_k - a_j): add the negated terms a_k gained and those it lost
         gained, lost = now.keys() - held, held - now.keys()
-        terms.update((t, _parse_term(now[t], exponent, coeff)) for t in gained if t not in terms)
+        terms.update((t, _parse_term(now[t], exponent, coefficient)) for t in gained if t not in terms)
         change = [(e, -c) for e, c in map(terms.get, gained)] + [terms[t] for t in lost]
         residual, held = add(residual, runtime.ambient.from_terms(change)), now.keys()
         val = valuation(residual, runtime.precision)

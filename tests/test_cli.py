@@ -8,7 +8,7 @@ import pytest
 from ultragram.cli import build_parser, main
 from ultragram.groups import Subgroup
 from ultragram.reports import emit
-from ultragram import cli, scenarios, spaces, verify
+from ultragram import cli, scenarios, series, spaces, verify
 from ultragram.presentations import SubfieldPresentation
 from ultragram.scenarios import (
     BUILTINS,
@@ -292,6 +292,8 @@ def test_an_empty_direct_span_is_inconclusive_and_verifies(tmp_path: Path):
     report = json.loads(out_path.read_text(encoding="utf-8"))
     outcome = report["tasks"][0]["outcome"]
     assert (outcome["n"], outcome["e"], outcome["f"], outcome["verdict"]) == (0, 0, 0, "inconclusive")
+    # {0} is closed under multiplication: the note names the zero span, not a failed closure
+    assert outcome["note"] == "the span is zero: it has no basis element, and {0} lacks 1"
     assert report["verification"] == [{"id": "determinism", "ok": True}]
 
 
@@ -520,13 +522,15 @@ def test_verified_chase_reduces_each_value_once(monkeypatch):
 
 
 @pytest.mark.parametrize("name, verdicts, sections", [
-    ("paper:standard-2x2", 0, 8), ("paper:cofinal-approx", 1, 2), ("paper:sqrt-t", 0, 2),
+    ("paper:standard-2x2", 0, 0), ("paper:cofinal-approx", 1, 2), ("paper:sqrt-t", 0, 0),
     ("golden:independence-over", 4, 5),
 ])
 def test_run_asks_for_a_verdict_only_where_it_reports_one(monkeypatch, name, verdicts, sections):
     """A yes-or-no independence check is read off the class record.  The verdicts left are an
     independence task's (over W, the family's and that of W with the family) and approximate's
-    completion-side check, whose error text prints the verdict's kind."""
+    completion-side check, whose error text prints the verdict's kind.  A verdict's scalings
+    are monomial sections; normalize shares one unit and builds a section only for a value
+    it moves, and no built-in here moves one."""
     counts = {"verdicts": 0, "sections": 0}
     plain, plain_section = spaces.is_valuation_independent, SubfieldPresentation.monomial_section
 
@@ -548,8 +552,35 @@ def test_run_asks_for_a_verdict_only_where_it_reports_one(monkeypatch, name, ver
     assert counts == {"verdicts": verdicts, "sections": sections}
 
 
+def test_a_unit_scaling_builds_no_node(monkeypatch):
+    """Over the trivially valued Q each member of the telescoping family is a class of its
+    own, so normalize leaves every member as it is, and each chase step scales a member by
+    t^0 * 1.  Neither builds a node: normalize asks for no monomial section, and the chase
+    builds at least one leaf per step fewer than the 231 of a run that built a leaf for
+    each unit scaling and a section for each member."""
+    counts = {"leaves": 0, "sections": 0}
+    plain_leaf, plain_section = series._Leaf.__init__, SubfieldPresentation.monomial_section
+
+    def counted_leaf(self, *args):
+        counts["leaves"] += 1
+        plain_leaf(self, *args)
+
+    def counted_section(self, delta):
+        counts["sections"] += 1
+        return plain_section(self, delta)
+
+    monkeypatch.setattr(series._Leaf, "__init__", counted_leaf)
+    monkeypatch.setattr(SubfieldPresentation, "monomial_section", counted_section)
+    outcome = run(scenario_from_dict(_chase_doc(1, 32))).tasks[0].outcome
+    assert outcome["kind"] == "unbounded" and len(outcome["evidence"]) == 32
+    assert counts["sections"] == 0
+    assert counts["leaves"] <= 231 - 32, counts
+
+
 @pytest.mark.parametrize("name, max_terms", [("paper:notCA", 12), ("paper:ti-minus-ti1", 8), ("chase", 32)])
 def test_chain_check_parses_each_exponent_once(monkeypatch, name, max_terms):
+    """Each distinct serialized exponent, and each distinct serialized coefficient, of a
+    chain is parsed once, however many evidence entries and approximants repeat it."""
     scenario = scenario_from_dict(_chase_doc(1, max_terms)) if name == "chase" else load_scenario(name)
     scenario = apply_precision_overrides(scenario, max_terms=max_terms)
     report = run(scenario)
@@ -560,19 +591,24 @@ def test_chain_check_parses_each_exponent_once(monkeypatch, name, max_terms):
         for check, subject, doc in TASKS[task_outcome.task].witnesses(task, task_outcome.outcome, runtime):
             if check != "chain":
                 continue
-            parsed = []
-            parse = verify._parse_exponent
+            parsed: dict = {"_parse_exponent": [], "_parse_coefficient": []}
 
-            def counted(spec, group):
-                parsed.append(json.dumps(spec))
-                return parse(spec, group)
+            def counted(name):
+                parse = getattr(verify, name)
+
+                def parse_counted(spec, context):
+                    parsed[name].append(json.dumps(spec))
+                    return parse(spec, context)
+                return parse_counted
 
             with monkeypatch.context() as patched:
-                patched.setattr(verify, "_parse_exponent", counted)
+                for parser in parsed:
+                    patched.setattr(verify, parser, counted(parser))
                 assert verify._chain(subject, doc, runtime) is None
-            serialized = {json.dumps(e) for e in doc["evidence"]}
-            serialized |= {json.dumps(e) for a in doc["approximants"] for e, _ in a["terms"]}
-            assert sorted(parsed) == sorted(serialized)
+            terms = [term for a in doc["approximants"] for term in a["terms"]]
+            exponents = {json.dumps(e) for e in doc["evidence"]} | {json.dumps(e) for e, _ in terms}
+            assert sorted(parsed["_parse_exponent"]) == sorted(exponents)
+            assert sorted(parsed["_parse_coefficient"]) == sorted({json.dumps(c) for _, c in terms})
             chains += 1
     assert chains
 

@@ -378,6 +378,7 @@ def test_empty_direct_span_has_no_cosets_and_is_inconclusive(sqrt_setting):
     report = analyze_extension([], K, prec, span_mode="direct")
     assert (report.n, report.e, report.f, report.defect_index) == (0, 0, 0, None)
     assert report.verdict == "inconclusive" and report.standard is None
+    assert report.note == "the span is zero: it has no basis element, and {0} lacks 1"
 
 
 def test_extension_input_guards(sqrt_setting, mixed_setting):

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import pytest
 
 from ultragram.groups import GroupElement, MismatchedGroups, OrderedGroup
-from ultragram.residues import ResidueField
+from ultragram.residues import MismatchedFields, ResidueField
 from ultragram.series import (
     LeadingTermUnknown,
     MismatchedAmbient,
@@ -24,6 +24,7 @@ from ultragram.series import (
     leading_term,
     multiply,
     negate,
+    scaled,
     subtract,
     sum_series,
     valuation,
@@ -186,6 +187,20 @@ def test_custom_powers_builder():
 def test_mismatched_ambient():
     with pytest.raises(MismatchedAmbient):
         add(L5.one(), L3.one())
+
+
+def test_scaling_by_the_unit_returns_its_argument():
+    # a series is a value: t^0 * 1 times x is x itself, a leaf or a lazy node alike
+    zero, one = Z.zero(), F5.one()
+    for x in (L5.from_terms([(1, 2), (4, 1)]), geometric(L5)):
+        assert scaled(x, zero, one) is x and multiply(L5.one(), x) is x and multiply(x, L5.monomial(0)) is x
+        assert scaled(x, Z.element(1), one) is not x and scaled(x, zero, F5.element(2)) is not x
+    # the unit of another group or field is not this field's: the checks stay
+    x = L5.from_terms([(1, 2)])
+    with pytest.raises(MismatchedGroups):
+        scaled(x, OrderedGroup.rationals().zero(), one)
+    with pytest.raises(MismatchedFields):
+        multiply(L3.one(), x)
 
 
 def test_negate_and_subtract_keep_their_field_and_group_checks():
@@ -1076,8 +1091,9 @@ def test_not_ca_decision_work_grows_linearly(pushes, monkeypatch):
 def test_verified_telescoping_chase_builds_no_sum_nodes(monkeypatch):
     """t against t^i - t^(i+1) over Q: each step's differences hold two terms, so the
     chase and its verification merge them when built, and the nodes grow with max_terms:
-    2,061 at max_terms 128.  A chase step builds the scaled member, its negation and two
-    merged leaves; the chain check, per approximant, a leaf of the change and a merged one."""
+    1,547 at max_terms 128.  Normalize leaves each member as it is and builds no unit for it.
+    A chase step scales a member by the unit, which returns the member, and builds its negation
+    and two merged leaves; the chain check, per approximant, a leaf of the change and a merged one."""
     from ultragram.scenarios import run, scenario_from_dict
     from ultragram.verify import verify_report
 
@@ -1107,7 +1123,7 @@ def test_verified_telescoping_chase_builds_no_sum_nodes(monkeypatch):
         assert "_Sum" not in nodes, nodes
         work.append(sum(nodes.values()))
     assert work[1] <= 2.1 * work[0], work
-    assert work[1] <= 2061, work
+    assert work[1] <= 1547, work
 
 
 def test_whole_pull_after_a_plain_pull_reaches_the_end():

@@ -97,8 +97,11 @@ class OrderedGroup:
     def element(self, *coords: Coordinate) -> "GroupElement":
         """Build an element from rank-many coordinates (ints, Fractions or 'n' and 'p/q' strings)."""
         if len(coords) == 1:
-            if type(coords[0]) is int and self.rank == 1 and self.kind is not GroupKind.RATIONAL_LINE:
-                return GroupElement(self, coords)  # a rank-1 int on Z and Z^n: as given
+            if self.rank == 1 and self.kind is not GroupKind.RATIONAL_LINE:  # on Z and Z^1: an int as given
+                if type(coords[0]) is int:
+                    return GroupElement(self, coords)
+                if type(coords[0]) is str and coords[0].isascii() and coords[0].isdigit():  # "n"
+                    return GroupElement(self, (int(coords[0]),))
             if isinstance(coords[0], GroupElement):  # as given; one of another group raises MismatchedGroups
                 self._zero._check(coords[0])
                 return coords[0]

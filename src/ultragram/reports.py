@@ -28,10 +28,11 @@ def series_json(x: Series, prec: Precision) -> dict:
     """Every term of an exhausted series, else the witnessed prefix below
     the ceiling, flagged when provably complete."""
     complete = x.exhausted or x.ensure_below(prec.ceiling, prec.fuel(), whole=True)
-    kept = x._cache if x.exhausted else x.terms_below(prec.ceiling)  # read, not copied
+    exact = x.exhausted  # read again: a whole pull ends a finite series
+    kept = x._cache if exact else x.terms_below(prec.ceiling)  # read, not copied
     terms = [[t.exponent.describe(), t.coefficient.describe()] for t in kept]
     out = {"terms": terms}
-    if x.exhausted:
+    if exact:
         out["exact"] = True
     elif complete:
         out["complete_below"] = prec.ceiling.describe()

@@ -25,7 +25,8 @@ only settled terms, and each pull resumes from cursors saved by the last.
 A pull asks for the terms below a bound or for the first ``need`` terms,
 whichever comes first, so a node makes only what its consumer needs:
 :func:`valuation` pulls lead-first (need 1) and answers from a cached term
-without pulling.  A map maps only new child terms.  A sum keeps a heap of
+without pulling, as :func:`leading_term` does without building a valuation
+record.  A map maps only new child terms.  A sum keeps a heap of
 its children's next terms between pulls, pulls an idle child only when it
 holds up the next exponent, and merges only below the bound.  Once every
 child but one is exhausted and merged, the sum forwards its demand to that
@@ -816,7 +817,9 @@ def valuation(x: Series, prec: Precision) -> Valuation:
 
 
 def leading_term(x: Series, prec: Precision) -> Optional[Term]:
-    return x._cache[0] if valuation(x, prec).is_value else None
+    if not x._cache:  # else the cached first term is settled, as ``valuation`` reads it
+        valuation(x, prec)
+    return x._cache[0] if x._cache and x._cache[0].exponent < prec.ceiling else None
 
 
 def invert(x: Series, prec: Precision) -> Series:

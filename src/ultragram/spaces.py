@@ -10,11 +10,12 @@ A family keeps its class pass (``classify``: witnessed leads, coset-keyed
 classes, classes known Kv-independent, the N1 to N4 check once made) for reuse
 on the same object under an equal Precision.  Independence is read off that
 record: a family is independent exactly when no class has a Kv-kernel, and N1
-and N2 imply it.  One-member classes need no elimination, ``normalize`` keeps
-unit-scaled elements, and ``adjoin`` grows a basis in place: it appends the
-scaled residual to the elements and to the class record, and ranks and checks
-only its class, since a scaling keeps each coset and class rank, and N1 to N4
-are per class or member.
+and N2 imply it.  One-member classes need no elimination and no N1 scan.  A
+scaling keeps each coset and class rank, and N1 to N4 are per class or member,
+so ``normalize`` keeps unit-scaled elements with their leads and hands the
+family it returns the class record, and ``adjoin`` grows a basis in place: it
+appends the scaled residual to the elements and to the class record, and
+ranks and checks only its class.
 
 Verdicts are three-valued.  Statements quantified over an infinite
 subspace can only be refuted or evidenced at finite precision, so
@@ -276,9 +277,9 @@ def _normalization(K: SubfieldPresentation, record: Classification, keys, member
     # the first class holding two values starts with the least index i of any
     # N1 pair (i, j), so it names the pair the pairwise scan finds first
     for key in keys:
-        cls = classes[key]
-        j = next((j for j in cls if leads[j].exponent != leads[cls[0]].exponent), None)
-        if j is not None:
+        cls = classes[key]  # a one-member class holds one value: nothing to scan
+        j = len(cls) > 1 and next((j for j in cls if leads[j].exponent != leads[cls[0]].exponent), None)
+        if j:  # False, None or an index after cls[0], which is not 0
             return NormalizationCheck(False, "N1", {"indices": [cls[0], j]})
     for key in keys:
         kappa = _class_kernel(K, record, key)
@@ -304,34 +305,34 @@ def normalize(family: VectorFamily, prec: Precision) -> VectorFamily:
     Follows the constructive recipe: one common value per coset class (the
     trivial class is pulled to value 0), then residues lying in Kv are
     divided away.  Raises NotIndependent when the family is not valuation
-    independent, read off its record.  Returns a plain family: N1 to N4 are
-    conditions on the family alone.
+    independent, read off its record.  Returns a plain family, handed its class
+    record: N1 to N4 are conditions on the family alone.
     """
     if not _independent(family, prec):
         raise NotIndependent(f"cannot normalize a {is_valuation_independent(family, prec).kind.value} family")
     K = family.over
     record = classify(family, prec)
-    leads = record.leads
-    scalings: list = [None] * len(leads)
-    out, unit = list(family.elements), K.ambient.one()  # one unit, shared by the members left as they are
+    leads, elements, unit = record.leads, family.elements, K.ambient.one()  # one unit for the members kept
+    scalings, out, out_leads = [None] * len(leads), list(elements), list(leads)
     for cls in record.classes.values():
-        for i in cls:
-            scalings[i], out[i] = _scale_member(K, out[i], leads[i], leads[cls[0]].exponent, unit)
-    normalized = VectorFamily(out, K, scalings=tuple(scalings))
-    fresh = classify(normalized, prec)  # witnesses the scaled leads
+        for i in cls:  # a member kept as it is keeps its lead
+            scalings[i], out[i] = _scale_member(K, elements[i], leads[i], leads[cls[0]].exponent, unit)
+            out_leads[i] = leads[i] if out[i] is elements[i] else _lead(out[i], i, prec)
     # scaling by K-monomials and Kv-scalars keeps each value coset and the Kv-rank of its residues
-    fresh.independent |= record.independent
-    return normalized
+    classes = {key: list(cls) for key, cls in record.classes.items()}  # copied, as adjoin grows them
+    handed = Classification(prec, out_leads, classes, set(record.independent))
+    return VectorFamily(out, K, scalings=tuple(scalings), classification=handed)
 
 
 def _scale_member(K: SubfieldPresentation, x: Series, lead: Term, first: GroupElement, unit=None) -> tuple:
     """(s, s*x) for the K-scalar s scaling x into a class whose first value is ``first``:
     one monomial section to that value, or to 0 with the Kv residue divided away when
     it lies in vK.  (``unit`` or a new unit, x) when s is the unit."""
-    zero = K.ambient.group.zero()
-    common = zero if K.value_in_subgroup(first) else first
-    delta = common - lead.exponent
-    res = K.restrict_residue(lead.coefficient) if common == zero else None
+    zero, in_vk = K.ambient.group.zero(), K.value_in_subgroup(first)
+    if lead.exponent is first and not in_vk:  # the class's first member: s is the unit
+        return unit or K.ambient.one(), x
+    delta = (zero if in_vk else first) - lead.exponent
+    res = K.restrict_residue(lead.coefficient) if in_vk else None
     if res is None or res == K.residue_field.one():
         if delta == zero:
             return unit or K.ambient.one(), x

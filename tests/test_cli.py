@@ -577,6 +577,41 @@ def test_a_unit_scaling_builds_no_node(monkeypatch):
     assert counts["leaves"] <= 231 - 32, counts
 
 
+def test_normalize_hands_on_its_class_record(monkeypatch):
+    """``normalize`` of the 34-member telescoping family keeps every member and hands the
+    family it returns the class record: it builds no valuation record, as each lead is
+    cached, and takes each coset key once to classify and once to scale, where a second
+    class pass took a third.  The whole run builds one valuation record per chase step
+    and one for the target: 33, where a run that read every lead through one built 101."""
+    counts = {"valuations": 0, "coset_keys": 0}
+    plain_valuation, plain_key, plain_normalize = series.Valuation.__init__, Subgroup.coset_key, scenarios.normalize
+    inside: dict = {}
+
+    def counted_valuation(self, *args):
+        counts["valuations"] += 1
+        plain_valuation(self, *args)
+
+    def counted_key(self, g):
+        counts["coset_keys"] += 1
+        return plain_key(self, g)
+
+    def counted_normalize(family, prec):
+        before = dict(counts)
+        out = plain_normalize(family, prec)
+        inside.update({k: counts[k] - before[k] for k in counts}, size=len(family))
+        return out
+
+    monkeypatch.setattr(series.Valuation, "__init__", counted_valuation)
+    monkeypatch.setattr(Subgroup, "coset_key", counted_key)
+    monkeypatch.setattr(scenarios, "normalize", counted_normalize)
+    outcome = run(scenario_from_dict(_chase_doc(1, 32))).tasks[0].outcome
+    assert outcome["kind"] == "unbounded" and len(outcome["evidence"]) == 32
+    assert inside["size"] == 34
+    assert inside["valuations"] == 0, inside
+    assert inside["coset_keys"] <= 68, inside
+    assert counts["valuations"] == 33, counts
+
+
 @pytest.mark.parametrize("name, max_terms", [("paper:notCA", 12), ("paper:ti-minus-ti1", 8), ("chase", 32)])
 def test_chain_check_parses_each_exponent_once(monkeypatch, name, max_terms):
     """Each distinct serialized exponent, and each distinct serialized coefficient, of a

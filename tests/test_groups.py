@@ -508,6 +508,14 @@ def test_slotted_elements_and_terms_pickle(case, c, n):
 def test_parse_rational_reads_integers_and_quotients(text, value):
     assert parse_rational(text) == value
     assert type(parse_rational(text)) is (Fraction if "/" in text else int)
+    # an integer group reads an integral text to an int coordinate, an unsigned "n" without the parser
+    for group in (Z, OrderedGroup.lex(1)):
+        if value.denominator != 1:
+            with pytest.raises(ValueError, match="requires integer coordinates"):
+                group.element(text)
+            continue
+        g = group.element(text)
+        assert g == group.element(int(value)) and type(g.coords[0]) is int
 
 
 @pytest.mark.parametrize("text", [
@@ -517,6 +525,9 @@ def test_parse_rational_reads_integers_and_quotients(text, value):
 def test_parse_rational_rejects_everything_else(text):
     with pytest.raises(ValueError):
         parse_rational(text)
+    for group in (Z, OrderedGroup.lex(1), Q):  # a non-ASCII digit is no "n" of an integer group either
+        with pytest.raises(ValueError):
+            group.element(text)
 
 
 def test_parse_rational_rejects_exponent_notation_at_once():

@@ -74,11 +74,19 @@ def test_valuation_examples():
 
 
 def test_a_first_term_at_the_ceiling_is_not_a_value():
-    # the value is the leading exponent below the ceiling; one at it leaves x zero up to the ceiling
+    # the value is the leading exponent below the ceiling; one at or above it leaves x zero up to
+    # the ceiling.  leading_term pulls an uncached lead, as valuation does, and reads a cached one
     prec = Precision(Z.element(32), max_terms=8)
-    for x in (L5.monomial(32), custom_powers(L5, lambda i: 32 + i)):
+    for x in (L5.monomial(32), L5.monomial(33), custom_powers(L5, lambda i: 32 + i)):
+        assert leading_term(x, prec) is None  # the stream's lead is pulled here, the leaves' are cached
         assert valuation(x, prec) == Valuation(None, Z.element(32), False)
         assert leading_term(x, prec) is None
+    # a lead over Z, cached or pulled, is compared with a ceiling of Z^2_lex as a group element: it raises
+    lex = Precision(OrderedGroup.lex(2).element(1, 0))
+    for x in (L5.monomial(1), geometric(L5)):
+        for read in (leading_term, valuation):
+            with pytest.raises(MismatchedGroups):
+                read(x, lex)
 
 
 @pytest.mark.parametrize("group, ceiling, up_to", [

@@ -601,6 +601,10 @@ def test_records_give_the_results_of_fresh_families(case):
         fresh = _outcome(normalize, make_family(K, elements), prec)
         assert _family_json(normalized, prec) == _family_json(fresh, prec)
         if not isinstance(normalized, tuple):
+            # the record normalize hands on is the class pass a copy makes afresh
+            handed, afresh = normalized.classification, classify(_copy(normalized), prec)
+            assert handed.leads == afresh.leads and list(handed.classes.items()) == list(afresh.classes.items())
+            assert handed.independent <= afresh.classes.keys()
             assert check_normalized(normalized, prec) == check_normalized(_copy(normalized), prec)
             # a basis never asked for a verdict chases as a copy that was asked
             never_asked, asked = _copy(normalized), _copy(normalized)
@@ -645,6 +649,10 @@ def test_normalize_reads_independence_off_the_record(monkeypatch, ranks):
     # a plain family: N1 to N4 are conditions on the family alone
     assert out.relative_to is None and check_normalized(out, prec).ok
     assert plain(_copy(out), prec).kind is VerdictKind.INDEPENDENT
+    # the record is handed on as a copy: growing what normalize built leaves the input's record as it was
+    assert adjoin(out, L.from_terms([("1/2", s * s * s)]), prec) is None
+    assert [len(c) for c in out.classification.classes.values()] == [4]
+    assert [len(c) for c in family.classification.classes.values()] == [3] and len(family.classification.leads) == 3
 
 
 def test_normalize_decides_a_relative_family_over_its_subspace(fq5):

@@ -31,8 +31,11 @@ its children's next terms between pulls, pulls an idle child only when it
 holds up the next exponent, and merges only below the bound.  Once every
 child but one is exhausted and merged, the sum forwards its demand to that
 child and copies its new terms, skipping to the child's own source when the
-child forwards too (tail sharing): a chase r_k = r_{k-1} - c*t^d costs O(1)
-per new term, however deep the chain.  A finite series is a leaf, its terms
+child forwards too (tail sharing).  x less a leaf of the first terms x has
+cached (:func:`subtract`, or :func:`add` of their negations) is such a sum
+over x, forwarding when built, with x's floor: a chase r_k = r_{k-1} - c*t^d
+against {1} builds one node and no negation per step, and costs O(1) per new
+term, however deep the chain.  A finite series is a leaf, its terms
 sorted on coordinate keys, equal exponents added and zeros dropped by one
 normalizer, and its floor is its first exponent, the tightest lower bound
 it has.  Short finite sums are not lazy: :func:`add`, :func:`subtract` and
@@ -742,8 +745,23 @@ def _sum(parts: list) -> Series:
     return out[0] if len(out) == 1 else _Sum(out)
 
 
+def _tail(x: Series, y: Series, negated: bool) -> Optional[Series]:
+    """x less its first j terms when x has cached them and the leaf y holds them (negated):
+    a sum over [x] that forwards from its first pull, with x's floor; else None."""
+    j = len(y._cache)
+    if type(y) is not _Leaf or not 0 < j <= len(x._cache):
+        return None
+    for a, b in zip(x._cache, y._cache):  # equal terms are of one group and field
+        if a.exponent != b.exponent or a.coefficient != (-b.coefficient if negated else b.coefficient):
+            return None
+    tail = _Sum([x])
+    tail._cursors[0], tail._lag = j, -j  # the state of a sum whose other children are merged
+    return tail
+
+
 def add(x: Series, y: Series) -> Series:
-    return _sum([x, y])
+    """x + y; a tail of x when y negates the first terms x has cached, unless x is exhausted (a leaf always is)."""
+    return x._known is not _TOP and _tail(x, y, True) or _sum([x, y])
 
 
 def sum_series(field: SeriesField, terms: Iterable[Series]) -> Series:
@@ -758,7 +776,8 @@ def negate(x: Series) -> Series:
 
 
 def subtract(x: Series, y: Series) -> Series:
-    return _sum([x, negate(y)])
+    """x - y; a tail of x when y holds the first terms x has cached, unless x is exhausted (a leaf always is)."""
+    return x._known is not _TOP and _tail(x, y, False) or _sum([x, negate(y)])
 
 
 def multiply(x: Series, y: Series) -> Series:

@@ -403,6 +403,7 @@ def test_lex_inversion_roundtrip():
 # the online kernel: resumable pulls, fuel and work counts
 
 from fractions import Fraction
+from itertools import count
 
 from hypothesis import Phase, example, given, settings, strategies as st
 
@@ -1026,6 +1027,139 @@ def test_exhausted_difference_chain_merges_only_below_the_bound(pushes):
     assert not v.is_value and v.exhausted
 
 
+# x = stream + leaf over F3, as paper:notCA's x is: (stream exponent i, leaf terms, bound
+# of the comparisons, the group element at stream coordinate b, a ceiling above every
+# term).  Over Z the leaf falls among the stream's terms and cancels one; over Z^2_lex
+# one leaf term lies above them all
+TAIL_CASES = {
+    "Z": (Z, lambda i: (2 * i,), [((3,), 1), ((4,), 2)], Z.element(64), Z.element, Z.element(100)),
+    "Z^2_lex": (LEX, lambda i: (0, 3 * i), [((1, 0), 2), ((0, 6), 1)], LEX.element(0, 90),
+                lambda b: LEX.element(0, b), LEX.element(2, 0)),
+}
+
+
+def _stream_plus_leaf(name, length=None):
+    """A builder of fresh copies of x, whose stream ends after ``length`` terms when given,
+    and the oracle: x's (coordinates, rep) pairs in order, from a plain dict."""
+    group, at, leaf, bound, element, _ = TAIL_CASES[name]
+    field = SeriesField(group, F3)
+
+    def gen():
+        for i in range(length) if length else count():
+            yield Term(GroupElement(group, at(i)), F3.element(1 + i % 2))
+
+    terms = {at(i): 1 + i % 2 for i in range(length or 40)}  # 40 terms reach past the bound
+    for c, v in leaf:
+        terms[c] = (terms.get(c, 0) + v) % 3
+    return (field, lambda: add(field.stream(GroupElement(group, at(0)), gen), field.from_terms(leaf)),
+            sorted((c, v) for c, v in terms.items() if v), bound, element)
+
+
+def _pairs(terms):
+    return [(t.exponent.coords, t.coefficient.rep) for t in terms]
+
+
+def _pulled_in_random_steps(s, bound, element, rng):
+    """Lead pulls of a few terms and pulls to rising bounds, on small fuel, until complete below ``bound``."""
+    while not s.complete_for(bound):
+        if rng.random() < 0.5:
+            s._pull(bound, Fuel(rng.randint(1, 3)), len(s._cache) + rng.randint(1, 3))
+        else:
+            s.ensure_below(min(bound, element(rng.randint(0, 100))), Fuel(rng.randint(1, 8)))
+
+
+@pytest.mark.parametrize("name", sorted(TAIL_CASES))
+@pytest.mark.parametrize("length", [None, 7])
+def test_a_difference_of_a_cached_prefix_is_the_tail(name, length):
+    field, make, oracle, bound, element = _stream_plus_leaf(name, length)
+    below = [p for p in oracle if p[0] < bound.coords]
+    rng = random.Random(f"{name}/{length}")
+    k = 5
+    for j in range(1, k + 1):
+        for op, sign in ((subtract, 1), (add, -1)):
+            for whole in (False, True):
+                x = make()
+                x._pull(bound, Fuel(64), k)  # k terms cached
+                y = field.from_terms([(t.exponent, sign * t.coefficient.rep) for t in x._cache[:j]])
+                s = op(x, y)
+                assert type(s) is series._Sum and s.children == [x] and s._lag is not None
+                assert s.floor == x.floor
+                if whole:
+                    s.ensure_below(bound, Fuel(10_000), whole=True)
+                else:
+                    _pulled_in_random_steps(s, bound, element, rng)
+                assert _pairs(s.terms_below(bound)) == below[j:]
+            if length:  # pulled whole, a finite x's tail ends with it
+                assert s.exhausted and _pairs(s.witnessed_terms()) == oracle[j:]
+    if length:  # less every term, a finite x is an exact zero; over Z, where x has not
+        # yet seen its stream end, through its tail (an exhausted x merges, as a leaf folds)
+        ceiling = TAIL_CASES[name][-1]
+        x = make()
+        x._pull(ceiling, Fuel(64), len(oracle))
+        s = subtract(x, field.from_terms([(t.exponent, t.coefficient) for t in x._cache]))
+        assert x.exhausted is (name != "Z") and (s.children == [x]) is not x.exhausted
+        v = valuation(s, Precision(ceiling))
+        assert not v.is_value and v.exhausted
+
+
+@pytest.mark.parametrize("name", sorted(TAIL_CASES))
+def test_a_chase_of_tails_matches_the_oracle(name):
+    # r_k = r_{k-1} less its lead, as nearest_point subtracts it and as verify's chain adds its
+    # negation: each tail skips down the chain to the node that does not forward
+    field, make, oracle, bound, element = _stream_plus_leaf(name)
+    prec = Precision(bound, max_terms=8)
+    for op, sign in ((subtract, 1), (add, -1)):
+        x = r = make()
+        for k in range(20):
+            lead = leading_term(r, prec)
+            assert (lead.exponent.coords, lead.coefficient.rep) == oracle[k]
+            r = op(r, field.monomial(lead.exponent, sign * lead.coefficient.rep))
+        assert r.ensure_below(bound, Fuel(10_000))
+        assert r.children[0] in [x] + x.children  # x, or x's own source once x forwards
+        assert _pairs(r.terms_below(bound)) == [p for p in oracle[20:] if p[0] < bound.coords]
+
+
+@pytest.mark.parametrize("name", sorted(TAIL_CASES))
+def test_near_misses_of_a_cached_prefix_merge(name):
+    field, make, oracle, bound, element = _stream_plus_leaf(name)
+    below = dict(p for p in oracle if p[0] < bound.coords)
+
+    def leaf(pairs):
+        return field.from_terms([(GroupElement(field.group, c), v) for c, v in pairs])
+
+    misses = {
+        "one coefficient off": [oracle[0], (oracle[1][0], 3 - oracle[1][1])],
+        "one term longer than the cache": oracle[:4],
+        "out of prefix position": [oracle[1]],
+        "zero": [],
+    }
+    for what, pairs in misses.items():
+        for op, sign in ((subtract, 1), (add, -1)):
+            x = make()
+            x._pull(bound, Fuel(64), 3)
+            s = op(x, leaf([(c, sign * v) for c, v in pairs]))
+            assert not (type(s) is series._Sum and s.children == [x]), what
+            expected = dict(below)
+            for c, v in pairs:
+                expected[c] = (expected.get(c, 0) - v) % 3
+            assert s.ensure_below(bound, Fuel(10_000))
+            assert _pairs(s.terms_below(bound)) == sorted((c, v) for c, v in expected.items() if v), what
+    # a lazy y is not a leaf of cached terms: x - x merges, and is zero below the bound
+    x = make()
+    x._pull(bound, Fuel(64), 3)
+    assert equal_up_to(subtract(x, x), field.zero(), bound, Precision(bound, max_terms=64))
+    # a leaf of another field or group never matches: the ambient check raises
+    x = make()
+    x._pull(bound, Fuel(64), 3)
+    first = x._cache[0]
+    for other in (SeriesField(field.group, F5), SeriesField(OrderedGroup.lex(len(first.exponent.coords) + 1), F3)):
+        coords = first.exponent.coords + (0,) * (other.group.rank - field.group.rank)
+        y = other.from_terms([(GroupElement(other.group, coords), first.coefficient.rep)])
+        for op in (subtract, add):
+            with pytest.raises(MismatchedAmbient):
+                op(x, y)
+
+
 def test_pull_through_a_long_multiply_chain():
     # (1 + t)^LINKS / (1 - t): the coefficient of t^k is sum_{j <= k} C(LINKS, j)
     one_plus_t = L3.from_terms([(0, 1), (1, 1)])
@@ -1065,8 +1199,9 @@ def test_power_builders_give_explicit_terms(name):
 
 
 def test_not_ca_decision_work_grows_linearly(pushes, monkeypatch):
-    # the chase's residuals form one chain of sums; report serialization (quadratic by
-    # nature: the approximants hold about k^2/2 terms) is not counted
+    # each residual of the chase is a tail of the last, which forwards to the target at
+    # once; report serialization (quadratic by nature: the approximants hold about k^2/2
+    # terms) is not counted.  About 3 units a step (7 if each step merges a new pair)
     from ultragram import reports, scenarios
     from ultragram.scenarios import apply_precision_overrides, load_scenario, run
 
@@ -1094,6 +1229,7 @@ def test_not_ca_decision_work_grows_linearly(pushes, monkeypatch):
         assert result["kind"] == "unbounded" and len(result["evidence"]) == max_terms
         work[max_terms] = pushes[0]
     assert work[128] <= 2.3 * work[64] and work[256] <= 2.3 * work[128], work
+    assert all(work[m] <= 4 * m for m in work), work
 
 
 def test_verified_telescoping_chase_builds_no_sum_nodes(monkeypatch):

@@ -338,6 +338,39 @@ def test_orthogonalize_obstruction_notca():
     assert all(a < b for a, b in zip(evidence, evidence[1:]))
 
 
+def test_a_chase_against_one_takes_tails_of_its_target(monkeypatch):
+    """Against the basis {1}, each step subtracts the residual's cached lead, so the next
+    residual is a tail of the last, forwarding at once: no step negates, and the lead pull
+    of a step starts two sum expansions, the tail's and, past the tails it skips, the target's."""
+    counts = {"negate": 0, "expand": 0}
+    plain_negate, plain_expand = series.negate, series._Sum._expand
+
+    def negate(x):
+        counts["negate"] += 1
+        return plain_negate(x)
+
+    def expand(self, *args):
+        counts["expand"] += 1
+        return plain_expand(self, *args)
+
+    monkeypatch.setattr(series, "negate", negate)
+    monkeypatch.setattr(series._Sum, "_expand", expand)
+    L2 = OrderedGroup.lex(2)
+    L = SeriesField(L2, F3)
+    K = laurent_presentation(L, L2.element(0, 1), name="F3(t)")
+    x = add(artin_schreier(L, 3, axis=1), L.monomial(L2.element(1, 0)))  # paper:notCA's x
+    r = orthogonalize([L.one(), x], K, Precision(L2.element(1, 24), max_terms=64))
+    assert not r.ok and r.obstruction.kind is NearestKind.UNBOUNDED
+    assert [e.coords for e in r.obstruction.full_evidence] == [(0, 3 ** i) for i in range(65)]
+    assert counts["negate"] == 0, counts  # 64 if each step negates its lead
+    assert counts["expand"] <= 2 * 64 + 1, counts  # 192 if each step merges a new pair
+    counts.update(negate=0, expand=0)
+    KZ = laurent_presentation(SeriesField(Z, F3), Z.element(1), name="F3(t)")
+    result = immediacy_evidence(KZ, artin_schreier(KZ.ambient, 3), Precision(Z.element(10 ** 6), max_terms=12))
+    assert [e.coords for e in result.full_evidence] == [(3 ** i,) for i in range(13)]
+    assert counts["negate"] == 0 and counts["expand"] <= 12, counts  # 12 and 23 if each step merges
+
+
 def test_immediacy_artin_schreier():
     L = SeriesField(Z, F3)
     K = laurent_presentation(L, Z.element(1), name="F3(t)")

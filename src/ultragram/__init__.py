@@ -24,7 +24,6 @@ from .series import (
     add,
     artin_schreier,
     custom_powers,
-    equal_up_to,
     geometric,
     invert,
     leading_term,

@@ -99,7 +99,7 @@ class SubfieldPresentation:
         """The multiples -support..support of the first generator of vK, sorted."""
         window = self._windows.get(support)
         if window is None:
-            gens = [g for g in self.value_subgroup.generators if not g.is_zero()]
+            gens = self.value_subgroup.generators
             if not gens:
                 return [self.ambient.group.zero()]
             window = self._windows[support] = sorted(gens[0].scale(k) for k in range(-support, support + 1))
@@ -131,7 +131,9 @@ def laurent_presentation(
     residue_field: Optional[ResidueField] = None,
     name: str = "K",
 ) -> SubfieldPresentation:
-    """K = k(t) with one uniformizer t of the given value, k = residue field."""
+    """K = k(t) with one uniformizer t of the given positive value, k = residue field."""
+    if not ambient.group.zero() < t_value:
+        raise ValueError("the uniformizer's value must be positive")
     kv = residue_field if residue_field is not None else ambient.coeff
     vk = Subgroup.spanned_by(ambient.group, [t_value])
     return SubfieldPresentation(ambient, name, vk, kv)

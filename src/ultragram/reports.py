@@ -119,8 +119,7 @@ def _emit_text(report: Report) -> str:
             lines.append(f"{head}: ERROR {t.error['type']}: {t.error['message']}")
             continue
         lines.append(f"{head}: {t.summary}")
-        if t.elapsed:
-            lines.append(f"    ({t.elapsed:.3f}s)")
+        lines.append(f"    ({t.elapsed:.3f}s)")
     if report.verification is not None:
         ok = sum(1 for v in report.verification if v["ok"])
         lines.append(f"verification: {ok}/{len(report.verification)} witnesses confirmed")

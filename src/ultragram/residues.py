@@ -70,12 +70,11 @@ def _poly_divmod(a, b, p):
 
 
 def _poly_gcd(a, b, p):
-    while b:
-        a, b = b, _poly_divmod(a, b, p)[1]
-    if a:
-        inv = pow(a[-1], -1, p)
-        a = tuple((c * inv) % p for c in a)
-    return a
+    """The monic gcd of ``a`` and the nonzero ``b``."""
+    while r := _poly_divmod(a, b, p)[1]:
+        a, b = b, r
+    inv = pow(b[-1], -1, p)
+    return tuple((c * inv) % p for c in b)
 
 
 def _is_prime(n: int) -> bool:
@@ -86,9 +85,8 @@ def _is_prime(n: int) -> bool:
     for b in bases:
         if n % b == 0:
             return n == b
-    d, r = n - 1, 0
-    while d % 2 == 0:
-        d, r = d // 2, r + 1
+    r = ((n - 1) & (1 - n)).bit_length() - 1  # n is odd here: n - 1 = d * 2^r with d odd
+    d = (n - 1) >> r
     for b in bases:
         x = pow(b, d, n)
         if x in (1, n - 1):

@@ -398,7 +398,7 @@ def _parse_presentation(spec, ambient: SeriesField) -> tuple:
     if "t_value" not in spec:
         raise ParseError(f"{kind} presentation needs 't_value'")
     t_value = _parse_exponent(spec["t_value"], ambient.group)
-    if t_value.is_zero() or not ambient.group.zero() < t_value:
+    if not ambient.group.zero() < t_value:
         raise UnsupportedCombination("uniformizer value must be positive")
     out["t_value"] = t_value.describe()
     residue = None

@@ -150,7 +150,7 @@ class SeriesField:
         return self.from_terms([(exponent, coefficient)])
 
     def stream(self, floor: GroupElement, factory: Callable[[], Iterator[Term]]) -> "Series":
-        return _Stream(self, floor, factory)
+        return _Stream(self, self.group.element(floor), factory)  # a floor of another group, or None, raises
 
 
 # the needs of a pull beside a term count: every term below the bound, and
@@ -328,8 +328,7 @@ class _Map(Series):
     """Coefficient scaling combined with an exponent shift."""
 
     def __init__(self, child: Series, shift: GroupElement, scale: FieldElement):
-        floor = None if child.floor is None else child.floor + shift
-        super().__init__(child.field, floor)
+        super().__init__(child.field, child.floor + shift)
         self.child = child
         self.shift = shift
         self.scale = scale
@@ -360,7 +359,7 @@ class _Sum(Series):
 
     def __init__(self, children: list):  # checked by _sum
         floors = [c.floor for c in children if c.floor is not None]  # of one group: _check saw to it
-        super().__init__(children[0].field, min(floors, key=_coords) if floors else None)  # None when all are
+        super().__init__(children[0].field, min(floors, key=_coords))  # only an empty leaf has none; _sum folds two side by side
         self.children = children
         self._cursors = [0] * len(children)
         self._heap: list = []  # (exponent key, child index)
@@ -473,7 +472,7 @@ class _Pairs:
         keys = [t.exponent.coords[0] for t in right]
         self.cursors = [bisect_left(keys, bound[0] - t.exponent.coords[0]) for t in left]
         self.stuck = list(range(len(left) - 1, -1, -1))  # least cursor first: one ready() pass
-        self.due = not left or self.cursors[-1] > 0
+        self.due = self.cursors[-1] > 0
 
     def settle(self, left: list, right: list, out: list, stop: tuple, fuel: Optional[Fuel] = None) -> tuple:
         """Append to ``out`` the product terms below the key ``stop`` (every term at ``_TOP``).
@@ -651,8 +650,7 @@ class _Mul(Series):
 
     def __init__(self, x: Series, y: Series):
         x._check(y)
-        floor = None if x.floor is None or y.floor is None else x.floor + y.floor
-        super().__init__(x.field, floor)
+        super().__init__(x.field, x.floor + y.floor)
         self.x = x
         self.y = y
         self._pairs = _Pairs(self.field)
@@ -845,17 +843,6 @@ def invert(x: Series, prec: Precision) -> Series:
     if leading_term(x, prec) is None:
         raise LeadingTermUnknown(f"no leading term witnessed below the ceiling {prec.ceiling}")
     return _Invert(x)
-
-
-def equal_up_to(x: Series, y: Series, cut: GroupElement, prec: Precision) -> bool:
-    """Termwise equality of the truncations below ``cut``."""
-    diff = subtract(x, y)
-    complete = diff.ensure_below(cut, prec.fuel())
-    if diff.terms_below(cut):
-        return False
-    if not complete:
-        raise PrecisionExhausted(f"equality below {cut} undecided within the precision budget")
-    return True
 
 
 # named builders for infinite families

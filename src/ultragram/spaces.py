@@ -287,15 +287,15 @@ def _normalization(K: SubfieldPresentation, record: Classification, keys, member
             witness = {"indices": classes[key], "kernel": [c.describe() for c in kappa]}
             return NormalizationCheck(False, "N2", witness)
     zero = K.ambient.group.zero()
-    for i in members:
-        if K.value_in_subgroup(leads[i].exponent) and leads[i].exponent != zero:
+    in_vk = [i for key, cls in classes.items() if not any(key) for i in cls if i in members]  # vK's key is all 0
+    for i in in_vk:
+        if leads[i].exponent != zero:
             return NormalizationCheck(False, "N3", {"index": i})
     one = K.residue_field.one()
-    for i in members:
-        if leads[i].exponent == zero:
-            res = K.restrict_residue(leads[i].coefficient)
-            if res is not None and res != one:
-                return NormalizationCheck(False, "N4", {"index": i})
+    for i in in_vk:  # each valued 0 now
+        res = K.restrict_residue(leads[i].coefficient)
+        if res is not None and res != one:
+            return NormalizationCheck(False, "N4", {"index": i})
     return NormalizationCheck(True)
 
 

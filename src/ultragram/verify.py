@@ -133,7 +133,7 @@ def _chain(target, outcome_doc, runtime) -> Optional[str]:
             return f"approximant {k} repeats a term"
         # b - a_k = (b - a_j) - (a_k - a_j): add the negated terms a_k gained and those it lost
         gained, lost = now.keys() - held, held - now.keys()
-        terms.update((t, _parse_term(now[t], exponent, coefficient)) for t in gained if t not in terms)
+        terms.update((t, _parse_term(now[t], exponent, coefficient)) for t in gained)
         change = [(e, -c) for e, c in map(terms.get, gained)] + [terms[t] for t in lost]
         residual, held = add(residual, runtime.ambient.from_terms(change)), now.keys()
         val = valuation(residual, runtime.precision)

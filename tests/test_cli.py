@@ -413,12 +413,18 @@ TAMPERED = {
     "scaling-truncated": ("paper:fpt-y", 0, lambda o: _truncate_json(o["scalings"][0]), "independence"),
     "scaling-replaced": ("paper:fpt-y", 0, lambda o: o.update(scalings=[
         {"exact": True, "terms": [[["7"], {"num": [2], "den": [1]}]]}] * 2), "independence"),
+    "dependence-coefficient-lead-changed": ("golden:independence-over", 1,
+                                            lambda o: o["witness"]["coefficients"][0].update(terms=[[["0"], 2]]),
+                                            "dependence"),
     "claimed-value": ("paper:ti-minus-ti1", 0, lambda o: o.update(value=["7"]), "max"),
+    "best-is-the-target": ("paper:ti-minus-ti1", 0, lambda o: o["best"].update(terms=[[["1"], "1"]]), "max"),
     "best-truncated": ("paper:ti-minus-ti1", 0, lambda o: _truncate_json(o["best"]), "max"),
     "evidence-not-increasing": ("paper:ti-minus-ti1", 1, lambda o: _duplicate_first(o["evidence"]), "chain"),
     "approximant-dropped": ("paper:ti-minus-ti1", 1, lambda o: o["approximants"].pop(), "chain"),
     "approximant-duplicated": ("paper:ti-minus-ti1", 1, lambda o: _duplicate_first(o["approximants"]), "chain"),
     "approximant-term-repeated": ("paper:ti-minus-ti1", 1, lambda o: _duplicate_first(o["approximants"][0]["terms"]),
+                                  "chain"),
+    "approximant-is-the-target": ("paper:ti-minus-ti1", 1, lambda o: o["approximants"][0].update(terms=[[["1"], "1"]]),
                                   "chain"),
     "approximant-gains-a-term": ("paper:ti-minus-ti1", 1,
                                  lambda o: o["approximants"][2]["terms"].insert(1, [["3"], "1"]), "chain"),
@@ -443,7 +449,11 @@ TAMPERED_DETAILS = {
     "standard-product-zeroed": "a product has no witnessed lead",
     "scaling-dropped": "1 scaling witnesses for 2 elements",
     "scaling-truncated": "scaling witnesses were serialized truncated",
+    # the combination's lead no longer cancels, so it sits at the minimum, not above it
+    "dependence-coefficient-lead-changed": 'achieved ["0"] vs min ["0"]',
     "claimed-value": 'v(b-best) is ["5"], claimed ["7"]',
+    "best-is-the-target": 'v(b-best) is {"zero_up_to": ["40"], "exact_zero": true}, claimed ["5"]',
+    "approximant-is-the-target": 'approximant 0 realizes {"zero_up_to": ["40"], "exact_zero": true}, claimed ["2"]',
     "immediacy-value-claimed": 'v(b-best) is ["1"], claimed ["2"]',
     "immediacy-evidence-repeated": "fewer approximants than evidence entries",
     "approximant-term-repeated": "approximant 0 repeats a term",
@@ -469,6 +479,20 @@ def test_verify_rejects_tampered_witness(case):
     for c in checks:  # the failing entries, the determinism check among them, carry a detail
         assert set(c) == {"id", "ok"} if c["ok"] else set(c) == {"id", "ok", "detail"}
         assert c["ok"] or isinstance(c["detail"], str) and c["detail"]
+
+
+def test_a_dependence_witness_with_a_zero_coefficient_verifies():
+    # 3*1 + 1*2 = 0 over F5, and t^(1/2) takes no part: its coefficient has no v(c) + v(b)
+    doc = {"name": "zero-coefficient", "ambient": {"group": {"group": "Q"}, "coefficients": {"field": "Fp", "p": 5}},
+           "base_field": {"kind": "laurent", "t_value": 1, "name": "F5(t)"},
+           "elements": {"root": [["1/2", 1]], "one": [[0, 1]], "two": [[0, 2]]},
+           "tasks": [{"task": "independence", "family": ["root", "one", "two"]}],
+           "precision": {"ceiling": 12, "max_terms": 6, "degree_cap": 8}}
+    scenario = scenario_from_dict(doc)
+    report = run(scenario)
+    witness = report.tasks[0].outcome["witness"]
+    assert [c["terms"] for c in witness["coefficients"]] == [[], [[["0"], 3]], [[["0"], 1]]]
+    assert verify_report(scenario, report) == [{"id": "determinism", "ok": True}, {"id": "task0:dependence", "ok": True}]
 
 
 def test_verify_names_a_claimed_element_with_no_witnessed_lead():
@@ -612,6 +636,22 @@ def test_normalize_hands_on_its_class_record(monkeypatch):
     assert counts["valuations"] == 33, counts
 
 
+def test_normalization_reads_vk_membership_off_the_class_record(monkeypatch):
+    """N3 and N4 scan the class whose coset key is all zeros, the members valued in vK,
+    and take no coset key of their own: a chase run took 166 keys when N3 took one per member."""
+    calls = []
+    plain_key = Subgroup.coset_key
+
+    def counted_key(self, g):
+        calls.append(g)
+        return plain_key(self, g)
+
+    monkeypatch.setattr(Subgroup, "coset_key", counted_key)
+    outcome = run(scenario_from_dict(_chase_doc(1, 32))).tasks[0].outcome
+    assert outcome["kind"] == "unbounded" and len(outcome["evidence"]) == 32
+    assert len(calls) <= 133, len(calls)
+
+
 @pytest.mark.parametrize("name, max_terms", [("paper:notCA", 12), ("paper:ti-minus-ti1", 8), ("chase", 32)])
 def test_chain_check_parses_each_exponent_once(monkeypatch, name, max_terms):
     """Each distinct serialized exponent, and each distinct serialized coefficient, of a
@@ -646,6 +686,13 @@ def test_chain_check_parses_each_exponent_once(monkeypatch, name, max_terms):
             assert sorted(parsed["_parse_coefficient"]) == sorted({json.dumps(c) for _, c in terms})
             chains += 1
     assert chains
+
+
+def test_a_normalize_task_reports_a_failed_normalization_check(monkeypatch):
+    # normalize certifies N1 to N4 as it builds; the task re-checks its result, and a
+    # family that failed would be reported by the condition it broke
+    monkeypatch.setattr(scenarios, "check_normalized", lambda family, prec: spaces.NormalizationCheck(False, "N3"))
+    assert run(load_scenario("paper:standard-2x2")).tasks[0].outcome["check"] == "fail:N3"
 
 
 def _tamper_normalize_value(outcome):
@@ -712,6 +759,7 @@ def test_overridden_scenario_differs_from_its_source():
     for changed in (apply_precision_overrides(source, max_terms=12), apply_precision_overrides(source, "[1, 30]"),
                     apply_precision_overrides(source, degree_cap=4), replace(source, seed=7)):
         assert changed != source and changed.canonical is source.canonical
+    assert source != source.canonical  # a scenario equals only a scenario
 
 
 def test_verify_report_runs_under_the_overridden_precision():
@@ -948,6 +996,7 @@ MALFORMED = {
     "formula-float": (_formula("i + 0.5"), "exponent formula constants must be integers"),
     "non-object": ([], "scenario must be an object"),
     "zero-uniformizer": ({"base_field": {"kind": "laurent", "t_value": 0}}, "uniformizer value must be positive"),
+    "negative-uniformizer": ({"base_field": {"kind": "laurent", "t_value": -1}}, "uniformizer value must be positive"),
     "residue-not-embedding": ({"base_field": {"kind": "laurent", "t_value": 1, "residue": {"field": "Fp", "p": 3}}},
                               "residue field {'field': 'Fp', 'p': 3} does not embed in {'field': 'Fp', 'p': 5}"),
     "empty-sum": ({"elements": {"s": {"sum": []}}}, "'sum' takes a nonempty list of element names"),
@@ -962,13 +1011,45 @@ MALFORMED = {
     }, "telescoping families need a rank-1 exponent group"),
     "sample-without-count": ({"tasks": [{"task": "orthogonalize", "sample": {}}]},
                              "task 0 (orthogonalize): sample spec needs a 'count'"),
+    "sample-not-an-object": ({"tasks": [{"task": "orthogonalize", "sample": 5}]},
+                             "task 0 (orthogonalize): sample spec needs a 'count'"),
     "unknown-span-mode": ({"tasks": [{"task": "analyze_extension", "generators": ["x"], "mode": "sideways"}]},
                           "task 0 (analyze_extension): unknown span mode 'sideways'"),
+    # each parser guard that a fuzzer alone reached
+    "sample-seed-not-an-integer": ({"tasks": [{"task": "orthogonalize", "sample": {"count": 1, "seed": "x"}}]},
+                                   "task 0 (orthogonalize) sample 'seed' must be an integer, got 'x'"),
+    "family-member-not-a-name": ({"tasks": [{"task": "normalize", "family": ["x", 5]}]},
+                                 "task 0 (normalize) 'family' must be a list of element names, got ['x', 5]"),
+    "target-not-a-name": ({"tasks": [{"task": "nearest_point", "target": 5, "family": ["x"]}]},
+                          "task 0 (nearest_point) 'target' must be an element name, got 5"),
+    "unknown-family-builder": ({"tasks": [{"task": "nearest_point", "target": "x",
+                                           "family": {"family_builder": "monomials"}}]},
+                               "task 0 (nearest_point) 'family' must be a list of element names, got "),
+    "group-without-kind": ({"ambient": {"group": {}, "coefficients": {"field": "Fp", "p": 5}}},
+                           "group descriptor must be an object with 'group', got {}"),
+    "field-without-kind": ({"ambient": {"group": {"group": "Z"}, "coefficients": {"p": 5}}},
+                           "field descriptor must be an object with 'field', got {'p': 5}"),
+    "exponent-a-float": ({"elements": {"x": [[1.5, 1]]}}, "exponent 1.5 needs 1 integer or 'p/q' coordinates"),
+    "fp-s-coefficient-without-num": ({"ambient": {"group": {"group": "Z"}, "coefficients": {"field": "Fp(s)", "p": 5}},
+                                      "elements": {"x": [[1, {"den": [1]}]]}},
+                                     "cannot parse function-field coefficient {'den': [1]}"),
+    "presentation-not-an-object": ({"base_field": "K"}, "presentation descriptor needs a 'kind', got 'K'"),
+    "precision-not-an-object": ({"precision": 5}, "precision block needs a 'ceiling'"),
+    "term-not-a-pair": ({"elements": {"x": [5]}}, "series term must be [exponent, coefficient], got 5"),
+    "element-object-without-builder": ({"elements": {"x": {"kind": "geometric"}}},
+                                       "cannot parse series element {'kind': 'geometric'}"),
+    "task-without-kind": ({"tasks": [{"family": ["x"]}]}, "task 0 must be an object with a 'task' kind"),
+    "task-kind-not-a-string": ({"tasks": [{"task": 5}]}, "task 0: unknown kind 5"),
     "approximate-without-matrix": ({"tasks": [{"task": "approximate", "family": ["x"]}]},
                                    "task 0 (approximate) needs a coefficient 'matrix'"),
     "approximate-without-completion": ({"tasks": [{"task": "approximate", "family": ["x"], "matrix": [["x"]]}]},
                                        "task 0 (approximate) needs a 'completion' presentation name"),
 }
+
+
+def test_a_scenario_without_a_task_list_is_a_parse_error():
+    with pytest.raises(ParseError, match=r"scenario needs a task list \(possibly empty\)"):
+        scenario_from_dict({key: value for key, value in MALFORMED_BASE.items() if key != "tasks"})
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))

@@ -165,6 +165,24 @@ def test_analyze_extension_inconclusive_cap(mixed_setting):
     assert report.verdict == "inconclusive"
 
 
+def test_a_direct_span_over_a_trivial_valuation_checks_no_coset_count():
+    # vK = {0} has infinite index in the group that the value 1 generates: there is no
+    # exact index to bound the two cosets by
+    L = SeriesField(Z, F5)
+    report = analyze_extension([L.one(), L.monomial(1)], trivial_presentation(L, name="F5"),
+                               Precision(Z.element(16), max_terms=8, degree_cap=8), span_mode="direct")
+    assert (report.n, report.e, report.f, report.verdict) == (2, 2, 1, "vs_defectless")
+
+
+def test_a_direct_span_with_classes_of_unequal_size_is_inconclusive(mixed_setting):
+    # {1, s} in the value-0 class and t^(1/2) alone in its own: n = 3 but e * f = 2 * 2
+    L, K, prec = mixed_setting
+    generators = [L.one(), L.monomial("1/2"), L.from_terms([(0, L.coeff.generator())])]
+    report = analyze_extension(generators, K, prec, span_mode="direct")
+    assert (report.n, report.e, report.f, report.defect_index) == (3, 2, 2, Fraction(3, 4))
+    assert report.verdict == "inconclusive" and "not standard-decomposable" in report.note
+
+
 def _worked_instance():
     """u = {1, y} over F3(t), y of value 0 and residue s, and the completion-side rows [[1, 0], [1/(1-t), 1]]."""
     F3s = ResidueField.rational_functions(3)
@@ -239,6 +257,13 @@ def test_complete_and_approximate_needs_one_ambient():
     Khat = completion_presentation(SeriesField(Z, F5), Z.element(1), name="F5((t))")
     with pytest.raises(NotCofinal, match="presentations live in different ambient fields"):
         complete_and_approximate(make_family(K, [L.one()]), [[L.one()]], Khat, Precision(Z.element(8)))
+
+
+def test_complete_and_approximate_needs_a_square_matrix():
+    L, u, rows, Khat, prec = _worked_instance()
+    for bad in (rows[:1], [rows[0], rows[1][:1]]):  # one row short, and a ragged row
+        with pytest.raises(ValueError, match="coefficient matrix must be square of the family size"):
+            complete_and_approximate(u, bad, Khat, prec)
 
 
 def test_complete_and_approximate_needs_witnessed_family_values():

@@ -411,17 +411,23 @@ integral_inputs = st.one_of(
 )
 
 
-@st.composite
-def coordinate_cases(draw):
-    group = draw(st.sampled_from([Z, L2, Q]))
-    coords = rationals if group is Q else integral_inputs
-    points = [group.element(*draw(st.tuples(*[coords] * group.rank))) for _ in range(3)]
-    return group, points, draw(st.integers(-1, group.rank - 1)), draw(st.integers(-6, 6))
+def _raw_cases(group, coords):
+    point = st.tuples(*[coords] * group.rank)
+    return st.tuples(st.just(group), st.tuples(point, point, point),
+                     st.integers(-1, group.rank - 1), st.integers(-6, 6))
 
 
-@given(coordinate_cases())
+# (group, three points' raw coordinates, an axis, a multiplier): the strategies are built once
+# and a draw builds no element, so drawing stays cheap (building both in every draw once
+# failed the too_slow health check); each test builds its points
+coordinate_cases = st.one_of(_raw_cases(Z, integral_inputs), _raw_cases(L2, integral_inputs),
+                             _raw_cases(Q, rationals))
+
+
+@given(coordinate_cases)
 def test_coordinates_are_ints_on_integer_groups(case):
-    group, (a, b, c), axis, k = case
+    group, raw, axis, k = case
+    a, b, c = (group.element(*xs) for xs in raw)
     produced = [a, b, c, group.zero(), group.unit(), group.unit(axis), a + b, a - c, -b, c.scale(k)]
     produced += Subgroup.spanned_by(group, [a, b, c]).lattice_basis()
     expected = Fraction if group is Q else int
@@ -438,16 +444,18 @@ def test_fraction_coordinates_meet_their_int_twins(group, values):
     assert H.coset_key(twin) == H.coset_key(g)
 
 
-@given(coordinate_cases())
+@given(coordinate_cases)
 def test_subtraction_adds_the_negative(case):
-    _, (a, b, _), _, _ = case
+    group, (xs, ys, _), _, _ = case
+    a, b = group.element(*xs), group.element(*ys)
     assert a - b == a + (-b) and hash(a - b) == hash(a + (-b))
     assert (a - b) + b == a
 
 
-@given(coordinate_cases(), small_ints)
+@given(coordinate_cases, small_ints)
 def test_describe_prints_an_exponent_as_the_scenario_parser_reads_it(case, n):
-    group, points, _, k = case
+    group, raw, _, k = case
+    points = [group.element(*xs) for xs in raw]
     for g in points + [group.zero(), points[0].scale(k), Q.element(n), OrderedGroup.lex(3).element(n, -n, k)]:
         assert g.describe() == [str(c) for c in g.coords]  # "n" or "p/q" per coordinate, as reports print it
         back = _parse_exponent(g.describe(), g.group)
@@ -478,9 +486,10 @@ def test_slotted_values_are_frozen_and_print_their_fields():
     assert repr(values[5]) == "Valuation(value=None, up_to=g(1/2), exhausted=True)"
 
 
-@given(coordinate_cases(), rationals.filter(bool), st.integers(-50, 50).filter(bool))
+@given(coordinate_cases, rationals.filter(bool), st.integers(-50, 50).filter(bool))
 def test_slotted_elements_and_terms_pickle(case, c, n):
-    group, (a, b, _), _, _ = case
+    group, (xs, ys, _), _, _ = case
+    a, b = group.element(*xs), group.element(*ys)
     Qf, F5s = ResidueField.rationals(), ResidueField.rational_functions(5)
     term = Term(a, Qf.element(c))
     values = (a, Qf.element(c), F5s.fraction([1, n], [n, 0, 1]), term,

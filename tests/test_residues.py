@@ -51,6 +51,7 @@ def test_function_field_canonical_form():
     assert F5s.fraction([2], [0, 2]) == F5s.fraction([1], [0, 1])
     assert repr(F5s.zero()) == "0" and repr(F5s.fraction([1], [0, 1])) == "(1)/(s)"
     assert repr(F5s.fraction([3, 2, 4], [1])) == "3+2*s+4*s^2" and repr(F5.element(7)) == "2"
+    assert repr(F5s.fraction([0, 1, 1], [1])) == "s+s^2"  # a unit coefficient is not printed
     assert repr(Q.element(Fraction(-3, 4))) == "-3/4"
     # a (numerator, denominator) pair coerces as fraction() reads it
     assert F5s.element(([2], [0, 1])) == F5s.fraction([2], [0, 1])
@@ -69,10 +70,25 @@ def test_field_input_guards():
         F5s.fraction([1], [0, 5])  # 5 s is zero over F5
     with pytest.raises(TypeError, match="cannot coerce"):
         F5s.element(([1], [1], [1]))
+    with pytest.raises(TypeError, match="cannot coerce"):
+        F5s.element(Fraction(1, 2))  # F5(s) takes ints and (num, den) pairs
+    with pytest.raises(ValueError, match="p must be prime, got None"):
+        ResidueField("Fp")
     with pytest.raises(MismatchedFields, match=r"fraction\(\) is for Fp\(s\)"):
         F5.fraction([1], [1])
     with pytest.raises(MismatchedFields, match=r"generator\(\) is for Fp\(s\)"):
         Q.generator()
+
+
+def test_an_element_of_an_equal_field_is_taken_as_it_is():
+    from ultragram.groups import OrderedGroup
+    from ultragram.series import SeriesField
+
+    twin = ResidueField.prime(5)
+    x = twin.element(3)
+    assert twin is not F5 and F5.element(x) is x
+    leaf = SeriesField(OrderedGroup.integers(), F5).from_terms([(0, x)])
+    assert [t.coefficient for t in leaf.witnessed_terms()] == [F5.element(3)]
 
 
 @pytest.mark.parametrize("field", [F3, Q, F5s], ids=["F3", "Q", "F5(s)"])
@@ -170,6 +186,15 @@ def test_rank_over_subfield_matches_sympy(case):
     expected = domain_matrix([[gf(c) for c in row] for row in rows], (len(rows), len(rows[0])), gf).rank()
     rank, kernel = rank_over_subfield(elements, ResidueField.prime(p), ambient)
     assert rank == expected and len(kernel) == len(elements) - rank
+
+
+def test_solve_over_subfield_against_one_zero_element():
+    # c * 0 = target: no c for a nonzero target, any c (zero here) for zero
+    assert solve_over_subfield(F5s.generator(), [F5s.zero()], F5, F5s) is None
+    assert solve_over_subfield(F5s.zero(), [F5s.zero()], F5, F5s) == [F5.zero()]
+    assert (F5s.generator() * F5s.zero()).is_zero()
+    assert restrict_to_subfield(F5s.zero(), F5, F5s) == F5.zero()
+    assert rank_over_subfield([F5.one()], ResidueField.prime(5), F5) == (1, [])  # an equal field is no subfield
 
 
 def test_solve_in_span_examples():

@@ -258,6 +258,7 @@ def test_a_task_in_front_leaves_a_later_outcome_unchanged(tmp_path, capsys):
 
 def test_formula_values_are_exact_integers():
     assert [_compile_formula("2^i - i//2")(i) for i in range(5)] == [1, 2, 3, 7, 14]
+    assert [_compile_formula("3*i + -i")(i) for i in range(3)] == [0, 2, 4]  # -i has no value at parse time
     with pytest.raises(ScenarioError):
         _compile_formula("2^(i-2)")(1)  # a negative power is refused, not truncated
 

@@ -10,7 +10,6 @@ from ultragram.series import (
     LeadingTermUnknown,
     MismatchedAmbient,
     Precision,
-    PrecisionExhausted,
     SeriesField,
     Term,
     Valuation,
@@ -18,7 +17,6 @@ from ultragram.series import (
     add,
     artin_schreier,
     custom_powers,
-    equal_up_to,
     geometric,
     invert,
     leading_term,
@@ -122,8 +120,8 @@ def test_add_cancellation_and_multiplication():
     t = L5.monomial(1)
     assert not valuation(add(t, negate(t)), PREC).is_value
     prod = multiply(add(L5.one(), t), subtract(L5.one(), t))
-    expected = L5.from_terms([(0, 1), (2, -1)])
-    assert equal_up_to(prod, expected, Z.element(20), PREC)
+    diff = subtract(prod, L5.from_terms([(0, 1), (2, -1)]))
+    assert diff.ensure_below(Z.element(20), PREC.fuel()) and not diff.terms_below(Z.element(20))
 
 
 def test_artin_schreier_identity():
@@ -131,9 +129,9 @@ def test_artin_schreier_identity():
     x = artin_schreier(L3, 3)
     cube = multiply(x, multiply(x, x))
     diff = subtract(cube, x)
-    target = L3.monomial(1, -1)
     prec = Precision(Z.element(30), max_terms=12)
-    assert equal_up_to(diff, target, Z.element(30), prec)
+    assert diff.ensure_below(Z.element(30), prec.fuel())
+    assert diff.terms_below(Z.element(30)) == [Term(Z.element(1), -F3.one())]
     # oracle: cube the partial sum termwise in dict arithmetic
     partial = {3**i: F3.one() for i in range(4)}
     cube_oracle = poly_mul(partial, poly_mul(partial, partial, F3), F3)
@@ -144,9 +142,8 @@ def test_artin_schreier_identity():
 
 def test_invert_examples():
     inv = invert(subtract(L5.one(), L5.monomial(1)), PREC)
-    assert equal_up_to(inv, geometric(L5), Z.element(20), PREC)
-    back = multiply(inv, subtract(L5.one(), L5.monomial(1)))
-    assert equal_up_to(back, L5.one(), Z.element(20), PREC)
+    for diff in (subtract(inv, geometric(L5)), subtract(multiply(inv, subtract(L5.one(), L5.monomial(1))), L5.one())):
+        assert diff.ensure_below(Z.element(20), PREC.fuel()) and not diff.terms_below(Z.element(20))
     tinv = invert(L5.monomial(1), PREC)
     lead = leading_term(tinv, PREC)
     assert lead.exponent == Z.element(-1)
@@ -160,22 +157,25 @@ def test_invert_random_roundtrip():
         terms = sorted(rng.sample(range(0, 9), rng.randint(1, 4)))
         coeffs = [rng.randrange(1, 5) for _ in terms]
         x = L5.from_terms(list(zip(terms, coeffs)))
-        inv = invert(x, PREC)
-        assert equal_up_to(multiply(x, inv), L5.one(), Z.element(24), PREC)
+        diff = subtract(multiply(x, invert(x, PREC)), L5.one())
+        assert diff.ensure_below(Z.element(24), PREC.fuel()) and not diff.terms_below(Z.element(24))
 
 
-def test_truncate_and_equal_up_to():
+def test_differences_below_a_cut():
     x = artin_schreier(L3, 3)
-    fin = L3.from_terms([(1, 1), (3, 1)])
     prec = Precision(Z.element(40), max_terms=12)
-    assert equal_up_to(x, fin, Z.element(9), prec)
-    assert not equal_up_to(x, fin, Z.element(10), prec)
-    assert equal_up_to(x, x, Z.element(40), prec)
-    # x - x cancels everywhere, so no term decides it; the fuel of one comparison
+    diff = subtract(x, L3.from_terms([(1, 1), (3, 1)]))  # x less its first two terms: t^9 first
+    assert diff.ensure_below(Z.element(9), prec.fuel()) and not diff.terms_below(Z.element(9))
+    assert diff.ensure_below(Z.element(10), prec.fuel())
+    assert diff.terms_below(Z.element(10)) == [Term(Z.element(9), F3.one())]
+    diff = subtract(x, x)
+    assert diff.ensure_below(Z.element(40), prec.fuel()) and not diff.terms_below(Z.element(40))
+    # y - y cancels everywhere, so no term is found; the fuel of one pull
     # (256 + 64 units at max_terms 1) runs out far below the cut
     y = geometric(L3)
-    with pytest.raises(PrecisionExhausted, match="undecided within the precision budget"):
-        equal_up_to(y, y, Z.element(10_000), Precision(Z.element(40), max_terms=1))
+    diff = subtract(y, y)
+    assert not diff.ensure_below(Z.element(10_000), Precision(Z.element(40), max_terms=1).fuel())
+    assert not diff.terms_below(Z.element(10_000))
 
 
 def test_precision_bounds_are_positive():
@@ -524,17 +524,18 @@ def test_short_leaf_sums_merge_as_dict_sums(case):
     else:
         result = sum_series(field, leaves)
     operands = [leaves[0], negate(leaves[1])] if op == "subtract" else leaves
-    lazy = series._Sum(list(operands))
+    # the lazy reference needs a child with a floor, as every sum _sum builds has: only an empty leaf has none
+    lazy = [series._Sum(list(operands))] if any(x.floor is not None for x in operands) else []
     if type(result) is _Leaf:  # its floor is its first exponent (None when empty), never below the lazy sum's
         first = result.witnessed_terms()[:1]
         assert result.floor == (first[0].exponent if first else None)
-        assert result.floor is None or lazy.floor <= result.floor
+        assert result.floor is None or lazy[0].floor <= result.floor
     sizes = [len(x.witnessed_terms()) for x in leaves]
     if sum(sizes) <= series._FOLD:
         assert type(result) is _Leaf and result.exhausted
     elif op != "sum_series":  # two operands over the bound stay a lazy sum
         assert type(result) is series._Sum
-    for s in (result, lazy):
+    for s in [result] + lazy:
         assert s.ensure_below(bound, Fuel(10_000), whole=True) and s.exhausted
         assert [(t.exponent.coords, t.coefficient) for t in s.witnessed_terms()] == expected
     if not expected:  # a sum that cancels completely is an exact zero
@@ -602,7 +603,8 @@ def test_inverse_times_x_is_one_over_q_exponents(terms, lead, infinite):
     if infinite:
         x = add(x, multiply(field.monomial(Q.element(Fraction(5, 2))), geometric(field)))
     prec = Precision(Q.element(4), max_terms=64)
-    assert equal_up_to(multiply(x, invert(x, prec)), field.one(), Q.element(4), prec)
+    diff = subtract(multiply(x, invert(x, prec)), field.one())
+    assert diff.ensure_below(Q.element(4), prec.fuel()) and not diff.terms_below(Q.element(4))
 
 
 @pytest.fixture
@@ -1147,7 +1149,8 @@ def test_near_misses_of_a_cached_prefix_merge(name):
     # a lazy y is not a leaf of cached terms: x - x merges, and is zero below the bound
     x = make()
     x._pull(bound, Fuel(64), 3)
-    assert equal_up_to(subtract(x, x), field.zero(), bound, Precision(bound, max_terms=64))
+    diff = subtract(x, x)
+    assert diff.ensure_below(bound, Precision(bound, max_terms=64).fuel()) and not diff.terms_below(bound)
     # a leaf of another field or group never matches: the ambient check raises
     x = make()
     x._pull(bound, Fuel(64), 3)
@@ -1300,3 +1303,78 @@ def test_whole_pull_to_a_lower_bound_keeps_the_settled_bound(case):
     assert s.ensure_below(Z.element(20), Fuel(10_000))
     s.ensure_below(Z.element(5), Fuel(10_000), whole=True)
     assert s.complete_for(Z.element(20))
+
+
+def _lazy_zero(field):
+    """g - g' for two equal streams: zero, which no pull sees at once."""
+    return subtract(geometric(field), geometric(field))
+
+
+def test_a_pull_without_fuel_certifies_nothing():
+    # no stream takes a term: the map and the product know no bound, and no product slot settles
+    for s in (negate(geometric(L5)), multiply(geometric(L5), artin_schreier(L5, 2))):
+        assert not s.ensure_below(Z.element(5), Fuel(0)) and not s.witnessed_terms()
+    # fuel for x's six terms below 5 and none for y's: the product stops, as y cannot go on
+    x, y = geometric(L5), geometric(L5)
+    product = multiply(x, y)
+    assert not product.ensure_below(Z.element(5), Fuel(6))
+    assert len(x.witnessed_terms()) == 6 and not y.witnessed_terms() and not product.witnessed_terms()
+
+
+def test_a_product_waits_for_its_lazy_factor_beside_an_exhausted_one():
+    # the leaf 1 + t has no term more to give: each round asks the stream alone for one
+    assert valuation(multiply(geometric(L5), L5.from_terms([(0, 1), (1, 1)])), PREC).value == Z.element(0)
+    # a lazily zero factor settles no product slot, so the product is zero up to the ceiling
+    assert valuation(multiply(geometric(L5), _lazy_zero(L5)), PREC).describe() == {"zero_up_to": ["32"]}
+
+
+def test_the_inverse_of_a_lead_beside_a_lazy_zero_is_the_lead_inverse():
+    inverse = invert(add(L5.one(), _lazy_zero(L5)), PREC)
+    assert inverse.ensure_below(Z.element(10), PREC.fuel())
+    assert inverse.terms_below(Z.element(10)) == [Term(Z.element(0), F5.one())]
+
+
+def test_a_whole_pull_expands_a_shared_node_once():
+    # twice the same lazy zero: the whole pull reaches it a second time after expanding it
+    d = _lazy_zero(L5)
+    assert valuation(sum_series(L5, [d, d]), PREC).describe() == {"zero_up_to": ["32"]}
+
+
+def test_a_sum_pulls_only_the_children_below_its_next_key():
+    # the lazy zero knows itself zero past t^5 once pulled, so while g - g' cancels up to t^5
+    # only g and -g' are pulled again; the sum's lead is the monomial's
+    parts = [geometric(L5), negate(geometric(L5)), _lazy_zero(L5), L5.monomial(5)]
+    assert valuation(sum_series(L5, parts), PREC).value == Z.element(5)
+
+
+def test_a_stream_floor_is_an_element_of_the_group():
+    assert L5.stream(0, lambda: iter([])).floor == Z.element(0)
+    with pytest.raises(TypeError):
+        L5.stream(None, lambda: iter([]))
+    with pytest.raises(MismatchedGroups):
+        L5.stream(OrderedGroup.rationals().element(0), lambda: iter([]))
+
+
+def test_a_sum_skips_only_the_forwarding_sums_it_has_read_past():
+    # d merged its leaf's three terms and then came to forward to its stream; c and s each
+    # merged one monomial and then came to forward to the sum below.  s's first forwarding
+    # pull starts before c's own terms end, so it reads c; its second skips past c to d,
+    # but starts before d's own terms end, so it reads d
+    d = add(custom_powers(L5, lambda i: i + 5), L5.from_terms([(0, 1), (1, 1), (2, 1)]))
+    assert d.ensure_below(Z.element(10), Fuel(100))
+    c = add(d, L5.monomial(-1))
+    s = add(c, L5.monomial(-2))
+    assert valuation(c, PREC).value == Z.element(-1) and valuation(s, PREC).value == Z.element(-2)
+    assert s.ensure_below(Z.element(1), Fuel(100)) and s.ensure_below(Z.element(20), Fuel(100))
+    assert s.children == [d]
+    assert [t.exponent.coords[0] for t in s.terms_below(Z.element(20))] == [-2, -1, 0, 1, 2] + list(range(5, 20))
+
+
+@pytest.mark.parametrize("coefficients", [F5, ResidueField.rationals()], ids=["block", "pair loop"])
+def test_an_inverse_stops_where_its_fuel_does(coefficients):
+    # 1/(1 - t) is 1 + t + t^2 + ...: a unit of fuel per term, from the second term on
+    field = SeriesField(Z, coefficients)
+    for fuel in (0, 6):
+        inverse = invert(field.from_terms([(0, 1), (1, -1)]), PREC)
+        assert not inverse.ensure_below(Z.element(100), Fuel(fuel))
+        assert [t.exponent.coords[0] for t in inverse.witnessed_terms()] == list(range(fuel + 1))

@@ -1,3 +1,4 @@
+import random
 from dataclasses import replace
 from fractions import Fraction
 
@@ -7,7 +8,8 @@ from ultragram import series
 from ultragram.groups import OrderedGroup
 from ultragram.residues import ResidueField
 from ultragram.series import (
-    Precision, SeriesField, add, artin_schreier, equal_up_to, leading_term, multiply, subtract, valuation,
+    Precision, SeriesField, add, artin_schreier, custom_powers, leading_term, multiply, subtract, sum_series,
+    valuation,
 )
 from ultragram.presentations import (
     SubfieldPresentation,
@@ -24,6 +26,7 @@ from ultragram.spaces import (
     UncertifiedSubspace,
     VerdictKind,
     ZeroElementInFamily,
+    _strictly_above,
     check_normalized,
     immediacy_evidence,
     is_valuation_independent,
@@ -412,6 +415,37 @@ def test_full_field_presentation_short_circuits():
     assert r.ok and len(r.basis) == 1
 
 
+def test_nearest_point_of_a_zero_over_a_full_field():
+    # with no value to divide, the reduction takes no step: an exact zero is a member,
+    # and a zero that no pull sees at once is zero up to the ceiling
+    L = SeriesField(Z, F3)
+    K = completion_presentation(L, Z.element(1), name="F3((t))")
+    prec = Precision(Z.element(32), max_terms=8)
+    basis = orthogonalize([L.from_terms([(0, 1), (1, 2)])], K, prec).basis
+    exact = nearest_point(L.zero(), basis, prec)
+    assert exact.kind is NearestKind.EXACT_MEMBER and exact.initial_value is None
+    assert not exact.best.witnessed_terms() and not exact.steps
+    lazy = nearest_point(subtract(artin_schreier(L, 3), artin_schreier(L, 3)), basis, prec)
+    assert (lazy.kind, lazy.value) == (NearestKind.PRECISION_EXHAUSTED, Z.element(32))
+
+
+def test_a_lead_pull_out_of_fuel_before_any_child_is_known():
+    # fuel for 320 stream terms (max_terms 1) and 400 streams: the sum knows no bound at all
+    L = SeriesField(Z, F3)
+    streams = [custom_powers(L, lambda i, k=k: 400 * i + k) for k in range(400)]
+    achieved = valuation(sum_series(L, streams), Precision(Z.element(10_000), max_terms=1))
+    assert (achieved.value, achieved.up_to, achieved.exhausted) == (None, None, False)
+    assert achieved.describe() == {"zero_up_to": None}
+    assert not _strictly_above(achieved, Z.element(0))
+
+
+@pytest.mark.parametrize("t_value", [0, -1])
+def test_a_uniformizer_of_value_at_most_zero_is_refused(t_value):
+    # the scenario parser refuses such a t_value too; a trivially valued K is trivial_presentation
+    with pytest.raises(ValueError, match="must be positive"):
+        laurent_presentation(SeriesField(Z, F5), Z.element(t_value))
+
+
 def test_a_full_field_quotient_is_built_on_its_first_read(monkeypatch):
     """Over F3((t)) each generator after the first is an exact member, whose quotient
     b/b_1 adjoin never reads: none is built until a result's coefficients are read."""
@@ -432,7 +466,8 @@ def test_a_full_field_quotient_is_built_on_its_first_read(monkeypatch):
     assert result.kind is NearestKind.EXACT_MEMBER and inverted == []
     coefficients = result.coefficients
     assert result.coefficients is coefficients and inverted == [r.basis.elements[0]]
-    assert equal_up_to(multiply(coefficients[0], r.basis.elements[0]), g2, prec.ceiling, prec)
+    diff = subtract(multiply(coefficients[0], r.basis.elements[0]), g2)
+    assert diff.ensure_below(prec.ceiling, prec.fuel()) and not diff.terms_below(prec.ceiling)
 
 
 LEX2 = OrderedGroup.lex(2)
